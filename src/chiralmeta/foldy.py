@@ -13,6 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .background import (ChiralBackground, PlaneWaveSpec, green_dyadic,
@@ -23,15 +24,12 @@ from .np_spectral import NPSpectrum
 
 _I3 = np.eye(3)
 
-# block-row chunking keeps the pairwise kernel transient near ~100 MB
+# block-row chunking keeps the kernel transients near ~100 MB
 # (each center pair expands to a 6x6 complex block, 576 bytes)
 _CHUNK_ELEMS = 200_000
 # largest system handed to the dense LU path (complex LU beyond this is
 # minutes of single-core time; the iterative path covers it)
 _DIRECT_CAP = 4500
-# cache the assembled interaction when it fits in ~2 GB, else recompute
-# the kernel chunkwise on every sweep
-_CACHE_BYTES = 2_000_000_000
 
 
 class FoldyError(RuntimeError):
@@ -40,36 +38,49 @@ class FoldyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParticleLattice:
-    """Regular lattice of point scatterers filling the unit cube."""
+    """Regular lattice of point scatterers filling the unit cube.
+
+    The centers may come in any order and at any offset of the grid
+    inside the cube; ``cells`` (derived, not passed) holds the integer
+    grid index of each center.
+    """
 
     n_per_axis: int
     centers: np.ndarray
     cfg: DiluteConfig
+    cells: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.centers, dtype=float).reshape(-1, 3)
         object.__setattr__(self, "centers", c)
-        if c.shape[0] != self.n_per_axis ** 3:
-            raise FoldyError(
-                f"expected {self.n_per_axis ** 3} centers, got {c.shape[0]}")
+        N = self.n_per_axis
+        if N < 1:
+            raise FoldyError(f"n_per_axis must be at least 1, got {N}")
+        if c.shape[0] != N ** 3:
+            raise FoldyError(f"expected {N ** 3} centers, got {c.shape[0]}")
         if np.any(c <= 0.0) or np.any(c >= 1.0):
             raise FoldyError("lattice centers must be interior to the unit cube")
-        if c.shape[0] > 1:
-            spacing = 1.0 / self.n_per_axis
-            d = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
-            np.fill_diagonal(d, np.inf)
-            if abs(d.min() - spacing) > 1e-12:
-                raise FoldyError(
-                    f"minimum center distance {d.min():.6e} differs from the "
-                    f"lattice spacing {spacing:.6e}")
+        spacing = 1.0 / N
+        origin = c.min(axis=0)
+        cells = np.rint((c - origin) * N).astype(int)
+        off_grid = float(np.abs(c - origin - cells * spacing).max())
+        if off_grid > 1e-12 or cells.max() >= N or len(np.unique(cells, axis=0)) != N ** 3:
+            raise FoldyError(
+                f"centers are not a permutation of a grid of spacing {spacing:.6e} "
+                f"(largest distance from the grid {off_grid:.3e})")
+        object.__setattr__(self, "cells", cells)
+
+
+def _grid_index(n: int) -> np.ndarray:
+    """Integer indices (i, j, k) of the n^3 grid cells, last axis fastest."""
+    r = np.arange(n)
+    return np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def cell_centers(n: int) -> np.ndarray:
     """Centers ((i-1/2)/n, (j-1/2)/n, (k-1/2)/n) of the n^3 grid cells,
     first axis fastest-varying last."""
-    g = (np.arange(n) + 0.5) / n
-    X, Y, Z = np.meshgrid(g, g, g, indexing="ij")
-    return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
+    return (_grid_index(n) + 0.5) / n
 
 
 def build_lattice(n_per_axis: int, cfg: DiluteConfig) -> ParticleLattice:
@@ -124,71 +135,88 @@ def _coupling6(bg: ChiralBackground, lattice_cfg: DiluteConfig, eps_c: complex,
     return np.kron(T2, _I3)
 
 
-def _pair_kernel(bg: ChiralBackground, rel: np.ndarray, eta: float,
-                 zero_self: bool) -> np.ndarray:
-    """Kernel blocks G_eta over a batch of displacements; coincident
-    points give zero blocks when ``zero_self`` (masked before evaluation
-    so eta = 0 stays legal off the diagonal)."""
-    if not zero_self:
-        return green_dyadic(bg, rel, eta=eta)
-    coincide = np.linalg.norm(rel, axis=-1) < 1e-14
-    rel_safe = np.where(coincide[..., None], 1.0, rel)
-    G = green_dyadic(bg, rel_safe, eta=eta)
-    G[coincide] = 0.0
-    return G
+# ---------------------------------------------------------------------------
+# block-Toeplitz grid operator
+#
+# Both the lattice and the volume system couple the cells of a regular n^3
+# grid through K = weight * omega * G_eta(x_i - x_j) @ T6.  The kernel
+# depends on the cell offset x_i - x_j only, so it is evaluated once per
+# offset, (2n-1)^3 points instead of n^6, and every use of K reads that
+# table: gathered into a dense matrix for LU, or applied by FFT.
 
 
-def _interaction_rows(bg: ChiralBackground, row_pts: np.ndarray, col_pts: np.ndarray,
-                      eta: float, T6: np.ndarray, weight: float,
-                      zero_self: bool) -> np.ndarray:
-    """Block rows weight * omega * G_eta(x_r - x_c) @ T6 as a
-    (6*rows, 6*cols) matrix; optionally zeroes coincident-point blocks."""
-    rel = row_pts[:, None, :] - col_pts[None, :, :]
-    G = _pair_kernel(bg, rel, eta, zero_self)
-    blocks = weight * bg.omega * (G @ T6)
-    r, c = row_pts.shape[0], col_pts.shape[0]
-    return blocks.transpose(0, 2, 1, 3).reshape(6 * r, 6 * c)
+def _offset_kernel(bg: ChiralBackground, n: int, eta: float,
+                   zero_self: bool) -> np.ndarray:
+    """G_eta(d/n) for every offset d in [-(n-1), n-1]^3, shape
+    (2n-1, 2n-1, 2n-1, 6, 6), last axis fastest.  The zero offset gives a
+    zero block when ``zero_self`` (masked before evaluation so eta = 0
+    stays legal off it)."""
+    span = 2 * n - 1
+    rel = (_grid_index(span) - (n - 1)) / n
+    zero = span ** 3 // 2
+    if zero_self:
+        rel[zero] = 1.0
+    G = green_dyadic(bg, rel, eta=eta)
+    if zero_self:
+        G[zero] = 0.0
+    return G.reshape(span, span, span, 6, 6)
 
 
-def _assemble_interaction(bg, pts, eta, T6, weight, zero_self) -> np.ndarray:
-    n = pts.shape[0]
-    K = np.empty((6 * n, 6 * n), dtype=complex)
-    step = max(1, _CHUNK_ELEMS // max(n, 1))
+def _offset_blocks(bg: ChiralBackground, n: int, eta: float, T6: np.ndarray,
+                   weight: float, zero_self: bool) -> np.ndarray:
+    """Interaction blocks weight * omega * G_eta(d/n) @ T6 per offset d."""
+    return weight * bg.omega * (_offset_kernel(bg, n, eta, zero_self) @ T6)
+
+
+def _dense_system(blocks: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """I - K as a dense (6c, 6c) matrix over the c cells with integer grid
+    indices ``cells``, gathered from the offset table in block-row chunks."""
+    span = blocks.shape[0]
+    flat = blocks.reshape(-1, 6, 6)
+    n = cells.shape[0]
+    A = np.empty((6 * n, 6 * n), dtype=complex)
+    step = max(1, _CHUNK_ELEMS // n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        K[6 * lo:6 * hi] = _interaction_rows(bg, pts[lo:hi], pts, eta, T6,
-                                             weight, zero_self)
-    return K
+        d = cells[lo:hi, None, :] - cells[None, :, :] + (span - 1) // 2
+        blk = flat[(d[..., 0] * span + d[..., 1]) * span + d[..., 2]]
+        np.negative(blk.transpose(0, 2, 1, 3),
+                    out=A[6 * lo:6 * hi].reshape(hi - lo, 6, n, 6))
+    A[np.diag_indices(6 * n)] += 1.0
+    return A
 
 
-def _apply_interaction(bg, pts, eta, T6, weight, zero_self, u: np.ndarray) -> np.ndarray:
-    """Matrix-free product of the interaction with u, chunked over rows."""
-    n = pts.shape[0]
-    tu = (u.reshape(n, 6) @ T6.T)
-    out = np.empty((n, 6), dtype=complex)
-    step = max(1, _CHUNK_ELEMS // max(n, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        rel = pts[lo:hi, None, :] - pts[None, :, :]
-        G = _pair_kernel(bg, rel, eta, zero_self)
-        out[lo:hi] = weight * bg.omega * np.einsum("rcij,cj->ri", G, tu)
-    return out.reshape(-1)
+def _fft_apply(blocks: np.ndarray):
+    """u -> K u over all n^3 cells in ``cell_centers`` order, as a linear
+    convolution by a zero-padded (2n)^3 FFT: O(n^3 log n) per product."""
+    n = (blocks.shape[0] + 1) // 2
+    L = 2 * n
+    axes = (0, 1, 2)
+    # circular embedding: offset d sits at d mod L; offset +-n stays zero
+    wrap = np.arange(-(n - 1), n) % L
+    c = np.zeros((L, L, L, 6, 6), dtype=complex)
+    c[np.ix_(wrap, wrap, wrap)] = blocks
+    c_hat = scipy.fft.fftn(c, axes=axes)
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        pad = np.zeros((L, L, L, 6), dtype=complex)
+        pad[:n, :n, :n] = u.reshape(n, n, n, 6)
+        u_hat = scipy.fft.fftn(pad, axes=axes)
+        v = scipy.fft.ifftn(np.einsum("...ij,...j->...i", c_hat, u_hat), axes=axes)
+        return v[:n, :n, :n].reshape(-1)
+
+    return apply
 
 
-def _lu_solve_system(K: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Solve (I - K) u = b by LU; returns (u, relative residual, condition
-    estimate of I - K in the 1-norm)."""
-    A = -K
-    idx = np.arange(A.shape[0])
-    A[idx, idx] += 1.0
+def _lu_solve_system(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Solve A u = b by LU; returns (u, relative residual, condition
+    estimate of A in the 1-norm)."""
     anorm = float(np.max(np.sum(np.abs(A), axis=0)))
     lu, piv = scipy.linalg.lu_factor(A, overwrite_a=False)
     u = scipy.linalg.lu_solve((lu, piv), b)
     resid = float(np.linalg.norm(A @ u - b) / np.linalg.norm(b))
     rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
     cond = float(1.0 / rcond) if info == 0 and rcond > 0 else float("inf")
-    A[idx, idx] -= 1.0
-    np.negative(A, out=A)
     return u, resid, cond
 
 
@@ -224,8 +252,8 @@ def solve_foldy(bg: ChiralBackground, lattice: ParticleLattice, eps_c: complex,
                           coupling=T6, incident=incident)
     # eta = 0 is fine here: self blocks are masked out, and distinct
     # centers keep the kernel regular
-    K = _assemble_interaction(bg, lattice.centers, eta, T6, 1.0 / n, zero_self=True)
-    u, resid, cond = _lu_solve_system(K, b)
+    blocks = _offset_blocks(bg, N, eta, T6, 1.0 / n, zero_self=True)
+    u, resid, cond = _lu_solve_system(_dense_system(blocks, lattice.cells), b)
     if not resid < 1e-10:
         raise FoldyError(
             f"point-interaction solve residual {resid:.3e} >= 1e-10 "
@@ -268,9 +296,9 @@ def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
 
     Midpoint quadrature with cell weight 1/m^3; the self cell is kept
     (the regularized kernel is finite at the origin, so eta must be
-    positive).  Small systems go through a dense LU; larger ones use
-    fixed-point sweeps with a divergence check, caching the assembled
-    interaction when it fits in memory.
+    positive).  Fixed-point sweeps, each an FFT product with the grid
+    operator, run with a divergence check; if they stall, systems up to
+    the dense cap fall back to LU.
     """
     if not 1 <= grid_m <= 24:
         raise FoldyError(f"grid_m must lie in [1, 24], got {grid_m}")
@@ -288,10 +316,8 @@ def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
         return HomogenizedState(grid_m=grid_m, centers=pts, values=np.zeros((n, 6), complex),
                                 eta=eta, solver_report=report, coupling=T6, incident=incident)
 
-    cache = (6 * n) ** 2 * 16 <= _CACHE_BYTES
-    K = _assemble_interaction(bg, pts, eta, T6, w, zero_self=False) if cache else None
-    apply_K = ((lambda u: K @ u) if cache
-               else (lambda u: _apply_interaction(bg, pts, eta, T6, w, False, u)))
+    blocks = _offset_blocks(bg, grid_m, eta, T6, w, zero_self=False)
+    apply_K = _fft_apply(blocks)
 
     u = b.copy()
     last_update = float("inf")
@@ -315,9 +341,8 @@ def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
         resid = float(np.linalg.norm(u - b - apply_K(u))) / bnorm
     else:
         if 6 * n <= _DIRECT_CAP:
-            if K is None:
-                K = _assemble_interaction(bg, pts, eta, T6, w, zero_self=False)
-            u, resid, cond = _lu_solve_system(K, b)
+            u, resid, cond = _lu_solve_system(
+                _dense_system(blocks, _grid_index(grid_m)), b)
             method = "lu"
         else:
             raise FoldyError(
@@ -402,18 +427,17 @@ def check_distribution(lattice: ParticleLattice, bg: ChiralBackground, eta: floa
 
 def uniform_invertibility_stat(lattice: ParticleLattice, bg: ChiralBackground) -> float:
     """Mean squared Frobenius norm of the unregularized pair kernel,
-    (1/N^6) sum over distinct pairs of ||G(z_i - z_j)||_F^2."""
-    n = lattice.centers.shape[0]
-    if lattice.n_per_axis < 2:
+    (1/N^6) sum over distinct pairs of ||G(z_i - z_j)||_F^2.
+
+    Summed over the distinct offsets d, each weighted by its number of
+    center pairs prod_k (N - |d_k|)."""
+    N = lattice.n_per_axis
+    if N < 2:
         raise FoldyError("pair statistic needs at least 2 per axis")
-    total = 0.0
-    step = max(1, _CHUNK_ELEMS // max(n, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        rel = lattice.centers[lo:hi, None, :] - lattice.centers[None, :, :]
-        G = _pair_kernel(bg, rel, 0.0, zero_self=True)
-        total += float(np.sum(np.abs(G) ** 2))
-    return total / n ** 2
+    norms = np.sum(np.abs(_offset_kernel(bg, N, 0.0, zero_self=True)) ** 2, axis=(-2, -1))
+    r = N - np.abs(np.arange(-(N - 1), N))
+    pairs = r[:, None, None] * r[None, :, None] * r[None, None, :]
+    return float(np.sum(pairs * norms)) / N ** 6
 
 
 def probe_ring(count: int = 16, radius: float = 3.0,

@@ -4,8 +4,10 @@ import pytest
 from chiralmeta.background import (ChiralBackground, circular_wave, green_dyadic,
                                    incident_six, linear_wave)
 from chiralmeta.dipole import ParticleInstance, scattered_field_dipole
-from chiralmeta.effective import DiluteConfig, EffectiveError, s_limit_tilde, tilde_from_definition
-from chiralmeta.foldy import (FoldyError, ParticleLattice, build_lattice, cell_centers,
+from chiralmeta.effective import (DiluteConfig, EffectiveError, coupling_from_tilde,
+                                  s_limit_tilde, tilde_from_definition)
+from chiralmeta.foldy import (FoldyError, ParticleLattice, _dense_system, _fft_apply,
+                              _grid_index, _offset_blocks, build_lattice, cell_centers,
                               check_distribution, compare_homogenization, eval_foldy_field,
                               eval_homogenized_field, probe_ring, solve_foldy,
                               solve_homogenized_ls, uniform_invertibility_stat)
@@ -278,3 +280,109 @@ def test_compare_homogenization_single_site_baseline(bg, cfg, ball_spectrum):
     row = compare_homogenization(bg, cfg, ball_spectrum, -3.0, [1], 0.1,
                                  probe_ring(8, 3.0), grid_m=6)[0]
     assert 0.0 < row.rel_l2_error < 1.0
+
+
+# ---------------------------------------------------------------------------
+# block-Toeplitz grid operator against pairwise assembly straight from the kernel
+
+
+def _pairwise_interaction(bg, pts, eta, T6, zero_self):
+    """Dense K = omega/n * G_eta(x_i - x_j) @ T6 assembled pair by pair."""
+    n = pts.shape[0]
+    rel = pts[:, None, :] - pts[None, :, :]
+    if zero_self:
+        rel[np.arange(n), np.arange(n)] = 1.0
+    G = green_dyadic(bg, rel, eta=eta)
+    if zero_self:
+        G[np.arange(n), np.arange(n)] = 0.0
+    blocks = bg.omega / n * (G @ T6)
+    return blocks.transpose(0, 2, 1, 3).reshape(6 * n, 6 * n)
+
+
+@pytest.fixture(scope="module")
+def T6_dilute(bg):
+    return np.kron(coupling_from_tilde(s_limit_tilde(bg, 1 / 6, 0.3), bg.omega), np.eye(3))
+
+
+@pytest.fixture(scope="module")
+def coupled_tilde(bg, ball_spectrum, ball_cn):
+    # volume_scale 3 on a 2^3 lattice: Picard diverges on the volume grid
+    return tilde_from_definition(bg, -3.0, DiluteConfig(3.0, 2, 0.965, ball_cn),
+                                 ball_spectrum)
+
+
+@pytest.mark.parametrize("n, eta, zero_self", [(2, 0.0, True), (3, 0.1, True),
+                                               (3, 0.5, False)])
+def test_gathered_matrix_matches_pairwise(bg, T6_dilute, n, eta, zero_self):
+    blocks = _offset_blocks(bg, n, eta, T6_dilute, 1.0 / n ** 3, zero_self)
+    got = _dense_system(blocks, _grid_index(n))
+    expect = np.eye(6 * n ** 3) - _pairwise_interaction(bg, cell_centers(n), eta,
+                                                        T6_dilute, zero_self)
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_fft_apply_matches_gathered_matvec(bg, T6_dilute, rng, m):
+    blocks = _offset_blocks(bg, m, 0.5, T6_dilute, 1.0 / m ** 3, zero_self=False)
+    u = rng.standard_normal(6 * m ** 3) + 1j * rng.standard_normal(6 * m ** 3)
+    expect = _dense_system(blocks, _grid_index(m)) @ u
+    got = u - _fft_apply(blocks)(u)
+    assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+def test_permuted_translated_lattice_matches(bg, lat2, state2, ball_spectrum, rng):
+    # a shift across the incidence direction leaves the incident field at
+    # the centers unchanged, and the kernel sees only center offsets
+    perm = rng.permutation(8)
+    moved = lat2.centers[perm] + np.array([0.03, -0.02, 0.0])
+    lat = ParticleLattice(n_per_axis=2, centers=moved, cfg=lat2.cfg)
+    st = solve_foldy(bg, lat, -3.0, ball_spectrum, WAVE, eta=0.1)
+    assert np.abs(st.values - state2.values[perm]).max() <= 1e-12 * np.abs(state2.values).max()
+
+
+def test_lattice_validation_needs_every_cell(cfg):
+    # every center on the grid and the spacing right, but one cell twice
+    doubled = cell_centers(2)
+    doubled[7] = doubled[0]
+    with pytest.raises(FoldyError, match="spacing"):
+        ParticleLattice(n_per_axis=2, centers=doubled, cfg=cfg)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_invertibility_stat_pairwise(bg, cfg, N):
+    lat = build_lattice(N, cfg)
+    rel = lat.centers[:, None, :] - lat.centers[None, :, :]
+    diag = np.arange(N ** 3)
+    rel[diag, diag] = 1.0
+    G = green_dyadic(bg, rel)
+    G[diag, diag] = 0.0
+    expect = float(np.sum(np.abs(G) ** 2)) / N ** 6
+    assert uniform_invertibility_stat(lat, bg) == pytest.approx(expect, rel=1e-13)
+
+
+def test_volume_picard_matches_dense_solve(bg, T6_dilute):
+    tl = s_limit_tilde(bg, 1 / 6, 0.3)
+    hom = solve_homogenized_ls(bg, tl, 6, 0.1, WAVE, tol=1e-12)
+    assert hom.solver_report["method"] == "iteration"
+    A = np.eye(6 * 216) - _pairwise_interaction(bg, hom.centers, 0.1, T6_dilute, False)
+    expect = np.linalg.solve(A, incident_six(bg, WAVE, hom.centers).reshape(-1))
+    dev = np.linalg.norm(hom.values.reshape(-1) - expect) / np.linalg.norm(expect)
+    assert dev <= 1e-12
+
+
+def test_volume_lu_fallback_coupled(bg, coupled_tilde):
+    rep = solve_homogenized_ls(bg, coupled_tilde, 4, 0.1, WAVE).solver_report
+    assert rep["method"] == "lu"
+    assert rep["residual"] < 1e-10
+
+
+def test_volume_coupled_beyond_dense_cap(bg, coupled_tilde):
+    with pytest.raises(FoldyError, match="dense fallback cap"):
+        solve_homogenized_ls(bg, coupled_tilde, 10, 0.1, WAVE)
+
+
+def test_volume_large_grid_iterates(bg):
+    hom = solve_homogenized_ls(bg, s_limit_tilde(bg, 1 / 6, 0.3), 16, 0.5, WAVE)
+    assert hom.solver_report["method"] == "iteration"
+    assert hom.solver_report["size"] == 24576
+    assert hom.solver_report["residual"] < 1e-10
