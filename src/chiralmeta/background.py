@@ -312,17 +312,28 @@ def maxwell_dyadic(k: float, x) -> np.ndarray:
 # particle/background contrast and Bohren decomposition
 
 
+def mat2x2(a, b, c, d) -> np.ndarray:
+    """The complex 2x2 matrix [[a, b], [c, d]].  Array entries broadcast
+    against each other and give a (2, 2, ...) stack, one matrix per
+    element."""
+    entries = np.broadcast_arrays(a, b, c, d)
+    return np.array(entries, dtype=complex).reshape((2, 2) + entries[0].shape)
+
+
+def matmul2x2(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y for 2x2 matrices, or elementwise over (2, 2, ...) stacks."""
+    if X.ndim == Y.ndim == 2:
+        return X @ Y
+    return np.einsum("ij...,jk...->ik...", X, Y)
+
+
 def k0_matrix(bg: ChiralBackground, eps_c: complex) -> np.ndarray:
     """2x2 contrast matrix between the particle interior (permittivity
-    ``eps_c``, achiral) and the chiral background."""
+    ``eps_c``, achiral) and the chiral background; a (2, 2, ...) stack
+    for an array ``eps_c``."""
     tg = bg.dbf_factor
-    return np.array(
-        [
-            [eps_c / bg.eps_m - tg, -1j * bg.omega * bg.mu_m * bg.beta_m * tg],
-            [1j * bg.omega * bg.eps_m * bg.beta_m * tg, 1.0 - tg],
-        ],
-        dtype=complex,
-    )
+    return mat2x2(eps_c / bg.eps_m - tg, -1j * bg.omega * bg.mu_m * bg.beta_m * tg,
+                  1j * bg.omega * bg.eps_m * bg.beta_m * tg, 1.0 - tg)
 
 
 def _sqrt_upper(z: complex) -> complex:

@@ -335,7 +335,7 @@ _FIELD_HEADER = ("x,y,z,re_ex,im_ex,re_ey,im_ey,re_ez,im_ez,"
 # commands
 
 
-def cmd_np_spectrum(cfg, out: Path, threads: int | None) -> int:
+def cmd_np_spectrum(cfg, out: Path) -> int:
     cfg = {"mesh_source": "icosphere", **cfg}
     spectrum = build_spectrum(cfg)
     dest = out / "np_spectrum.json"
@@ -349,7 +349,7 @@ def cmd_np_spectrum(cfg, out: Path, threads: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_resonances(cfg, out: Path, threads: int | None) -> int:
+def cmd_resonances(cfg, out: Path) -> int:
     bg = build_background(cfg)
     spectrum = build_spectrum(cfg)
     mode_index = _get_int(cfg, "mode_index", 0)
@@ -405,15 +405,14 @@ def _sweep_grid(cfg, bg, spectrum, mode_index) -> np.ndarray:
     return grid
 
 
-def cmd_eff_sweep(cfg, out: Path, threads: int | None, preset: str | None) -> int:
+def cmd_eff_sweep(cfg, out: Path, preset: str | None) -> int:
     bg = build_background(cfg)
     spectrum = build_spectrum(cfg)
     mode_index = _get_int(cfg, "mode_index", 0)
     dilute = build_dilute(cfg, spectrum, mode_index)
     density = _get_float(cfg, "density", 1.0)
     grid = _sweep_grid(cfg, bg, spectrum, mode_index)
-    rows = sweep_figure(bg, dilute, spectrum, grid, mode_index=mode_index,
-                        density=density, threads=threads)
+    rows = sweep_figure(bg, dilute, spectrum, grid, mode_index=mode_index, density=density)
     csv_rows = []
     for r in rows:
         csv_rows.append([
@@ -442,7 +441,7 @@ def cmd_eff_sweep(cfg, out: Path, threads: int | None, preset: str | None) -> in
     return EXIT_OK
 
 
-def cmd_eff_closed_form(cfg, out: Path, threads: int | None) -> int:
+def cmd_eff_closed_form(cfg, out: Path) -> int:
     bg = build_background(cfg)
     lam = _get_float(cfg, "lambda_n", 1.0 / 6.0)
     s_values = _get_float_list(cfg, "s_values", "0,0.1,0.5,0.9,0.99")
@@ -487,7 +486,7 @@ def cmd_eff_closed_form(cfg, out: Path, threads: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_dipole_field(cfg, out: Path, threads: int | None) -> int:
+def cmd_dipole_field(cfg, out: Path) -> int:
     bg = build_background(cfg)
     spectrum = build_spectrum(cfg)
     mode_index = _get_int(cfg, "mode_index", 0)
@@ -513,7 +512,7 @@ def cmd_dipole_field(cfg, out: Path, threads: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_foldy(cfg, out: Path, threads: int | None) -> int:
+def cmd_foldy(cfg, out: Path) -> int:
     bg = build_background(cfg)
     spectrum = build_spectrum(cfg)
     mode_index = _get_int(cfg, "mode_index", 0)
@@ -555,7 +554,7 @@ def cmd_foldy(cfg, out: Path, threads: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_compare_hom(cfg, out: Path, threads: int | None) -> int:
+def cmd_compare_hom(cfg, out: Path) -> int:
     bg = build_background(cfg)
     spectrum = build_spectrum(cfg)
     mode_index = _get_int(cfg, "mode_index", 0)
@@ -580,7 +579,7 @@ def cmd_compare_hom(cfg, out: Path, threads: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_check_assumptions(cfg, out: Path, threads: int | None) -> int:
+def cmd_check_assumptions(cfg, out: Path) -> int:
     bg = build_background(cfg)
     spectrum = build_spectrum(cfg)
     mode_index = _get_int(cfg, "mode_index", 0)
@@ -639,41 +638,32 @@ def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--allow-kbeta-ge-1", action="store_true",
                      help="permit backgrounds outside the k*beta < 1 regime")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads for sweeps")
 
 
 def main(argv=None) -> int:
+    # built per call, so that wrappers put on this module's cmd_* names
+    # (a tracer, a test double) are the ones dispatched to
+    commands = {
+        "np-spectrum": cmd_np_spectrum,
+        "resonances": cmd_resonances,
+        "eff-sweep": lambda cfg, out: cmd_eff_sweep(cfg, out, args.preset),
+        "eff-closed-form": cmd_eff_closed_form,
+        "dipole-field": cmd_dipole_field,
+        "foldy": cmd_foldy,
+        "compare-hom": cmd_compare_hom,
+        "check-assumptions": cmd_check_assumptions,
+    }
     parser = argparse.ArgumentParser(
         prog="chiralmeta",
         description="Resonant-composite workflows: surface spectra, resonances, "
                     "effective parameters, lattice simulations.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("np-spectrum", "resonances", "eff-sweep", "eff-closed-form",
-                 "dipole-field", "foldy", "compare-hom", "check-assumptions"):
+    for name in commands:
         _add_common(subs.add_parser(name))
     args = parser.parse_args(argv)
 
     try:
-        cfg = build_config(args)
-        out = Path(args.out)
-        if args.command == "np-spectrum":
-            return cmd_np_spectrum(cfg, out, args.threads)
-        if args.command == "resonances":
-            return cmd_resonances(cfg, out, args.threads)
-        if args.command == "eff-sweep":
-            return cmd_eff_sweep(cfg, out, args.threads, args.preset)
-        if args.command == "eff-closed-form":
-            return cmd_eff_closed_form(cfg, out, args.threads)
-        if args.command == "dipole-field":
-            return cmd_dipole_field(cfg, out, args.threads)
-        if args.command == "foldy":
-            return cmd_foldy(cfg, out, args.threads)
-        if args.command == "compare-hom":
-            return cmd_compare_hom(cfg, out, args.threads)
-        if args.command == "check-assumptions":
-            return cmd_check_assumptions(cfg, out, args.threads)
-        raise AssertionError("unreachable")
+        return commands[args.command](build_config(args), Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

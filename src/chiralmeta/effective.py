@@ -9,14 +9,14 @@ can turn negative simultaneously.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .background import ChiralBackground, k0_matrix
+from .background import ChiralBackground, k0_matrix, matmul2x2
 from .np_spectral import NPSpectrum
-from .polarization import SingularModeError, assemble_A_n, mode_params, resonant_eps
+from .polarization import (SingularModeError, assemble_A_n, flag_or_raise, mode_params,
+                           resonant_eps)
 
 
 class EffectiveError(RuntimeError):
@@ -79,25 +79,37 @@ class EffectiveParams:
     beta_eff: complex
 
 
+# Every step from the particle permittivity to the effective parameters
+# also runs elementwise: an array ``eps_c`` gives array fields and a
+# (2, 2, ...) coupling stack, and the caller's boolean mask ``failed``
+# collects the points where a scalar evaluation would raise.
+
+
+def _unwrap(x, kind=complex):
+    """``kind(x)`` for a scalar evaluation; arrays pass through."""
+    return kind(x) if np.ndim(x) == 0 else x
+
+
 def coupling_matrix(bg: ChiralBackground, eps_c: complex, cfg: DiluteConfig,
-                    lambda_n: float, density: float = 1.0) -> np.ndarray:
+                    lambda_n: float, density: float = 1.0, *,
+                    failed: np.ndarray | None = None) -> np.ndarray:
     """2x2 lattice coupling: dilution * moment constant * contrast * mode response."""
-    p = mode_params(bg, eps_c)
+    p = mode_params(bg, eps_c, failed=failed)
     mm = assemble_A_n(p, lambda_n, bg.omega)
-    if abs(mm.det_direct) < 1e-14:
-        raise SingularModeError(
-            f"mode response nearly singular at eps_c = {eps_c}, lambda_n = {lambda_n}")
+    flag_or_raise(
+        abs(mm.det_direct) < 1e-14, failed, SingularModeError,
+        lambda: f"mode response nearly singular at eps_c = {eps_c}, lambda_n = {lambda_n}")
     return (density * cfg.dilution_factor * cfg.moment_scale
-            * (k0_matrix(bg, eps_c) @ mm.M_blocks))
+            * matmul2x2(k0_matrix(bg, eps_c), mm.M_blocks))
 
 
 def tilde_from_coupling(T2: np.ndarray, omega: float) -> TildeParams:
     """Read the four tilde parameters off the 2x2 coupling matrix."""
     return TildeParams(
-        eps_t=complex(T2[0, 0]),
-        mu_t=complex(T2[1, 1]),
-        mu_tt=complex(T2[0, 1] / (1j * omega)),
-        eps_tt=complex(T2[1, 0] / (-1j * omega)),
+        eps_t=_unwrap(T2[0, 0]),
+        mu_t=_unwrap(T2[1, 1]),
+        mu_tt=_unwrap(T2[0, 1] / (1j * omega)),
+        eps_tt=_unwrap(T2[1, 0] / (-1j * omega)),
     )
 
 
@@ -122,30 +134,31 @@ def compatibility_residual(tilde: TildeParams, bg: ChiralBackground) -> float:
     t = bg.dbf_factor
     lhs = bg.mu_m * (tilde.eps_tt + bg.eps_m * bg.beta_m * t)
     rhs = bg.eps_m * (tilde.mu_tt + bg.mu_m * bg.beta_m * t)
-    scale = max(abs(lhs), abs(rhs))
-    if scale == 0.0:
-        return 0.0
-    return abs(lhs - rhs) / scale
+    scale = np.maximum(abs(lhs), abs(rhs))
+    with np.errstate(invalid="ignore"):
+        return _unwrap(np.where(scale == 0.0, 0.0, abs(lhs - rhs) / scale), float)
 
 
 def tilde_from_definition(bg: ChiralBackground, eps_c: complex, cfg: DiluteConfig,
                           spectrum: NPSpectrum, mode_index: int = 0,
-                          density: float = 1.0) -> TildeParams:
+                          density: float = 1.0, *,
+                          failed: np.ndarray | None = None) -> TildeParams:
     """Tilde parameters of the lattice driven by one spectrum cluster."""
     clusters = spectrum.clusters()
     if not 0 <= mode_index < len(clusters):
         raise EffectiveError(f"mode_index {mode_index} out of range for {len(clusters)} clusters")
     lam = clusters[mode_index].eigenvalue
-    T2 = coupling_matrix(bg, eps_c, cfg, lam, density=density)
+    T2 = coupling_matrix(bg, eps_c, cfg, lam, density=density, failed=failed)
     tilde = tilde_from_coupling(T2, bg.omega)
     res = compatibility_residual(tilde, bg)
-    if res >= 1e-8:
-        raise EffectiveError(f"compatibility residual {res:.3e} >= 1e-8 for eps_c = {eps_c}")
+    flag_or_raise(res >= 1e-8, failed, EffectiveError,
+                  lambda: f"compatibility residual {res:.3e} >= 1e-8 for eps_c = {eps_c}")
     return tilde
 
 
 def invert_effective(tilde: TildeParams, bg: ChiralBackground,
-                     roundtrip_tol: float = 1e-8) -> EffectiveParams:
+                     roundtrip_tol: float = 1e-8, *,
+                     failed: np.ndarray | None = None) -> EffectiveParams:
     """Invert corrected coefficients to effective (eps, mu, beta).
 
     Raises when a divergence denominator is hit or when substituting the
@@ -158,24 +171,24 @@ def invert_effective(tilde: TildeParams, bg: ChiralBackground,
     Q = tilde.mu_t + t
     Rt = tilde.eps_tt + bg.eps_m * bg.beta_m * t
     St = tilde.mu_tt + bg.mu_m * bg.beta_m * t
-    if abs(Q) < 1e-14 * max(abs(tilde.mu_t), abs(t)):
-        raise EffectiveError(
-            "effective permittivity divergence: corrected permeability coefficient vanishes "
-            "(permittivity-branch shifted resonance hit)")
-    if abs(P) < 1e-14 * max(abs(tilde.eps_t), abs(t)):
-        raise EffectiveError(
-            "effective permeability divergence: corrected permittivity coefficient vanishes "
-            "(permeability-branch shifted resonance hit)")
+    flag_or_raise(
+        abs(Q) < 1e-14 * np.maximum(abs(tilde.mu_t), abs(t)), failed, EffectiveError,
+        lambda: "effective permittivity divergence: corrected permeability coefficient "
+                "vanishes (permittivity-branch shifted resonance hit)")
+    flag_or_raise(
+        abs(P) < 1e-14 * np.maximum(abs(tilde.eps_t), abs(t)), failed, EffectiveError,
+        lambda: "effective permeability divergence: corrected permittivity coefficient "
+                "vanishes (permeability-branch shifted resonance hit)")
     eps_eff = bg.eps_m * (P - w ** 2 * Rt * St / Q)
     mu_eff = bg.mu_m * (Q - w ** 2 * Rt * St / P)
-    if mu_eff == 0.0:
-        raise EffectiveError("effective permeability vanished; chirality recovery undefined")
+    flag_or_raise(mu_eff == 0.0, failed, EffectiveError,
+                  lambda: "effective permeability vanished; chirality recovery undefined")
     beta_eff = bg.mu_m * Rt / (bg.eps_m * mu_eff * P)
-    out = EffectiveParams(eps_eff=complex(eps_eff), mu_eff=complex(mu_eff),
-                          beta_eff=complex(beta_eff))
+    out = EffectiveParams(eps_eff=_unwrap(eps_eff), mu_eff=_unwrap(mu_eff),
+                          beta_eff=_unwrap(beta_eff))
     res = roundtrip_residual(tilde, out, bg)
-    if res >= roundtrip_tol:
-        raise EffectiveError(f"inversion round-trip residual {res:.3e} >= {roundtrip_tol}")
+    flag_or_raise(res >= roundtrip_tol, failed, EffectiveError,
+                  lambda: f"inversion round-trip residual {res:.3e} >= {roundtrip_tol}")
     return out
 
 
@@ -189,18 +202,19 @@ def roundtrip_residual(tilde: TildeParams, eff: EffectiveParams, bg: ChiralBackg
     t = bg.dbf_factor
     w = bg.omega
     denom_eff = 1.0 - w ** 2 * eff.eps_eff * eff.mu_eff * eff.beta_eff ** 2
-    if denom_eff == 0.0:
+    if np.ndim(denom_eff) == 0 and denom_eff == 0.0:
         return float("inf")
     t_eff = 1.0 / denom_eff
-    eq = np.array([
+    eq = np.array(np.broadcast_arrays(
         (eff.eps_eff / bg.eps_m) * t_eff - t,
         (eff.mu_eff / bg.mu_m) * t_eff - t,
         (eff.eps_eff * eff.mu_eff * eff.beta_eff / bg.mu_m) * t_eff - bg.eps_m * bg.beta_m * t,
         (eff.eps_eff * eff.mu_eff * eff.beta_eff / bg.eps_m) * t_eff - bg.mu_m * bg.beta_m * t,
-    ])
-    got = np.array([tilde.eps_t, tilde.mu_t, tilde.eps_tt, tilde.mu_tt])
-    scale = max(float(np.max(np.abs(got))), abs(t), 1e-30)
-    return float(np.max(np.abs(eq - got)) / scale)
+    ))
+    got = np.array(np.broadcast_arrays(tilde.eps_t, tilde.mu_t, tilde.eps_tt, tilde.mu_tt))
+    scale = np.maximum(np.max(np.abs(got), axis=0), max(abs(t), 1e-30))
+    res = np.max(np.abs(eq - got), axis=0) / scale
+    return _unwrap(np.where(denom_eff == 0.0, np.inf, res), float)
 
 
 def s_limit_tilde(bg: ChiralBackground, lambda_n: float, s: float) -> TildeParams:
@@ -304,43 +318,52 @@ class SweepRow:
     failed: bool
 
 
-def _sweep_point(bg, cfg, spectrum, mode_index, density, eps_c) -> SweepRow:
-    nudged = False
-    for attempt in range(2):
-        try:
-            tilde = tilde_from_definition(bg, eps_c, cfg, spectrum,
-                                          mode_index=mode_index, density=density)
-            eff = invert_effective(tilde, bg)
-            return SweepRow(
-                eps_c=eps_c, eps_eff=eff.eps_eff, mu_eff=eff.mu_eff, beta_eff=eff.beta_eff,
-                double_negative=bool(eff.eps_eff.real < 0 and eff.mu_eff.real < 0),
-                out_of_assumption=bg.out_of_assumption, nudged=nudged, failed=False)
-        except (SingularModeError, EffectiveError):
-            if attempt == 0:
-                eps_c = eps_c + 1e-12
-                nudged = True
-            else:
-                nan = complex(float("nan"), float("nan"))
-                return SweepRow(eps_c=eps_c, eps_eff=nan, mu_eff=nan, beta_eff=nan,
-                                double_negative=False, out_of_assumption=bg.out_of_assumption,
-                                nudged=nudged, failed=True)
-    raise AssertionError("unreachable")
+def _sweep_pass(bg, cfg, spectrum, mode_index, density,
+                eps_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tilde -> effective chain over all of ``eps_c`` at once.
+
+    Returns the (3, n) stack of (eps_eff, mu_eff, beta_eff) and the mask
+    of the points where the scalar chain would raise.
+    """
+    failed = np.zeros(eps_c.shape, dtype=bool)
+    try:
+        # failed points run on with inf/nan intermediates; the mask drops them
+        with np.errstate(all="ignore"):
+            tilde = tilde_from_definition(bg, eps_c, cfg, spectrum, mode_index=mode_index,
+                                          density=density, failed=failed)
+            eff = invert_effective(tilde, bg, failed=failed)
+    except (SingularModeError, EffectiveError):
+        # a failure shared by every point (mode_index out of range)
+        return (np.full((3,) + eps_c.shape, complex(np.nan, np.nan)),
+                np.ones(eps_c.shape, dtype=bool))
+    return np.array([eff.eps_eff, eff.mu_eff, eff.beta_eff]), failed
 
 
 def sweep_figure(bg: ChiralBackground, cfg: DiluteConfig, spectrum: NPSpectrum,
-                 eps_c_grid, mode_index: int = 0, density: float = 1.0,
-                 threads: int | None = None) -> list[SweepRow]:
+                 eps_c_grid, mode_index: int = 0, density: float = 1.0) -> list[SweepRow]:
     """Effective parameters over a permittivity grid, with per-point flags.
 
-    Points that hit a singularity are nudged once by 1e-12; persistent
-    failures are flagged, never fatal.  Output order follows the grid.
+    The chain runs elementwise over the whole grid.  Points that hit a
+    singularity are nudged once by 1e-12 and rerun; persistent failures
+    are flagged with NaN values, never fatal.  Output order follows the
+    grid.
     """
-    grid = [complex(e) for e in eps_c_grid]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda ec: _sweep_point(bg, cfg, spectrum, mode_index, density, ec), grid))
-    return [_sweep_point(bg, cfg, spectrum, mode_index, density, ec) for ec in grid]
+    eps_c = np.array([complex(e) for e in eps_c_grid], dtype=complex)
+    values, failed = _sweep_pass(bg, cfg, spectrum, mode_index, density, eps_c)
+    nudged = failed.copy()
+    if nudged.any():
+        eps_c[nudged] += 1e-12
+        values[:, nudged], failed[nudged] = _sweep_pass(bg, cfg, spectrum, mode_index,
+                                                        density, eps_c[nudged])
+    values[:, failed] = complex(np.nan, np.nan)
+    eps_eff, mu_eff, beta_eff = values
+    double_negative = (eps_eff.real < 0) & (mu_eff.real < 0)
+    outside = bg.out_of_assumption
+    return [SweepRow(eps_c=e, eps_eff=a, mu_eff=m, beta_eff=b, double_negative=dn,
+                     out_of_assumption=outside, nudged=nu, failed=f)
+            for e, a, m, b, dn, nu, f in zip(
+                eps_c.tolist(), eps_eff.tolist(), mu_eff.tolist(), beta_eff.tolist(),
+                double_negative.tolist(), nudged.tolist(), failed.tolist())]
 
 
 def sweep_summary(rows: list[SweepRow], reference_abscissa: float | None = None) -> dict:

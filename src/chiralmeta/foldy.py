@@ -27,6 +27,9 @@ _I3 = np.eye(3)
 # block-row chunking keeps the kernel transients near ~100 MB
 # (each center pair expands to a 6x6 complex block, 576 bytes)
 _CHUNK_ELEMS = 200_000
+# the dense gather copies this many 6x6 blocks at a time (~6 MB); a larger
+# chunk only adds a transient next to the matrix it fills
+_GATHER_BLOCKS = 10_000
 # largest system handed to the dense LU path (complex LU beyond this is
 # minutes of single-core time; the iterative path covers it)
 _DIRECT_CAP = 4500
@@ -170,24 +173,28 @@ def _offset_blocks(bg: ChiralBackground, n: int, eta: float, T6: np.ndarray,
 
 def _dense_system(blocks: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """I - K as a dense (6c, 6c) matrix over the c cells with integer grid
-    indices ``cells``, gathered from the offset table in block-row chunks."""
+    indices ``cells``, gathered from the offset table in block-column
+    chunks.  The matrix is Fortran-ordered, so LAPACK can factor it in
+    place."""
     span = blocks.shape[0]
     flat = blocks.reshape(-1, 6, 6)
     n = cells.shape[0]
-    A = np.empty((6 * n, 6 * n), dtype=complex)
-    step = max(1, _CHUNK_ELEMS // n)
+    A = np.empty((6 * n, 6 * n), dtype=complex, order="F")
+    AT = A.T   # C-ordered: row block j of AT is column block j of A
+    step = max(1, _GATHER_BLOCKS // n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        d = cells[lo:hi, None, :] - cells[None, :, :] + (span - 1) // 2
+        d = cells[None, :, :] - cells[lo:hi, None, :] + (span - 1) // 2
         blk = flat[(d[..., 0] * span + d[..., 1]) * span + d[..., 2]]
-        np.negative(blk.transpose(0, 2, 1, 3),
-                    out=A[6 * lo:6 * hi].reshape(hi - lo, 6, n, 6))
+        np.negative(blk.transpose(0, 3, 1, 2),
+                    out=AT[6 * lo:6 * hi].reshape(hi - lo, 6, n, 6))
     A[np.diag_indices(6 * n)] += 1.0
     return A
 
 
-def _fft_apply(blocks: np.ndarray):
-    """u -> K u over all n^3 cells in ``cell_centers`` order, as a linear
+def _fft_apply(blocks: np.ndarray, cells: np.ndarray | None = None):
+    """u -> K u over the cells with integer grid indices ``cells`` (all
+    n^3 cells in ``cell_centers`` order by default), as a linear
     convolution by a zero-padded (2n)^3 FFT: O(n^3 log n) per product."""
     n = (blocks.shape[0] + 1) // 2
     L = 2 * n
@@ -197,24 +204,29 @@ def _fft_apply(blocks: np.ndarray):
     c = np.zeros((L, L, L, 6, 6), dtype=complex)
     c[np.ix_(wrap, wrap, wrap)] = blocks
     c_hat = scipy.fft.fftn(c, axes=axes)
+    at = tuple((_grid_index(n) if cells is None else cells).T)
 
     def apply(u: np.ndarray) -> np.ndarray:
         pad = np.zeros((L, L, L, 6), dtype=complex)
-        pad[:n, :n, :n] = u.reshape(n, n, n, 6)
+        pad[at] = u.reshape(-1, 6)
         u_hat = scipy.fft.fftn(pad, axes=axes)
         v = scipy.fft.ifftn(np.einsum("...ij,...j->...i", c_hat, u_hat), axes=axes)
-        return v[:n, :n, :n].reshape(-1)
+        return v[at].reshape(-1)
 
     return apply
 
 
-def _lu_solve_system(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Solve A u = b by LU; returns (u, relative residual, condition
-    estimate of A in the 1-norm)."""
-    anorm = float(np.max(np.sum(np.abs(A), axis=0)))
-    lu, piv = scipy.linalg.lu_factor(A, overwrite_a=False)
+def _lu_solve_system(A: np.ndarray, b: np.ndarray, apply_K) -> tuple[np.ndarray, float, float]:
+    """Solve A u = b for A = I - K by LU, factoring A in place (it must be
+    Fortran-ordered, or LAPACK works on a copy); returns (u, relative
+    residual, condition estimate of A in the 1-norm).  The residual
+    u - K u - b is taken with ``apply_K``, so A need not be kept."""
+    # 1-norm by column chunks, without a full |A| temporary
+    anorm = max(float(np.abs(A[:, j:j + 256]).sum(axis=0).max())
+                for j in range(0, A.shape[1], 256))
+    lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True)
     u = scipy.linalg.lu_solve((lu, piv), b)
-    resid = float(np.linalg.norm(A @ u - b) / np.linalg.norm(b))
+    resid = float(np.linalg.norm(u - apply_K(u) - b) / np.linalg.norm(b))
     rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
     cond = float(1.0 / rcond) if info == 0 and rcond > 0 else float("inf")
     return u, resid, cond
@@ -253,7 +265,8 @@ def solve_foldy(bg: ChiralBackground, lattice: ParticleLattice, eps_c: complex,
     # eta = 0 is fine here: self blocks are masked out, and distinct
     # centers keep the kernel regular
     blocks = _offset_blocks(bg, N, eta, T6, 1.0 / n, zero_self=True)
-    u, resid, cond = _lu_solve_system(_dense_system(blocks, lattice.cells), b)
+    u, resid, cond = _lu_solve_system(_dense_system(blocks, lattice.cells), b,
+                                      _fft_apply(blocks, lattice.cells))
     if not resid < 1e-10:
         raise FoldyError(
             f"point-interaction solve residual {resid:.3e} >= 1e-10 "
@@ -342,7 +355,7 @@ def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
     else:
         if 6 * n <= _DIRECT_CAP:
             u, resid, cond = _lu_solve_system(
-                _dense_system(blocks, _grid_index(grid_m)), b)
+                _dense_system(blocks, _grid_index(grid_m)), b, apply_K)
             method = "lu"
         else:
             raise FoldyError(

@@ -251,24 +251,25 @@ def spectral_decomposition(
     w = mesh.areas
     G = -(w[:, None] * S)
     G = 0.5 * (G + G.T)
-    A = 0.5 * (G @ K + K.T @ G)
+    GK = G @ K
+    A = 0.5 * (GK + GK.T)   # K^T G = (G K)^T as G is symmetric
 
     v = _householder_vector(w)
     Gp = _reflect_sym(G, v)[1:, 1:]
     Ap = _reflect_sym(A, v)[1:, 1:]
     try:
-        scipy.linalg.cholesky(Gp)
+        # the Cholesky factorization inside eigh is the positive-definiteness check
+        lam, Y = scipy.linalg.eigh(Ap, Gp)
     except scipy.linalg.LinAlgError as exc:
         raise SpectralError(
             "energy Gram matrix is not positive definite on the mean-zero "
             "subspace; the discretization is too ill-conditioned") from exc
-    lam, Y = scipy.linalg.eigh(Ap, Gp)
     Yfull = np.vstack([np.zeros((1, Y.shape[1])), Y])
     Phi = Yfull - 2.0 * np.outer(v, v @ Yfull)   # G-orthonormal, exactly mean-zero
 
-    # normal moments against unit-L2 eigendensities
-    S_phi = S @ Phi
-    mom = -np.einsum("i,ic,im->mc", w, mesh.normals, S_phi)   # (n-1, 3)
+    # normal moments against unit-L2 eigendensities: three row vectors
+    # -(w nu)^T S applied to the densities, not S applied to all of them
+    mom = (-((w[:, None] * mesh.normals).T @ S) @ Phi).T   # (n-1, 3)
     l2 = np.sqrt(np.einsum("im,i,im->m", Phi, w, Phi))
     mom = mom / l2[:, None]
 

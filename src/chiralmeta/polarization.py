@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .background import ChiralBackground
+from .background import ChiralBackground, mat2x2, matmul2x2
 from .mesh import TriMesh, signed_volume
 from .np_spectral import NPSpectrum
 
@@ -71,18 +71,37 @@ class PolarizationTensor:
     volume: float
 
 
-def mode_params(bg: ChiralBackground, eps_c: complex, mu_c: float | None = None) -> ModeParams:
+def flag_or_raise(bad, failed: np.ndarray | None, exc: type[Exception], message) -> None:
+    """Report a failed predicate of a formula evaluated scalar or elementwise.
+
+    With ``failed`` None (a scalar evaluation) a true ``bad`` raises
+    ``exc(message())``.  An elementwise evaluation passes its boolean mask
+    as ``failed``; ``bad`` is or-ed into it and the other points carry on.
+    """
+    if failed is None:
+        if np.any(bad):
+            raise exc(message())
+    else:
+        failed |= bad
+
+
+def mode_params(bg: ChiralBackground, eps_c: complex, mu_c: float | None = None, *,
+                failed: np.ndarray | None = None) -> ModeParams:
     """Scalar mode parameters for particle permittivity ``eps_c``.
 
     ``mu_c`` substitutes a hypothetical particle permeability into the
     mu-branch formulas; the default uses the background permeability,
-    matching a non-magnetic particle.
+    matching a non-magnetic particle.  An array ``eps_c`` gives arrays of
+    parameters; a vanishing denominator then marks its points in
+    ``failed`` (see :func:`flag_or_raise`).
     """
     t = bg.dbf_factor
     eps_den = eps_c - bg.eps_m * t
-    if abs(eps_den) < 1e-14 * max(abs(eps_c), abs(bg.eps_m * t)):
-        raise SingularModeError(
-            f"eps_c = {eps_c} makes the electric denominator eps_c - eps_m*(1+gamma^2 beta^2) vanish")
+    flag_or_raise(
+        abs(eps_den) < 1e-14 * np.maximum(abs(eps_c), abs(bg.eps_m * t)), failed,
+        SingularModeError,
+        lambda: f"eps_c = {eps_c} makes the electric denominator "
+                "eps_c - eps_m*(1+gamma^2 beta^2) vanish")
     mu_val = bg.mu_m if mu_c is None else mu_c
     mu_den = mu_val - bg.mu_m * t
     lambda_eps = (eps_c + bg.eps_m * t) / (2.0 * eps_den)
@@ -91,9 +110,11 @@ def mode_params(bg: ChiralBackground, eps_c: complex, mu_c: float | None = None)
         # mu denominator vanishes identically; take the analytic limit
         return ModeParams(lambda_eps=lambda_eps, lambda_mu=LAMBDA_MU_SENTINEL,
                           d_eps=0.0, d_mu=0.0, degenerate=True)
-    if abs(mu_den) < 1e-14 * max(abs(mu_val), abs(bg.mu_m * t)):
-        raise SingularModeError(
-            f"mu_c = {mu_val} makes the magnetic denominator mu_c - mu_m*(1+gamma^2 beta^2) vanish")
+    flag_or_raise(
+        abs(mu_den) < 1e-14 * max(abs(mu_val), abs(bg.mu_m * t)), failed,
+        SingularModeError,
+        lambda: f"mu_c = {mu_val} makes the magnetic denominator "
+                "mu_c - mu_m*(1+gamma^2 beta^2) vanish")
     lambda_mu = (mu_val + bg.mu_m * t) / (2.0 * mu_den)
     d_mu = bg.eps_m * bg.mu_m * bg.beta_m * t / mu_den
     return ModeParams(lambda_eps=lambda_eps, lambda_mu=lambda_mu,
@@ -101,31 +122,26 @@ def mode_params(bg: ChiralBackground, eps_c: complex, mu_c: float | None = None)
 
 
 def assemble_A_n(params: ModeParams, lambda_n: float, omega: float) -> ModeMatrix:
-    """2x2 response matrix and its coefficient blocks at eigenvalue lambda_n."""
+    """2x2 response matrix and its coefficient blocks at eigenvalue lambda_n.
+
+    Array parameters (from an array ``eps_c``) give (2, 2, ...) stacks
+    and an array determinant.
+    """
     v = 0.5 + lambda_n
-    A = np.array(
-        [
-            [params.lambda_eps - lambda_n, 1j * omega * params.d_eps * v],
-            [-1j * omega * params.d_mu * v, params.lambda_mu - lambda_n],
-        ],
-        dtype=complex,
-    )
+    A = mat2x2(params.lambda_eps - lambda_n, 1j * omega * params.d_eps * v,
+               -1j * omega * params.d_mu * v, params.lambda_mu - lambda_n)
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if params.degenerate:
-        # analytic achiral limit: the mu branch decouples and contributes nothing
-        top = A[0, 0]
-        if top == 0.0:
-            M = np.full((2, 2), complex(np.inf))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if params.degenerate:
+            # analytic achiral limit: the mu branch decouples and contributes nothing
+            singular = A[0, 0] == 0.0
+            M = mat2x2(-1.0 / A[0, 0], 0.0, 0.0, 0.0)
         else:
-            M = np.array([[-1.0 / top, 0.0], [0.0, 0.0]], dtype=complex)
-        return ModeMatrix(lambda_n=lambda_n, A=A, det_direct=det, M_blocks=M)
-    B = np.array([[1.0, -1j * omega * params.d_eps],
-                  [1j * omega * params.d_mu, 1.0]], dtype=complex)
-    if det == 0.0:
-        M = np.full((2, 2), complex(np.inf))
-    else:
-        Ainv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]], dtype=complex) / det
-        M = -Ainv @ B
+            singular = det == 0.0
+            B = mat2x2(1.0, -1j * omega * params.d_eps, 1j * omega * params.d_mu, 1.0)
+            Ainv = mat2x2(A[1, 1], -A[0, 1], -A[1, 0], A[0, 0]) / det
+            M = matmul2x2(-Ainv, B)
+    M = np.where(singular, complex(np.inf), M)
     return ModeMatrix(lambda_n=lambda_n, A=A, det_direct=det, M_blocks=M)
 
 

@@ -12,7 +12,7 @@ from chiralmeta.effective import (DiluteConfig, EffectiveError, compatibility_re
                                   s_limit_tilde, shifted_resonances, sweep_figure,
                                   sweep_summary, tilde_from_coupling, tilde_from_definition,
                                   tilde_leading_order)
-from chiralmeta.polarization import resonant_eps
+from chiralmeta.polarization import SingularModeError, resonant_eps
 from _fd import loglog_slope
 
 LAM = 1 / 6
@@ -221,9 +221,83 @@ def test_sweep_summary_keys(cfg, ball_spectrum):
     assert abs(out["abscissa_deviation"]) < 1e-9
 
 
-def test_sweep_threaded_matches_serial(bg, cfg, ball_spectrum):
-    grid = np.linspace(-4.0, -2.5, 7)
-    serial = sweep_figure(bg, cfg, ball_spectrum, grid)
-    threaded = sweep_figure(bg, cfg, ball_spectrum, grid, threads=2)
-    for a, b in zip(serial, threaded):
-        assert a == b
+def _pointwise_sweep(bg, cfg, spectrum, eps_c):
+    """Reference: the scalar chain at one grid point, nudged once on
+    failure.  Returns (eps_c used, EffectiveParams or None, nudged)."""
+    for nudged in (False, True):
+        try:
+            tilde = tilde_from_definition(bg, eps_c, cfg, spectrum)
+            return eps_c, invert_effective(tilde, bg), nudged
+        except (SingularModeError, EffectiveError):
+            if nudged:
+                return eps_c, None, True
+            eps_c = eps_c + 1e-12
+
+
+@pytest.mark.parametrize("beta_m", [1.09, 0.0, 0.4])   # figure1-left, -right, chiral
+def test_sweep_matches_pointwise_chain(cfg, ball_spectrum, beta_m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bgp = ChiralBackground(1.0, 1.0, beta_m, 1.0, allow_kbeta_ge_1=True)
+    star = resonant_eps(bgp, LAM)
+    grid = np.concatenate([np.linspace(-4.0, -1.0, 601),
+                           np.linspace(star.real - 5e-5, star.real + 5e-5, 101)])
+    rows = sweep_figure(bgp, cfg, ball_spectrum, grid)
+    ref = [_pointwise_sweep(bgp, cfg, ball_spectrum, complex(e)) for e in grid]
+    # poles: the bare and both shifted resonances, and every sign change of mu_eff
+    poles = [star.real] + [z.real for z in shifted_resonances(bgp, LAM, cfg)]
+    order = np.argsort(grid)
+    mu = np.array([np.nan if r[1] is None else r[1].mu_eff.real for r in ref])[order]
+    flips = np.nonzero(np.sign(mu[1:]) != np.sign(mu[:-1]))[0]
+    poles += list(0.5 * (grid[order][flips] + grid[order][flips + 1]))
+    compared = 0
+    for e, row, (eps_ref, eff, nudged) in zip(grid, rows, ref):
+        if min(abs(e - p) for p in poles) < 1e-3:
+            continue
+        compared += 1
+        assert row.eps_c == eps_ref
+        assert (row.nudged, row.failed) == (nudged, eff is None)
+        assert row.out_of_assumption == bgp.out_of_assumption
+        assert row.double_negative == (eff.eps_eff.real < 0 and eff.mu_eff.real < 0)
+        for got, want in ((row.eps_eff, eff.eps_eff), (row.mu_eff, eff.mu_eff),
+                          (row.beta_eff, eff.beta_eff)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+    assert compared > 500
+
+
+def test_sweep_chiral_resonance_point_nudged(ball_cn, ball_spectrum):
+    # weak chirality and a dilute lattice keep the round trip 1e-12 off
+    # the pole far inside its 1e-8 tolerance
+    bgw = ChiralBackground(1.0, 1.0, 0.2, 1.0)
+    cfgw = DiluteConfig(0.05, 125, 0.965, ball_cn)
+    star = resonant_eps(bgw, LAM).real
+    with pytest.raises(SingularModeError):
+        tilde_from_definition(bgw, star, cfgw, ball_spectrum)
+    rows = sweep_figure(bgw, cfgw, ball_spectrum, [star - 0.1, star, star + 0.1])
+    hit = rows[1]
+    assert hit.nudged and not hit.failed
+    assert hit.eps_c == star + 1e-12
+    assert all(np.isfinite(v) for v in (hit.eps_eff, hit.mu_eff, hit.beta_eff))
+    # the scalar chain accepts the nudged point too (values 1e-12 off the
+    # pole are conditioning-limited, so they are not compared here)
+    invert_effective(tilde_from_definition(bgw, star + 1e-12, cfgw, ball_spectrum), bgw)
+    assert not any(r.nudged or r.failed for r in (rows[0], rows[2]))
+
+
+def test_sweep_persistent_failure_is_nan_row(bg, cfg, ball_spectrum):
+    # at beta 0.4 the round trip 1e-12 off the pole misses its tolerance,
+    # so the nudged point fails again
+    star = resonant_eps(bg, LAM).real
+    with pytest.raises(EffectiveError, match="round-trip"):
+        invert_effective(tilde_from_definition(bg, star + 1e-12, cfg, ball_spectrum), bg)
+    rows = sweep_figure(bg, cfg, ball_spectrum, [star - 0.1, star, star + 0.1])
+    hit = rows[1]
+    assert hit.nudged and hit.failed and not hit.double_negative
+    assert hit.eps_c == star + 1e-12
+    assert all(np.isnan(v.real) and np.isnan(v.imag)
+               for v in (hit.eps_eff, hit.mu_eff, hit.beta_eff))
+    assert not any(r.nudged or r.failed for r in (rows[0], rows[2]))
+    # a failure shared by every point fails every row the same way
+    grid = [-3.0, -2.5]
+    for r, e in zip(sweep_figure(bg, cfg, ball_spectrum, grid, mode_index=7), grid):
+        assert r.nudged and r.failed and r.eps_c == e + 1e-12 and np.isnan(r.eps_eff)

@@ -386,3 +386,20 @@ def test_volume_large_grid_iterates(bg):
     assert hom.solver_report["method"] == "iteration"
     assert hom.solver_report["size"] == 24576
     assert hom.solver_report["residual"] < 1e-10
+
+
+def test_fft_apply_on_permuted_cells(bg, T6_dilute, rng):
+    # the lattice residual scatters through the cells of a permuted lattice
+    n = 3
+    blocks = _offset_blocks(bg, n, 0.1, T6_dilute, 1.0 / n ** 3, zero_self=True)
+    cells = _grid_index(n)[rng.permutation(n ** 3)]
+    u = rng.standard_normal(6 * n ** 3) + 1j * rng.standard_normal(6 * n ** 3)
+    expect = _dense_system(blocks, cells) @ u
+    got = u - _fft_apply(blocks, cells)(u)
+    assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+def test_dense_system_is_fortran_ordered(bg, T6_dilute):
+    # lu_factor(overwrite_a=True) factors in place only a Fortran-ordered matrix
+    blocks = _offset_blocks(bg, 2, 0.1, T6_dilute, 1.0 / 8, zero_self=True)
+    assert _dense_system(blocks, _grid_index(2)).flags.f_contiguous

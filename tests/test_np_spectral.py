@@ -171,3 +171,21 @@ def test_json_roundtrip(tmp_path, ball_spectrum):
     p2 = tmp_path / "again.json"
     back.save(str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_moments_match_single_layer_reference(ico3, sk3, sphere_spec3):
+    # the moments are -sum_i w_i nu_i (S phi)_i over unit-L2 densities
+    S, _ = sk3
+    Phi = sphere_spec3.densities
+    w = ico3.areas
+    l2 = np.sqrt(np.einsum("im,i,im->m", Phi, w, Phi))
+    ref = -np.einsum("i,ic,im->mc", w, ico3.normals, S @ Phi) / l2[:, None]
+    scale = np.linalg.norm(ref, axis=1).max()
+    assert np.abs(sphere_spec3.moments - ref).max() <= 1e-13 * scale
+
+
+def test_indefinite_gram_raises():
+    mesh = icosphere(1)
+    S, K = assemble_single_layer(mesh), assemble_np(mesh)
+    with pytest.raises(SpectralError, match="not positive definite"):
+        spectral_decomposition(-S, K, mesh, mode_count=8)
