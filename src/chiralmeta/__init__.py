@@ -2,7 +2,7 @@
 
 from .background import (BackgroundError, ChiralBackground, PlaneWaveSpec, SingularPointError,
                          circular_wave, green_dyadic, incident_field, incident_six,
-                         k0_matrix, linear_wave, maxwell_dyadic, regularized_green)
+                         k0_matrix, linear_wave, maxwell_dyadic)
 from .dipole import FarFieldError, ParticleInstance, reciprocity_report, scattered_field_dipole
 from .effective import (DiluteConfig, EffectiveError, EffectiveParams, SweepRow, TildeParams,
                         effective_closed_form, epsc_from_s, invert_effective, s_limit_tilde,
@@ -18,14 +18,14 @@ from .np_spectral import (ModeCluster, NPSpectrum, SpectralError, assemble_np,
                           sphere_spectrum, unit_ball_spectrum)
 from .polarization import (ModeParams, PolarizationTensor, RootFindError, SingularModeError,
                            drude_eps, drude_omega_for_eps, find_resonance_root, mode_params,
-                           orientation_average, polarization_tensor, resonant_eps)
+                           polarization_tensor, resonant_eps)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BackgroundError", "ChiralBackground", "PlaneWaveSpec", "SingularPointError",
     "circular_wave", "green_dyadic", "incident_field", "incident_six", "k0_matrix",
-    "linear_wave", "maxwell_dyadic", "regularized_green",
+    "linear_wave", "maxwell_dyadic",
     "FarFieldError", "ParticleInstance", "reciprocity_report", "scattered_field_dipole",
     "DiluteConfig", "EffectiveError", "EffectiveParams", "SweepRow", "TildeParams",
     "effective_closed_form", "epsc_from_s", "invert_effective", "s_limit_tilde",
@@ -39,7 +39,7 @@ __all__ = [
     "ModeCluster", "NPSpectrum", "SpectralError", "assemble_np", "assemble_single_layer",
     "spectral_decomposition", "spectrum_from_json", "sphere_spectrum", "unit_ball_spectrum",
     "ModeParams", "PolarizationTensor", "RootFindError", "SingularModeError", "drude_eps",
-    "drude_omega_for_eps", "find_resonance_root", "mode_params", "orientation_average",
-    "polarization_tensor", "resonant_eps",
+    "drude_omega_for_eps", "find_resonance_root", "mode_params", "polarization_tensor",
+    "resonant_eps",
     "__version__",
 ]

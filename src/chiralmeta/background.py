@@ -239,13 +239,16 @@ def green_dyadic(bg: ChiralBackground, x, eta: float = 0.0) -> np.ndarray:
     """6x6 fundamental dyadic of the background system at points ``x``.
 
     Shape (..., 3) -> (..., 6, 6).  With ``eta > 0`` the scalar kernel
-    denominator 4 pi r is shifted by eta; at the origin the derivative
+    denominator 4 pi r is shifted by eta (a negative eta, which would put
+    a pole at r = -eta/(4 pi), is refused); at the origin the derivative
     terms are dropped by convention so the value stays finite (only the
     regularized kernel is ever evaluated there).
 
     Every column, read as an (E, H) pair, satisfies the homogeneous
     background system away from the source.
     """
+    if eta < 0:
+        raise BackgroundError(f"eta must be nonnegative, got {eta}")
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise BackgroundError(f"points must have trailing dimension 3, got {x.shape}")
@@ -284,13 +287,6 @@ def green_dyadic(bg: ChiralBackground, x, eta: float = 0.0) -> np.ndarray:
     return G
 
 
-def regularized_green(bg: ChiralBackground, x, eta: float) -> np.ndarray:
-    """Alias for the eta-regularized dyadic used by the point system."""
-    if eta < 0:
-        raise BackgroundError(f"eta must be nonnegative, got {eta}")
-    return green_dyadic(bg, x, eta=eta)
-
-
 def maxwell_dyadic(k: float, x) -> np.ndarray:
     """Classical electric dyadic (I + grad grad / k^2) e^{ikr}/(4 pi r).
 
@@ -309,7 +305,7 @@ def maxwell_dyadic(k: float, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# particle/background contrast and Bohren decomposition
+# particle/background contrast
 
 
 def mat2x2(a, b, c, d) -> np.ndarray:
@@ -334,85 +330,3 @@ def k0_matrix(bg: ChiralBackground, eps_c: complex) -> np.ndarray:
     tg = bg.dbf_factor
     return mat2x2(eps_c / bg.eps_m - tg, -1j * bg.omega * bg.mu_m * bg.beta_m * tg,
                   1j * bg.omega * bg.eps_m * bg.beta_m * tg, 1.0 - tg)
-
-
-def _sqrt_upper(z: complex) -> complex:
-    """Principal square root folded to nonnegative imaginary part."""
-    w = np.sqrt(complex(z))
-    return -w if w.imag < 0 else w
-
-
-@dataclass(frozen=True)
-class BeltramiConstants:
-    """Scalar constants of the two-branch (Bohren) field decomposition
-    inside (particle, ``_c``) and outside (background, ``_m``)."""
-
-    tau_c: complex
-    tau_m: complex
-    alpha_1c: complex
-    alpha_2c: complex
-    alpha_1m: complex
-    alpha_2m: complex
-    zeta_11: complex
-    zeta_12: complex
-    zeta_21: complex
-    zeta_22: complex
-    gamma_1m: float
-    gamma_2m: float
-    gamma_1c: complex
-    gamma_2c: complex
-
-
-def make_beltrami(bg: ChiralBackground, eps_c: complex) -> BeltramiConstants:
-    tau_c = _sqrt_upper(bg.mu_m / eps_c)
-    tau_m = complex(bg.impedance_ratio)
-    gamma_c = bg.omega * _sqrt_upper(eps_c * bg.mu_m)
-    return BeltramiConstants(
-        tau_c=tau_c,
-        tau_m=tau_m,
-        alpha_1c=1.0 / (1j * tau_c),
-        alpha_2c=-1j * tau_c,
-        alpha_1m=1.0 / (1j * tau_m),
-        alpha_2m=-1j * tau_m,
-        zeta_11=0.5 * (1.0 + tau_m / tau_c),
-        zeta_12=0.5j * (tau_c - tau_m),
-        zeta_21=0.5j * (1.0 / tau_m - 1.0 / tau_c),
-        zeta_22=0.5j * (1.0 + tau_c / tau_m),
-        gamma_1m=bg.gamma1,
-        gamma_2m=bg.gamma2,
-        gamma_1c=gamma_c,
-        gamma_2c=gamma_c,
-    )
-
-
-def bohren_split(E, H, consts: BeltramiConstants, region: str):
-    """Split (E, H) into the two Beltrami components (Q1, Q2).
-
-    Inverts E = Q1 + alpha_2 Q2, H = alpha_1 Q1 + Q2 with the constants
-    of the requested region (``"interior"`` or ``"exterior"``).
-    """
-    a1, a2 = _region_alphas(consts, region)
-    det = 1.0 - a1 * a2
-    if abs(det) < 1e-14:
-        raise BackgroundError("Beltrami coefficient matrix is singular (alpha1*alpha2 = 1)")
-    E = np.asarray(E, dtype=complex)
-    H = np.asarray(H, dtype=complex)
-    Q1 = (E - a2 * H) / det
-    Q2 = (H - a1 * E) / det
-    return Q1, Q2
-
-
-def bohren_merge(Q1, Q2, consts: BeltramiConstants, region: str):
-    """Inverse of :func:`bohren_split`."""
-    a1, a2 = _region_alphas(consts, region)
-    Q1 = np.asarray(Q1, dtype=complex)
-    Q2 = np.asarray(Q2, dtype=complex)
-    return Q1 + a2 * Q2, a1 * Q1 + Q2
-
-
-def _region_alphas(consts: BeltramiConstants, region: str):
-    if region == "interior":
-        return consts.alpha_1c, consts.alpha_2c
-    if region == "exterior":
-        return consts.alpha_1m, consts.alpha_2m
-    raise BackgroundError(f"region must be 'interior' or 'exterior', got {region!r}")

@@ -23,7 +23,7 @@ from .effective import (DiluteConfig, EffectiveError, effective_closed_form,
 from .foldy import (FoldyError, build_lattice, check_distribution, compare_homogenization,
                     eval_foldy_field, probe_ring, solve_foldy, uniform_invertibility_stat)
 from .mesh import MeshError, mesh_from_file
-from .np_spectral import (SpectralError, sphere_spectrum, spectral_decomposition,
+from .np_spectral import (NPSpectrum, SpectralError, sphere_spectrum, spectral_decomposition,
                           unit_ball_spectrum)
 from .polarization import (RootFindError, SingularModeError, drude_omega_for_eps,
                            find_resonance_root, mode_params, resonant_eps)
@@ -60,22 +60,17 @@ _KNOWN_KEYS = {
     "drude_omega_p", "drude_tau",
 }
 
+# the two panels of figure 1 differ only in the background chirality
+_FIGURE1 = {
+    "omega": "1", "eps_m": "1", "mu_m": "1",
+    "volume_scale": "3", "n_per_axis": "125", "dilution_exponent": "0.965",
+    "moment_scale": "auto", "mesh_source": "analytic", "mode_index": "0",
+    "eps_c_min": "-4", "eps_c_max": "-1", "eps_c_points": "1200",
+    "dense_window": "5e-5", "dense_points": "800",
+}
 _PRESETS = {
-    "figure1-left": {
-        "omega": "1", "eps_m": "1", "mu_m": "1", "beta_m": "1.09",
-        "allow_kbeta_ge_1": "true",
-        "volume_scale": "3", "n_per_axis": "125", "dilution_exponent": "0.965",
-        "moment_scale": "auto", "mesh_source": "analytic", "mode_index": "0",
-        "eps_c_min": "-4", "eps_c_max": "-1", "eps_c_points": "1200",
-        "dense_window": "5e-5", "dense_points": "800",
-    },
-    "figure1-right": {
-        "omega": "1", "eps_m": "1", "mu_m": "1", "beta_m": "0",
-        "volume_scale": "3", "n_per_axis": "125", "dilution_exponent": "0.965",
-        "moment_scale": "auto", "mesh_source": "analytic", "mode_index": "0",
-        "eps_c_min": "-4", "eps_c_max": "-1", "eps_c_points": "1200",
-        "dense_window": "5e-5", "dense_points": "800",
-    },
+    "figure1-left": {**_FIGURE1, "beta_m": "1.09", "allow_kbeta_ge_1": "true"},
+    "figure1-right": {**_FIGURE1, "beta_m": "0"},
 }
 
 # the published resonance abscissa the left-panel sweep is compared against
@@ -119,28 +114,20 @@ def build_config(args) -> dict[str, str]:
     return cfg
 
 
-def _get_float(cfg, key, default=None) -> float:
+_NOUN = {float: "a number", int: "an integer"}
+
+
+def _get(cfg, key, default=None, parse=float):
+    """The value of ``key`` parsed by ``parse`` (float or int)."""
     raw = cfg.get(key)
     if raw is None:
         if default is None:
             raise ConfigError(f"missing required config key {key!r}")
-        return float(default)
+        return parse(default)
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: not a number: {raw!r}") from exc
-
-
-def _get_int(cfg, key, default=None) -> int:
-    raw = cfg.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return int(default)
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: not an integer: {raw!r}") from exc
+        raise ConfigError(f"config key {key!r}: not {_NOUN[parse]}: {raw!r}") from exc
 
 
 def _get_bool(cfg, key, default=False) -> bool:
@@ -155,24 +142,27 @@ def _get_bool(cfg, key, default=False) -> bool:
     raise ConfigError(f"config key {key!r}: not a boolean: {raw!r}")
 
 
-def _get_float_list(cfg, key, default: str) -> list[float]:
+def _get_list(cfg, key, default: str, parse=float) -> list:
     raw = cfg.get(key, default)
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        return [parse(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: not a number list: {raw!r}") from exc
+        raise ConfigError(f"config key {key!r}: not {_NOUN[parse]} list: {raw!r}") from exc
 
 
-def _get_int_list(cfg, key, default: str) -> list[int]:
-    raw = cfg.get(key, default)
-    try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: not an integer list: {raw!r}") from exc
+def _get_n_list(cfg, default: str) -> list[int]:
+    n_list = _get_list(cfg, "n_list", default, int)
+    if not n_list:
+        raise ConfigError("n_list must not be empty")
+    return n_list
+
+
+def _get_eps_c(cfg) -> complex:
+    return complex(_get(cfg, "eps_c_re", -3.0), _get(cfg, "eps_c_im", 0.0))
 
 
 def _get_vec3(cfg, key, default: str) -> np.ndarray:
-    vals = _get_float_list(cfg, key, default)
+    vals = _get_list(cfg, key, default)
     if len(vals) != 3:
         raise ConfigError(f"config key {key!r}: expected 3 components, got {len(vals)}")
     return np.array(vals, dtype=float)
@@ -181,10 +171,10 @@ def _get_vec3(cfg, key, default: str) -> np.ndarray:
 def build_background(cfg) -> ChiralBackground:
     try:
         return ChiralBackground(
-            eps_m=_get_float(cfg, "eps_m", 1.0),
-            mu_m=_get_float(cfg, "mu_m", 1.0),
-            beta_m=_get_float(cfg, "beta_m", 0.0),
-            omega=_get_float(cfg, "omega", 1.0),
+            eps_m=_get(cfg, "eps_m", 1.0),
+            mu_m=_get(cfg, "mu_m", 1.0),
+            beta_m=_get(cfg, "beta_m", 0.0),
+            omega=_get(cfg, "omega", 1.0),
             allow_kbeta_ge_1=_get_bool(cfg, "allow_kbeta_ge_1"),
         )
     except BackgroundError as exc:
@@ -193,11 +183,11 @@ def build_background(cfg) -> ChiralBackground:
 
 def build_spectrum(cfg):
     source = cfg.get("mesh_source", "analytic")
-    mode_count = _get_int(cfg, "mode_count", 8)
+    mode_count = _get(cfg, "mode_count", 8, int)
     if source == "analytic":
         return unit_ball_spectrum()
     if source == "icosphere":
-        return sphere_spectrum(_get_int(cfg, "subdivisions", 3), mode_count=mode_count)
+        return sphere_spectrum(_get(cfg, "subdivisions", 3, int), mode_count=mode_count)
     try:
         mesh = mesh_from_file(source)
     except (OSError, MeshError) as exc:
@@ -208,25 +198,29 @@ def build_spectrum(cfg):
     return spectral_decomposition(S, K, mesh, mode_count=mode_count)
 
 
-def build_dilute(cfg, spectrum, mode_index: int) -> DiluteConfig:
-    raw_scale = cfg.get("moment_scale", "auto")
-    if raw_scale == "auto":
-        clusters = spectrum.clusters()
-        if not 0 <= mode_index < len(clusters):
-            raise ConfigError(
-                f"mode_index {mode_index} out of range for {len(clusters)} clusters")
+def load_model(cfg) -> tuple[ChiralBackground, NPSpectrum, int, DiluteConfig]:
+    """Background, shape spectrum, resonant mode index and dilute lattice
+    scaling: the inputs every particle and lattice command starts from."""
+    bg = build_background(cfg)
+    spectrum = build_spectrum(cfg)
+    mode_index = _get(cfg, "mode_index", 0, int)
+    clusters = spectrum.clusters()
+    if not 0 <= mode_index < len(clusters):
+        raise ConfigError(f"mode_index {mode_index} out of range for {len(clusters)} clusters")
+    if cfg.get("moment_scale", "auto") == "auto":
         scale = clusters[mode_index].c_n
     else:
-        scale = _get_float(cfg, "moment_scale")
+        scale = _get(cfg, "moment_scale")
     try:
-        return DiluteConfig(
-            volume_scale=_get_float(cfg, "volume_scale", 3.0),
-            n_per_axis=_get_int(cfg, "n_per_axis", 125),
-            dilution_exponent=_get_float(cfg, "dilution_exponent", 0.965),
+        dilute = DiluteConfig(
+            volume_scale=_get(cfg, "volume_scale", 3.0),
+            n_per_axis=_get(cfg, "n_per_axis", 125, int),
+            dilution_exponent=_get(cfg, "dilution_exponent", 0.965),
             moment_scale=scale,
         )
     except EffectiveError as exc:
         raise ConfigError(str(exc)) from exc
+    return bg, spectrum, mode_index, dilute
 
 
 def build_incident(cfg) -> PlaneWaveSpec:
@@ -235,7 +229,7 @@ def build_incident(cfg) -> PlaneWaveSpec:
         raise ConfigError(f"handedness must be 'left' or 'right', got {handed!r}")
     try:
         return circular_wave(_get_vec3(cfg, "direction", "0,0,1"), handed,
-                             amplitude=complex(_get_float(cfg, "amplitude", 1.0)))
+                             amplitude=complex(_get(cfg, "amplitude", 1.0)))
     except BackgroundError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -261,8 +255,8 @@ def load_probes(cfg) -> np.ndarray:
         if not rows:
             raise ConfigError(f"probes file {path} holds no points")
         return np.array(rows, dtype=float)
-    return probe_ring(_get_int(cfg, "probe_count", 16),
-                      radius=_get_float(cfg, "probe_radius", 3.0))
+    return probe_ring(_get(cfg, "probe_count", 16, int),
+                      radius=_get(cfg, "probe_radius", 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +321,13 @@ def field_csv_rows(points: np.ndarray, fields: np.ndarray):
     return rows
 
 
+def write_error_table(path: Path, rows) -> None:
+    """One lattice-versus-volume probe error row per lattice size."""
+    write_csv(path, "N,rel_l2_error,eta,eps_c_re,eps_c_im",
+              [[str(r.n_per_axis), fmt(r.rel_l2_error), fmt(r.eta),
+                fmt(r.eps_c.real), fmt(r.eps_c.imag)] for r in rows])
+
+
 _FIELD_HEADER = ("x,y,z,re_ex,im_ex,re_ey,im_ey,re_ez,im_ez,"
                  "re_hx,im_hx,re_hy,im_hy,re_hz,im_hz")
 
@@ -350,12 +351,9 @@ def cmd_np_spectrum(cfg, out: Path) -> int:
 
 
 def cmd_resonances(cfg, out: Path) -> int:
-    bg = build_background(cfg)
-    spectrum = build_spectrum(cfg)
-    mode_index = _get_int(cfg, "mode_index", 0)
-    dilute = build_dilute(cfg, spectrum, mode_index)
+    bg, spectrum, _, dilute = load_model(cfg)
     omega_p = cfg.get("drude_omega_p")
-    tau = _get_float(cfg, "drude_tau", 0.0)
+    tau = _get(cfg, "drude_tau", 0.0)
     modes = []
     successes = 0
     for cluster in spectrum.clusters():
@@ -371,7 +369,7 @@ def cmd_resonances(cfg, out: Path) -> int:
             entry["shifted_for_mu_eff"] = s_mu
             if omega_p is not None:
                 entry["drude_omega"] = drude_omega_for_eps(
-                    star, _get_float(cfg, "drude_omega_p"), tau)
+                    star, _get(cfg, "drude_omega_p"), tau)
             successes += 1
         except (SingularModeError, RootFindError, EffectiveError, ValueError) as exc:
             entry["error"] = str(exc)
@@ -389,28 +387,25 @@ def cmd_resonances(cfg, out: Path) -> int:
 
 
 def _sweep_grid(cfg, bg, spectrum, mode_index) -> np.ndarray:
-    lo = _get_float(cfg, "eps_c_min", -4.0)
-    hi = _get_float(cfg, "eps_c_max", -1.0)
-    pts = _get_int(cfg, "eps_c_points", 1200)
+    lo = _get(cfg, "eps_c_min", -4.0)
+    hi = _get(cfg, "eps_c_max", -1.0)
+    pts = _get(cfg, "eps_c_points", 1200, int)
     if not (hi > lo and pts >= 2):
         raise ConfigError("sweep grid needs eps_c_max > eps_c_min and >= 2 points")
     grid = np.linspace(lo, hi, pts)
-    window = _get_float(cfg, "dense_window", 0.0)
+    window = _get(cfg, "dense_window", 0.0)
     if window > 0.0:
         lam = spectrum.clusters()[mode_index].eigenvalue
         star = resonant_eps(bg, lam).real
         dense = np.linspace(star - window, star + window,
-                            _get_int(cfg, "dense_points", 800))
+                            _get(cfg, "dense_points", 800, int))
         grid = np.unique(np.concatenate([grid, dense]))
     return grid
 
 
 def cmd_eff_sweep(cfg, out: Path, preset: str | None) -> int:
-    bg = build_background(cfg)
-    spectrum = build_spectrum(cfg)
-    mode_index = _get_int(cfg, "mode_index", 0)
-    dilute = build_dilute(cfg, spectrum, mode_index)
-    density = _get_float(cfg, "density", 1.0)
+    bg, spectrum, mode_index, dilute = load_model(cfg)
+    density = _get(cfg, "density", 1.0)
     grid = _sweep_grid(cfg, bg, spectrum, mode_index)
     rows = sweep_figure(bg, dilute, spectrum, grid, mode_index=mode_index, density=density)
     csv_rows = []
@@ -443,8 +438,8 @@ def cmd_eff_sweep(cfg, out: Path, preset: str | None) -> int:
 
 def cmd_eff_closed_form(cfg, out: Path) -> int:
     bg = build_background(cfg)
-    lam = _get_float(cfg, "lambda_n", 1.0 / 6.0)
-    s_values = _get_float_list(cfg, "s_values", "0,0.1,0.5,0.9,0.99")
+    lam = _get(cfg, "lambda_n", 1.0 / 6.0)
+    s_values = _get_list(cfg, "s_values", "0,0.1,0.5,0.9,0.99")
     rows = []
     worst = 0.0
     for s in s_values:
@@ -487,16 +482,13 @@ def cmd_eff_closed_form(cfg, out: Path) -> int:
 
 
 def cmd_dipole_field(cfg, out: Path) -> int:
-    bg = build_background(cfg)
-    spectrum = build_spectrum(cfg)
-    mode_index = _get_int(cfg, "mode_index", 0)
-    dilute = build_dilute(cfg, spectrum, mode_index)
-    eps_c = complex(_get_float(cfg, "eps_c_re", -3.0), _get_float(cfg, "eps_c_im", 0.0))
-    delta = _get_float(cfg, "delta", dilute.delta)
+    bg, spectrum, mode_index, dilute = load_model(cfg)
+    eps_c = _get_eps_c(cfg)
+    delta = _get(cfg, "delta", dilute.delta)
     particle = ParticleInstance(
         center=_get_vec3(cfg, "center", "0.5,0.5,0.5"), delta=delta, eps_c=eps_c,
         spectrum=spectrum, cluster_index=mode_index,
-        far_field_factor=_get_float(cfg, "far_field_factor", 10.0))
+        far_field_factor=_get(cfg, "far_field_factor", 10.0))
     wave = build_incident(cfg)
     probes = load_probes(cfg)
     variant = cfg.get("variant", "resonant-mode")
@@ -513,27 +505,21 @@ def cmd_dipole_field(cfg, out: Path) -> int:
 
 
 def cmd_foldy(cfg, out: Path) -> int:
-    bg = build_background(cfg)
-    spectrum = build_spectrum(cfg)
-    mode_index = _get_int(cfg, "mode_index", 0)
-    dilute = build_dilute(cfg, spectrum, mode_index)
-    eps_c = complex(_get_float(cfg, "eps_c_re", -3.0), _get_float(cfg, "eps_c_im", 0.0))
+    bg, spectrum, mode_index, dilute = load_model(cfg)
+    eps_c = _get_eps_c(cfg)
     wave = build_incident(cfg)
     probes = load_probes(cfg)
-    n_list = _get_int_list(cfg, "n_list", "2,3,4")
-    if not n_list:
-        raise ConfigError("n_list must not be empty")
-    eta_raw = cfg.get("eta")
+    n_list = _get_n_list(cfg, "2,3,4")
     tilde = None
     if _get_bool(cfg, "use_limit_tilde"):
         tilde = tilde_from_definition(bg, eps_c, dilute, spectrum, mode_index=mode_index,
-                                      density=_get_float(cfg, "density", 1.0))
-    n_cap = _get_int(cfg, "n_cap", 10)
+                                      density=_get(cfg, "density", 1.0))
+    n_cap = _get(cfg, "n_cap", 10, int)
 
     # probe CSV for the largest lattice
     n_big = max(n_list)
     lattice = build_lattice(n_big, dilute)
-    eta_big = float(eta_raw) if eta_raw is not None else 0.1 / n_big
+    eta_big = _get(cfg, "eta", 0.1 / n_big)
     state = solve_foldy(bg, lattice, eps_c, spectrum, wave, eta=eta_big,
                         tilde=tilde, mode_index=mode_index, n_cap=n_cap)
     fields = eval_foldy_field(bg, lattice, state, probes)
@@ -542,34 +528,26 @@ def cmd_foldy(cfg, out: Path) -> int:
     print(f"wrote {dest_csv} (N={n_big}, residual {fmt(state.solver_report['residual'])})")
 
     if _get_bool(cfg, "compare", default=True):
-        eta_cmp = float(eta_raw) if eta_raw is not None else 0.1
-        rows = compare_homogenization(bg, dilute, spectrum, eps_c, n_list, eta_cmp,
-                                      probes, grid_m=_get_int(cfg, "grid_m", 10),
+        rows = compare_homogenization(bg, dilute, spectrum, eps_c, n_list, _get(cfg, "eta", 0.1),
+                                      probes, grid_m=_get(cfg, "grid_m", 10, int),
                                       mode_index=mode_index, incident=wave, tilde=tilde)
-        table = [[str(r.n_per_axis), fmt(r.rel_l2_error), fmt(r.eta),
-                  fmt(r.eps_c.real), fmt(r.eps_c.imag)] for r in rows]
         dest_tab = out / "foldy_errors.csv"
-        write_csv(dest_tab, "N,rel_l2_error,eta,eps_c_re,eps_c_im", table)
+        write_error_table(dest_tab, rows)
         print(f"wrote {dest_tab}")
     return EXIT_OK
 
 
 def cmd_compare_hom(cfg, out: Path) -> int:
-    bg = build_background(cfg)
-    spectrum = build_spectrum(cfg)
-    mode_index = _get_int(cfg, "mode_index", 0)
-    dilute = build_dilute(cfg, spectrum, mode_index)
-    eps_c = complex(_get_float(cfg, "eps_c_re", -3.0), _get_float(cfg, "eps_c_im", 0.0))
+    bg, spectrum, mode_index, dilute = load_model(cfg)
+    eps_c = _get_eps_c(cfg)
     wave = build_incident(cfg)
     probes = load_probes(cfg)
-    n_list = _get_int_list(cfg, "n_list", "2,3,4,5")
+    n_list = _get_n_list(cfg, "2,3,4,5")
     rows = compare_homogenization(
-        bg, dilute, spectrum, eps_c, n_list, _get_float(cfg, "eta", 0.1), probes,
-        grid_m=_get_int(cfg, "grid_m", 10), mode_index=mode_index, incident=wave)
-    table = [[str(r.n_per_axis), fmt(r.rel_l2_error), fmt(r.eta),
-              fmt(r.eps_c.real), fmt(r.eps_c.imag)] for r in rows]
+        bg, dilute, spectrum, eps_c, n_list, _get(cfg, "eta", 0.1), probes,
+        grid_m=_get(cfg, "grid_m", 10, int), mode_index=mode_index, incident=wave)
     dest = out / "compare_hom.csv"
-    write_csv(dest, "N,rel_l2_error,eta,eps_c_re,eps_c_im", table)
+    write_error_table(dest, rows)
     errs = [r.rel_l2_error for r in rows]
     monotone = all(a > b for a, b in zip(errs, errs[1:]))
     write_json(out / "compare_hom_summary.json", {
@@ -580,13 +558,10 @@ def cmd_compare_hom(cfg, out: Path) -> int:
 
 
 def cmd_check_assumptions(cfg, out: Path) -> int:
-    bg = build_background(cfg)
-    spectrum = build_spectrum(cfg)
-    mode_index = _get_int(cfg, "mode_index", 0)
-    dilute = build_dilute(cfg, spectrum, mode_index)
-    n_list = _get_int_list(cfg, "n_list", "3,4,5,6")
-    eta = _get_float(cfg, "eta", 1.0)
-    probe_count = _get_int(cfg, "probe_count", 8)
+    bg, _, _, dilute = load_model(cfg)
+    n_list = _get_n_list(cfg, "3,4,5,6")
+    eta = _get(cfg, "eta", 1.0)
+    probe_count = _get(cfg, "probe_count", 8, int)
     a = dilute.dilution_exponent
 
     dist_rows = []

@@ -33,6 +33,8 @@ _GATHER_BLOCKS = 10_000
 # largest system handed to the dense LU path (complex LU beyond this is
 # minutes of single-core time; the iterative path covers it)
 _DIRECT_CAP = 4500
+# volume fixed-point sweeps before the solve falls back to LU or fails
+_MAX_SWEEPS = 200
 
 
 class FoldyError(RuntimeError):
@@ -304,7 +306,7 @@ def eval_foldy_field(bg: ChiralBackground, lattice: ParticleLattice,
 
 def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
                          eta: float, incident: PlaneWaveSpec,
-                         tol: float = 1e-10, max_iter: int = 200) -> HomogenizedState:
+                         tol: float = 1e-10) -> HomogenizedState:
     """Solve the volume fixed-point equation on an m^3 cell grid.
 
     Midpoint quadrature with cell weight 1/m^3; the self cell is kept
@@ -337,7 +339,7 @@ def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
     growth = 0
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_SWEEPS + 1):
         nxt = b + apply_K(u)
         update = float(np.linalg.norm(nxt - u)) / bnorm
         u = nxt
@@ -402,13 +404,13 @@ def _smooth_test_pair(z: np.ndarray) -> np.ndarray:
 
 
 def check_distribution(lattice: ParticleLattice, bg: ChiralBackground, eta: float,
-                       probe_count: int = 8, test_pair: str = "smooth") -> float:
+                       probe_count: int = 8) -> float:
     """Sup over sampled lattice sites of |lattice average - volume integral|
     of the regularized kernel applied to a fixed test pair.
 
     The volume integral uses a four-times-finer midpoint grid whose nodes
-    never coincide with lattice centers.  ``test_pair`` is ``"smooth"``
-    (polynomial envelopes times a plane wave) or ``"constant"``.  Shrinks
+    never coincide with lattice centers; the test pair is polynomial
+    envelopes times a plane wave.  Shrinks
     as the lattice refines once the regularization scale eta/(4 pi) is
     comparable to the lattice spacing; below that scale the kernel varies
     faster than either grid resolves.
@@ -416,14 +418,8 @@ def check_distribution(lattice: ParticleLattice, bg: ChiralBackground, eta: floa
     N = lattice.n_per_axis
     n = lattice.centers.shape[0]
     fine = cell_centers(4 * N)
-    if test_pair == "smooth":
-        F_lat = _smooth_test_pair(lattice.centers)
-        F_fine = _smooth_test_pair(fine)
-    elif test_pair == "constant":
-        F_lat = np.ones((n, 6), dtype=complex)
-        F_fine = np.ones((fine.shape[0], 6), dtype=complex)
-    else:
-        raise FoldyError(f"test_pair must be 'smooth' or 'constant', got {test_pair!r}")
+    F_lat = _smooth_test_pair(lattice.centers)
+    F_fine = _smooth_test_pair(fine)
     js = np.unique(np.linspace(0, n - 1, min(max(probe_count, 1), n)).round().astype(int))
     worst = 0.0
     for j in js:

@@ -211,14 +211,3 @@ def mesh_from_file(path: str) -> TriMesh:
     if vol6 < 0:
         tris = tris[:, ::-1]
     return TriMesh(verts, tris)
-
-
-def write_off(mesh: TriMesh, path: str) -> None:
-    """Write a mesh in OFF format (LF newlines)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")

@@ -176,25 +176,6 @@ def det_closed_form(bg: ChiralBackground, eps_c: complex, lambda_n: float) -> co
     return (-u * (1.0 - kb2 * u) * (1.0 - kb2) / kb2) * (eps_c - star) / den
 
 
-def det_discrepancy_table(bg: ChiralBackground, eps_c_values, lambda_values,
-                          omega: float | None = None):
-    """Rows (eps_c, lambda_n, |closed-form - direct|) for cross-validation.
-
-    Emitted as a diagnostic; the two determinants agree to roundoff in
-    every regime we have probed, but the assembled value stays the
-    authority.
-    """
-    w = bg.omega if omega is None else omega
-    rows = []
-    for ec in eps_c_values:
-        p = mode_params(bg, ec)
-        for ln in lambda_values:
-            direct = assemble_A_n(p, float(ln), w).det_direct
-            closed = det_closed_form(bg, ec, float(ln))
-            rows.append((complex(ec), float(ln), abs(closed - direct)))
-    return rows
-
-
 def polarization_tensor(spectrum: NPSpectrum, bg: ChiralBackground, eps_c: complex,
                         mesh: TriMesh, mu_c: float | None = None) -> PolarizationTensor:
     """6x6 polarization tensor of the particle at permittivity ``eps_c``.
@@ -221,12 +202,6 @@ def polarization_tensor(spectrum: NPSpectrum, bg: ChiralBackground, eps_c: compl
         M6 += np.kron(mm.M_blocks, np.outer(mom[i], mom[i]))
     vol = signed_volume(mesh)
     return PolarizationTensor(M=M6, M_tilde=vol * np.eye(6) + M6, volume=vol)
-
-
-def orientation_average(T: np.ndarray) -> np.ndarray:
-    """Isotropic average of a 3x3 tensor over uniformly random rotations."""
-    T = np.asarray(T)
-    return (np.trace(T) / 3.0) * np.eye(3, dtype=T.dtype)
 
 
 def drude_eps(omega: float, omega_p: float, tau: float) -> complex:

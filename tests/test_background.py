@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralmeta.background import (BackgroundError, ChiralBackground, SingularPointError,
-                                   bohren_merge, bohren_split, circular_wave, green_dyadic,
-                                   incident_field, incident_six, k0_matrix, linear_wave,
-                                   make_beltrami, make_circular_basis, maxwell_dyadic,
-                                   regularized_green)
+                                   circular_wave, green_dyadic, incident_field, incident_six,
+                                   k0_matrix, linear_wave, make_circular_basis, maxwell_dyadic)
 from _fd import dbf_residual, fd_curl
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -181,35 +179,35 @@ def test_green_singularity_guard():
         green_dyadic(bg_chiral(), np.array([0.0, 0.0, 1e-13]))
 
 
-def test_regularized_reduces_at_eta0():
-    bg = bg_chiral()
-    x = np.array([0.3, 0.4, 0.5])
-    assert np.array_equal(regularized_green(bg, x, 0.0), green_dyadic(bg, x))
-
-
 def test_regularized_finite_at_origin():
     bg = bg_chiral()
-    G = regularized_green(bg, np.zeros(3), 1e-2)
+    G = green_dyadic(bg, np.zeros(3), eta=1e-2)
     assert np.all(np.isfinite(G))
     # the scalar kernel value at the origin is 1/eta, so halving eta
     # doubles the matrix magnitude exactly
-    G2 = regularized_green(bg, np.zeros(3), 2e-2)
+    G2 = green_dyadic(bg, np.zeros(3), eta=2e-2)
     assert np.abs(G).max() == pytest.approx(2.0 * np.abs(G2).max(), rel=1e-12)
 
 
 def test_regularized_eta0_origin_error():
     with pytest.raises(SingularPointError):
-        regularized_green(bg_chiral(), np.zeros(3), 0.0)
+        green_dyadic(bg_chiral(), np.zeros(3), eta=0.0)
 
 
 def test_regularized_eta_continuity():
     bg = bg_chiral()
     x = np.array([0.4, 0.1, -0.2])
     G0 = green_dyadic(bg, x)
-    devs = [np.abs(regularized_green(bg, x, eta) - G0).max()
+    devs = [np.abs(green_dyadic(bg, x, eta=eta) - G0).max()
             for eta in (0.1, 0.05, 0.025, 0.0125)]
     assert all(b < a for a, b in zip(devs, devs[1:]))
     assert devs[-1] < 0.01 * np.abs(G0).max()
+
+
+def test_negative_eta_refused():
+    # 1/(4 pi r + eta) has a pole at r = -eta/(4 pi) when eta < 0
+    with pytest.raises(BackgroundError, match="eta must be nonnegative"):
+        green_dyadic(bg_chiral(), np.array([0.3, 0.4, 0.5]), eta=-0.1)
 
 
 def test_k0_zero_contrast():
@@ -228,53 +226,3 @@ def test_k0_worked_example():
     expected = np.array([[ec - 4.0 / 3.0, -2.0j / 3.0],
                          [2.0j / 3.0, -1.0 / 3.0]])
     assert np.allclose(k0_matrix(bg, ec), expected, rtol=1e-14)
-
-
-def test_bohren_split_left_circular_pure():
-    bg = bg_chiral()
-    consts = make_beltrami(bg, 2.0 + 0.0j)
-    p, q = make_circular_basis(E3, "left")
-    x = np.array([0.2, 0.1, 0.4])
-    e = q * np.exp(1j * bg.gamma1 * np.dot(p.real, x))
-    h = -1j * np.sqrt(bg.eps_m / bg.mu_m) * e
-    q1, q2 = bohren_split(e, h, consts, "exterior")
-    assert np.linalg.norm(q2) < 1e-12 * np.linalg.norm(q1)
-
-
-def test_bohren_merge_inverse():
-    bg = bg_chiral()
-    consts = make_beltrami(bg, -2.0 + 0.1j)
-    rng = np.random.default_rng(7)
-    for region in ("interior", "exterior"):
-        e = rng.normal(size=3) + 1j * rng.normal(size=3)
-        h = rng.normal(size=3) + 1j * rng.normal(size=3)
-        q1, q2 = bohren_split(e, h, consts, region)
-        e2, h2 = bohren_merge(q1, q2, consts, region)
-        assert np.allclose(e2, e, rtol=1e-12, atol=1e-14)
-        assert np.allclose(h2, h, rtol=1e-12, atol=1e-14)
-
-
-def test_bohren_q1_is_beltrami_field():
-    bg = bg_chiral()
-    consts = make_beltrami(bg, 2.0 + 0.0j)
-    p, _ = make_circular_basis(E3, "left")
-
-    def q1_field(x):
-        e = incident_field(bg, circular_wave(E3, "left"), x)[0]
-        h = incident_field(bg, circular_wave(E3, "left"), x)[1]
-        return bohren_split(e, h, consts, "exterior")[0]
-
-    x = np.array([0.15, -0.3, 0.2])
-    curl = fd_curl(q1_field, x)
-    assert np.linalg.norm(curl - consts.gamma_1m * q1_field(x)) / np.linalg.norm(q1_field(x)) < 1e-4
-
-
-def test_beltrami_identity_limit_advisory():
-    # the verbatim zeta formulas at beta=0, eps_c=eps_m give an
-    # identity-like matrix except for the i in zeta_22
-    bg = ChiralBackground(1.0, 1.0, 0.0, 1.0)
-    consts = make_beltrami(bg, 1.0 + 0.0j)
-    assert consts.zeta_11 == pytest.approx(1.0)
-    assert abs(consts.zeta_12) < 1e-14
-    assert abs(consts.zeta_21) < 1e-14
-    assert consts.zeta_22 == pytest.approx(1j)

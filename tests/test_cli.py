@@ -249,3 +249,45 @@ def test_check_assumptions_report(tmp_path, capsys):
     assert [r["N"] for r in rows] == [2, 3]
     assert all(r["scaled_by_n6a"] > 0 for r in rows)
     assert report["uniform_invertibility"]["scaled_max_over_min"] >= 1.0
+
+
+def test_check_assumptions_negative_eta(tmp_path, capsys):
+    # the regularized kernel 1/(4 pi r + eta) has a pole at r = 1/(4 pi)
+    cfg = write(tmp_path / "c.cfg",
+                "beta_m = 0.4\nvolume_scale = 0.5\nn_list = 2,3\neta = -1\n")
+    rc = main(["check-assumptions", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "eta must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "check_assumptions.json").exists()
+
+
+@pytest.mark.parametrize("command", ["resonances", "eff-sweep", "dipole-field", "foldy",
+                                     "compare-hom", "check-assumptions"])
+def test_mode_index_out_of_range(tmp_path, capsys, command):
+    # an explicit moment_scale skips the cluster lookup of moment_scale = auto,
+    # so the range check must not depend on it
+    cfg = write(tmp_path / "c.cfg",
+                "mode_index = 5\nmoment_scale = 0.1\nvolume_scale = 0.5\n"
+                "dense_window = 1e-4\nn_list = 2,3\ngrid_m = 4\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "mode_index 5 out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["foldy", "compare-hom", "check-assumptions"])
+def test_empty_n_list_rejected(tmp_path, capsys, command):
+    cfg = write(tmp_path / "c.cfg", "beta_m = 0.4\nvolume_scale = 0.5\nn_list =\ngrid_m = 4\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "n_list must not be empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_foldy_bad_eta_rejected(tmp_path, capsys):
+    cfg = write(tmp_path / "c.cfg", "beta_m = 0.4\nvolume_scale = 0.5\nn_list = 2\neta = abc\n")
+    rc = main(["foldy", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config key 'eta': not a number" in capsys.readouterr().err

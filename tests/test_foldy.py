@@ -223,18 +223,6 @@ def test_distribution_refines(bg, cfg):
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_distribution_constant_pair_large_eta(bg, cfg):
-    # with eta far above the spacing the kernel is essentially constant
-    # per cell and the lattice average nails the integral
-    val = check_distribution(build_lattice(4, cfg), bg, 1000.0, test_pair="constant")
-    assert val < 1e-3
-
-
-def test_distribution_pair_name(bg, lat2):
-    with pytest.raises(FoldyError, match="test_pair"):
-        check_distribution(lat2, bg, 1.0, test_pair="bogus")
-
-
 def test_invertibility_stat_bruteforce(bg, lat2):
     got = uniform_invertibility_stat(lat2, bg)
     total = 0.0

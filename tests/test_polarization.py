@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from chiralmeta.background import ChiralBackground, k0_matrix
 from chiralmeta.polarization import (RootFindError, SingularModeError, assemble_A_n,
-                                     det_closed_form, det_discrepancy_table, drude_eps,
-                                     drude_omega_for_eps, find_resonance_root, mode_params,
-                                     orientation_average, polarization_tensor, resonant_eps)
+                                     det_closed_form, drude_eps, drude_omega_for_eps,
+                                     find_resonance_root, mode_params, polarization_tensor,
+                                     resonant_eps)
 from _fd import loglog_slope
 
 
@@ -102,11 +102,12 @@ def test_det_closed_form_requires_chirality():
 
 def test_det_discrepancy_table():
     # the factored form agrees with the assembled determinant to roundoff
-    # over a representative grid; emitted as (eps_c, lambda, rel dev) rows
+    # over a representative grid
     bg = ChiralBackground(1.0, 1.0, 0.5, 1.0)
-    rows = det_discrepancy_table(bg, [-3.0, -2.5, -1.5 + 0.1j], [0.1, 1 / 6, 0.3])
-    assert len(rows) == 9
-    assert max(r[2] for r in rows) < 1e-10
+    for ec in (-3.0, -2.5, -1.5 + 0.1j):
+        for lam in (0.1, 1 / 6, 0.3):
+            direct = assemble_A_n(mode_params(bg, ec), lam, bg.omega).det_direct
+            assert abs(det_closed_form(bg, ec, lam) - direct) < 1e-10
 
 
 def test_polarization_classical_sphere(sphere_spec3, ico3):
@@ -167,36 +168,6 @@ def test_m_tilde_offset(ball_spectrum, ico3):
     bg = ChiralBackground(1.0, 1.0, 0.3, 1.0)
     pt = polarization_tensor(ball_spectrum, bg, -3.0, ico3)
     assert np.allclose(pt.M_tilde, pt.volume * np.eye(6) + pt.M)
-
-
-def test_orientation_average_identity():
-    assert np.allclose(orientation_average(np.eye(3)), np.eye(3))
-
-
-def test_orientation_average_rank_one():
-    assert np.allclose(orientation_average(np.diag([1.0, 0.0, 0.0])), np.eye(3) / 3)
-
-
-def test_orientation_average_monte_carlo(rng):
-    # (trace/3) I is the mean of R T R^T over uniformly random rotations
-    from scipy.spatial.transform import Rotation
-
-    m = rng.normal(size=3)
-    T = np.outer(m, m)
-    R = Rotation.random(40_000, random_state=np.random.RandomState(11)).as_matrix()
-    mc = np.einsum("nij,jk,nlk->il", R, T, R) / len(R)
-    expect = orientation_average(T)
-    assert expect == pytest.approx(np.dot(m, m) / 3 * np.eye(3))
-    assert np.abs(mc - expect).max() < 0.01 * np.abs(expect).max()
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(-2, 2), min_size=9, max_size=9))
-def test_orientation_average_trace_preserved(entries):
-    T = np.array(entries).reshape(3, 3)
-    avg = orientation_average(T)
-    assert np.trace(avg) == pytest.approx(np.trace(T), rel=1e-12, abs=1e-12)
-    assert np.allclose(orientation_average(avg), avg)
 
 
 def test_drude_values():
