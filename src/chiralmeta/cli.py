@@ -49,13 +49,13 @@ _KNOWN_KEYS = {
     "eps_c_min", "eps_c_max", "eps_c_points", "dense_window", "dense_points",
     # single-particle / closed-form inputs
     "eps_c_re", "eps_c_im", "lambda_n", "s_values", "delta", "center",
-    "far_field_factor", "variant",
+    "far_field_factor",
     # incident wave
     "direction", "handedness", "amplitude",
     # probes
     "probes_file", "probe_radius", "probe_count",
     # lattice simulation
-    "n_list", "eta", "grid_m", "compare", "use_limit_tilde", "n_cap",
+    "n_list", "eta", "grid_m", "compare", "use_limit_tilde",
     # resonances
     "drude_omega_p", "drude_tau",
 }
@@ -491,10 +491,6 @@ def cmd_dipole_field(cfg, out: Path) -> int:
         far_field_factor=_get(cfg, "far_field_factor", 10.0))
     wave = build_incident(cfg)
     probes = load_probes(cfg)
-    variant = cfg.get("variant", "resonant-mode")
-    if variant != "resonant-mode":
-        raise ConfigError("only the resonant-mode variant is file-driven (the "
-                          "full-tensor variant needs an in-memory mesh)")
     inc_center = incident_six(bg, wave, particle.center)
     scattered = scattered_field_dipole(bg, particle, inc_center, probes)
     total = incident_six(bg, wave, probes) + scattered
@@ -514,14 +510,13 @@ def cmd_foldy(cfg, out: Path) -> int:
     if _get_bool(cfg, "use_limit_tilde"):
         tilde = tilde_from_definition(bg, eps_c, dilute, spectrum, mode_index=mode_index,
                                       density=_get(cfg, "density", 1.0))
-    n_cap = _get(cfg, "n_cap", 10, int)
 
     # probe CSV for the largest lattice
     n_big = max(n_list)
     lattice = build_lattice(n_big, dilute)
     eta_big = _get(cfg, "eta", 0.1 / n_big)
     state = solve_foldy(bg, lattice, eps_c, spectrum, wave, eta=eta_big,
-                        tilde=tilde, mode_index=mode_index, n_cap=n_cap)
+                        tilde=tilde, mode_index=mode_index)
     fields = eval_foldy_field(bg, lattice, state, probes)
     dest_csv = out / "foldy_field.csv"
     write_csv(dest_csv, _FIELD_HEADER, field_csv_rows(probes, fields))

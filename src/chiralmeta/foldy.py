@@ -30,11 +30,14 @@ _CHUNK_ELEMS = 200_000
 # the dense gather copies this many 6x6 blocks at a time (~6 MB); a larger
 # chunk only adds a transient next to the matrix it fills
 _GATHER_BLOCKS = 10_000
-# largest system handed to the dense LU path (complex LU beyond this is
-# minutes of single-core time; the iterative path covers it)
+# largest system handed to the dense LU fallback (complex LU beyond this is
+# minutes of single-core time)
 _DIRECT_CAP = 4500
-# volume fixed-point sweeps before the solve falls back to LU or fails
+# fixed-point sweeps before the grid solve falls back to LU or fails
 _MAX_SWEEPS = 200
+# cells per axis of a lattice or volume grid; the FFT table of the grid
+# operator holds (2n)^3 complex 6x6 blocks, 64 MB at n = 24
+_MAX_AXIS = 24
 
 
 class FoldyError(RuntimeError):
@@ -194,10 +197,10 @@ def _dense_system(blocks: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return A
 
 
-def _fft_apply(blocks: np.ndarray, cells: np.ndarray | None = None):
-    """u -> K u over the cells with integer grid indices ``cells`` (all
-    n^3 cells in ``cell_centers`` order by default), as a linear
-    convolution by a zero-padded (2n)^3 FFT: O(n^3 log n) per product."""
+def _fft_apply(blocks: np.ndarray, cells: np.ndarray):
+    """u -> K u over the cells with integer grid indices ``cells``, as a
+    linear convolution by a zero-padded (2n)^3 FFT: O(n^3 log n) per
+    product."""
     n = (blocks.shape[0] + 1) // 2
     L = 2 * n
     axes = (0, 1, 2)
@@ -206,7 +209,7 @@ def _fft_apply(blocks: np.ndarray, cells: np.ndarray | None = None):
     c = np.zeros((L, L, L, 6, 6), dtype=complex)
     c[np.ix_(wrap, wrap, wrap)] = blocks
     c_hat = scipy.fft.fftn(c, axes=axes)
-    at = tuple((_grid_index(n) if cells is None else cells).T)
+    at = tuple(cells.T)
 
     def apply(u: np.ndarray) -> np.ndarray:
         pad = np.zeros((L, L, L, 6), dtype=complex)
@@ -218,26 +221,73 @@ def _fft_apply(blocks: np.ndarray, cells: np.ndarray | None = None):
     return apply
 
 
-def _lu_solve_system(A: np.ndarray, b: np.ndarray, apply_K) -> tuple[np.ndarray, float, float]:
-    """Solve A u = b for A = I - K by LU, factoring A in place (it must be
-    Fortran-ordered, or LAPACK works on a copy); returns (u, relative
-    residual, condition estimate of A in the 1-norm).  The residual
-    u - K u - b is taken with ``apply_K``, so A need not be kept."""
+def _lu_solve_system(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve A u = b by LU, factoring A in place (it must be Fortran-ordered,
+    or LAPACK works on a copy); returns u and the condition estimate of A
+    in the 1-norm."""
     # 1-norm by column chunks, without a full |A| temporary
     anorm = max(float(np.abs(A[:, j:j + 256]).sum(axis=0).max())
                 for j in range(0, A.shape[1], 256))
     lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True)
     u = scipy.linalg.lu_solve((lu, piv), b)
-    resid = float(np.linalg.norm(u - apply_K(u) - b) / np.linalg.norm(b))
     rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
     cond = float(1.0 / rcond) if info == 0 and rcond > 0 else float("inf")
-    return u, resid, cond
+    return u, cond
+
+
+def _solve_grid(blocks: np.ndarray, cells: np.ndarray, b: np.ndarray,
+                tol: float) -> tuple[np.ndarray, dict]:
+    """Solve (I - K) u = b for the grid operator K with offset table
+    ``blocks`` over the cells with integer grid indices ``cells``.
+
+    Fixed-point sweeps u <- b + K u, each one FFT product, run with a
+    divergence check; if they stall, a system up to the dense cap falls
+    back to LU.  The residual is taken with the FFT product either way,
+    so the LU may overwrite its matrix.  Returns u and the solver report."""
+    size = b.size
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        report = {"residual": 0.0, "condition_estimate": 1.0, "size": size,
+                  "method": "trivial", "iterations": 0}
+        return np.zeros_like(b), report
+    apply_K = _fft_apply(blocks, cells)
+    u = b.copy()
+    last_update = float("inf")
+    growth = 0
+    for iterations in range(1, _MAX_SWEEPS + 1):
+        nxt = b + apply_K(u)
+        update = float(np.linalg.norm(nxt - u)) / bnorm
+        u = nxt
+        if update < 0.1 * tol:
+            break
+        growth = growth + 1 if update > last_update else 0
+        last_update = update
+        if growth >= 3:
+            break
+    method = "iteration"
+    cond = float("nan")
+    if not update < 0.1 * tol:
+        if size > _DIRECT_CAP:
+            raise FoldyError(
+                f"fixed-point iteration did not converge in {iterations} sweeps "
+                f"(last update {last_update:.3e}); system of size {size} is beyond "
+                f"the dense fallback cap {_DIRECT_CAP}")
+        u, cond = _lu_solve_system(_dense_system(blocks, cells), b)
+        method = "lu"
+    resid = float(np.linalg.norm(u - b - apply_K(u))) / bnorm
+    if not resid < tol:
+        raise FoldyError(
+            f"grid solve residual {resid:.3e} >= {tol} (method {method}, "
+            f"condition estimate {cond:.3e})")
+    report = {"residual": resid, "condition_estimate": cond, "size": size,
+              "method": method, "iterations": iterations}
+    return u, report
 
 
 def solve_foldy(bg: ChiralBackground, lattice: ParticleLattice, eps_c: complex,
                 spectrum: NPSpectrum | None, incident: PlaneWaveSpec,
                 eta: float | None = None, tilde: TildeParams | None = None,
-                mode_index: int = 0, n_cap: int = 10) -> FoldyState:
+                mode_index: int = 0) -> FoldyState:
     """Solve the self-consistent point-interaction system on the lattice.
 
     Diagonal blocks are the identity; off-diagonal blocks couple particle
@@ -248,9 +298,8 @@ def solve_foldy(bg: ChiralBackground, lattice: ParticleLattice, eps_c: complex,
     spacing.
     """
     N = lattice.n_per_axis
-    if N > n_cap:
-        raise FoldyError(
-            f"lattice count per axis {N} exceeds the dense-solve cap {n_cap}")
+    if N > _MAX_AXIS:
+        raise FoldyError(f"lattice count per axis {N} exceeds {_MAX_AXIS}")
     if eta is None:
         eta = 0.1 / N
     if eta < 0:
@@ -258,23 +307,10 @@ def solve_foldy(bg: ChiralBackground, lattice: ParticleLattice, eps_c: complex,
     T6 = _coupling6(bg, lattice.cfg, eps_c, spectrum, tilde, mode_index)
     b = incident_six(bg, incident, lattice.centers).reshape(-1)
     n = lattice.centers.shape[0]
-    if n == 1 or np.linalg.norm(b) == 0.0:
-        # no interaction sum (single particle) or homogeneous system
-        report = {"residual": 0.0, "condition_estimate": 1.0, "size": 6 * n,
-                  "method": "identity"}
-        return FoldyState(values=b.reshape(n, 6), eta=eta, solver_report=report,
-                          coupling=T6, incident=incident)
     # eta = 0 is fine here: self blocks are masked out, and distinct
     # centers keep the kernel regular
     blocks = _offset_blocks(bg, N, eta, T6, 1.0 / n, zero_self=True)
-    u, resid, cond = _lu_solve_system(_dense_system(blocks, lattice.cells), b,
-                                      _fft_apply(blocks, lattice.cells))
-    if not resid < 1e-10:
-        raise FoldyError(
-            f"point-interaction solve residual {resid:.3e} >= 1e-10 "
-            f"(condition estimate {cond:.3e})")
-    report = {"residual": resid, "condition_estimate": cond, "size": 6 * n,
-              "method": "lu"}
+    u, report = _solve_grid(blocks, lattice.cells, b, 1e-10)
     return FoldyState(values=u.reshape(n, 6), eta=eta, solver_report=report,
                       coupling=T6, incident=incident)
 
@@ -311,64 +347,18 @@ def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
 
     Midpoint quadrature with cell weight 1/m^3; the self cell is kept
     (the regularized kernel is finite at the origin, so eta must be
-    positive).  Fixed-point sweeps, each an FFT product with the grid
-    operator, run with a divergence check; if they stall, systems up to
-    the dense cap fall back to LU.
+    positive).  The lattice solve shares the grid solve (``_solve_grid``).
     """
-    if not 1 <= grid_m <= 24:
-        raise FoldyError(f"grid_m must lie in [1, 24], got {grid_m}")
+    if not 1 <= grid_m <= _MAX_AXIS:
+        raise FoldyError(f"grid_m must lie in [1, {_MAX_AXIS}], got {grid_m}")
     if not eta > 0:
         raise FoldyError("volume discretization needs eta > 0 (self cell)")
     T6 = np.kron(coupling_from_tilde(tilde, bg.omega), _I3)
     pts = cell_centers(grid_m)
     n = pts.shape[0]
-    w = 1.0 / n
     b = incident_six(bg, incident, pts).reshape(-1)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        report = {"residual": 0.0, "condition_estimate": 1.0, "size": 6 * n,
-                  "method": "trivial", "iterations": 0}
-        return HomogenizedState(grid_m=grid_m, centers=pts, values=np.zeros((n, 6), complex),
-                                eta=eta, solver_report=report, coupling=T6, incident=incident)
-
-    blocks = _offset_blocks(bg, grid_m, eta, T6, w, zero_self=False)
-    apply_K = _fft_apply(blocks)
-
-    u = b.copy()
-    last_update = float("inf")
-    growth = 0
-    iterations = 0
-    converged = False
-    for iterations in range(1, _MAX_SWEEPS + 1):
-        nxt = b + apply_K(u)
-        update = float(np.linalg.norm(nxt - u)) / bnorm
-        u = nxt
-        if update < 0.1 * tol:
-            converged = True
-            break
-        growth = growth + 1 if update > last_update else 0
-        last_update = update
-        if growth >= 3:
-            break
-    method = "iteration"
-    cond = float("nan")
-    if converged:
-        resid = float(np.linalg.norm(u - b - apply_K(u))) / bnorm
-    else:
-        if 6 * n <= _DIRECT_CAP:
-            u, resid, cond = _lu_solve_system(
-                _dense_system(blocks, _grid_index(grid_m)), b, apply_K)
-            method = "lu"
-        else:
-            raise FoldyError(
-                f"volume fixed-point iteration did not converge in {iterations} "
-                f"sweeps (last update {last_update:.3e}); system of size {6 * n} "
-                f"is beyond the dense fallback cap {_DIRECT_CAP}")
-    if not resid < tol:
-        raise FoldyError(
-            f"volume solve residual {resid:.3e} >= {tol} (method {method})")
-    report = {"residual": resid, "condition_estimate": cond, "size": 6 * n,
-              "method": method, "iterations": iterations}
+    blocks = _offset_blocks(bg, grid_m, eta, T6, 1.0 / n, zero_self=False)
+    u, report = _solve_grid(blocks, _grid_index(grid_m), b, tol)
     return HomogenizedState(grid_m=grid_m, centers=pts, values=u.reshape(n, 6),
                             eta=eta, solver_report=report, coupling=T6,
                             incident=incident)

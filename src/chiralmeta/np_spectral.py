@@ -222,11 +222,12 @@ def _householder_vector(w: np.ndarray) -> np.ndarray:
 
 
 def _reflect_sym(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """P M P for the reflector P = I - 2vv^T and symmetric M, in O(n^2)."""
+    """Trailing (n-1) x (n-1) block of P M P for the reflector P = I - 2vv^T
+    and symmetric M: P M P = M - 2(v z^T + z v^T) with z = Mv - (v^T M v) v."""
     Mv = M @ v
-    vMv = float(v @ Mv)
-    out = M - 2.0 * np.outer(v, Mv) - 2.0 * np.outer(Mv, v) + 4.0 * vMv * np.outer(v, v)
-    return out
+    z = (Mv - (v @ Mv) * v)[1:]
+    v1 = v[1:]
+    return M[1:, 1:] - 2.0 * (np.outer(v1, z) + np.outer(z, v1))
 
 
 def spectral_decomposition(
@@ -255,8 +256,8 @@ def spectral_decomposition(
     A = 0.5 * (GK + GK.T)   # K^T G = (G K)^T as G is symmetric
 
     v = _householder_vector(w)
-    Gp = _reflect_sym(G, v)[1:, 1:]
-    Ap = _reflect_sym(A, v)[1:, 1:]
+    Gp = _reflect_sym(G, v)
+    Ap = _reflect_sym(A, v)
     try:
         # the Cholesky factorization inside eigh is the positive-definiteness check
         lam, Y = scipy.linalg.eigh(Ap, Gp)

@@ -242,40 +242,19 @@ def _mode_objective(bg: ChiralBackground, lambda_n: float):
 
 
 def find_resonance_root(bg: ChiralBackground, lambda_n: float,
-                        bracket: tuple[float, float] | None = None,
-                        start: complex | None = None,
-                        tol: float = 1e-10, max_iter: int = 200) -> complex:
+                        bracket: tuple[float, float]) -> complex:
     """Locate the permittivity zero of the mode response determinant.
 
-    A real ``bracket`` with a sign change runs bisection (the objective
-    is real for real permittivity); otherwise a complex secant iteration
-    starts from ``start``.
+    The real ``bracket`` must hold a sign change of the objective (which
+    is real for real permittivity); Brent's method finds the root in it.
     """
     f = _mode_objective(bg, lambda_n)
-    if bracket is not None:
-        a, b = float(bracket[0]), float(bracket[1])
-        fa, fb = f(a).real, f(b).real
-        if fa * fb > 0:
-            raise RootFindError(
-                f"no sign change on bracket [{a}, {b}]: f(a) = {fa:.3e}, f(b) = {fb:.3e}")
-        root = brentq(lambda x: f(x).real, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=max_iter)
-        root = complex(root)
-    elif start is not None:
-        x0, x1 = complex(start), complex(start) * (1.0 + 1e-4) + 1e-8
-        f0, f1 = f(x0), f(x1)
-        root = None
-        for _ in range(max_iter):
-            if f1 == f0:
-                break
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            x0, f0, x1, f1 = x1, f1, x2, f(x2)
-            if abs(f1) < tol:
-                root = x1
-                break
-        if root is None:
-            raise RootFindError(f"secant iteration did not converge from start = {start}")
-    else:
-        raise RootFindError("either a real bracket or a complex start is required")
-    if abs(f(root)) > tol:
-        raise RootFindError(f"root candidate {root} has |objective| = {abs(f(root)):.3e} > {tol}")
+    a, b = float(bracket[0]), float(bracket[1])
+    fa, fb = f(a).real, f(b).real
+    if fa * fb > 0:
+        raise RootFindError(
+            f"no sign change on bracket [{a}, {b}]: f(a) = {fa:.3e}, f(b) = {fb:.3e}")
+    root = complex(brentq(lambda x: f(x).real, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    if abs(f(root)) > 1e-10:
+        raise RootFindError(f"root candidate {root} has |objective| = {abs(f(root)):.3e} > 1e-10")
     return root

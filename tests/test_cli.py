@@ -291,3 +291,14 @@ def test_foldy_bad_eta_rejected(tmp_path, capsys):
     rc = main(["foldy", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert "config key 'eta': not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [("foldy", "n_cap = 10"),
+                                           ("dipole-field", "variant = resonant-mode")])
+def test_deleted_keys_rejected(tmp_path, capsys, command, line):
+    cfg = write(tmp_path / "c.cfg", f"volume_scale = 0.5\n{line}\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()

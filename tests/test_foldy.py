@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chiralmeta import foldy
 from chiralmeta.background import (ChiralBackground, circular_wave, green_dyadic,
                                    incident_six, linear_wave)
 from chiralmeta.dipole import ParticleInstance, scattered_field_dipole
@@ -75,7 +76,9 @@ def test_lattice_validation(cfg):
 def test_single_particle_state_is_incident(bg, cfg, ball_spectrum):
     lat = build_lattice(1, cfg)
     st = solve_foldy(bg, lat, -3.0, ball_spectrum, WAVE)
-    assert st.solver_report["method"] == "identity"
+    # the masked self block leaves K = 0: one sweep returns b
+    assert st.solver_report["method"] == "iteration"
+    assert st.solver_report["iterations"] == 1
     assert np.array_equal(st.values, incident_six(bg, WAVE, lat.centers))
 
 
@@ -122,16 +125,23 @@ def test_permutation_invariance(bg, cfg, lat2, state2, ball_spectrum, rng):
 
 def test_solver_report(state2):
     rep = state2.solver_report
-    assert rep["method"] == "lu"
+    assert rep["method"] == "iteration"
     assert rep["size"] == 48
     assert rep["residual"] < 1e-10
-    assert np.isfinite(rep["condition_estimate"])
+    assert rep["iterations"] >= 1
 
 
-def test_n_cap(bg, cfg, ball_spectrum):
-    lat = build_lattice(3, cfg)
-    with pytest.raises(FoldyError, match="cap"):
-        solve_foldy(bg, lat, -3.0, ball_spectrum, WAVE, n_cap=2)
+def test_lattice_axis_bound(bg, cfg, ball_spectrum, monkeypatch):
+    # refused before any kernel or incident-field evaluation
+    lat = build_lattice(25, cfg)
+
+    def no_kernel_work(*args, **kwargs):
+        raise AssertionError("kernel work before the size check")
+
+    monkeypatch.setattr(foldy, "green_dyadic", no_kernel_work)
+    monkeypatch.setattr(foldy, "incident_six", no_kernel_work)
+    with pytest.raises(FoldyError, match="lattice count per axis 25 exceeds 24"):
+        solve_foldy(bg, lat, -3.0, ball_spectrum, WAVE)
 
 
 def test_explicit_tilde_matches_default(bg, lat2, state2, ball_spectrum):
@@ -314,7 +324,7 @@ def test_fft_apply_matches_gathered_matvec(bg, T6_dilute, rng, m):
     blocks = _offset_blocks(bg, m, 0.5, T6_dilute, 1.0 / m ** 3, zero_self=False)
     u = rng.standard_normal(6 * m ** 3) + 1j * rng.standard_normal(6 * m ** 3)
     expect = _dense_system(blocks, _grid_index(m)) @ u
-    got = u - _fft_apply(blocks)(u)
+    got = u - _fft_apply(blocks, _grid_index(m))(u)
     assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
@@ -391,3 +401,48 @@ def test_dense_system_is_fortran_ordered(bg, T6_dilute):
     # lu_factor(overwrite_a=True) factors in place only a Fortran-ordered matrix
     blocks = _offset_blocks(bg, 2, 0.1, T6_dilute, 1.0 / 8, zero_self=True)
     assert _dense_system(blocks, _grid_index(2)).flags.f_contiguous
+
+
+# ---------------------------------------------------------------------------
+# the lattice through the shared grid solve
+
+
+@pytest.fixture(scope="module")
+def dilute_tilde(bg, ball_spectrum, ball_cn):
+    # the coupling compare-hom shares on a dilute lattice: sweeps converge
+    return tilde_from_definition(bg, -3.0, DiluteConfig(0.5, 125, 0.965, ball_cn),
+                                 ball_spectrum)
+
+
+@pytest.mark.parametrize("material, method", [("dilute_tilde", "iteration"),
+                                              ("coupled_tilde", "lu")])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_lattice_matches_dense_solve(bg, cfg, request, material, method, N):
+    lat = build_lattice(N, cfg)
+    st = solve_foldy(bg, lat, -3.0, None, WAVE, eta=0.1,
+                     tilde=request.getfixturevalue(material))
+    rep = st.solver_report
+    assert rep["method"] == method
+    assert rep["residual"] < 1e-10
+    if method == "lu":
+        assert np.isfinite(rep["condition_estimate"])
+    A = np.eye(6 * N ** 3) - _pairwise_interaction(bg, lat.centers, 0.1, st.coupling, True)
+    expect = np.linalg.solve(A, incident_six(bg, WAVE, lat.centers).reshape(-1))
+    dev = np.linalg.norm(st.values.reshape(-1) - expect) / np.linalg.norm(expect)
+    assert dev <= 1e-10
+
+
+def test_large_dilute_lattice_iterates(bg, cfg, dilute_tilde):
+    st = solve_foldy(bg, build_lattice(12, cfg), -3.0, None, WAVE, eta=0.1,
+                     tilde=dilute_tilde)
+    rep = st.solver_report
+    assert rep["method"] == "iteration"
+    assert rep["size"] == 6 * 12 ** 3
+    assert rep["residual"] < 1e-10
+
+
+def test_coupled_lattice_beyond_dense_cap(bg, cfg, coupled_tilde):
+    # 6,000 unknowns: the sweeps stall and the LU fallback is past its cap
+    with pytest.raises(FoldyError, match="dense fallback cap"):
+        solve_foldy(bg, build_lattice(10, cfg), -3.0, None, WAVE, eta=0.1,
+                    tilde=coupled_tilde)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from chiralmeta.mesh import icosphere
-from chiralmeta.np_spectral import (SpectralError, assemble_np, assemble_single_layer,
-                                    spectral_decomposition, spectrum_from_json,
-                                    sphere_spectrum, unit_ball_spectrum)
+from chiralmeta.np_spectral import (SpectralError, _householder_vector, _reflect_sym,
+                                    assemble_np, assemble_single_layer, spectral_decomposition,
+                                    spectrum_from_json, sphere_spectrum, unit_ball_spectrum)
 
 C1 = 4 * np.pi / 27  # isotropic moment constant of the dipole cluster
 
@@ -189,3 +189,14 @@ def test_indefinite_gram_raises():
     S, K = assemble_single_layer(mesh), assemble_np(mesh)
     with pytest.raises(SpectralError, match="not positive definite"):
         spectral_decomposition(-S, K, mesh, mode_count=8)
+
+
+def test_reflect_sym_matches_explicit_reflector(rng):
+    n = 40
+    M = rng.standard_normal((n, n))
+    M = M + M.T
+    v = _householder_vector(rng.uniform(0.5, 1.5, n))
+    P = np.eye(n) - 2.0 * np.outer(v, v)
+    expect = (P @ M @ P)[1:, 1:]
+    got = _reflect_sym(M, v)
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()

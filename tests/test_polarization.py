@@ -206,10 +206,3 @@ def test_find_root_no_sign_change():
     bg = ChiralBackground(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(RootFindError, match="sign change"):
         find_resonance_root(bg, 1 / 6, bracket=(-1.5, -1.0))
-
-
-def test_find_root_secant_complex():
-    bg = ChiralBackground(1.0, 1.0, 0.3, 1.0)
-    star = resonant_eps(bg, 1 / 6)
-    root = find_resonance_root(bg, 1 / 6, start=star * (1.0 + 1e-3))
-    assert abs(root - star) < 1e-8
