@@ -223,16 +223,8 @@ def _scalar_kernel(r, gamma, eta):
     return g, g1, g2
 
 
-def _cross_matrix(v):
-    """Cross-product matrices for vectors of shape (..., 3)."""
-    out = np.zeros(v.shape[:-1] + (3, 3), dtype=v.dtype)
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+# the cross-product matrix [v]x above its diagonal: [v]x[i, j] = sign * v[k]
+_CROSS_UPPER = ((0, 1, 2, -1.0), (0, 2, 1, 1.0), (1, 2, 0, -1.0))
 
 
 def green_dyadic(bg: ChiralBackground, x, eta: float = 0.0) -> np.ndarray:
@@ -243,6 +235,13 @@ def green_dyadic(bg: ChiralBackground, x, eta: float = 0.0) -> np.ndarray:
     a pole at r = -eta/(4 pi), is refused); at the origin the derivative
     terms are dropped by convention so the value stays finite (only the
     regularized kernel is ever evaluated there).
+
+    Each circular branch gamma is a scalar combination of I, x^x^T and
+    [x^]x, so every 3x3 block (p, q) of the result is
+    c_I[p, q] I + c_xx[p, q] x^x^T + c_X[p, q] [x^]x with per-point 2x2
+    coefficients summed over the two branches.  The symmetric and
+    antisymmetric parts make G(-x) the transpose of G(x) exactly in the
+    EE and HH blocks.
 
     Every column, read as an (E, H) pair, satisfies the homogeneous
     background system away from the source.
@@ -257,34 +256,35 @@ def green_dyadic(bg: ChiralBackground, x, eta: float = 0.0) -> np.ndarray:
     if np.any(at_origin):
         if eta == 0.0:
             raise SingularPointError("dyadic evaluated at its singular point with eta = 0")
-        r = np.where(at_origin, 1.0, r)  # placeholder, masked below
+        r = np.where(at_origin, 1.0, r)  # placeholder; x^ is zero there
     xh = x / r[..., None]
     s = bg.impedance_ratio  # sqrt(mu/eps)
 
-    G = np.zeros(x.shape[:-1] + (6, 6), dtype=complex)
+    c_I = np.zeros(r.shape + (2, 2), dtype=complex)
+    c_xx = np.zeros_like(c_I)
+    c_X = np.zeros_like(c_I)
     for gamma, om, sign in ((bg.gamma1, bg.omega1, +1.0), (bg.gamma2, bg.omega2, -1.0)):
         g, g1, g2 = _scalar_kernel(r, gamma, eta)
         if np.any(at_origin):
             g = np.where(at_origin, 1.0 / eta, g)
             g1 = np.where(at_origin, 0.0, g1)
             g2 = np.where(at_origin, 0.0, g2)
-        xx = xh[..., :, None] * xh[..., None, :]
-        hess = (g2 - g1 / r)[..., None, None] * xx + (g1 / r)[..., None, None] * _I3
-        if np.any(at_origin):
-            hess = np.where(at_origin[..., None, None], 0.0, hess)
-        D = g[..., None, None] * _I3 + hess / gamma ** 2
-        C = _cross_matrix(g1[..., None] * xh)
-        if np.any(at_origin):
-            C = np.where(at_origin[..., None, None], 0.0, C)
-        pref = gamma ** 2 / om
-        blk = np.empty_like(G)
-        blk[..., :3, :3] = D
-        blk[..., :3, 3:] = (1j * s / gamma) * C
-        blk[..., 3:, :3] = (-1j / (s * gamma)) * C
-        blk[..., 3:, 3:] = D
-        pol = np.array([[1.0, sign * 1j * s], [-sign * 1j / s, 1.0]], dtype=complex)
-        G += 0.5 * pref * np.einsum("...ij,jk->...ik", blk, np.kron(pol, _I3))
-    return G
+        h = gamma ** 2 / (2.0 * om)
+        pol = h * np.array([[1.0, sign * 1j * s], [-sign * 1j / s, 1.0]])
+        cross = (h / gamma) * np.array([[sign, 1j * s], [-1j / s, sign]])
+        c_I += (g + g1 / (r * gamma ** 2))[..., None, None] * pol
+        c_xx += ((g2 - g1 / r) / gamma ** 2)[..., None, None] * pol
+        c_X += g1[..., None, None] * cross
+
+    G = np.empty(r.shape + (2, 3, 2, 3), dtype=complex)
+    for i in range(3):
+        G[..., :, i, :, i] = c_I + c_xx * (xh[..., i] * xh[..., i])[..., None, None]
+    for i, j, k, sign in _CROSS_UPPER:
+        sym = c_xx * (xh[..., i] * xh[..., j])[..., None, None]
+        anti = c_X * (sign * xh[..., k])[..., None, None]
+        G[..., :, i, :, j] = sym + anti
+        G[..., :, j, :, i] = sym - anti
+    return G.reshape(r.shape + (6, 6))
 
 
 def maxwell_dyadic(k: float, x) -> np.ndarray:

@@ -157,6 +157,13 @@ def _get_n_list(cfg, default: str) -> list[int]:
     return n_list
 
 
+def _get_probe_count(cfg, default: int) -> int:
+    count = _get(cfg, "probe_count", default, int)
+    if count < 1:
+        raise ConfigError(f"probe_count must be at least 1, got {count}")
+    return count
+
+
 def _get_eps_c(cfg) -> complex:
     return complex(_get(cfg, "eps_c_re", -3.0), _get(cfg, "eps_c_im", 0.0))
 
@@ -255,8 +262,7 @@ def load_probes(cfg) -> np.ndarray:
         if not rows:
             raise ConfigError(f"probes file {path} holds no points")
         return np.array(rows, dtype=float)
-    return probe_ring(_get(cfg, "probe_count", 16, int),
-                      radius=_get(cfg, "probe_radius", 3.0))
+    return probe_ring(_get_probe_count(cfg, 16), radius=_get(cfg, "probe_radius", 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +275,19 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.17g}"
+
+
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _fmt_floats(values) -> list[str]:
+    """``fmt`` over a column of Python floats, in one pass."""
+    return list(map("{:.17g}".format, values))
+
+
+def _fmt_bools(values) -> list[str]:
+    """``fmt`` over a column of Python bools, in one pass."""
+    return list(map(_BOOL_TEXT.__getitem__, values))
 
 
 def _json_render(obj, indent: int = 0) -> str:
@@ -408,21 +427,19 @@ def cmd_eff_sweep(cfg, out: Path, preset: str | None) -> int:
     density = _get(cfg, "density", 1.0)
     grid = _sweep_grid(cfg, bg, spectrum, mode_index)
     rows = sweep_figure(bg, dilute, spectrum, grid, mode_index=mode_index, density=density)
-    csv_rows = []
-    for r in rows:
-        csv_rows.append([
-            fmt(r.eps_c.real), fmt(r.eps_eff.real), fmt(r.eps_eff.imag),
-            fmt(r.mu_eff.real), fmt(r.mu_eff.imag),
-            fmt(r.double_negative), fmt(r.out_of_assumption),
-        ])
+    columns = [_fmt_floats([r.eps_c.real for r in rows]),
+               _fmt_floats([r.eps_eff.real for r in rows]),
+               _fmt_floats([r.eps_eff.imag for r in rows]),
+               _fmt_floats([r.mu_eff.real for r in rows]),
+               _fmt_floats([r.mu_eff.imag for r in rows]),
+               _fmt_bools([r.double_negative for r in rows]),
+               _fmt_bools([r.out_of_assumption for r in rows])]
     dest_csv = out / "eff_sweep.csv"
     write_csv(dest_csv,
               "eps_c,re_eps_eff,im_eps_eff,re_mu_eff,im_mu_eff,"
-              "double_negative,out_of_assumption", csv_rows)
+              "double_negative,out_of_assumption", zip(*columns))
     reference = _FIGURE1_REFERENCE_ABSCISSA if preset == "figure1-left" else None
     summary = sweep_summary(rows, reference_abscissa=reference)
-    summary["nudged_points"] = [r.eps_c.real for r in rows if r.nudged]
-    summary["failed_points"] = [r.eps_c.real for r in rows if r.failed]
     dest_json = out / "eff_sweep_summary.json"
     write_json(dest_json, summary)
     print(f"wrote {dest_csv} ({len(rows)} points) and {dest_json}")
@@ -556,7 +573,7 @@ def cmd_check_assumptions(cfg, out: Path) -> int:
     bg, _, _, dilute = load_model(cfg)
     n_list = _get_n_list(cfg, "3,4,5,6")
     eta = _get(cfg, "eta", 1.0)
-    probe_count = _get(cfg, "probe_count", 8, int)
+    probe_count = _get_probe_count(cfg, 8)
     a = dilute.dilution_exponent
 
     dist_rows = []

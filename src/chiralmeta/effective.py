@@ -9,6 +9,7 @@ can turn negative simultaneously.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,15 +368,24 @@ def sweep_figure(bg: ChiralBackground, cfg: DiluteConfig, spectrum: NPSpectrum,
 
 
 def sweep_summary(rows: list[SweepRow], reference_abscissa: float | None = None) -> dict:
-    """Resonance abscissa (largest effective-permittivity magnitude) and
-    the double-negative interval endpoints of a sweep."""
-    finite = [r for r in rows if not r.failed and np.isfinite(r.eps_eff)]
-    out: dict = {"points": len(rows), "failed": sum(r.failed for r in rows)}
-    if finite:
-        peak = max(finite, key=lambda r: abs(r.eps_eff))
+    """Resonance abscissa (largest effective-permittivity magnitude), the
+    double-negative interval endpoints and the nudged and failed grid
+    points of a sweep, in one pass over the rows."""
+    failed, nudged, dn = [], [], []
+    peak, peak_mag = None, -1.0
+    for r in rows:
+        if r.nudged:
+            nudged.append(r.eps_c.real)
+        if r.failed:
+            failed.append(r.eps_c.real)
+        elif cmath.isfinite(r.eps_eff) and abs(r.eps_eff) > peak_mag:
+            peak, peak_mag = r, abs(r.eps_eff)
+        if r.double_negative:
+            dn.append(r.eps_c.real)
+    out: dict = {"points": len(rows), "failed": len(failed)}
+    if peak is not None:
         out["resonance_abscissa"] = peak.eps_c.real
-        out["resonance_peak_magnitude"] = abs(peak.eps_eff)
-    dn = [r.eps_c.real for r in rows if r.double_negative]
+        out["resonance_peak_magnitude"] = peak_mag
     out["double_negative_count"] = len(dn)
     if dn:
         out["double_negative_min"] = min(dn)
@@ -383,4 +393,6 @@ def sweep_summary(rows: list[SweepRow], reference_abscissa: float | None = None)
     if reference_abscissa is not None and "resonance_abscissa" in out:
         out["reference_abscissa"] = reference_abscissa
         out["abscissa_deviation"] = out["resonance_abscissa"] - reference_abscissa
+    out["nudged_points"] = nudged
+    out["failed_points"] = failed
     return out

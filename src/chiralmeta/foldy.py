@@ -24,8 +24,10 @@ from .np_spectral import NPSpectrum
 
 _I3 = np.eye(3)
 
-# block-row chunking keeps the kernel transients near ~100 MB
-# (each center pair expands to a 6x6 complex block, 576 bytes)
+# block-row chunking caps one kernel call at this many (probe, center)
+# pairs: each expands to a 6x6 complex block (576 bytes), so a full chunk
+# returns 115 MB, and green_dyadic's own transients add ~95 MB while it
+# runs (210 MB peak by tracemalloc)
 _CHUNK_ELEMS = 200_000
 # the dense gather copies this many 6x6 blocks at a time (~6 MB); a larger
 # chunk only adds a transient next to the matrix it fills
@@ -405,12 +407,14 @@ def check_distribution(lattice: ParticleLattice, bg: ChiralBackground, eta: floa
     comparable to the lattice spacing; below that scale the kernel varies
     faster than either grid resolves.
     """
+    if probe_count < 1:
+        raise FoldyError(f"probe_count must be at least 1, got {probe_count}")
     N = lattice.n_per_axis
     n = lattice.centers.shape[0]
     fine = cell_centers(4 * N)
     F_lat = _smooth_test_pair(lattice.centers)
     F_fine = _smooth_test_pair(fine)
-    js = np.unique(np.linspace(0, n - 1, min(max(probe_count, 1), n)).round().astype(int))
+    js = np.unique(np.linspace(0, n - 1, min(probe_count, n)).round().astype(int))
     worst = 0.0
     for j in js:
         zj = lattice.centers[j]

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralmeta.background import (BackgroundError, ChiralBackground, SingularPointError,
-                                   circular_wave, green_dyadic, incident_field, incident_six,
-                                   k0_matrix, linear_wave, make_circular_basis, maxwell_dyadic)
+                                   _scalar_kernel, circular_wave, green_dyadic, incident_field,
+                                   incident_six, k0_matrix, linear_wave, make_circular_basis,
+                                   maxwell_dyadic)
 from _fd import dbf_residual, fd_curl
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -137,6 +138,67 @@ def test_incident_six_stacks_pair():
     x = np.array([0.1, 0.2, 0.3])
     e, h = incident_field(bg, wave, x)
     assert np.allclose(incident_six(bg, wave, x), np.concatenate([e, h]))
+
+
+def _green_dyadic_reference(bg, x, eta):
+    """The dyadic as a per-branch product of full 6x6 blocks: the block
+    matrix [[D, (i s/gamma) C], [(-i/(s gamma)) C, D]] of one branch times
+    kron(pol, I3), with D = g I + hess/gamma^2 and C = [g' x^]x."""
+    x = np.asarray(x, dtype=float)
+    r = np.asarray(np.linalg.norm(x, axis=-1))
+    at_origin = r < 1e-12
+    r = np.where(at_origin, 1.0, r)
+    xh = x / r[..., None]
+    s = bg.impedance_ratio
+    I3 = np.eye(3)
+    G = np.zeros(x.shape[:-1] + (6, 6), dtype=complex)
+    for gamma, om, sign in ((bg.gamma1, bg.omega1, +1.0), (bg.gamma2, bg.omega2, -1.0)):
+        g, g1, g2 = _scalar_kernel(r, gamma, eta)
+        g = np.where(at_origin, 1.0 / eta if eta > 0 else np.nan, g)
+        g1 = np.where(at_origin, 0.0, g1)
+        g2 = np.where(at_origin, 0.0, g2)
+        xx = xh[..., :, None] * xh[..., None, :]
+        hess = (g2 - g1 / r)[..., None, None] * xx + (g1 / r)[..., None, None] * I3
+        hess = np.where(at_origin[..., None, None], 0.0, hess)
+        D = g[..., None, None] * I3 + hess / gamma ** 2
+        v = g1[..., None] * xh
+        C = np.zeros(v.shape[:-1] + (3, 3), dtype=complex)
+        C[..., 0, 1], C[..., 0, 2] = -v[..., 2], v[..., 1]
+        C[..., 1, 0], C[..., 1, 2] = v[..., 2], -v[..., 0]
+        C[..., 2, 0], C[..., 2, 1] = -v[..., 1], v[..., 0]
+        blk = np.empty_like(G)
+        blk[..., :3, :3] = D
+        blk[..., :3, 3:] = (1j * s / gamma) * C
+        blk[..., 3:, :3] = (-1j / (s * gamma)) * C
+        blk[..., 3:, 3:] = D
+        pol = np.array([[1.0, sign * 1j * s], [-sign * 1j / s, 1.0]])
+        G += 0.5 * gamma ** 2 / om * np.einsum("...ij,jk->...ik", blk, np.kron(pol, I3))
+    return G
+
+
+def _assert_matches_reference(bg, x, eta):
+    G = green_dyadic(bg, x, eta=eta)
+    ref = _green_dyadic_reference(bg, x, eta)
+    assert G.shape == ref.shape == np.shape(x)[:-1] + (6, 6)
+    if G.size:
+        assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("beta", [0.4, 0.0])
+@pytest.mark.parametrize("eta", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("shape", [(3,), (0, 3), (7, 3), (4, 5, 3)])
+def test_green_matches_block_product_reference(beta, eta, shape):
+    bg = ChiralBackground(eps_m=1.2, mu_m=0.8, beta_m=beta, omega=1.1)
+    x = np.random.default_rng(3).normal(size=shape)
+    _assert_matches_reference(bg, x, eta)
+
+
+@pytest.mark.parametrize("eta", [0.1, 1.0])
+def test_green_matches_reference_at_origin(eta):
+    bg = ChiralBackground(eps_m=1.2, mu_m=0.8, beta_m=0.4, omega=1.1)
+    x = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.0, 0.0]])
+    _assert_matches_reference(bg, x, eta)
+    _assert_matches_reference(bg, np.zeros(3), eta)
 
 
 def test_green_classical_reduction():

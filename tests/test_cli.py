@@ -251,6 +251,27 @@ def test_check_assumptions_report(tmp_path, capsys):
     assert report["uniform_invertibility"]["scaled_max_over_min"] >= 1.0
 
 
+@pytest.mark.parametrize("command", ["dipole-field", "foldy", "compare-hom",
+                                     "check-assumptions"])
+@pytest.mark.parametrize("count", [0, -5])
+def test_probe_count_below_one_rejected(tmp_path, capsys, monkeypatch, command, count):
+    # refused before any kernel work: check-assumptions used to sample one
+    # site instead, and the probe ring used to come out empty
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel evaluated")
+
+    monkeypatch.setattr("chiralmeta.foldy.green_dyadic", no_kernel)
+    monkeypatch.setattr("chiralmeta.dipole.green_dyadic", no_kernel)
+    cfg = write(tmp_path / "c.cfg",
+                f"beta_m = 0.4\nvolume_scale = 0.5\nn_list = 3\ngrid_m = 4\n"
+                f"probe_count = {count}\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert f"probe_count must be at least 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_assumptions_negative_eta(tmp_path, capsys):
     # the regularized kernel 1/(4 pi r + eta) has a pole at r = 1/(4 pi)
     cfg = write(tmp_path / "c.cfg",

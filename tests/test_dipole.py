@@ -154,3 +154,14 @@ def test_reciprocity_report(bg):
     for key in ("ee_transpose", "hh_transpose", "eh_minus_he_transpose",
                 "he_minus_eh_transpose"):
         assert rep[key] < 1e-14
+
+
+def test_reciprocity_exact_in_diagonal_blocks():
+    # x^x^T is symmetric and [x^]x antisymmetric, so the EE and HH blocks
+    # of G(-x) are the transposes of those of G(x) to the last bit
+    bg = ChiralBackground(eps_m=1.2, mu_m=0.8, beta_m=0.4, omega=1.1)
+    for x in ([0.3, -0.7, 0.9], [1.5, 0.2, -0.4], [0.0, 0.0, 0.25]):
+        for eta in (0.0, 0.1):
+            rep = reciprocity_report(bg, x, eta=eta)
+            assert rep["ee_transpose"] == 0.0
+            assert rep["hh_transpose"] == 0.0

@@ -219,6 +219,7 @@ def test_sweep_summary_keys(cfg, ball_spectrum):
     assert out["resonance_peak_magnitude"] > 1e6
     assert out["double_negative_count"] == 0
     assert abs(out["abscissa_deviation"]) < 1e-9
+    assert out["nudged_points"] == [rows[2].eps_c.real] and out["failed_points"] == []
 
 
 def _pointwise_sweep(bg, cfg, spectrum, eps_c):

@@ -233,6 +233,12 @@ def test_distribution_refines(bg, cfg):
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def test_distribution_needs_a_probe(bg, cfg):
+    for count in (0, -5):
+        with pytest.raises(FoldyError, match="probe_count must be at least 1"):
+            check_distribution(build_lattice(3, cfg), bg, 1.0, probe_count=count)
+
+
 def test_invertibility_stat_bruteforce(bg, lat2):
     got = uniform_invertibility_stat(lat2, bg)
     total = 0.0
