@@ -1,7 +1,7 @@
 """Plasmonic-particle metamaterials in chiral Drude-Born-Fedorov media."""
 
 from .background import (BackgroundError, ChiralBackground, PlaneWaveSpec, SingularPointError,
-                         circular_wave, green_dyadic, incident_field, incident_six,
+                         circular_wave, green_apply, green_dyadic, incident_field, incident_six,
                          k0_matrix, linear_wave, maxwell_dyadic)
 from .dipole import FarFieldError, ParticleInstance, reciprocity_report, scattered_field_dipole
 from .effective import (DiluteConfig, EffectiveError, EffectiveParams, SweepRow, TildeParams,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackgroundError", "ChiralBackground", "PlaneWaveSpec", "SingularPointError",
-    "circular_wave", "green_dyadic", "incident_field", "incident_six", "k0_matrix",
+    "circular_wave", "green_apply", "green_dyadic", "incident_field", "incident_six", "k0_matrix",
     "linear_wave", "maxwell_dyadic",
     "FarFieldError", "ParticleInstance", "reciprocity_report", "scattered_field_dipole",
     "DiluteConfig", "EffectiveError", "EffectiveParams", "SweepRow", "TildeParams",

@@ -223,6 +223,42 @@ def _scalar_kernel(r, gamma, eta):
     return g, g1, g2
 
 
+def _branches(bg: ChiralBackground, x, eta: float):
+    """Unit vectors x^ and, for each circular branch, the scalars
+    (gamma, h, sign, a, b, g1) of the dyadic at points ``x`` (..., 3).
+
+    With h = gamma^2/(2 omega_gamma), sign = +-1 and s = sqrt(mu/eps) the
+    branch adds h u v^T (x) (a I + b x^x^T) + (sign h/gamma) u v^T (x) g1 [x^]x
+    to the dyadic, u = (1, -sign i/s), v = (1, sign i s) in the (E, H)
+    index; a = g + g1/(r gamma^2) and b = (g2 - g1/r)/gamma^2 from the scalar
+    kernel g and its radial derivatives.  At the origin (eta > 0 only)
+    g = 1/eta and g1 = g2 = 0 by convention, and x^ = 0."""
+    if eta < 0:
+        raise BackgroundError(f"eta must be nonnegative, got {eta}")
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != 3:
+        raise BackgroundError(f"points must have trailing dimension 3, got {x.shape}")
+    r = np.asarray(np.linalg.norm(x, axis=-1))
+    at_origin = r < 1e-12
+    any_origin = bool(np.any(at_origin))
+    if any_origin:
+        if eta == 0.0:
+            raise SingularPointError("dyadic evaluated at its singular point with eta = 0")
+        r = np.where(at_origin, 1.0, r)  # placeholder; x^ is zero there
+    xh = x / r[..., None]
+    branches = []
+    for gamma, om, sign in ((bg.gamma1, bg.omega1, +1.0), (bg.gamma2, bg.omega2, -1.0)):
+        g, g1, g2 = _scalar_kernel(r, gamma, eta)
+        if any_origin:
+            g = np.where(at_origin, 1.0 / eta, g)
+            g1 = np.where(at_origin, 0.0, g1)
+            g2 = np.where(at_origin, 0.0, g2)
+        a = g + g1 / (r * gamma ** 2)
+        b = (g2 - g1 / r) / gamma ** 2
+        branches.append((gamma, gamma ** 2 / (2.0 * om), sign, a, b, g1))
+    return xh, branches
+
+
 # the cross-product matrix [v]x above its diagonal: [v]x[i, j] = sign * v[k]
 _CROSS_UPPER = ((0, 1, 2, -1.0), (0, 2, 1, 1.0), (1, 2, 0, -1.0))
 
@@ -241,42 +277,26 @@ def green_dyadic(bg: ChiralBackground, x, eta: float = 0.0) -> np.ndarray:
     c_I[p, q] I + c_xx[p, q] x^x^T + c_X[p, q] [x^]x with per-point 2x2
     coefficients summed over the two branches.  The symmetric and
     antisymmetric parts make G(-x) the transpose of G(x) exactly in the
-    EE and HH blocks.
+    EE and HH blocks.  Where only sums of products G f are needed,
+    :func:`green_apply` forms them without the blocks.
 
     Every column, read as an (E, H) pair, satisfies the homogeneous
     background system away from the source.
     """
-    if eta < 0:
-        raise BackgroundError(f"eta must be nonnegative, got {eta}")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 3:
-        raise BackgroundError(f"points must have trailing dimension 3, got {x.shape}")
-    r = np.asarray(np.linalg.norm(x, axis=-1))
-    at_origin = r < 1e-12
-    if np.any(at_origin):
-        if eta == 0.0:
-            raise SingularPointError("dyadic evaluated at its singular point with eta = 0")
-        r = np.where(at_origin, 1.0, r)  # placeholder; x^ is zero there
-    xh = x / r[..., None]
+    xh, branches = _branches(bg, x, eta)
     s = bg.impedance_ratio  # sqrt(mu/eps)
 
-    c_I = np.zeros(r.shape + (2, 2), dtype=complex)
+    c_I = np.zeros(xh.shape[:-1] + (2, 2), dtype=complex)
     c_xx = np.zeros_like(c_I)
     c_X = np.zeros_like(c_I)
-    for gamma, om, sign in ((bg.gamma1, bg.omega1, +1.0), (bg.gamma2, bg.omega2, -1.0)):
-        g, g1, g2 = _scalar_kernel(r, gamma, eta)
-        if np.any(at_origin):
-            g = np.where(at_origin, 1.0 / eta, g)
-            g1 = np.where(at_origin, 0.0, g1)
-            g2 = np.where(at_origin, 0.0, g2)
-        h = gamma ** 2 / (2.0 * om)
+    for gamma, h, sign, a, b, g1 in branches:
         pol = h * np.array([[1.0, sign * 1j * s], [-sign * 1j / s, 1.0]])
         cross = (h / gamma) * np.array([[sign, 1j * s], [-1j / s, sign]])
-        c_I += (g + g1 / (r * gamma ** 2))[..., None, None] * pol
-        c_xx += ((g2 - g1 / r) / gamma ** 2)[..., None, None] * pol
+        c_I += a[..., None, None] * pol
+        c_xx += b[..., None, None] * pol
         c_X += g1[..., None, None] * cross
 
-    G = np.empty(r.shape + (2, 3, 2, 3), dtype=complex)
+    G = np.empty(xh.shape[:-1] + (2, 3, 2, 3), dtype=complex)
     for i in range(3):
         G[..., :, i, :, i] = c_I + c_xx * (xh[..., i] * xh[..., i])[..., None, None]
     for i, j, k, sign in _CROSS_UPPER:
@@ -284,7 +304,54 @@ def green_dyadic(bg: ChiralBackground, x, eta: float = 0.0) -> np.ndarray:
         anti = c_X * (sign * xh[..., k])[..., None, None]
         G[..., :, i, :, j] = sym + anti
         G[..., :, j, :, i] = sym - anti
-    return G.reshape(r.shape + (6, 6))
+    return G.reshape(xh.shape[:-1] + (6, 6))
+
+
+def green_apply(bg: ChiralBackground, x, f, eta: float = 0.0) -> np.ndarray:
+    """Sum over sources c of G_eta(x_c) f_c, without forming 6x6 blocks.
+
+    ``x`` (..., C, 3) and ``f`` (..., C, 6), E then H, share the source
+    axis C and broadcast over the leading axes; the result has shape
+    (..., 6).  Errors are those of :func:`green_dyadic`.
+
+    Each circular branch of the dyadic is rank one in the (E, H) index,
+    h u v^T with u = (1, -sign i/s) and v = (1, sign i s), so it acts on
+    f through the one 3-vector w = f_E + sign i s f_H:
+    m = sum_c [a w + b x^(x^.w) + (sign g1/gamma) [x^]x w], and the branch
+    adds h m to E and -sign i h m / s to H.  Each coefficient meets the
+    source axis in one matrix product.
+    """
+    f = np.asarray(f)
+    if (np.ndim(x) < 2 or f.ndim < 2 or f.shape[-1] != 6
+            or np.shape(x)[-2] != f.shape[-2]):
+        raise BackgroundError(f"need points (..., C, 3) and sources (..., C, 6), "
+                              f"got {np.shape(x)} and {f.shape}")
+    xh, branches = _branches(bg, x, eta)
+    s = bg.impedance_ratio
+    xhT = np.swapaxes(xh, -1, -2)
+    xf_E = np.einsum("...i,...i->...", xh, f[..., :3])
+    xf_H = np.einsum("...i,...i->...", xh, f[..., 3:])
+    # rows a, g1 x^_0, g1 x^_1, g1 x^_2 of each branch meet (f_E, f_H) in
+    # one product, the rows b (x^.w) meet x^ in another
+    rows = np.empty(xh.shape[:-2] + (8, xh.shape[-2]), dtype=complex)
+    b_rows = []
+    for n, (gamma, h, sign, a, b, g1) in enumerate(branches):
+        rows[..., 4 * n, :] = a
+        np.multiply(g1[..., None, :], xhT, out=rows[..., 4 * n + 1:4 * n + 4, :])
+        b_rows.append(b * (xf_E + (sign * 1j * s) * xf_H))
+    R = rows @ f
+    Bx = np.stack(b_rows, axis=-2) @ xh
+    out = np.zeros(R.shape[:-2] + (6,), dtype=complex)
+    for n, (gamma, h, sign, a, b, g1) in enumerate(branches):
+        Rw = R[..., 4 * n:4 * n + 4, :3] + (sign * 1j * s) * R[..., 4 * n:4 * n + 4, 3:]
+        M = Rw[..., 1:, :]   # sum_c g1 x^_j w_k
+        m = Rw[..., 0, :] + Bx[..., n, :]
+        m[..., 0] += (sign / gamma) * (M[..., 1, 2] - M[..., 2, 1])
+        m[..., 1] += (sign / gamma) * (M[..., 2, 0] - M[..., 0, 2])
+        m[..., 2] += (sign / gamma) * (M[..., 0, 1] - M[..., 1, 0])
+        out[..., :3] += h * m
+        out[..., 3:] += (-sign * 1j * h / s) * m
+    return out
 
 
 def maxwell_dyadic(k: float, x) -> np.ndarray:

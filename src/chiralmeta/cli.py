@@ -473,17 +473,12 @@ def cmd_eff_closed_form(cfg, out: Path) -> int:
               rows)
     # double-negative onset scan along s
     s_grid = np.linspace(1e-6, 0.999, 2000)
-    neg = []
-    for s in s_grid:
-        eff = effective_closed_form(bg, lam, float(s))
-        neg.append(eff.eps_eff.real < 0 and eff.mu_eff.real < 0)
-    s0 = None
-    for i in range(len(s_grid) - 1, -1, -1):
-        if not neg[i]:
-            s0 = float(s_grid[i + 1]) if i + 1 < len(s_grid) else None
-            break
-    else:
-        s0 = float(s_grid[0])
+    eff = effective_closed_form(bg, lam, s_grid)
+    neg = (eff.eps_eff.real < 0) & (eff.mu_eff.real < 0)
+    # the double-negative tail starts after the last point outside it
+    outside = np.flatnonzero(~neg)
+    start = outside[-1] + 1 if outside.size else 0
+    s0 = float(s_grid[start]) if start < len(s_grid) else None
     summary = {
         "lambda_n": lam,
         "k_beta": bg.k * abs(bg.beta_m),
@@ -591,6 +586,11 @@ def cmd_check_assumptions(cfg, out: Path) -> int:
         inv_rows.append({"N": N, "statistic": stat,
                          "scaled_by_n6a": stat * N ** (6.0 * a)})
     scaled = [r["scaled_by_n6a"] for r in inv_rows]
+    # least-squares slope of log(scaled) against log N: how fast the scaled
+    # statistic still grows, which is what keeps the max/min ratio unbounded
+    ns = [r["N"] for r in inv_rows]
+    growth = (float(np.polyfit(np.log(ns), np.log(scaled), 1)[0])
+              if len(set(ns)) >= 2 else None)
     report = {
         "k_beta": bg.k * abs(bg.beta_m),
         "out_of_assumption": bg.out_of_assumption,
@@ -602,6 +602,7 @@ def cmd_check_assumptions(cfg, out: Path) -> int:
             "dilution_exponent": a,
             "rows": inv_rows,
             "scaled_max_over_min": (max(scaled) / min(scaled)) if scaled else None,
+            "scaled_growth_exponent": growth,
         },
     }
     dest = out / "check_assumptions.json"

@@ -235,28 +235,30 @@ def s_limit_tilde(bg: ChiralBackground, lambda_n: float, s: float) -> TildeParam
     )
 
 
-def effective_closed_form(bg: ChiralBackground, lambda_n: float, s: float) -> EffectiveParams:
+def effective_closed_form(bg: ChiralBackground, lambda_n: float, s) -> EffectiveParams:
     """Closed-form effective parameters along the resonance-tracking path.
 
     Algebraically identical to ``invert_effective(s_limit_tilde(...))``;
     kept in explicit form for the limit analysis.  ``s = 0`` returns the
-    background parameters exactly.
+    background parameters exactly.  An array ``s`` gives array fields; a
+    vanishing denominator or permeability at any of its points raises.
     """
-    if not 0.0 <= s < 1.0:
+    s_arr = np.asarray(s)
+    if not np.all((0.0 <= s_arr) & (s_arr < 1.0)):
         raise EffectiveError(f"s must lie in [0, 1), got {s}")
     u = 0.5 - lambda_n
     t = bg.dbf_factor
     kb2 = (bg.k * bg.beta_m) ** 2
     den = 1.0 - s * kb2 * u ** 2
-    if den == 0.0:
-        raise EffectiveError("closed-form denominator vanished")
+    flag_or_raise(den == 0.0, None, EffectiveError,
+                  lambda: "closed-form denominator vanished")
     eps_eff = bg.eps_m * t * ((1.0 - s) - kb2 * (1.0 - s * u) ** 2 / den)
     mu_eff = bg.mu_m * t * (1.0 - s * kb2 * u ** 2 - kb2 * (1.0 - s * u) ** 2 / (1.0 - s))
-    if mu_eff == 0.0:
-        raise EffectiveError("closed-form effective permeability vanished")
+    flag_or_raise(mu_eff == 0.0, None, EffectiveError,
+                  lambda: "closed-form effective permeability vanished")
     beta_eff = bg.mu_m * bg.beta_m * (1.0 - s * u) / (mu_eff * (1.0 - s))
-    return EffectiveParams(eps_eff=complex(eps_eff), mu_eff=complex(mu_eff),
-                           beta_eff=complex(beta_eff))
+    return EffectiveParams(eps_eff=_unwrap(eps_eff), mu_eff=_unwrap(mu_eff),
+                           beta_eff=_unwrap(beta_eff))
 
 
 def tilde_leading_order(bg: ChiralBackground, eps_c: complex, cfg: DiluteConfig,

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .background import (ChiralBackground, PlaneWaveSpec, green_dyadic,
+from .background import (ChiralBackground, PlaneWaveSpec, green_apply, green_dyadic,
                          incident_six)
 from .effective import DiluteConfig, TildeParams, coupling_from_tilde, coupling_matrix, \
     tilde_from_definition
@@ -24,10 +24,10 @@ from .np_spectral import NPSpectrum
 
 _I3 = np.eye(3)
 
-# block-row chunking caps one kernel call at this many (probe, center)
-# pairs: each expands to a 6x6 complex block (576 bytes), so a full chunk
-# returns 115 MB, and green_dyadic's own transients add ~95 MB while it
-# runs (210 MB peak by tracemalloc)
+# block-row chunking caps one green_apply call at this many (probe, center)
+# pairs: its per-pair scalars, coefficient rows and products peak at about
+# 400 bytes per pair, 79 MB for a full chunk by tracemalloc (the 6x6 blocks
+# it replaced peaked at 210 MB)
 _CHUNK_ELEMS = 200_000
 # the dense gather copies this many 6x6 blocks at a time (~6 MB); a larger
 # chunk only adds a transient next to the matrix it fills
@@ -327,8 +327,7 @@ def _eval_field(bg, src_pts, weight, eta, T6, values, incident, x) -> np.ndarray
     for lo in range(0, pts.shape[0], step):
         hi = min(lo + step, pts.shape[0])
         rel = pts[lo:hi, None, :] - src_pts[None, :, :]
-        G = green_dyadic(bg, rel, eta=eta)
-        out[lo:hi] += weight * bg.omega * np.einsum("pcij,cj->pi", G, tv)
+        out[lo:hi] += weight * bg.omega * green_apply(bg, rel, tv, eta=eta)
     return out[0] if single else out.reshape(x.shape[:-1] + (6,))
 
 
@@ -420,10 +419,8 @@ def check_distribution(lattice: ParticleLattice, bg: ChiralBackground, eta: floa
         zj = lattice.centers[j]
         rel = lattice.centers - zj
         keep = np.linalg.norm(rel, axis=-1) > 1e-14
-        G = green_dyadic(bg, rel[keep], eta=eta)
-        lat_sum = np.einsum("cij,cj->i", G, F_lat[keep]) / n
-        Gf = green_dyadic(bg, fine - zj, eta=eta)
-        ref = np.einsum("cij,cj->i", Gf, F_fine) / fine.shape[0]
+        lat_sum = green_apply(bg, rel[keep], F_lat[keep], eta=eta) / n
+        ref = green_apply(bg, fine - zj, F_fine, eta=eta) / fine.shape[0]
         worst = max(worst, float(np.linalg.norm(lat_sum - ref)))
     return worst
 

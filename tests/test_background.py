@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralmeta.background import (BackgroundError, ChiralBackground, SingularPointError,
-                                   _scalar_kernel, circular_wave, green_dyadic, incident_field,
-                                   incident_six, k0_matrix, linear_wave, make_circular_basis,
-                                   maxwell_dyadic)
+                                   _scalar_kernel, circular_wave, green_apply, green_dyadic,
+                                   incident_field, incident_six, k0_matrix, linear_wave,
+                                   make_circular_basis, maxwell_dyadic)
 from _fd import dbf_residual, fd_curl
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -270,6 +270,59 @@ def test_negative_eta_refused():
     # 1/(4 pi r + eta) has a pole at r = -eta/(4 pi) when eta < 0
     with pytest.raises(BackgroundError, match="eta must be nonnegative"):
         green_dyadic(bg_chiral(), np.array([0.3, 0.4, 0.5]), eta=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# green_apply: the dyadic applied through its two circular channels
+
+
+def _assert_apply_matches_blocks(bg, x, f, eta):
+    got = green_apply(bg, x, f, eta=eta)
+    ref = np.einsum("...cij,...cj->...i", green_dyadic(bg, x, eta=eta), f)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("beta", [0.4, 0.0])
+@pytest.mark.parametrize("eta", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("x_shape, f_shape", [((9, 3), (9, 6)), ((4, 9, 3), (9, 6))])
+def test_green_apply_matches_block_product(beta, eta, x_shape, f_shape):
+    bg = ChiralBackground(eps_m=1.2, mu_m=0.8, beta_m=beta, omega=1.1)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=x_shape)
+    f = rng.normal(size=f_shape) + 1j * rng.normal(size=f_shape)
+    _assert_apply_matches_blocks(bg, x, f, eta)
+
+
+@pytest.mark.parametrize("eta", [0.1, 1.0])
+def test_green_apply_matches_block_product_at_origin(eta):
+    bg = ChiralBackground(eps_m=1.2, mu_m=0.8, beta_m=0.4, omega=1.1)
+    x = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.0, 0.0]])
+    f = np.random.default_rng(6).normal(size=(3, 6)) * (1.0 - 0.5j)
+    _assert_apply_matches_blocks(bg, x, f, eta)
+    # the origin alone: only the g = 1/eta term of each branch is left
+    _assert_apply_matches_blocks(bg, x[:1], f[:1], eta)
+
+
+def test_green_apply_empty_source_axis():
+    bg = bg_chiral()
+    assert np.array_equal(green_apply(bg, np.zeros((0, 3)), np.zeros((0, 6))), np.zeros(6))
+    assert np.array_equal(green_apply(bg, np.zeros((4, 0, 3)), np.zeros((0, 6))),
+                          np.zeros((4, 6)))
+
+
+def test_green_apply_errors_match_dyadic():
+    bg = bg_chiral()
+    f = np.ones((2, 6))
+    with pytest.raises(BackgroundError, match="eta must be nonnegative"):
+        green_apply(bg, np.array([[0.3, 0.4, 0.5], [0.1, 0.0, 0.0]]), f, eta=-0.1)
+    with pytest.raises(SingularPointError):
+        green_apply(bg, np.array([[0.3, 0.4, 0.5], [0.0, 0.0, 0.0]]), f, eta=0.0)
+    with pytest.raises(BackgroundError, match="sources"):
+        green_apply(bg, np.ones((2, 3)), np.ones((2, 3)))
+    # the source axis must match; only the leading axes broadcast
+    with pytest.raises(BackgroundError, match="sources"):
+        green_apply(bg, np.ones((1, 3)), np.ones((2, 6)))
 
 
 def test_k0_zero_contrast():

@@ -251,6 +251,25 @@ def test_check_assumptions_report(tmp_path, capsys):
     assert report["uniform_invertibility"]["scaled_max_over_min"] >= 1.0
 
 
+def test_check_assumptions_growth_exponent(tmp_path, capsys):
+    cfg = write(tmp_path / "c.cfg",
+                "beta_m = 0.4\nvolume_scale = 0.5\nn_list = 2,3,4\neta = 1.0\n")
+    assert main(["check-assumptions", "--config", cfg, "--out", str(tmp_path)]) == 0
+    inv = json.loads((tmp_path / "check_assumptions.json").read_text())["uniform_invertibility"]
+    N = np.array([r["N"] for r in inv["rows"]], dtype=float)
+    scaled = np.array([r["scaled_by_n6a"] for r in inv["rows"]])
+    slope = np.polyfit(np.log(N), np.log(scaled), 1)[0]
+    assert inv["scaled_growth_exponent"] == pytest.approx(slope, rel=1e-12)
+    # the pair statistic grows about like N^3, so the scaled one like N^(3 + 6a)
+    assert inv["scaled_growth_exponent"] - 6.0 * inv["dilution_exponent"] == pytest.approx(
+        3.0, abs=0.5)
+    # one size gives no slope
+    cfg = write(tmp_path / "one.cfg", "beta_m = 0.4\nvolume_scale = 0.5\nn_list = 3\n")
+    assert main(["check-assumptions", "--config", cfg, "--out", str(tmp_path)]) == 0
+    inv = json.loads((tmp_path / "check_assumptions.json").read_text())["uniform_invertibility"]
+    assert inv["scaled_growth_exponent"] is None
+
+
 @pytest.mark.parametrize("command", ["dipole-field", "foldy", "compare-hom",
                                      "check-assumptions"])
 @pytest.mark.parametrize("count", [0, -5])
@@ -260,6 +279,7 @@ def test_probe_count_below_one_rejected(tmp_path, capsys, monkeypatch, command, 
     def no_kernel(*args, **kwargs):
         raise AssertionError("kernel evaluated")
 
+    monkeypatch.setattr("chiralmeta.foldy.green_apply", no_kernel)
     monkeypatch.setattr("chiralmeta.foldy.green_dyadic", no_kernel)
     monkeypatch.setattr("chiralmeta.dipole.green_dyadic", no_kernel)
     cfg = write(tmp_path / "c.cfg",

@@ -138,6 +138,24 @@ def test_closed_form_domain(bg):
         effective_closed_form(bg, LAM, -0.1)
 
 
+def test_closed_form_array_matches_scalar(bg):
+    s = np.linspace(1e-6, 0.999, 101)
+    arr = effective_closed_form(bg, LAM, s)
+    for name in ("eps_eff", "mu_eff", "beta_eff"):
+        scalar = [getattr(effective_closed_form(bg, LAM, float(v)), name) for v in s]
+        assert getattr(arr, name) == pytest.approx(np.array(scalar), rel=1e-15, abs=0.0)
+
+
+def test_closed_form_array_raises_on_vanishing_denominator():
+    # k beta = 2 and u = 1: the denominator 1 - s (k beta)^2 u^2 is exactly 0 at s = 1/4
+    with pytest.warns(UserWarning, match="outside the assumption"):
+        bg2 = ChiralBackground(1.0, 1.0, 2.0, 1.0, allow_kbeta_ge_1=True)
+    with pytest.raises(EffectiveError, match="denominator vanished"):
+        effective_closed_form(bg2, -0.5, 0.25)
+    with pytest.raises(EffectiveError, match="denominator vanished"):
+        effective_closed_form(bg2, -0.5, np.array([0.1, 0.25, 0.5]))
+
+
 def test_closed_form_s_zero_is_background(bg):
     eff = effective_closed_form(bg, LAM, 0.0)
     assert eff.eps_eff == bg.eps_m * bg.dbf_factor * (1.0 - bg.k ** 2 * bg.beta_m ** 2)

@@ -239,6 +239,67 @@ def test_distribution_needs_a_probe(bg, cfg):
             check_distribution(build_lattice(3, cfg), bg, 1.0, probe_count=count)
 
 
+# ---------------------------------------------------------------------------
+# lattice sums against full 6x6 blocks contracted by einsum
+
+
+def _distribution_reference(lattice, bg, eta, probe_count=8):
+    """check_distribution with every kernel point expanded to a 6x6 block."""
+    n = lattice.centers.shape[0]
+    fine = cell_centers(4 * lattice.n_per_axis)
+    F_lat = foldy._smooth_test_pair(lattice.centers)
+    F_fine = foldy._smooth_test_pair(fine)
+    js = np.unique(np.linspace(0, n - 1, min(probe_count, n)).round().astype(int))
+    worst = 0.0
+    for j in js:
+        rel = lattice.centers - lattice.centers[j]
+        keep = np.linalg.norm(rel, axis=-1) > 1e-14
+        lat_sum = np.einsum("cij,cj->i", green_dyadic(bg, rel[keep], eta=eta),
+                            F_lat[keep]) / n
+        ref = np.einsum("cij,cj->i", green_dyadic(bg, fine - lattice.centers[j], eta=eta),
+                        F_fine) / fine.shape[0]
+        worst = max(worst, float(np.linalg.norm(lat_sum - ref)))
+    return worst
+
+
+def _field_reference(bg, src, eta, T6, values, incident, x):
+    """Incident plus (omega/n) sum_c G_eta(x - src_c) T6 u_c, by 6x6 blocks."""
+    G = green_dyadic(bg, x[:, None, :] - src[None, :, :], eta=eta)
+    return (incident_six(bg, incident, x)
+            + bg.omega / src.shape[0] * np.einsum("pcij,cj->pi", G, values @ T6.T))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("eta", [0.1, 1.0])
+def test_distribution_matches_block_reference(bg, cfg, N, eta):
+    lat = build_lattice(N, cfg)
+    got = check_distribution(lat, bg, eta)
+    assert got == pytest.approx(_distribution_reference(lat, bg, eta), rel=1e-13)
+
+
+def test_distribution_single_site_has_no_neighbours(bg, cfg):
+    # one center: the lattice average is empty, so the statistic is the
+    # norm of the fine-grid integral alone
+    lat = build_lattice(1, cfg)
+    fine = cell_centers(4)
+    ref = np.einsum("cij,cj->i", green_dyadic(bg, fine - lat.centers[0], eta=1.0),
+                    foldy._smooth_test_pair(fine)) / fine.shape[0]
+    assert check_distribution(lat, bg, 1.0) == pytest.approx(float(np.linalg.norm(ref)),
+                                                             rel=1e-13)
+
+
+def test_lattice_and_volume_fields_match_block_reference(bg, lat2, state2):
+    pts = np.vstack([probe_ring(8, 3.0), [[0.5, 0.5, 0.5], [0.1, 0.9, 0.4]]])
+    got = eval_foldy_field(bg, lat2, state2, pts)
+    ref = _field_reference(bg, lat2.centers, state2.eta, state2.coupling, state2.values,
+                           WAVE, pts)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    hom = solve_homogenized_ls(bg, s_limit_tilde(bg, 1 / 6, 0.3), 4, 0.5, WAVE)
+    got = eval_homogenized_field(bg, hom, pts)
+    ref = _field_reference(bg, hom.centers, hom.eta, hom.coupling, hom.values, WAVE, pts)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_invertibility_stat_bruteforce(bg, lat2):
     got = uniform_invertibility_stat(lat2, bg)
     total = 0.0
