@@ -23,7 +23,7 @@ from .effective import (DiluteConfig, EffectiveError, effective_closed_form,
 from .foldy import (FoldyError, build_lattice, check_distribution, compare_homogenization,
                     eval_foldy_field, probe_ring, solve_foldy, uniform_invertibility_stat)
 from .mesh import MeshError, mesh_from_file
-from .np_spectral import (NPSpectrum, SpectralError, sphere_spectrum, spectral_decomposition,
+from .np_spectral import (NPSpectrum, SpectralError, mesh_spectrum, sphere_spectrum,
                           unit_ball_spectrum)
 from .polarization import (RootFindError, SingularModeError, drude_omega_for_eps,
                            find_resonance_root, mode_params, resonant_eps)
@@ -199,10 +199,7 @@ def build_spectrum(cfg):
         mesh = mesh_from_file(source)
     except (OSError, MeshError) as exc:
         raise ConfigError(f"cannot read mesh {source!r}: {exc}") from exc
-    from .np_spectral import assemble_np, assemble_single_layer
-    S = assemble_single_layer(mesh)
-    K = assemble_np(mesh)
-    return spectral_decomposition(S, K, mesh, mode_count=mode_count)
+    return mesh_spectrum(mesh, mode_count)
 
 
 def load_model(cfg) -> tuple[ChiralBackground, NPSpectrum, int, DiluteConfig]:

@@ -10,13 +10,15 @@ against it, which drives every dipole-level quantity downstream.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .mesh import TriMesh
+from .mesh import TriMesh, icosphere
 
 
 class SpectralError(RuntimeError):
@@ -91,6 +93,17 @@ class NPSpectrum:
     <phi, psi> = -integral(S[psi] * phi); ``moments`` are the normal
     moments taken against the same eigendensities rescaled to unit
     surface-L2 norm, which reproduces the closed-form unit-ball values.
+
+    Inside a degenerate cluster (the sphere's l = 1 triple, the torus's
+    pairs) the per-mode ``densities`` and ``moments`` are one orthonormal
+    basis of the cluster's eigenspace, and roundoff chooses which one: a
+    last-bit change of the operators can rotate or reorder them.  Only the
+    cluster quantities of ``clusters()`` (mean eigenvalue, moment tensor,
+    c_n) are meaningful, and they are what every program reader uses.
+
+    The arrays are read-only copies of the ones passed in, so a spectrum
+    shared between callers (see ``mesh_spectrum``) cannot be changed by
+    one of them, nor through the arrays it was built from.
     """
 
     eigenvalues: np.ndarray          # (n_modes,)
@@ -103,6 +116,10 @@ class NPSpectrum:
     _clusters: tuple[ModeCluster, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("eigenvalues", "densities", "moments", "residuals"):
+            arr = np.array(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "_clusters", _group_clusters(
             self.eigenvalues, self.moments, self.cluster_tol))
 
@@ -198,6 +215,7 @@ def _group_clusters(eigenvalues, moments, tol) -> tuple[ModeCluster, ...]:
             mm += np.outer(m, np.conj(m))
         if np.allclose(mm.imag, 0.0):
             mm = mm.real
+        mm.flags.writeable = False
         out.append(ModeCluster(
             eigenvalue=float(np.mean([eigenvalues[i] for i in idxs])),
             indices=tuple(int(i) for i in idxs),
@@ -317,10 +335,46 @@ def spectral_decomposition(
     )
 
 
-def sphere_spectrum(subdivisions: int = 3, mode_count: int = 8) -> NPSpectrum:
-    """Convenience: assemble and decompose an icosphere in one call."""
-    from .mesh import icosphere
+# Spectra kept by mesh_spectrum, most recently used last.  An entry holds
+# only the NPSpectrum (n_panels x mode_count densities, 192 kB for a
+# 1,600-panel mesh at 15 modes); S, K and the n^2 temporaries of the
+# decomposition are freed as usual.  A command that reads one mesh needs
+# one entry and the benchmark's particle sweep needs two; four also hold
+# two meshes at two mode counts, for well under a megabyte.
+_MEMO_ENTRIES = 4
+_MEMO: OrderedDict[str, NPSpectrum] = OrderedDict()
 
-    mesh = icosphere(subdivisions)
-    return spectral_decomposition(
-        assemble_single_layer(mesh), assemble_np(mesh), mesh, mode_count)
+
+def _memo_key(mesh: TriMesh, mode_count: int) -> str:
+    h = hashlib.sha256()
+    for a in (mesh.vertices, mesh.triangles):
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr(mode_count).encode())
+    return h.hexdigest()
+
+
+def mesh_spectrum(mesh: TriMesh, mode_count: int) -> NPSpectrum:
+    """Assemble S and K for ``mesh`` and decompose them, once per process.
+
+    The result is remembered for the last four distinct inputs (vertices,
+    triangles, ``mode_count``), so the commands that read the same mesh in
+    one process share one eigensolve.  A decomposition that raises is not
+    remembered.
+    """
+    key = _memo_key(mesh, mode_count)
+    spectrum = _MEMO.get(key)
+    if spectrum is None:
+        spectrum = spectral_decomposition(assemble_single_layer(mesh), assemble_np(mesh),
+                                          mesh, mode_count)
+        _MEMO[key] = spectrum
+        if len(_MEMO) > _MEMO_ENTRIES:
+            _MEMO.popitem(last=False)
+    else:
+        _MEMO.move_to_end(key)
+    return spectrum
+
+
+def sphere_spectrum(subdivisions: int = 3, mode_count: int = 8) -> NPSpectrum:
+    """Convenience: the spectrum of ``icosphere(subdivisions)``."""
+    return mesh_spectrum(icosphere(subdivisions), mode_count)

@@ -2,12 +2,15 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chiralmeta import np_spectral
 from chiralmeta.cli import main
+from chiralmeta.mesh import icosphere
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -27,6 +30,28 @@ def write(path, text):
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def write_off(path, vertices, triangles):
+    lines = ["OFF", f"{len(vertices)} {len(triangles)} 0"]
+    lines += [" ".join(repr(float(v)) for v in row) for row in vertices]
+    lines += ["3 " + " ".join(str(int(i)) for i in row) for row in triangles]
+    return write(path, "\n".join(lines) + "\n")
+
+
+@pytest.fixture()
+def decompositions(monkeypatch):
+    """An empty spectrum memo, and the mode_count of every spectral_decomposition call."""
+    monkeypatch.setattr(np_spectral, "_MEMO", OrderedDict())
+    calls = []
+    decompose = np_spectral.spectral_decomposition
+
+    def counted(S, K, mesh, mode_count=8, cluster_tol=1e-3):
+        calls.append(mode_count)
+        return decompose(S, K, mesh, mode_count, cluster_tol)
+
+    monkeypatch.setattr(np_spectral, "spectral_decomposition", counted)
+    return calls
 
 
 def declared_scripts():
@@ -110,11 +135,13 @@ def test_rerun_byte_identical_sweep(tmp_path, capsys):
         (b / "eff_sweep_summary.json").read_bytes()
 
 
-def test_rerun_byte_identical_spectrum(tmp_path, capsys):
+def test_rerun_byte_identical_spectrum(tmp_path, capsys, decompositions):
     cfg = write(tmp_path / "s.cfg", "subdivisions = 2\nmode_count = 8\n")
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["np-spectrum", "--config", cfg, "--out", str(a)]) == 0
+    np_spectral._MEMO.clear()
     assert main(["np-spectrum", "--config", cfg, "--out", str(b)]) == 0
+    assert decompositions == [8, 8]
     assert (a / "np_spectrum.json").read_bytes() == (b / "np_spectrum.json").read_bytes()
 
 
@@ -343,3 +370,55 @@ def test_deleted_keys_rejected(tmp_path, capsys, command, line):
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_mesh_spectrum_computed_once_per_process(tmp_path, capsys, decompositions):
+    mesh = icosphere(2)
+    off = write_off(tmp_path / "sphere.off", mesh.vertices, mesh.triangles)
+    probes = write(tmp_path / "probes.csv", PROBES_CSV)
+    cfg = write(tmp_path / "c.cfg",
+                f"mesh_source = {off}\nmode_count = 8\nbeta_m = 0.2\nvolume_scale = 0.5\n"
+                f"eps_c_re = -3\nprobes_file = {probes}\n")
+    commands = ("np-spectrum", "resonances", "dipole-field")
+    for command in commands:
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "shared" / command)]) == 0
+    assert decompositions == [8]
+    # each artifact is the one a process that starts from an empty memo writes
+    for command in commands:
+        np_spectral._MEMO.clear()
+        fresh = tmp_path / "fresh" / command
+        assert main([command, "--config", cfg, "--out", str(fresh)]) == 0
+        shared = tmp_path / "shared" / command
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(p.name for p in shared.iterdir())
+        for name in names:
+            assert (fresh / name).read_bytes() == (shared / name).read_bytes(), name
+    assert len(decompositions) == 4
+
+
+def test_mesh_spectrum_memo_key(tmp_path, capsys, decompositions):
+    mesh = icosphere(2)
+    off = tmp_path / "m.off"
+
+    def np_spectrum(mode_count):
+        cfg = write(tmp_path / "c.cfg", f"mesh_source = {off}\nmode_count = {mode_count}\n")
+        out = tmp_path / f"out{len(list(tmp_path.glob('out*')))}"
+        rc = main(["np-spectrum", "--config", cfg, "--out", str(out)])
+        return rc, (out / "np_spectrum.json").read_bytes() if rc == 0 else None
+
+    write_off(off, mesh.vertices, mesh.triangles)
+    rc, first = np_spectrum(8)
+    assert rc == 0 and decompositions == [8]
+    assert np_spectrum(8) == (0, first) and decompositions == [8]
+    # the same path with another mesh is another spectrum
+    write_off(off, 1.5 * mesh.vertices, mesh.triangles)
+    rc, scaled = np_spectrum(8)
+    assert rc == 0 and scaled != first and decompositions == [8, 8]
+    write_off(off, mesh.vertices, mesh.triangles)
+    assert np_spectrum(8) == (0, first) and decompositions == [8, 8]
+    assert np_spectrum(6)[0] == 0 and decompositions == [8, 8, 6]
+    # a failed decomposition is not remembered: it fails again, and recomputes
+    assert np_spectrum(mesh.n_panels)[0] == 3
+    assert np_spectrum(mesh.n_panels)[0] == 3
+    assert decompositions == [8, 8, 6, mesh.n_panels, mesh.n_panels]
+    assert "mode_count must be in" in capsys.readouterr().err

@@ -1,10 +1,14 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+from chiralmeta import np_spectral
 from chiralmeta.mesh import icosphere
 from chiralmeta.np_spectral import (SpectralError, _householder_vector, _reflect_sym,
-                                    assemble_np, assemble_single_layer, spectral_decomposition,
-                                    spectrum_from_json, sphere_spectrum, unit_ball_spectrum)
+                                    assemble_np, assemble_single_layer, mesh_spectrum,
+                                    spectral_decomposition, spectrum_from_json, sphere_spectrum,
+                                    unit_ball_spectrum)
 
 C1 = 4 * np.pi / 27  # isotropic moment constant of the dipole cluster
 
@@ -200,3 +204,48 @@ def test_reflect_sym_matches_explicit_reflector(rng):
     expect = (P @ M @ P)[1:, 1:]
     got = _reflect_sym(M, v)
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def test_spectrum_arrays_read_only(tmp_path, sphere_spec3, ball_spectrum):
+    path = tmp_path / "spec.json"
+    sphere_spec3.save(str(path))
+    for spec in (sphere_spec3, spectrum_from_json(str(path)), ball_spectrum):
+        for name in ("eigenvalues", "densities", "moments", "residuals"):
+            arr = getattr(spec, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = arr
+        for cluster in spec.clusters():
+            with pytest.raises(ValueError, match="read-only"):
+                cluster.moment_tensor[...] = cluster.moment_tensor
+
+
+def test_spectrum_keeps_value_after_caller_write():
+    arrays = {"eigenvalues": np.array([0.3, 0.1]), "densities": np.ones((4, 2)),
+              "moments": np.eye(2, 3), "residuals": np.full(2, 1e-9)}
+    spec = np_spectral.NPSpectrum(**arrays, gram_certificate=0.0, dropped_eigenvalue=0.5)
+    tensors = [c.moment_tensor.copy() for c in spec.clusters()]
+    for arr in arrays.values():
+        arr[...] = 7.0  # the caller's arrays stay writable
+    assert np.array_equal(spec.eigenvalues, [0.3, 0.1])
+    assert np.array_equal(spec.densities, np.ones((4, 2)))
+    assert np.array_equal(spec.moments, np.eye(2, 3))
+    assert np.array_equal(spec.residuals, np.full(2, 1e-9))
+    assert [c.eigenvalue for c in spec.clusters()] == [0.3, 0.1]
+    for cluster, tensor in zip(spec.clusters(), tensors):
+        assert np.array_equal(cluster.moment_tensor, tensor)
+
+
+def test_mesh_spectrum_matches_decomposition_and_keeps_four(monkeypatch, ico3, sphere_spec3):
+    monkeypatch.setattr(np_spectral, "_MEMO", OrderedDict())
+    spec = mesh_spectrum(ico3, 15)
+    assert mesh_spectrum(ico3, 15) is spec
+    for name in ("eigenvalues", "densities", "moments", "residuals"):
+        assert np.array_equal(getattr(spec, name), getattr(sphere_spec3, name))
+    # least recently used first out: after mode_count 1 is read again, a
+    # fifth input evicts mode_count 2
+    mesh = icosphere(1)
+    first = [mesh_spectrum(mesh, k) for k in (1, 2, 3, 4)]
+    assert mesh_spectrum(mesh, 1) is first[0]
+    mesh_spectrum(mesh, 5)
+    assert mesh_spectrum(mesh, 1) is first[0]
+    assert mesh_spectrum(mesh, 2) is not first[1]
