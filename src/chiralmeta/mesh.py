@@ -22,8 +22,9 @@ class TriMesh:
         Vertex indices, counter-clockwise seen from outside.
 
     Per-panel centroids, unit normals and areas are derived on
-    construction.  Construction validates closedness (every edge shared
-    by exactly two triangles), strictly positive panel areas and a
+    construction.  Construction validates closedness and consistent
+    orientation (every edge shared by exactly two triangles that traverse
+    it in opposite directions), strictly positive panel areas and a
     positive enclosed volume.
     """
 
@@ -62,16 +63,27 @@ class TriMesh:
             raise MeshError("mesh is not outward oriented (signed volume <= 0)")
 
     def _check_closed(self) -> None:
-        edges = {}
-        for f, (i, j, k) in enumerate(self.triangles):
-            for e in ((i, j), (j, k), (k, i)):
-                key = (min(e), max(e))
-                edges[key] = edges.get(key, 0) + 1
-        bad = [e for e, n in edges.items() if n != 2]
-        if bad:
+        """Every edge is shared by exactly two triangles, which traverse it in
+        opposite directions (a closed, consistently oriented surface)."""
+        n = len(self.vertices)
+        i = self.triangles.ravel()
+        j = self.triangles[:, [1, 2, 0]].ravel()   # directed edges (i, j), (j, k), (k, i)
+        edges, slot, counts = np.unique(np.minimum(i, j) * n + np.maximum(i, j),
+                                        return_inverse=True, return_counts=True)
+        bad = edges[counts != 2]
+        if len(bad):
             raise MeshError(
                 f"mesh is not watertight: {len(bad)} edge(s) not shared by "
-                f"exactly two triangles, e.g. {bad[0]}"
+                f"exactly two triangles, e.g. {divmod(int(bad[0]), n)}"
+            )
+        # +1 for each traversal from the lower to the higher vertex index, -1
+        # back: a pair of opposite traversals sums to zero
+        flow = np.bincount(slot, weights=np.where(i < j, 1.0, -1.0), minlength=len(edges))
+        bad = edges[flow != 0]
+        if len(bad):
+            raise MeshError(
+                f"mesh is not consistently oriented: {len(bad)} edge(s) traversed "
+                f"in the same direction by both triangles, e.g. {divmod(int(bad[0]), n)}"
             )
 
     @property

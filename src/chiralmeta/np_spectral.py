@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.spatial.distance import cdist
 
 from .mesh import TriMesh, icosphere
 
@@ -30,24 +31,23 @@ def assemble_single_layer(mesh: TriMesh) -> np.ndarray:
 
     The kernel is -1/(4*pi*|x-y|); entry (i, j) carries panel j's area as
     the quadrature weight, and the self term is the analytic potential of
-    a flat disk of equal area evaluated at its center.  The matrix is
-    self-adjoint in the panel-area inner product: diag(areas) @ S is
-    symmetric exactly.
+    a flat disk of equal area evaluated at its center.  The kernel matrix
+    S / areas[None, :] is symmetric, so diag(areas) @ S is symmetric only
+    up to the rounding of its entries (about 1e-16 relative);
+    ``spectral_decomposition`` symmetrizes it before use.
     """
-    c = mesh.centroids
     w = mesh.areas
-    d = c[:, None, :] - c[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
     n = len(w)
-    off = ~np.eye(n, dtype=bool)
-    if np.min(r[off]) < 1e-12:
-        i, j = divmod(int(np.argmin(np.where(off, r, np.inf))), n)
+    S = cdist(mesh.centroids, mesh.centroids)   # |c_i - c_j|, no (n, n, 3) array
+    diag = np.diag_indices(n)
+    S[diag] = np.inf
+    if S.min() < 1e-12:
+        i, j = divmod(int(np.argmin(S)), n)
         raise SpectralError(f"coincident panel centroids {i} and {j}")
-    S = np.zeros((n, n))
-    S[off] = -(w[None, :] * np.ones((n, 1)))[off] / (4.0 * np.pi * r[off])
+    np.divide(-w / (4.0 * np.pi), S, out=S)
     # disk of equal area: potential at center is radius/2 (with the sign
     # convention of the kernel above)
-    S[np.diag_indices(n)] = -0.5 * np.sqrt(w / np.pi)
+    S[diag] = -0.5 * np.sqrt(w / np.pi)
     return S
 
 
@@ -63,15 +63,22 @@ def assemble_np(mesh: TriMesh) -> np.ndarray:
     w = mesh.areas
     nu = mesh.normals
     n = len(w)
-    d = c[:, None, :] - c[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-    num = np.einsum("ijk,ik->ij", d, nu)  # (c_i - c_j) . nu_i
+    # (c_i - c_j) . nu_i one axis at a time, with no (n, n, 3) array
     K = np.zeros((n, n))
-    off = ~np.eye(n, dtype=bool)
-    K[off] = (w[None, :] * np.ones((n, 1)))[off] * num[off] / (4.0 * np.pi * r[off] ** 3)
+    d = np.empty((n, n))
+    for k in range(3):
+        np.subtract.outer(c[:, k], c[:, k], out=d)
+        d *= nu[:, k, None]
+        K += d
+    diag = np.diag_indices(n)
+    r = cdist(c, c)
+    r[diag] = np.inf   # zero self term; the Gauss identity sets it below
+    np.multiply(r, r, out=d)
+    d *= r
+    np.divide(w / (4.0 * np.pi), d, out=d)
+    K *= d
     # Column condition: sum_j w_j K[j, i] = w_i / 2  for every i.
-    colsum = np.einsum("j,ji->i", w, np.where(off, K, 0.0))
-    K[np.diag_indices(n)] = 0.5 - colsum / w
+    K[diag] = 0.5 - (w @ K) / w
     return K
 
 
@@ -128,7 +135,8 @@ class NPSpectrum:
         return len(self.eigenvalues)
 
     def clusters(self) -> tuple[ModeCluster, ...]:
-        """Eigenvalue clusters ordered by isotropic moment strength."""
+        """Eigenvalue clusters ordered by isotropic moment strength, then
+        eigenvalue (descending); c_n under 1e-4 of the largest ranks as zero."""
         return self._clusters
 
     def to_json_dict(self) -> dict:
@@ -222,7 +230,12 @@ def _group_clusters(eigenvalues, moments, tol) -> tuple[ModeCluster, ...]:
             moment_tensor=mm,
             c_n=float(np.real(np.trace(mm)) / 3.0),
         ))
-    out.sort(key=lambda cl: (-cl.c_n, -cl.eigenvalue))
+    # As in the mode selection, a moment under 1% of the largest (c_n under
+    # 1e-4 of the largest) is discretization noise and ranks as zero, so the
+    # moment-free clusters keep their eigenvalue order instead of the order
+    # of their roundoff-level c_n.
+    floor = 1e-4 * max((cl.c_n for cl in out), default=0.0)
+    out.sort(key=lambda cl: (-(cl.c_n if cl.c_n >= floor else 0.0), -cl.eigenvalue))
     return tuple(out)
 
 
@@ -245,7 +258,11 @@ def _reflect_sym(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     Mv = M @ v
     z = (Mv - (v @ Mv) * v)[1:]
     v1 = v[1:]
-    return M[1:, 1:] - 2.0 * (np.outer(v1, z) + np.outer(z, v1))
+    B = np.outer(v1, z)
+    B += np.outer(z, v1)
+    B *= -2.0
+    B += M[1:, 1:]
+    return B
 
 
 def spectral_decomposition(
@@ -258,7 +275,8 @@ def spectral_decomposition(
     """Diagonalize the NP operator in the single-layer energy metric.
 
     The generalized symmetric pencil uses the Gram matrix
-    G = -diag(areas) @ S (symmetric positive definite here) and the
+    G = -diag(areas) @ S, symmetrized as (G + G^T) / 2 because the product
+    is symmetric only up to rounding (positive definite here), and the
     symmetrized form (G K + K^T G) / 2, restricted to the subspace of
     densities with zero area-weighted mean.  Modes are sorted by normal
     moment magnitude (descending), then eigenvalue (descending), and the
@@ -270,34 +288,32 @@ def spectral_decomposition(
     w = mesh.areas
     G = -(w[:, None] * S)
     G = 0.5 * (G + G.T)
-    GK = G @ K
-    A = 0.5 * (GK + GK.T)   # K^T G = (G K)^T as G is symmetric
+    A = G @ K
+    A = 0.5 * (A + A.T)   # K^T G = (G K)^T as G is symmetric
 
     v = _householder_vector(w)
     Gp = _reflect_sym(G, v)
     Ap = _reflect_sym(A, v)
+    del A   # not needed past its reflection; freeing it lowers eigh's peak memory
     try:
-        # the Cholesky factorization inside eigh is the positive-definiteness check
-        lam, Y = scipy.linalg.eigh(Ap, Gp)
+        # The Cholesky factorization inside eigh is the positive-definiteness
+        # check.  Both matrices are exactly symmetric, so their transposes are
+        # the same matrices in LAPACK's column order and eigh overwrites them
+        # instead of copying.
+        lam, Y = scipy.linalg.eigh(Ap.T, Gp.T, overwrite_a=True, overwrite_b=True)
     except scipy.linalg.LinAlgError as exc:
         raise SpectralError(
             "energy Gram matrix is not positive definite on the mean-zero "
             "subspace; the discretization is too ill-conditioned") from exc
-    Yfull = np.vstack([np.zeros((1, Y.shape[1])), Y])
-    Phi = Yfull - 2.0 * np.outer(v, v @ Yfull)   # G-orthonormal, exactly mean-zero
+    # Phi = P [0; Y]: G-orthonormal, exactly mean-zero
+    Phi = np.zeros((n, n - 1), order="F")
+    Phi[1:] = Y
+    Phi = scipy.linalg.blas.dger(-2.0, v, v[1:] @ Y, a=Phi, overwrite_a=True)
 
     # normal moments against unit-L2 eigendensities: three row vectors
     # -(w nu)^T S applied to the densities, not S applied to all of them
     mom = (-((w[:, None] * mesh.normals).T @ S) @ Phi).T   # (n-1, 3)
-    l2 = np.sqrt(np.einsum("im,i,im->m", Phi, w, Phi))
-    mom = mom / l2[:, None]
-
-    # canonical sign: largest-|entry| component of each density positive
-    lead = np.argmax(np.abs(Phi), axis=0)
-    signs = np.sign(Phi[lead, np.arange(Phi.shape[1])])
-    signs[signs == 0] = 1.0
-    Phi *= signs
-    mom *= signs[:, None]
+    mom /= np.sqrt(np.einsum("im,i,im->m", Phi, w, Phi))[:, None]
 
     # Sort by moment magnitude (descending), then eigenvalue (descending).
     # Moments below 1% of the largest are discretization noise and rank as
@@ -305,24 +321,28 @@ def spectral_decomposition(
     mnorm = np.linalg.norm(mom, axis=1)
     qnorm = np.where(mnorm >= 0.01 * mnorm.max(), mnorm, 0.0)
     order = np.lexsort((-lam, -qnorm))[:mode_count]
-
     lam_r = lam[order]
     Phi_r = Phi[:, order]
     mom_r = mom[order]
-    resid = np.empty(mode_count)
-    for k in range(mode_count):
-        r = K @ Phi_r[:, k] - lam_r[k] * Phi_r[:, k]
-        resid[k] = np.sqrt(max(float(r @ G @ r), 0.0))
-    gram = Phi_r.T @ G @ Phi_r
+
+    # canonical sign: largest-|entry| component of each density positive
+    signs = np.sign(Phi_r[np.argmax(np.abs(Phi_r), axis=0), np.arange(mode_count)])
+    signs[signs == 0] = 1.0
+    Phi_r *= signs
+    mom_r *= signs[:, None]
+
+    R = K @ Phi_r - lam_r * Phi_r
+    resid = np.sqrt(np.maximum(np.einsum("im,im->m", R, G @ R), 0.0))
+    gram = Phi_r.T @ (G @ Phi_r)
     cert = float(np.max(np.abs(gram - np.eye(mode_count))))
 
-    # The eigenvalue near 1/2 lives outside the mean-zero subspace
-    # (equilibrium density); report its Rayleigh quotient.
-    try:
-        psi_eq = np.linalg.solve(S, -np.ones(n))
-        dropped = float((psi_eq @ A @ psi_eq) / (psi_eq @ G @ psi_eq))
-    except np.linalg.LinAlgError:
-        dropped = float("nan")
+    # The eigenvalue near 1/2 lives outside the mean-zero subspace; report
+    # the Rayleigh quotient of its (equilibrium) density.  That density
+    # solves G psi = w, so it is G-orthogonal to every mean-zero density and
+    # is proportional to 1 minus the G-projection of 1 onto span(Phi).
+    psi = 1.0 - Phi @ (Phi.T @ G.sum(axis=1))
+    Gpsi = G @ psi
+    dropped = float((Gpsi @ (K @ psi)) / (Gpsi @ psi))
 
     return NPSpectrum(
         eigenvalues=lam_r,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,3 +145,20 @@ def test_degenerate_panel_rejected():
 def test_inward_mesh_rejected_without_fix():
     with pytest.raises(MeshError, match="oriented"):
         TriMesh(_CUBE_VERTS, _CUBE_TRIS[:, ::-1])
+
+
+def test_single_reversed_panel_rejected():
+    # the undirected edge counts and the signed volume both pass; only the
+    # directed edges show the inward panel
+    mesh = icosphere(2)
+    tris = mesh.triangles.copy()
+    tris[5] = tris[5][::-1]
+    with pytest.raises(MeshError, match=r"not consistently oriented: 3 edge\(s\)") as err:
+        TriMesh(mesh.vertices, tris)
+    named = {int(k) for k in re.findall(r"\d+", str(err.value).split("e.g.")[1])}
+    assert named <= set(tris[5].tolist())
+
+
+def test_open_mesh_message():
+    with pytest.raises(MeshError, match=r"not watertight: 3 edge\(s\) .* e\.g\. \(\d+, \d+\)$"):
+        TriMesh(_CUBE_VERTS, _CUBE_TRIS[:-1])

@@ -1,10 +1,12 @@
 from collections import OrderedDict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chiralmeta import np_spectral
-from chiralmeta.mesh import icosphere
+from chiralmeta.mesh import TriMesh, icosphere
 from chiralmeta.np_spectral import (SpectralError, _householder_vector, _reflect_sym,
                                     assemble_np, assemble_single_layer, mesh_spectrum,
                                     spectral_decomposition, spectrum_from_json, sphere_spectrum,
@@ -249,3 +251,190 @@ def test_mesh_spectrum_matches_decomposition_and_keeps_four(monkeypatch, ico3, s
     mesh_spectrum(mesh, 5)
     assert mesh_spectrum(mesh, 1) is first[0]
     assert mesh_spectrum(mesh, 2) is not first[1]
+
+
+def small_torus(n_around=16, n_tube=8, major=1.0, minor=0.4):
+    """Torus about the z axis, 2 * n_around * n_tube outward panels."""
+    u = 2 * np.pi * np.arange(n_around) / n_around
+    v = 2 * np.pi * np.arange(n_tube) / n_tube
+    U, V = np.meshgrid(u, v, indexing="ij")
+    ring = major + minor * np.cos(V)
+    verts = np.stack([ring * np.cos(U), ring * np.sin(U), minor * np.sin(V)], -1).reshape(-1, 3)
+    i, j = np.meshgrid(np.arange(n_around), np.arange(n_tube), indexing="ij")
+    a, d = i * n_tube + j, i * n_tube + (j + 1) % n_tube
+    b, c = (i + 1) % n_around * n_tube + j, (i + 1) % n_around * n_tube + (j + 1) % n_tube
+    tris = np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], -2).reshape(-1, 3)
+    return TriMesh(verts, tris)
+
+
+# Reference assembly through (n, n, 3) centroid differences and off-diagonal
+# masks: the formulas the axis-by-axis assemblers must reproduce.
+def reference_single_layer(mesh):
+    c, w = mesh.centroids, mesh.areas
+    n = len(w)
+    d = c[:, None, :] - c[None, :, :]
+    r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+    off = ~np.eye(n, dtype=bool)
+    if np.min(r[off]) < 1e-12:
+        i, j = divmod(int(np.argmin(np.where(off, r, np.inf))), n)
+        raise SpectralError(f"coincident panel centroids {i} and {j}")
+    S = np.zeros((n, n))
+    S[off] = -(w[None, :] * np.ones((n, 1)))[off] / (4.0 * np.pi * r[off])
+    S[np.diag_indices(n)] = -0.5 * np.sqrt(w / np.pi)
+    return S
+
+
+def reference_np(mesh):
+    c, w, nu = mesh.centroids, mesh.areas, mesh.normals
+    n = len(w)
+    d = c[:, None, :] - c[None, :, :]
+    r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+    num = np.einsum("ijk,ik->ij", d, nu)
+    K = np.zeros((n, n))
+    off = ~np.eye(n, dtype=bool)
+    K[off] = (w[None, :] * np.ones((n, 1)))[off] * num[off] / (4.0 * np.pi * r[off] ** 3)
+    colsum = np.einsum("j,ji->i", w, np.where(off, K, 0.0))
+    K[np.diag_indices(n)] = 0.5 - colsum / w
+    return K
+
+
+def reference_gram(mesh, S):
+    G = -(mesh.areas[:, None] * S)
+    return 0.5 * (G + G.T)
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: icosphere(2), small_torus],
+                         ids=["icosphere2", "torus256"])
+def test_assembly_matches_reference_formulas(make_mesh):
+    mesh = make_mesh()
+    for got, ref in ((assemble_single_layer(mesh), reference_single_layer(mesh)),
+                     (assemble_np(mesh), reference_np(mesh))):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_coincident_centroids_message():
+    mesh = icosphere(1)
+    c = mesh.centroids.copy()
+    c[7] = c[3]
+    fake = SimpleNamespace(centroids=c, areas=mesh.areas)
+    for assemble in (assemble_single_layer, reference_single_layer):
+        with pytest.raises(SpectralError, match=r"^coincident panel centroids 3 and 7$"):
+            assemble(fake)
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: icosphere(2), small_torus],
+                         ids=["icosphere2", "torus256"])
+def test_np_gauss_column_condition(make_mesh):
+    # sum_j w_j K_ji = w_i / 2 for every column i
+    mesh = make_mesh()
+    w = mesh.areas
+    assert np.abs((w @ assemble_np(mesh)) / w - 0.5).max() <= 1e-14
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: icosphere(2), small_torus],
+                         ids=["icosphere2", "torus256"])
+def test_eigh_receives_exactly_symmetric_pencil(monkeypatch, make_mesh):
+    # diag(areas) @ S is symmetric only to rounding; the pencil handed to
+    # eigh is exactly symmetric
+    mesh = make_mesh()
+    S = assemble_single_layer(mesh)
+    G = -(mesh.areas[:, None] * S)
+    assert np.abs(G - G.T).max() <= 1e-15 * np.abs(G).max()
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def checked(a, b, **kwargs):
+        seen.append(np.array_equal(a, a.T) and np.array_equal(b, b.T))
+        return eigh(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", checked)
+    spectral_decomposition(S, assemble_np(mesh), mesh, mode_count=8)
+    assert seen == [True]
+
+
+def test_dropped_eigenvalue_matches_equilibrium_solve(ico3, sk3, sphere_spec3):
+    S, K = sk3
+    G = reference_gram(ico3, S)
+    A = 0.5 * (G @ K + K.T @ G)
+    psi = np.linalg.solve(S, -np.ones(ico3.n_panels))
+    ref = (psi @ A @ psi) / (psi @ G @ psi)
+    assert abs(sphere_spec3.dropped_eigenvalue - ref) <= 1e-12
+
+
+def test_residuals_match_per_mode_loop(ico3, sk3, sphere_spec3):
+    S, K = sk3
+    G = reference_gram(ico3, S)
+    Phi, lam = sphere_spec3.densities, sphere_spec3.eigenvalues
+    ref = []
+    for k in range(sphere_spec3.n_modes):
+        r = K @ Phi[:, k] - lam[k] * Phi[:, k]
+        ref.append(np.sqrt(max(float(r @ G @ r), 0.0)))
+    assert np.allclose(sphere_spec3.residuals, ref, rtol=1e-12, atol=0.0)
+
+
+def test_density_sign_convention(sphere_spec3):
+    # the largest-|entry| component of each retained density is positive
+    Phi = sphere_spec3.densities
+    lead = Phi[np.argmax(np.abs(Phi), axis=0), np.arange(Phi.shape[1])]
+    assert np.all(lead > 0)
+
+
+def test_spectrum_matches_reference_decomposition(ico3, sk3, sphere_spec3):
+    # the decomposition written out with the explicit reflector, full-matrix
+    # products and a moment ranking over all modes
+    S, K = sk3
+    n, w = ico3.n_panels, ico3.areas
+    G = reference_gram(ico3, S)
+    A = 0.5 * (G @ K + K.T @ G)
+    v = _householder_vector(w)
+    P = np.eye(n) - 2.0 * np.outer(v, v)
+    lam, Y = scipy.linalg.eigh((P @ A @ P)[1:, 1:], (P @ G @ P)[1:, 1:])
+    Phi = P[:, 1:] @ Y
+    l2 = np.sqrt(np.einsum("im,i,im->m", Phi, w, Phi))
+    mom = -np.einsum("i,ic,im->mc", w, ico3.normals, S @ Phi) / l2[:, None]
+    mnorm = np.linalg.norm(mom, axis=1)
+    qnorm = np.where(mnorm >= 0.01 * mnorm.max(), mnorm, 0.0)
+    order = np.lexsort((-lam, -qnorm))[:sphere_spec3.n_modes]
+    assert np.abs(sphere_spec3.eigenvalues - lam[order]).max() <= 1e-12
+    ref = np_spectral.NPSpectrum(eigenvalues=lam[order], densities=Phi[:, order],
+                                 moments=mom[order], residuals=np.zeros(len(order)),
+                                 gram_certificate=0.0, dropped_eigenvalue=0.5)
+    got = sphere_spec3.clusters()
+    assert [sorted(c.indices) for c in got] == [sorted(c.indices) for c in ref.clusters()]
+    for a, b in zip(got, ref.clusters()):
+        assert abs(a.eigenvalue - b.eigenvalue) <= 1e-12
+        assert np.abs(a.moment_tensor - b.moment_tensor).max() <= 1e-12
+
+
+def test_moment_free_clusters_in_eigenvalue_order():
+    # c_n at roundoff level ranks as zero, so the order of moment-free
+    # clusters does not follow their roundoff
+    spec = np_spectral.NPSpectrum(
+        eigenvalues=np.array([0.3, 0.2, 0.1]), densities=np.zeros((0, 3)),
+        moments=np.array([[1.0, 0, 0], [1e-17, 0, 0], [2e-17, 0, 0]]),
+        residuals=np.zeros(3), gram_certificate=0.0, dropped_eigenvalue=0.5)
+    assert [c.eigenvalue for c in spec.clusters()] == [0.3, 0.2, 0.1]
+    lams = [c.eigenvalue for c in sphere_spectrum(subdivisions=2, mode_count=15).clusters()]
+    assert lams[1:] == sorted(lams[1:], reverse=True)
+
+
+def test_mesh_spectrum_fires_each_traced_stage_once(monkeypatch):
+    # the benchmark's tracer wraps these four names; each must run exactly
+    # once for a spectrum that is not yet remembered
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("assemble_single_layer", "assemble_np", "spectral_decomposition"):
+        count(np_spectral, name)
+    count(scipy.linalg, "eigh")
+    monkeypatch.setattr(np_spectral, "_MEMO", OrderedDict())
+    mesh_spectrum(icosphere(1), 8)
+    assert calls == {"assemble_single_layer": 1, "assemble_np": 1,
+                     "spectral_decomposition": 1, "eigh": 1}
