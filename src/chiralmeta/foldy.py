@@ -13,7 +13,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
 from .background import (ChiralBackground, PlaneWaveSpec, green_apply, green_dyadic,
@@ -200,25 +199,30 @@ def _dense_system(blocks: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def _fft_apply(blocks: np.ndarray, cells: np.ndarray):
-    """u -> K u over the cells with integer grid indices ``cells``, as a
-    linear convolution by a zero-padded (2n)^3 FFT: O(n^3 log n) per
-    product."""
+    """u -> K u over the cells with integer grid indices ``cells`` (all in
+    [0, n)^3), as a linear convolution by a zero-padded (2n)^3 FFT:
+    O(n^3 log n) per product.  A product transforms one axis at a time,
+    so it skips the lines that hold only padding on the way in and the
+    lines that no cell reads on the way out: 7/12 of the work of a full
+    (2n)^3 transform each way."""
     n = (blocks.shape[0] + 1) // 2
     L = 2 * n
-    axes = (0, 1, 2)
     # circular embedding: offset d sits at d mod L; offset +-n stays zero
     wrap = np.arange(-(n - 1), n) % L
     c = np.zeros((L, L, L, 6, 6), dtype=complex)
     c[np.ix_(wrap, wrap, wrap)] = blocks
-    c_hat = scipy.fft.fftn(c, axes=axes)
+    c_hat = np.fft.fftn(c, axes=(0, 1, 2))
     at = tuple(cells.T)
 
     def apply(u: np.ndarray) -> np.ndarray:
-        pad = np.zeros((L, L, L, 6), dtype=complex)
-        pad[at] = u.reshape(-1, 6)
-        u_hat = scipy.fft.fftn(pad, axes=axes)
-        v = scipy.fft.ifftn(np.einsum("...ij,...j->...i", c_hat, u_hat), axes=axes)
-        return v[at].reshape(-1)
+        g = np.zeros((n, n, n, 6), dtype=complex)
+        g[at] = u.reshape(-1, 6)
+        for axis in (2, 1, 0):   # fft(..., n=L) zero-pads the axis to L
+            g = np.fft.fft(g, n=L, axis=axis)
+        g = np.einsum("...ij,...j->...i", c_hat, g)
+        for axis in (0, 1, 2):   # only the first n outputs of an axis are read
+            g = np.fft.ifft(g, axis=axis)[(slice(None),) * axis + (slice(n),)]
+        return g[at].reshape(-1)
 
     return apply
 

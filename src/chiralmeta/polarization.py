@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .background import ChiralBackground, mat2x2, matmul2x2
 from .mesh import TriMesh, signed_volume
@@ -246,7 +245,10 @@ def find_resonance_root(bg: ChiralBackground, lambda_n: float,
     """Locate the permittivity zero of the mode response determinant.
 
     The real ``bracket`` must hold a sign change of the objective (which
-    is real for real permittivity); Brent's method finds the root in it.
+    is real for real permittivity).  Bisection halves it until its ends
+    are adjacent floats, keeping the end whose objective has the sign of
+    f(bracket[0]): the returned r has f(r) = 0 or a sign change between r
+    and the next float towards bracket[1].
     """
     f = _mode_objective(bg, lambda_n)
     a, b = float(bracket[0]), float(bracket[1])
@@ -254,7 +256,19 @@ def find_resonance_root(bg: ChiralBackground, lambda_n: float,
     if fa * fb > 0:
         raise RootFindError(
             f"no sign change on bracket [{a}, {b}]: f(a) = {fa:.3e}, f(b) = {fb:.3e}")
-    root = complex(brentq(lambda x: f(x).real, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200))
-    if abs(f(root)) > 1e-10:
-        raise RootFindError(f"root candidate {root} has |objective| = {abs(f(root)):.3e} > 1e-10")
+    if fb == 0:
+        a, fa = b, fb
+    while fa != 0:
+        m = a + 0.5 * (b - a)
+        if m == a or m == b:
+            break
+        fm = f(m).real
+        if fm == 0 or (fm < 0) == (fa < 0):
+            a, fa = m, fm
+        else:
+            b = m
+    root = complex(a)
+    residual = abs(f(root))
+    if residual > 1e-10:
+        raise RootFindError(f"root candidate {root} has |objective| = {residual:.3e} > 1e-10")
     return root

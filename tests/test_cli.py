@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -93,6 +94,21 @@ def test_console_script_help():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: chiralmeta")
+
+
+def test_import_loads_only_scipy_linalg():
+    # A fresh interpreter with the source tree on PYTHONPATH, as every CLI
+    # invocation starts: importing the CLI may load scipy.linalg, and no
+    # other scipy subpackage, so start-up pays for no module it does not use.
+    code = ("import sys, chiralmeta.cli\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    loaded = out.stdout.split()
+    assert "scipy.linalg" in loaded
+    for sub in ("optimize", "fft", "spatial", "sparse", "special"):
+        assert not [m for m in loaded if m.split(".")[1] == sub], sub
 
 
 def test_preset_right_panel(tmp_path, capsys):

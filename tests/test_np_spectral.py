@@ -6,11 +6,12 @@ import pytest
 import scipy.linalg
 
 from chiralmeta import np_spectral
-from chiralmeta.mesh import TriMesh, icosphere
+from chiralmeta.mesh import icosphere
 from chiralmeta.np_spectral import (SpectralError, _householder_vector, _reflect_sym,
                                     assemble_np, assemble_single_layer, mesh_spectrum,
                                     spectral_decomposition, spectrum_from_json, sphere_spectrum,
                                     unit_ball_spectrum)
+from _meshes import small_torus
 
 C1 = 4 * np.pi / 27  # isotropic moment constant of the dipole cluster
 
@@ -253,20 +254,6 @@ def test_mesh_spectrum_matches_decomposition_and_keeps_four(monkeypatch, ico3, s
     assert mesh_spectrum(mesh, 2) is not first[1]
 
 
-def small_torus(n_around=16, n_tube=8, major=1.0, minor=0.4):
-    """Torus about the z axis, 2 * n_around * n_tube outward panels."""
-    u = 2 * np.pi * np.arange(n_around) / n_around
-    v = 2 * np.pi * np.arange(n_tube) / n_tube
-    U, V = np.meshgrid(u, v, indexing="ij")
-    ring = major + minor * np.cos(V)
-    verts = np.stack([ring * np.cos(U), ring * np.sin(U), minor * np.sin(V)], -1).reshape(-1, 3)
-    i, j = np.meshgrid(np.arange(n_around), np.arange(n_tube), indexing="ij")
-    a, d = i * n_tube + j, i * n_tube + (j + 1) % n_tube
-    b, c = (i + 1) % n_around * n_tube + j, (i + 1) % n_around * n_tube + (j + 1) % n_tube
-    tris = np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], -2).reshape(-1, 3)
-    return TriMesh(verts, tris)
-
-
 # Reference assembly through (n, n, 3) centroid differences and off-diagonal
 # masks: the formulas the axis-by-axis assemblers must reproduce.
 def reference_single_layer(mesh):
@@ -320,6 +307,31 @@ def test_coincident_centroids_message():
     for assemble in (assemble_single_layer, reference_single_layer):
         with pytest.raises(SpectralError, match=r"^coincident panel centroids 3 and 7$"):
             assemble(fake)
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: icosphere(2), small_torus],
+                         ids=["icosphere2", "torus256"])
+def test_assembly_bit_identical_to_cdist_distances(make_mesh):
+    # The assemblers once took |c_i - c_j| from scipy's cdist; the numpy
+    # distances must equal it bit for bit, and S and K built on it in the
+    # same operation order (r * r * r for K) must come out unchanged, so
+    # the spectrum artifacts stay byte-identical.
+    from scipy.spatial.distance import cdist   # reference only
+    mesh = make_mesh()
+    c, w, nu = mesh.centroids, mesh.areas, mesh.normals
+    diag = np.diag_indices(len(w))
+    r = cdist(c, c)
+    assert np.array_equal(np_spectral._centroid_distances(c), r)
+    r[diag] = np.inf
+    S = (-w / (4.0 * np.pi)) / r
+    S[diag] = -0.5 * np.sqrt(w / np.pi)
+    assert np.array_equal(assemble_single_layer(mesh), S)
+    K = np.zeros_like(r)
+    for k in range(3):
+        K += np.subtract.outer(c[:, k], c[:, k]) * nu[:, k, None]
+    K *= (w / (4.0 * np.pi)) / (r * r * r)
+    K[diag] = 0.5 - (w @ K) / w
+    assert np.array_equal(assemble_np(mesh), K)
 
 
 @pytest.mark.parametrize("make_mesh", [lambda: icosphere(2), small_torus],

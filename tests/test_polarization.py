@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralmeta import polarization
 from chiralmeta.background import ChiralBackground, k0_matrix
+from chiralmeta.np_spectral import mesh_spectrum
 from chiralmeta.polarization import (RootFindError, SingularModeError, assemble_A_n,
                                      det_closed_form, drude_eps, drude_omega_for_eps,
                                      find_resonance_root, mode_params, polarization_tensor,
                                      resonant_eps)
 from _fd import loglog_slope
+from _meshes import small_torus
 
 
 def test_mode_params_achiral():
@@ -206,3 +211,52 @@ def test_find_root_no_sign_change():
     bg = ChiralBackground(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(RootFindError, match="sign change"):
         find_resonance_root(bg, 1 / 6, bracket=(-1.5, -1.0))
+
+
+def resonance_cases(sphere_spec3):
+    """(background, lambda_n) pairs: 1/6 on an achiral and a chiral
+    background, then every cluster of the subdivision-3 sphere and of a
+    1,600-panel torus the size of the benchmark's."""
+    cases = [(ChiralBackground(1.0, 1.0, beta, 1.0), 1 / 6) for beta in (0.0, 0.4)]
+    bg = ChiralBackground(1.0, 1.0, 0.35, 1.0)
+    for spectrum in (sphere_spec3, mesh_spectrum(small_torus(40, 20, 1.15, 0.425), 15)):
+        cases += [(bg, cluster.eigenvalue) for cluster in spectrum.clusters()]
+    return cases
+
+
+def test_find_root_matches_brentq_and_brackets_sign_change(sphere_spec3):
+    from scipy.optimize import brentq   # reference only; the package does not import it
+    for bg, lam in resonance_cases(sphere_spec3):
+        star = resonant_eps(bg, lam).real
+        a, b = star - 0.4, star + 0.4   # the bracket of the resonances command
+        f = polarization._mode_objective(bg, lam)
+        root = find_resonance_root(bg, lam, bracket=(a, b))
+        ref = brentq(lambda x: f(x).real, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        assert root.imag == 0.0
+        r = root.real
+        assert abs(r - ref) <= 4 * np.spacing(abs(ref)), (lam, r, ref)
+        fr, fnext = f(r).real, f(np.nextafter(r, b)).real
+        assert fr == 0.0 or (fr < 0) != (fnext < 0), (lam, r)
+
+
+def test_find_root_failure_messages(monkeypatch):
+    bg = ChiralBackground(1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(RootFindError, match=r"^no sign change on bracket \[-1\.5, -1\.0\]: "
+                                            r"f\(a\) = -6\.667e-02, f\(b\) = -1\.667e-01$"):
+        find_resonance_root(bg, 1 / 6, bracket=(-1.5, -1.0))
+    # a sign change without a zero: the bisection ends at the jump, where
+    # the residual check refuses the candidate after one evaluation there
+    calls = []
+
+    def step(bg, lambda_n):
+        def f(x):
+            calls.append(x)
+            return complex(math.copysign(1.0, (x + 1.7).real))
+        return f
+
+    monkeypatch.setattr(polarization, "_mode_objective", step)
+    with pytest.raises(RootFindError, match=r"^root candidate \(-1\.7000000000000002\+0j\) "
+                                            r"has \|objective\| = 1\.000e\+00 > 1e-10$"):
+        find_resonance_root(bg, 1 / 6, bracket=(-3.0, -1.0))
+    assert calls[-1] == -1.7000000000000002
+    assert calls.count(calls[-1]) == 2   # once as a bisection point, once for the check
