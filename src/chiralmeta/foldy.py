@@ -28,11 +28,9 @@ _I3 = np.eye(3)
 # 400 bytes per pair, 79 MB for a full chunk by tracemalloc (the 6x6 blocks
 # it replaced peaked at 210 MB)
 _CHUNK_ELEMS = 200_000
-# the dense gather copies this many 6x6 blocks at a time (~6 MB); a larger
-# chunk only adds a transient next to the matrix it fills
-_GATHER_BLOCKS = 10_000
-# largest system handed to the dense LU fallback (complex LU beyond this is
-# minutes of single-core time)
+# largest system handed to the LU fallback: at grid_m 9 (4,374 unknowns) its
+# four symmetry blocks take 0.4-0.6 s in all, 0.2 s of it LU, and peak at
+# 125 MB by tracemalloc (2 threads)
 _DIRECT_CAP = 4500
 # fixed-point sweeps before the grid solve falls back to LU or fails
 _MAX_SWEEPS = 200
@@ -151,7 +149,7 @@ def _coupling6(bg: ChiralBackground, lattice_cfg: DiluteConfig, eps_c: complex,
 # grid through K = weight * omega * G_eta(x_i - x_j) @ T6.  The kernel
 # depends on the cell offset x_i - x_j only, so it is evaluated once per
 # offset, (2n-1)^3 points instead of n^6, and every use of K reads that
-# table: gathered into a dense matrix for LU, or applied by FFT.
+# table: gathered into symmetry blocks for LU, or applied by FFT.
 
 
 def _offset_kernel(bg: ChiralBackground, n: int, eta: float,
@@ -175,27 +173,6 @@ def _offset_blocks(bg: ChiralBackground, n: int, eta: float, T6: np.ndarray,
                    weight: float, zero_self: bool) -> np.ndarray:
     """Interaction blocks weight * omega * G_eta(d/n) @ T6 per offset d."""
     return weight * bg.omega * (_offset_kernel(bg, n, eta, zero_self) @ T6)
-
-
-def _dense_system(blocks: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """I - K as a dense (6c, 6c) matrix over the c cells with integer grid
-    indices ``cells``, gathered from the offset table in block-column
-    chunks.  The matrix is Fortran-ordered, so LAPACK can factor it in
-    place."""
-    span = blocks.shape[0]
-    flat = blocks.reshape(-1, 6, 6)
-    n = cells.shape[0]
-    A = np.empty((6 * n, 6 * n), dtype=complex, order="F")
-    AT = A.T   # C-ordered: row block j of AT is column block j of A
-    step = max(1, _GATHER_BLOCKS // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        d = cells[None, :, :] - cells[lo:hi, None, :] + (span - 1) // 2
-        blk = flat[(d[..., 0] * span + d[..., 1]) * span + d[..., 2]]
-        np.negative(blk.transpose(0, 3, 1, 2),
-                    out=AT[6 * lo:6 * hi].reshape(hi - lo, 6, n, 6))
-    A[np.diag_indices(6 * n)] += 1.0
-    return A
 
 
 def _fft_apply(blocks: np.ndarray, cells: np.ndarray):
@@ -227,18 +204,114 @@ def _fft_apply(blocks: np.ndarray, cells: np.ndarray):
     return apply
 
 
-def _lu_solve_system(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve A u = b by LU, factoring A in place (it must be Fortran-ordered,
-    or LAPACK works on a copy); returns u and the condition estimate of A
-    in the 1-norm."""
-    # 1-norm by column chunks, without a full |A| temporary
-    anorm = max(float(np.abs(A[:, j:j + 256]).sum(axis=0).max())
-                for j in range(0, A.shape[1], 256))
-    lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True)
-    u = scipy.linalg.lu_solve((lu, piv), b)
-    rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
-    cond = float(1.0 / rcond) if info == 0 and rcond > 0 else float("inf")
-    return u, cond
+# ---------------------------------------------------------------------------
+# symmetry blocks of the grid operator
+#
+# The chiral background breaks mirror symmetry, not rotation symmetry:
+# G_eta(R d) = (R+R) G_eta(d) (R+R)^T for a proper rotation R, and T6 acts on
+# the E/H pair only, so it commutes with R+R.  The three 180-degree rotations
+# about the axes through the grid centre map every n^3 grid onto itself.
+# Rotation g reverses two cell axes and flips the same two components of E and
+# of H (the diagonal signs S_g), so the offset table obeys
+# B(R_g d) = S_g B(d) S_g, and I - K splits into one block per character chi
+# of this group D2, in the basis of signed orbit sums: cell g.r carries
+# chi(g) S_g[a] / sqrt|O_r| for orbit representative r and component a.
+
+
+def _d2_transform(a: np.ndarray) -> np.ndarray:
+    """In place over the first axis (length 4): a[x] <- sum_g chi_x(g) a[g],
+    with the characters chi_x(g) = (-1)^popcount(x & g) of D2 and the
+    elements g = identity, C2x, C2y, C2z.  Applied twice it gives 4a."""
+    diff = np.empty_like(a[0])
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3)):
+        np.subtract(a[i], a[j], out=diff)
+        a[i] += a[j]
+        a[j] = diff
+    return a
+
+
+def _d2_orbits(cells: np.ndarray, n: int):
+    """Orbits of D2 on the grid cells ``cells`` (a permutation of the n^3
+    grid).  Returns the cells g.r of the orbit representatives r, shape
+    (4, R, 3); their positions in ``cells``, shape (4, R); the signs S_g,
+    shape (4, 6); the stabilizer order |H_r|; and keep[x, r, a], whether
+    pair (r, a) carries a basis vector of block x: at a cell that a rotation
+    h fixes, only chi_x(h) S_h[a] = 1 survives the orbit sum."""
+    flips = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=bool)
+    signs = 1.0 - 2.0 * np.tile(flips, 2)
+    images = np.where(flips[:, None, :], n - 1 - cells, cells)
+    flat = (images[..., 0] * n + images[..., 1]) * n + images[..., 2]
+    pos = np.empty(n ** 3, dtype=int)
+    pos[flat[0]] = np.arange(cells.shape[0])
+    reps = np.flatnonzero(flat[0] == flat.min(axis=0))
+    fixed = flat[:, reps] == flat[0, reps]
+    chars = _d2_transform(np.eye(4))
+    survives = chars[:, :, None] * signs[None, :, :] == 1.0           # (x, h, a)
+    keep = np.all(~fixed[None, :, :, None] | survives[:, :, None, :], axis=1)
+    return images[:, reps], pos[flat[:, reps]], signs, fixed.sum(axis=0), keep
+
+
+def _symmetry_blocks(blocks: np.ndarray, orbits: tuple):
+    """Yield, per character x of D2, the kept (representative, component)
+    indices r * 6 + a and the block A_x of I - K over them (None for an
+    empty block), Fortran-ordered so LAPACK can factor it in place.
+
+    A_x[(r,a),(s,b)] = sum_h chi_x(h) (I - K)[r, h.s]_ab S_h[b]
+    / sqrt(|H_r| |H_s|), gathered from the offset table for representative
+    pairs only (a quarter of the full matrix) and combined in place.
+    ``orbits`` is what :func:`_d2_orbits` returns."""
+    reps, _, signs, stab, keep = orbits
+    span = blocks.shape[0]
+    flat = blocks.reshape(-1, 6, 6)
+    R = reps.shape[1]
+    w = 1.0 / np.sqrt(stab)
+    # signed gathers W[h][s, b, r, a] = -S_h[b] K[r, h.s]_ab w_r w_s
+    W = np.empty((4, R, 6, R, 6), dtype=complex)
+    for h in range(4):
+        d = reps[0][None, :, :] - reps[h][:, None, :] + (span - 1) // 2
+        coef = -(w[:, None, None, None] * signs[h][None, :, None, None]
+                 * w[None, None, :, None])
+        np.multiply(flat[(d[..., 0] * span + d[..., 1]) * span + d[..., 2]]
+                    .transpose(0, 3, 1, 2), coef, out=W[h])
+    _d2_transform(W)
+    for x in range(4):
+        k = np.flatnonzero(keep[x])
+        if k.size == 0:
+            yield k, None
+            continue
+        A = W[x].reshape(6 * R, 6 * R)[np.ix_(k, k)].T
+        A[np.diag_indices(k.size)] += 1.0
+        yield k, A
+
+
+def _lu_solve_system(blocks: np.ndarray, cells: np.ndarray,
+                     b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve (I - K) u = b by LU of the four D2 symmetry blocks; returns u and
+    the 1-norm condition estimate of the block-diagonal form,
+    max_x ||A_x||_1 * max_x ||A_x^-1||_1."""
+    n = (blocks.shape[0] + 1) // 2
+    orbits = _d2_orbits(cells, n)
+    _, at, signs, stab, _ = orbits
+    b6 = b.reshape(-1, 6)
+    # b_x = V_x^T b: signed orbit sums over g, scaled by 1/sqrt|O_r|
+    root = np.sqrt(stab)[None, :, None]
+    rhs = _d2_transform(signs[:, None, :] * b6[at]) * (0.5 / root)
+    sol = np.zeros_like(rhs)
+    anorm, inv_norm = 0.0, 0.0
+    for x, (k, A) in enumerate(_symmetry_blocks(blocks, orbits)):
+        if A is None:
+            continue
+        norm = float(scipy.linalg.lapack.zlange("1", A))
+        lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True)
+        sol[x].reshape(-1)[k] = scipy.linalg.lu_solve((lu, piv), rhs[x].reshape(-1)[k])
+        rcond, info = scipy.linalg.lapack.zgecon(lu, norm)
+        anorm = max(anorm, norm)
+        inv_norm = max(inv_norm, 1.0 / (rcond * norm) if info == 0 and rcond > 0
+                       else float("inf"))
+    # u = sum_x V_x sol_x, written to every cell g.r of each orbit
+    u = np.empty_like(b6)
+    u[at] = signs[:, None, :] * _d2_transform(sol) * (0.5 * root)
+    return u.reshape(-1), anorm * inv_norm
 
 
 def _solve_grid(blocks: np.ndarray, cells: np.ndarray, b: np.ndarray,
@@ -248,8 +321,9 @@ def _solve_grid(blocks: np.ndarray, cells: np.ndarray, b: np.ndarray,
 
     Fixed-point sweeps u <- b + K u, each one FFT product, run with a
     divergence check; if they stall, a system up to the dense cap falls
-    back to LU.  The residual is taken with the FFT product either way,
-    so the LU may overwrite its matrix.  Returns u and the solver report."""
+    back to the LU of its four symmetry blocks.  The residual is taken
+    with the FFT product either way, so the LU may overwrite its blocks,
+    and it certifies the blocked solve.  Returns u and the solver report."""
     size = b.size
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -278,7 +352,7 @@ def _solve_grid(blocks: np.ndarray, cells: np.ndarray, b: np.ndarray,
                 f"fixed-point iteration did not converge in {iterations} sweeps "
                 f"(last update {last_update:.3e}); system of size {size} is beyond "
                 f"the dense fallback cap {_DIRECT_CAP}")
-        u, cond = _lu_solve_system(_dense_system(blocks, cells), b)
+        u, cond = _lu_solve_system(blocks, cells, b)
         method = "lu"
     resid = float(np.linalg.norm(u - b - apply_K(u))) / bnorm
     if not resid < tol:

@@ -120,16 +120,27 @@ def mode_params(bg: ChiralBackground, eps_c: complex, mu_c: float | None = None,
                       d_eps=d_eps, d_mu=d_mu, degenerate=False)
 
 
+def _response_entries(params: ModeParams, lambda_n: float, omega: float) -> tuple:
+    """Entries (a, b, c, d) of the 2x2 response matrix [[a, b], [c, d]] at
+    eigenvalue lambda_n."""
+    v = 0.5 + lambda_n
+    return (params.lambda_eps - lambda_n, 1j * omega * params.d_eps * v,
+            -1j * omega * params.d_mu * v, params.lambda_mu - lambda_n)
+
+
+def _det2(a, b, c, d):
+    """Determinant of [[a, b], [c, d]]."""
+    return a * d - b * c
+
+
 def assemble_A_n(params: ModeParams, lambda_n: float, omega: float) -> ModeMatrix:
     """2x2 response matrix and its coefficient blocks at eigenvalue lambda_n.
 
     Array parameters (from an array ``eps_c``) give (2, 2, ...) stacks
     and an array determinant.
     """
-    v = 0.5 + lambda_n
-    A = mat2x2(params.lambda_eps - lambda_n, 1j * omega * params.d_eps * v,
-               -1j * omega * params.d_mu * v, params.lambda_mu - lambda_n)
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    A = mat2x2(*_response_entries(params, lambda_n, omega))
+    det = _det2(*A.reshape((4,) + A.shape[2:]))
     with np.errstate(divide="ignore", invalid="ignore"):
         if params.degenerate:
             # analytic achiral limit: the mu branch decouples and contributes nothing
@@ -228,15 +239,16 @@ def drude_omega_for_eps(eps_target: complex, omega_p: float, tau: float = 0.0) -
 def _mode_objective(bg: ChiralBackground, lambda_n: float):
     """Objective whose zero locates the resonance in eps_c.
 
-    The assembled determinant, except on the achiral degenerate path
-    where the determinant carries the sentinel scale and the finite
-    electric factor is the meaningful root function.
+    The determinant of the response matrix (``det_direct`` of
+    :func:`assemble_A_n`, without the rest of the assembly), except on the
+    achiral degenerate path where the determinant carries the sentinel
+    scale and the finite electric factor is the meaningful root function.
     """
     def f(eps_c: complex) -> complex:
         p = mode_params(bg, eps_c)
         if p.degenerate:
             return p.lambda_eps - lambda_n
-        return assemble_A_n(p, lambda_n, bg.omega).det_direct
+        return complex(_det2(*_response_entries(p, lambda_n, bg.omega)))
     return f
 
 

@@ -7,8 +7,9 @@ from chiralmeta.background import (ChiralBackground, circular_wave, green_dyadic
 from chiralmeta.dipole import ParticleInstance, scattered_field_dipole
 from chiralmeta.effective import (DiluteConfig, EffectiveError, coupling_from_tilde,
                                   s_limit_tilde, tilde_from_definition)
-from chiralmeta.foldy import (FoldyError, ParticleLattice, _dense_system, _fft_apply,
-                              _grid_index, _offset_blocks, build_lattice, cell_centers,
+from chiralmeta.foldy import (FoldyError, ParticleLattice, _d2_orbits, _fft_apply,
+                              _grid_index, _lu_solve_system, _offset_blocks,
+                              _symmetry_blocks, build_lattice, cell_centers,
                               check_distribution, compare_homogenization, eval_foldy_field,
                               eval_homogenized_field, probe_ring, solve_foldy,
                               solve_homogenized_ls, uniform_invertibility_stat)
@@ -376,21 +377,65 @@ def coupled_tilde(bg, ball_spectrum, ball_cn):
                                  ball_spectrum)
 
 
+# the cube's three 180-degree rotations: the cell axes each one reverses, and
+# the signs S_g it puts on the components of E and of H
+D2_FLIPS = [(), (1, 2), (0, 2), (0, 1)]
+
+
+def _d2_signs(flipped):
+    s = np.ones(3)
+    s[list(flipped)] = -1.0
+    return np.tile(s, 2)
+
+
+def _d2_character(x, g):
+    return (-1.0) ** bin(x & g).count("1")
+
+
+def _symmetry_basis(at, keep):
+    """Dense V_x per character x from the definition: column (r, a) is the
+    normalized sum over g of chi_x(g) S_g[a] e_(g.r, a)."""
+    R = at.shape[1]
+    V = np.zeros((4, 6 * at.max() + 6, 6 * R))
+    for x in range(4):
+        for g, flipped in enumerate(D2_FLIPS):
+            rows = 6 * at[g][:, None] + np.arange(6)
+            V[x, rows, np.arange(6 * R).reshape(R, 6)] += (_d2_character(x, g)
+                                                          * _d2_signs(flipped))
+    Vs = [V[x][:, keep[x].reshape(-1)] for x in range(4)]
+    return [Vx / np.linalg.norm(Vx, axis=0) for Vx in Vs]
+
+
 @pytest.mark.parametrize("n, eta, zero_self", [(2, 0.0, True), (3, 0.1, True),
-                                               (3, 0.5, False)])
-def test_gathered_matrix_matches_pairwise(bg, T6_dilute, n, eta, zero_self):
+                                               (3, 0.5, False), (4, 0.0, True),
+                                               (4, 0.5, False)])
+def test_gathered_matrix_matches_pairwise(bg, T6_dilute, rng, n, eta, zero_self):
+    # each gathered symmetry block is V_x^T (I - K) V_x, with V_x and I - K
+    # formed densely; the V_x together are square and orthogonal
+    cells = _grid_index(n)[rng.permutation(n ** 3)]
     blocks = _offset_blocks(bg, n, eta, T6_dilute, 1.0 / n ** 3, zero_self)
-    got = _dense_system(blocks, _grid_index(n))
-    expect = np.eye(6 * n ** 3) - _pairwise_interaction(bg, cell_centers(n), eta,
-                                                        T6_dilute, zero_self)
-    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+    orbits = _d2_orbits(cells, n)
+    _, at, _, _, keep = orbits
+    A = np.eye(6 * n ** 3) - _pairwise_interaction(bg, (cells + 0.5) / n, eta,
+                                                   T6_dilute, zero_self)
+    Vs = _symmetry_basis(at, keep)
+    V = np.hstack(Vs)
+    assert V.shape == A.shape
+    assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-14
+    got = list(_symmetry_blocks(blocks, orbits))
+    assert len(got) == 4
+    for x, ((k, block), Vx) in enumerate(zip(got, Vs)):
+        expect = Vx.T @ A @ Vx
+        assert np.array_equal(k, np.flatnonzero(keep[x]))
+        assert block.shape == expect.shape
+        assert np.abs(block - expect).max() <= 1e-14 * np.abs(A).max()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_fft_apply_matches_gathered_matvec(bg, T6_dilute, rng, m):
     blocks = _offset_blocks(bg, m, 0.5, T6_dilute, 1.0 / m ** 3, zero_self=False)
     u = rng.standard_normal(6 * m ** 3) + 1j * rng.standard_normal(6 * m ** 3)
-    expect = _dense_system(blocks, _grid_index(m)) @ u
+    expect = u - _pairwise_interaction(bg, cell_centers(m), 0.5, T6_dilute, False) @ u
     got = u - _fft_apply(blocks, _grid_index(m))(u)
     assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
 
@@ -459,15 +504,80 @@ def test_fft_apply_on_permuted_cells(bg, T6_dilute, rng):
     blocks = _offset_blocks(bg, n, 0.1, T6_dilute, 1.0 / n ** 3, zero_self=True)
     cells = _grid_index(n)[rng.permutation(n ** 3)]
     u = rng.standard_normal(6 * n ** 3) + 1j * rng.standard_normal(6 * n ** 3)
-    expect = _dense_system(blocks, cells) @ u
+    expect = u - _pairwise_interaction(bg, (cells + 0.5) / n, 0.1, T6_dilute, True) @ u
     got = u - _fft_apply(blocks, cells)(u)
     assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
 def test_dense_system_is_fortran_ordered(bg, T6_dilute):
     # lu_factor(overwrite_a=True) factors in place only a Fortran-ordered matrix
-    blocks = _offset_blocks(bg, 2, 0.1, T6_dilute, 1.0 / 8, zero_self=True)
-    assert _dense_system(blocks, _grid_index(2)).flags.f_contiguous
+    for n in (2, 3):
+        blocks = _offset_blocks(bg, n, 0.1, T6_dilute, 1.0 / n ** 3, zero_self=True)
+        for _, block in _symmetry_blocks(blocks, _d2_orbits(_grid_index(n), n)):
+            assert block.flags.f_contiguous
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("beta, eta, zero_self", [(0.4, 0.0, True), (0.4, 0.3, True),
+                                                  (0.4, 0.3, False), (0.0, 0.0, True),
+                                                  (0.0, 0.3, False)])
+def test_offset_blocks_rotation_invariant(rng, n, beta, eta, zero_self):
+    # chirality breaks mirror symmetry only: a 180-degree rotation R_g of the
+    # offset gives B(R_g d) = S_g B(d) S_g, bit for bit
+    bgb = ChiralBackground(1.0, 1.0, beta, 1.0)
+    T2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    B = _offset_blocks(bgb, n, eta, np.kron(T2, np.eye(3)), 1.0 / n ** 3, zero_self)
+    for flipped in D2_FLIPS[1:]:
+        S = _d2_signs(flipped)
+        assert np.array_equal(np.flip(B, axis=flipped), S[:, None] * B * S[None, :])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_blocked_lu_matches_dense_solve_volume(bg, coupled_tilde, rng, m):
+    T6 = np.kron(coupling_from_tilde(coupled_tilde, bg.omega), np.eye(3))
+    blocks = _offset_blocks(bg, m, 0.1, T6, 1.0 / m ** 3, zero_self=False)
+    b = rng.standard_normal(6 * m ** 3) + 1j * rng.standard_normal(6 * m ** 3)
+    u, cond = _lu_solve_system(blocks, _grid_index(m), b)
+    A = np.eye(6 * m ** 3) - _pairwise_interaction(bg, cell_centers(m), 0.1, T6, False)
+    expect = np.linalg.solve(A, b)
+    assert np.linalg.norm(u - expect) <= 1e-12 * np.linalg.norm(expect)
+    assert 1.0 <= cond < np.inf
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_blocked_lu_matches_dense_solve_permuted_lattice(bg, cfg, coupled_tilde, rng, N):
+    centers = cell_centers(N)[rng.permutation(N ** 3)] + np.array([0.02, -0.01, 0.03]) / N
+    lat = ParticleLattice(n_per_axis=N, centers=centers, cfg=cfg)
+    T6 = np.kron(coupling_from_tilde(coupled_tilde, bg.omega), np.eye(3))
+    blocks = _offset_blocks(bg, N, 0.1, T6, 1.0 / N ** 3, zero_self=True)
+    b = rng.standard_normal(6 * N ** 3) + 1j * rng.standard_normal(6 * N ** 3)
+    u, _ = _lu_solve_system(blocks, lat.cells, b)
+    A = np.eye(6 * N ** 3) - _pairwise_interaction(bg, lat.centers, 0.1, T6, True)
+    expect = np.linalg.solve(A, b)
+    assert np.linalg.norm(u - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def test_lu_fallback_factors_each_block_once(bg, coupled_tilde, monkeypatch):
+    # the benchmark tracer counts LU work through scipy.linalg.lu_factor and
+    # LU fallbacks through the report's method
+    import scipy.linalg
+    sizes = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counted(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return lu_factor(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    # one cell: every rotation fixes it and each component survives in one
+    # character only, so the trivial character's block is empty
+    for m, expect in ((1, [2, 2, 2]), (3, [42, 42, 42, 36]), (4, [96] * 4)):
+        sizes.clear()
+        rep = solve_homogenized_ls(bg, coupled_tilde, m, 0.1, WAVE).solver_report
+        assert sorted(sizes, reverse=True) == expect
+        assert rep["method"] == "lu"
+        assert rep["size"] == 6 * m ** 3
+        assert np.isfinite(rep["condition_estimate"]) and rep["condition_estimate"] >= 1.0
 
 
 # ---------------------------------------------------------------------------

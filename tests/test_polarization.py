@@ -68,6 +68,17 @@ def test_det_matches_independent_expansion(rng):
         assert mm.det_direct == pytest.approx(expand, rel=1e-13)
 
 
+def test_mode_objective_is_det_direct_bit_for_bit(rng):
+    # the bisection's determinant-only objective reads the same value as the
+    # assembly, so the direct resonance roots do not move
+    for bg in (ChiralBackground(1.2, 0.7, 0.35, 0.9), ChiralBackground(1.0, 1.0, 0.4, 1.0)):
+        for _ in range(200):
+            ec = float(rng.uniform(-6.0, -0.5))
+            lam = float(rng.uniform(-0.45, 0.45))
+            expect = assemble_A_n(mode_params(bg, ec), lam, bg.omega).det_direct
+            assert polarization._mode_objective(bg, lam)(ec) == expect
+
+
 def test_mode_matrix_worked_example():
     # omega = eps_m = mu_m = 1, beta = 0.5, eps_c = -3, lambda = 1/6:
     # exact rational arithmetic gives the matrices below
