@@ -3,7 +3,7 @@
 from .background import (BackgroundError, ChiralBackground, PlaneWaveSpec, SingularPointError,
                          circular_wave, green_apply, green_dyadic, incident_field, incident_six,
                          k0_matrix, linear_wave, maxwell_dyadic)
-from .dipole import FarFieldError, ParticleInstance, reciprocity_report, scattered_field_dipole
+from .dipole import FarFieldError, ParticleInstance, scattered_field_dipole
 from .effective import (DiluteConfig, EffectiveError, EffectiveParams, SweepRow, TildeParams,
                         effective_closed_form, epsc_from_s, invert_effective, s_limit_tilde,
                         shifted_resonances, sweep_figure, sweep_summary, tilde_from_definition,
@@ -26,7 +26,7 @@ __all__ = [
     "BackgroundError", "ChiralBackground", "PlaneWaveSpec", "SingularPointError",
     "circular_wave", "green_apply", "green_dyadic", "incident_field", "incident_six", "k0_matrix",
     "linear_wave", "maxwell_dyadic",
-    "FarFieldError", "ParticleInstance", "reciprocity_report", "scattered_field_dipole",
+    "FarFieldError", "ParticleInstance", "scattered_field_dipole",
     "DiluteConfig", "EffectiveError", "EffectiveParams", "SweepRow", "TildeParams",
     "effective_closed_form", "epsc_from_s", "invert_effective", "s_limit_tilde",
     "shifted_resonances", "sweep_figure", "sweep_summary", "tilde_from_definition",

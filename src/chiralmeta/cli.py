@@ -19,14 +19,14 @@ from .background import (BackgroundError, ChiralBackground, PlaneWaveSpec,
 from .dipole import FarFieldError, ParticleInstance, scattered_field_dipole
 from .effective import (DiluteConfig, EffectiveError, effective_closed_form,
                         invert_effective, s_limit_tilde, shifted_resonances, sweep_figure,
-                        sweep_summary, tilde_from_definition)
+                        sweep_summary)
 from .foldy import (FoldyError, build_lattice, check_distribution, compare_homogenization,
                     eval_foldy_field, probe_ring, solve_foldy, uniform_invertibility_stat)
 from .mesh import MeshError, mesh_from_file
 from .np_spectral import (NPSpectrum, SpectralError, mesh_spectrum, sphere_spectrum,
                           unit_ball_spectrum)
 from .polarization import (RootFindError, SingularModeError, drude_omega_for_eps,
-                           find_resonance_root, mode_params, resonant_eps)
+                           find_resonance_root, resonant_eps)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,7 +44,7 @@ _KNOWN_KEYS = {
     # spectrum source
     "mesh_source", "subdivisions", "mode_count", "mode_index",
     # dilute lattice scaling
-    "volume_scale", "n_per_axis", "dilution_exponent", "moment_scale", "density",
+    "volume_scale", "n_per_axis", "dilution_exponent", "moment_scale",
     # permittivity sweep grid
     "eps_c_min", "eps_c_max", "eps_c_points", "dense_window", "dense_points",
     # single-particle / closed-form inputs
@@ -53,9 +53,9 @@ _KNOWN_KEYS = {
     # incident wave
     "direction", "handedness", "amplitude",
     # probes
-    "probes_file", "probe_radius", "probe_count",
+    "probes_file", "probe_count",
     # lattice simulation
-    "n_list", "eta", "grid_m", "compare", "use_limit_tilde",
+    "n_list", "eta", "grid_m", "compare",
     # resonances
     "drude_omega_p", "drude_tau",
 }
@@ -259,7 +259,7 @@ def load_probes(cfg) -> np.ndarray:
         if not rows:
             raise ConfigError(f"probes file {path} holds no points")
         return np.array(rows, dtype=float)
-    return probe_ring(_get_probe_count(cfg, 16), radius=_get(cfg, "probe_radius", 3.0))
+    return probe_ring(_get_probe_count(cfg, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +328,11 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 
 def field_csv_rows(points: np.ndarray, fields: np.ndarray):
-    rows = []
-    for p, f in zip(points, fields):
-        row = [fmt(p[0]), fmt(p[1]), fmt(p[2])]
-        for comp in f:
-            row.extend([fmt(comp.real), fmt(comp.imag)])
-        rows.append(row)
-    return rows
+    """Rows x, y, z, then the real and imaginary part of each of the six
+    field components."""
+    parts = np.stack([fields.real, fields.imag], axis=-1).reshape(len(fields), -1)
+    columns = [_fmt_floats(col) for col in np.hstack([points, parts]).T.tolist()]
+    return zip(*columns)
 
 
 def write_error_table(path: Path, rows) -> None:
@@ -421,9 +419,8 @@ def _sweep_grid(cfg, bg, spectrum, mode_index) -> np.ndarray:
 
 def cmd_eff_sweep(cfg, out: Path, preset: str | None) -> int:
     bg, spectrum, mode_index, dilute = load_model(cfg)
-    density = _get(cfg, "density", 1.0)
     grid = _sweep_grid(cfg, bg, spectrum, mode_index)
-    rows = sweep_figure(bg, dilute, spectrum, grid, mode_index=mode_index, density=density)
+    rows = sweep_figure(bg, dilute, spectrum, grid, mode_index=mode_index)
     columns = [_fmt_floats([r.eps_c.real for r in rows]),
                _fmt_floats([r.eps_eff.real for r in rows]),
                _fmt_floats([r.eps_eff.imag for r in rows]),
@@ -515,17 +512,13 @@ def cmd_foldy(cfg, out: Path) -> int:
     wave = build_incident(cfg)
     probes = load_probes(cfg)
     n_list = _get_n_list(cfg, "2,3,4")
-    tilde = None
-    if _get_bool(cfg, "use_limit_tilde"):
-        tilde = tilde_from_definition(bg, eps_c, dilute, spectrum, mode_index=mode_index,
-                                      density=_get(cfg, "density", 1.0))
 
     # probe CSV for the largest lattice
     n_big = max(n_list)
     lattice = build_lattice(n_big, dilute)
     eta_big = _get(cfg, "eta", 0.1 / n_big)
     state = solve_foldy(bg, lattice, eps_c, spectrum, wave, eta=eta_big,
-                        tilde=tilde, mode_index=mode_index)
+                        mode_index=mode_index)
     fields = eval_foldy_field(bg, lattice, state, probes)
     dest_csv = out / "foldy_field.csv"
     write_csv(dest_csv, _FIELD_HEADER, field_csv_rows(probes, fields))
@@ -534,7 +527,7 @@ def cmd_foldy(cfg, out: Path) -> int:
     if _get_bool(cfg, "compare", default=True):
         rows = compare_homogenization(bg, dilute, spectrum, eps_c, n_list, _get(cfg, "eta", 0.1),
                                       probes, grid_m=_get(cfg, "grid_m", 10, int),
-                                      mode_index=mode_index, incident=wave, tilde=tilde)
+                                      mode_index=mode_index, incident=wave)
         dest_tab = out / "foldy_errors.csv"
         write_error_table(dest_tab, rows)
         print(f"wrote {dest_tab}")

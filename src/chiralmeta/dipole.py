@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import ChiralBackground, green_dyadic, k0_matrix
-from .mesh import TriMesh
 from .np_spectral import NPSpectrum
-from .polarization import SingularModeError, assemble_A_n, mode_params, polarization_tensor
+from .polarization import SingularModeError, assemble_A_n, mode_params
 
 _I3 = np.eye(3)
 
@@ -43,36 +42,26 @@ class ParticleInstance:
             raise ValueError(f"far_field_factor must be positive, got {self.far_field_factor}")
 
 
-def dipole_response_tensor(bg: ChiralBackground, particle: ParticleInstance,
-                           variant: str = "resonant-mode",
-                           mesh: TriMesh | None = None) -> np.ndarray:
+def dipole_response_tensor(bg: ChiralBackground, particle: ParticleInstance) -> np.ndarray:
     """6x6 contrast-times-response tensor of the particle.
 
-    ``resonant-mode`` keeps only the driving cluster (its moment tensor
-    is c_n*I for symmetric shapes); ``full-tensor`` uses the volume-
-    shifted full polarization tensor and needs the mesh for the volume.
+    Only the driving cluster contributes (its moment tensor is c_n*I for
+    symmetric shapes); near its resonance the other modes and the volume
+    term of the full polarization tensor are negligible.
     """
+    cluster = particle.spectrum.clusters()[particle.cluster_index]
+    p = mode_params(bg, particle.eps_c)
+    mm = assemble_A_n(p, cluster.eigenvalue, bg.omega)
+    if abs(mm.det_direct) < 1e-14:
+        raise SingularModeError(
+            f"mode response nearly singular at eps_c = {particle.eps_c}, "
+            f"lambda_n = {cluster.eigenvalue}")
     K6 = np.kron(k0_matrix(bg, particle.eps_c), _I3)
-    if variant == "resonant-mode":
-        cluster = particle.spectrum.clusters()[particle.cluster_index]
-        p = mode_params(bg, particle.eps_c)
-        mm = assemble_A_n(p, cluster.eigenvalue, bg.omega)
-        if abs(mm.det_direct) < 1e-14:
-            raise SingularModeError(
-                f"mode response nearly singular at eps_c = {particle.eps_c}, "
-                f"lambda_n = {cluster.eigenvalue}")
-        return K6 @ np.kron(mm.M_blocks, cluster.moment_tensor)
-    if variant == "full-tensor":
-        if mesh is None:
-            raise ValueError("full-tensor variant needs the particle mesh for its volume")
-        P = polarization_tensor(particle.spectrum, bg, particle.eps_c, mesh)
-        return K6 @ P.M_tilde
-    raise ValueError(f"variant must be 'resonant-mode' or 'full-tensor', got {variant!r}")
+    return K6 @ np.kron(mm.M_blocks, cluster.moment_tensor)
 
 
 def scattered_field_dipole(bg: ChiralBackground, particle: ParticleInstance,
-                           incident_at_center, x, variant: str = "resonant-mode",
-                           mesh: TriMesh | None = None) -> np.ndarray:
+                           incident_at_center, x) -> np.ndarray:
     """Scattered (E, H) 6-vector(s) at points ``x`` of shape (..., 3).
 
     The incident field enters only through its value at the particle
@@ -88,26 +77,7 @@ def scattered_field_dipole(bg: ChiralBackground, particle: ParticleInstance,
         raise FarFieldError(
             f"evaluation point at distance {float(np.min(dist)):.3e} inside the "
             f"far-field guard radius {guard:.3e}")
-    T = dipole_response_tensor(bg, particle, variant=variant, mesh=mesh)
+    T = dipole_response_tensor(bg, particle)
     G = green_dyadic(bg, rel)
     return particle.delta ** 3 * bg.omega * np.einsum("...ij,j->...i", G, T @ inc)
 
-
-def reciprocity_report(bg: ChiralBackground, x, eta: float = 0.0) -> dict:
-    """Numerical check of the block transpose relation between G(x) and G(-x).
-
-    Advisory diagnostic: reports the relative deviation of each block of
-    G(-x) from the transpose pattern (EE, HH transpose; EH/HE transpose
-    with sign swap).  Nothing downstream depends on it.
-    """
-    x = np.asarray(x, dtype=float).reshape(3)
-    Gp = green_dyadic(bg, x, eta=eta)
-    Gm = green_dyadic(bg, -x, eta=eta)
-    scale = float(np.max(np.abs(Gp)))
-    return {
-        "ee_transpose": float(np.max(np.abs(Gm[:3, :3] - Gp[:3, :3].T))) / scale,
-        "hh_transpose": float(np.max(np.abs(Gm[3:, 3:] - Gp[3:, 3:].T))) / scale,
-        "eh_minus_he_transpose": float(np.max(np.abs(Gm[:3, 3:] + Gp[3:, :3].T))) / scale,
-        "he_minus_eh_transpose": float(np.max(np.abs(Gm[3:, :3] + Gp[:3, 3:].T))) / scale,
-        "scale": scale,
-    }

@@ -92,16 +92,14 @@ def _unwrap(x, kind=complex):
 
 
 def coupling_matrix(bg: ChiralBackground, eps_c: complex, cfg: DiluteConfig,
-                    lambda_n: float, density: float = 1.0, *,
-                    failed: np.ndarray | None = None) -> np.ndarray:
+                    lambda_n: float, *, failed: np.ndarray | None = None) -> np.ndarray:
     """2x2 lattice coupling: dilution * moment constant * contrast * mode response."""
     p = mode_params(bg, eps_c, failed=failed)
     mm = assemble_A_n(p, lambda_n, bg.omega)
     flag_or_raise(
         abs(mm.det_direct) < 1e-14, failed, SingularModeError,
         lambda: f"mode response nearly singular at eps_c = {eps_c}, lambda_n = {lambda_n}")
-    return (density * cfg.dilution_factor * cfg.moment_scale
-            * matmul2x2(k0_matrix(bg, eps_c), mm.M_blocks))
+    return cfg.dilution_factor * cfg.moment_scale * matmul2x2(k0_matrix(bg, eps_c), mm.M_blocks)
 
 
 def tilde_from_coupling(T2: np.ndarray, omega: float) -> TildeParams:
@@ -141,15 +139,14 @@ def compatibility_residual(tilde: TildeParams, bg: ChiralBackground) -> float:
 
 
 def tilde_from_definition(bg: ChiralBackground, eps_c: complex, cfg: DiluteConfig,
-                          spectrum: NPSpectrum, mode_index: int = 0,
-                          density: float = 1.0, *,
+                          spectrum: NPSpectrum, mode_index: int = 0, *,
                           failed: np.ndarray | None = None) -> TildeParams:
     """Tilde parameters of the lattice driven by one spectrum cluster."""
     clusters = spectrum.clusters()
     if not 0 <= mode_index < len(clusters):
         raise EffectiveError(f"mode_index {mode_index} out of range for {len(clusters)} clusters")
     lam = clusters[mode_index].eigenvalue
-    T2 = coupling_matrix(bg, eps_c, cfg, lam, density=density, failed=failed)
+    T2 = coupling_matrix(bg, eps_c, cfg, lam, failed=failed)
     tilde = tilde_from_coupling(T2, bg.omega)
     res = compatibility_residual(tilde, bg)
     flag_or_raise(res >= 1e-8, failed, EffectiveError,
@@ -157,14 +154,13 @@ def tilde_from_definition(bg: ChiralBackground, eps_c: complex, cfg: DiluteConfi
     return tilde
 
 
-def invert_effective(tilde: TildeParams, bg: ChiralBackground,
-                     roundtrip_tol: float = 1e-8, *,
+def invert_effective(tilde: TildeParams, bg: ChiralBackground, *,
                      failed: np.ndarray | None = None) -> EffectiveParams:
     """Invert corrected coefficients to effective (eps, mu, beta).
 
     Raises when a divergence denominator is hit or when substituting the
     result back into the coefficient equations fails to reproduce the
-    input within ``roundtrip_tol``.
+    input within 1e-8 relative.
     """
     t = bg.dbf_factor
     w = bg.omega
@@ -188,8 +184,8 @@ def invert_effective(tilde: TildeParams, bg: ChiralBackground,
     out = EffectiveParams(eps_eff=_unwrap(eps_eff), mu_eff=_unwrap(mu_eff),
                           beta_eff=_unwrap(beta_eff))
     res = roundtrip_residual(tilde, out, bg)
-    flag_or_raise(res >= roundtrip_tol, failed, EffectiveError,
-                  lambda: f"inversion round-trip residual {res:.3e} >= {roundtrip_tol}")
+    flag_or_raise(res >= 1e-8, failed, EffectiveError,
+                  lambda: f"inversion round-trip residual {res:.3e} >= 1e-8")
     return out
 
 
@@ -321,7 +317,7 @@ class SweepRow:
     failed: bool
 
 
-def _sweep_pass(bg, cfg, spectrum, mode_index, density,
+def _sweep_pass(bg, cfg, spectrum, mode_index,
                 eps_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tilde -> effective chain over all of ``eps_c`` at once.
 
@@ -333,7 +329,7 @@ def _sweep_pass(bg, cfg, spectrum, mode_index, density,
         # failed points run on with inf/nan intermediates; the mask drops them
         with np.errstate(all="ignore"):
             tilde = tilde_from_definition(bg, eps_c, cfg, spectrum, mode_index=mode_index,
-                                          density=density, failed=failed)
+                                          failed=failed)
             eff = invert_effective(tilde, bg, failed=failed)
     except (SingularModeError, EffectiveError):
         # a failure shared by every point (mode_index out of range)
@@ -343,7 +339,7 @@ def _sweep_pass(bg, cfg, spectrum, mode_index, density,
 
 
 def sweep_figure(bg: ChiralBackground, cfg: DiluteConfig, spectrum: NPSpectrum,
-                 eps_c_grid, mode_index: int = 0, density: float = 1.0) -> list[SweepRow]:
+                 eps_c_grid, mode_index: int = 0) -> list[SweepRow]:
     """Effective parameters over a permittivity grid, with per-point flags.
 
     The chain runs elementwise over the whole grid.  Points that hit a
@@ -352,12 +348,12 @@ def sweep_figure(bg: ChiralBackground, cfg: DiluteConfig, spectrum: NPSpectrum,
     grid.
     """
     eps_c = np.array([complex(e) for e in eps_c_grid], dtype=complex)
-    values, failed = _sweep_pass(bg, cfg, spectrum, mode_index, density, eps_c)
+    values, failed = _sweep_pass(bg, cfg, spectrum, mode_index, eps_c)
     nudged = failed.copy()
     if nudged.any():
         eps_c[nudged] += 1e-12
         values[:, nudged], failed[nudged] = _sweep_pass(bg, cfg, spectrum, mode_index,
-                                                        density, eps_c[nudged])
+                                                        eps_c[nudged])
     values[:, failed] = complex(np.nan, np.nan)
     eps_eff, mu_eff, beta_eff = values
     double_negative = (eps_eff.real < 0) & (mu_eff.real < 0)

@@ -254,7 +254,9 @@ def _d2_orbits(cells: np.ndarray, n: int):
 def _symmetry_blocks(blocks: np.ndarray, orbits: tuple):
     """Yield, per character x of D2, the kept (representative, component)
     indices r * 6 + a and the block A_x of I - K over them (None for an
-    empty block), Fortran-ordered so LAPACK can factor it in place.
+    empty block), Fortran-ordered so LAPACK can factor it in place.  Where
+    every pair is kept (all of even n) A_x is a view of the combined
+    gather, so the blocks take no memory beyond it.
 
     A_x[(r,a),(s,b)] = sum_h chi_x(h) (I - K)[r, h.s]_ab S_h[b]
     / sqrt(|H_r| |H_s|), gathered from the offset table for representative
@@ -279,7 +281,10 @@ def _symmetry_blocks(blocks: np.ndarray, orbits: tuple):
         if k.size == 0:
             yield k, None
             continue
-        A = W[x].reshape(6 * R, 6 * R)[np.ix_(k, k)].T
+        A = W[x].reshape(6 * R, 6 * R)
+        if k.size < A.shape[0]:
+            A = A[np.ix_(k, k)]
+        A = A.T
         A[np.diag_indices(k.size)] += 1.0
         yield k, A
 
@@ -518,18 +523,17 @@ def uniform_invertibility_stat(lattice: ParticleLattice, bg: ChiralBackground) -
     return float(np.sum(pairs * norms)) / N ** 6
 
 
-def probe_ring(count: int = 16, radius: float = 3.0,
-               center=(0.5, 0.5, 0.5)) -> np.ndarray:
-    """Deterministic ring of probe points around the unit-cube center,
-    tilted off the coordinate planes to avoid symmetry cancellations."""
+def probe_ring(count: int = 16) -> np.ndarray:
+    """Deterministic ring of probe points at radius 3 around the unit-cube
+    center, tilted off the coordinate planes to avoid symmetry
+    cancellations."""
     u = np.array([1.0, 0.3, -0.2])
     u /= np.linalg.norm(u)
     vref = np.array([-0.1, 0.9, 0.45])
     v = vref - np.dot(vref, u) * u
     v /= np.linalg.norm(v)
     th = 2.0 * np.pi * np.arange(count) / count + 0.37
-    return (np.asarray(center, dtype=float)
-            + radius * (np.cos(th)[:, None] * u + np.sin(th)[:, None] * v))
+    return 0.5 + 3.0 * (np.cos(th)[:, None] * u + np.sin(th)[:, None] * v)
 
 
 @dataclass(frozen=True)
@@ -543,8 +547,7 @@ class CompareRow:
 def compare_homogenization(bg: ChiralBackground, cfg: DiluteConfig,
                            spectrum: NPSpectrum, eps_c: complex, N_list, eta: float,
                            probes, grid_m: int = 10, mode_index: int = 0,
-                           incident: PlaneWaveSpec | None = None,
-                           tilde: TildeParams | None = None) -> list[CompareRow]:
+                           incident: PlaneWaveSpec | None = None) -> list[CompareRow]:
     """Probe-field error of each lattice against one volume reference.
 
     The coupling is computed once from the reference config and shared by
@@ -557,8 +560,7 @@ def compare_homogenization(bg: ChiralBackground, cfg: DiluteConfig,
 
     if incident is None:
         incident = circular_wave(np.array([0.0, 0.0, 1.0]), "left")
-    if tilde is None:
-        tilde = tilde_from_definition(bg, eps_c, cfg, spectrum, mode_index=mode_index)
+    tilde = tilde_from_definition(bg, eps_c, cfg, spectrum, mode_index=mode_index)
     probes = np.asarray(probes, dtype=float).reshape(-1, 3)
     hom = solve_homogenized_ls(bg, tilde, grid_m, eta, incident)
     inc_p = incident_six(bg, incident, probes)

@@ -193,15 +193,16 @@ def spectrum_from_json(path: str) -> NPSpectrum:
     )
 
 
-def unit_ball_spectrum(max_degree: int = 2) -> NPSpectrum:
-    """Exact unit-ball spectrum (closed forms, no discretization).
+def unit_ball_spectrum() -> NPSpectrum:
+    """Exact unit-ball spectrum (closed forms, no discretization) of the
+    degree-1 and degree-2 modes.
 
     Degree-n modes have eigenvalue 1/(2(2n+1)); only the three degree-1
     modes carry a normal moment, of squared magnitude 4*pi/27 along each
     axis.
     """
     eigs, moms = [], []
-    for n in range(1, max_degree + 1):
+    for n in (1, 2):
         lam = 1.0 / (2.0 * (2 * n + 1))
         for l in range(2 * n + 1):
             eigs.append(lam)

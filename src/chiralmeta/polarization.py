@@ -84,13 +84,12 @@ def flag_or_raise(bad, failed: np.ndarray | None, exc: type[Exception], message)
         failed |= bad
 
 
-def mode_params(bg: ChiralBackground, eps_c: complex, mu_c: float | None = None, *,
+def mode_params(bg: ChiralBackground, eps_c: complex, *,
                 failed: np.ndarray | None = None) -> ModeParams:
     """Scalar mode parameters for particle permittivity ``eps_c``.
 
-    ``mu_c`` substitutes a hypothetical particle permeability into the
-    mu-branch formulas; the default uses the background permeability,
-    matching a non-magnetic particle.  An array ``eps_c`` gives arrays of
+    The particle is non-magnetic, so the mu-branch formulas take the
+    background permeability.  An array ``eps_c`` gives arrays of
     parameters; a vanishing denominator then marks its points in
     ``failed`` (see :func:`flag_or_raise`).
     """
@@ -101,20 +100,20 @@ def mode_params(bg: ChiralBackground, eps_c: complex, mu_c: float | None = None,
         SingularModeError,
         lambda: f"eps_c = {eps_c} makes the electric denominator "
                 "eps_c - eps_m*(1+gamma^2 beta^2) vanish")
-    mu_val = bg.mu_m if mu_c is None else mu_c
-    mu_den = mu_val - bg.mu_m * t
+    mu_den = bg.mu_m - bg.mu_m * t
     lambda_eps = (eps_c + bg.eps_m * t) / (2.0 * eps_den)
     d_eps = bg.eps_m * bg.mu_m * bg.beta_m * t / eps_den
-    if bg.beta_m == 0.0 and mu_c is None:
+    if bg.beta_m == 0.0:
         # mu denominator vanishes identically; take the analytic limit
         return ModeParams(lambda_eps=lambda_eps, lambda_mu=LAMBDA_MU_SENTINEL,
                           d_eps=0.0, d_mu=0.0, degenerate=True)
+    # mu_m (1 - t) = -mu_m t (k beta)^2 cancels to rounding for k*beta below ~1e-7
     flag_or_raise(
-        abs(mu_den) < 1e-14 * max(abs(mu_val), abs(bg.mu_m * t)), failed,
+        abs(mu_den) < 1e-14 * max(abs(bg.mu_m), abs(bg.mu_m * t)), failed,
         SingularModeError,
-        lambda: f"mu_c = {mu_val} makes the magnetic denominator "
-                "mu_c - mu_m*(1+gamma^2 beta^2) vanish")
-    lambda_mu = (mu_val + bg.mu_m * t) / (2.0 * mu_den)
+        lambda: f"k*beta_m = {bg.k * abs(bg.beta_m):.3e} makes the magnetic denominator "
+                "mu_m - mu_m*(1+gamma^2 beta^2) vanish")
+    lambda_mu = (bg.mu_m + bg.mu_m * t) / (2.0 * mu_den)
     d_mu = bg.eps_m * bg.mu_m * bg.beta_m * t / mu_den
     return ModeParams(lambda_eps=lambda_eps, lambda_mu=lambda_mu,
                       d_eps=d_eps, d_mu=d_mu, degenerate=False)
@@ -187,7 +186,7 @@ def det_closed_form(bg: ChiralBackground, eps_c: complex, lambda_n: float) -> co
 
 
 def polarization_tensor(spectrum: NPSpectrum, bg: ChiralBackground, eps_c: complex,
-                        mesh: TriMesh, mu_c: float | None = None) -> PolarizationTensor:
+                        mesh: TriMesh) -> PolarizationTensor:
     """6x6 polarization tensor of the particle at permittivity ``eps_c``.
 
     Sums mode coefficient blocks weighted by dipole-moment outer
@@ -195,7 +194,7 @@ def polarization_tensor(spectrum: NPSpectrum, bg: ChiralBackground, eps_c: compl
     response matrix is nearly singular raise (resonance is the physics
     of interest, silently regularizing would mask it).
     """
-    params = mode_params(bg, eps_c, mu_c=mu_c)
+    params = mode_params(bg, eps_c)
     mom = np.asarray(spectrum.moments)
     lam = np.asarray(spectrum.eigenvalues)
     norms = np.linalg.norm(mom, axis=1)

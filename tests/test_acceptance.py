@@ -246,7 +246,7 @@ def test_11_foldy_convergence(ball_spectrum, ball_cn):
     t0 = time.perf_counter()
     bg = ChiralBackground(1.0, 1.0, 0.4, 1.0)
     wave = circular_wave([0.0, 0.0, 1.0], "left")
-    probes = probe_ring(8, 3.0)
+    probes = probe_ring(8)
 
     single_cfg = DiluteConfig(0.5, 1, 0.965, ball_cn)
     lat = build_lattice(1, single_cfg)

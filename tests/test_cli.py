@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralmeta import np_spectral
-from chiralmeta.cli import main
+from chiralmeta import cli, np_spectral
+from chiralmeta.cli import field_csv_rows, fmt, main
 from chiralmeta.mesh import icosphere
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -159,6 +160,27 @@ def test_rerun_byte_identical_spectrum(tmp_path, capsys, decompositions):
     assert main(["np-spectrum", "--config", cfg, "--out", str(b)]) == 0
     assert decompositions == [8, 8]
     assert (a / "np_spectrum.json").read_bytes() == (b / "np_spectrum.json").read_bytes()
+
+
+def test_every_known_key_is_read():
+    # a key that no command reads is accepted and then ignored: every known
+    # key must appear as a string somewhere in the module after the presets
+    body = ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
+    start = 1 + next(i for i, node in enumerate(body) if isinstance(node, ast.Assign)
+                     and any(getattr(t, "id", None) == "_PRESETS" for t in node.targets))
+    strings = {node.value for stmt in body[start:] for node in ast.walk(stmt)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(cli._KNOWN_KEYS - strings) == []
+
+
+def test_field_csv_rows_match_fmt(rng):
+    points = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-20, 20, (5, 3))
+    fields = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    fields[0, 0] = complex(-0.0, 0.0)
+    fields[1, 2] = complex(1e300, -1e-300)
+    expect = [[fmt(v) for v in p] + [fmt(part) for c in f for part in (c.real, c.imag)]
+              for p, f in zip(points, fields)]
+    assert [list(row) for row in field_csv_rows(points, fields)] == expect
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -378,7 +400,10 @@ def test_foldy_bad_eta_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, line", [("foldy", "n_cap = 10"),
-                                           ("dipole-field", "variant = resonant-mode")])
+                                           ("dipole-field", "variant = resonant-mode"),
+                                           ("eff-sweep", "density = 2"),
+                                           ("foldy", "use_limit_tilde = true"),
+                                           ("dipole-field", "probe_radius = 4")])
 def test_deleted_keys_rejected(tmp_path, capsys, command, line):
     cfg = write(tmp_path / "c.cfg", f"volume_scale = 0.5\n{line}\n")
     out = tmp_path / "out"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from chiralmeta.background import ChiralBackground, circular_wave, incident_six
+from chiralmeta.background import (ChiralBackground, circular_wave, green_dyadic,
+                                   incident_six, k0_matrix)
 from chiralmeta.dipole import (FarFieldError, ParticleInstance, dipole_response_tensor,
-                               reciprocity_report, scattered_field_dipole)
-from chiralmeta.polarization import SingularModeError, resonant_eps
+                               scattered_field_dipole)
+from chiralmeta.polarization import SingularModeError, polarization_tensor, resonant_eps
 from _fd import dbf_residual, loglog_slope
 
 WAVE = circular_wave([0.0, 0.0, 1.0], "right")
@@ -116,25 +117,17 @@ def test_achiral_response_is_electric_only(ball_spectrum):
 
 
 def test_response_tensor_variants_agree_near_resonance(bg, sphere_spec3, ico3):
-    # near resonance the driving cluster dominates the full tensor; the
-    # gap closes linearly with the offset
+    # near resonance the driving cluster dominates the volume-shifted full
+    # polarization tensor; the gap closes linearly with the offset
     lam = sphere_spec3.clusters()[0].eigenvalue
     star = resonant_eps(bg, lam).real
-    xs = np.array([[1.2, 0.3, -0.5], [0.0, -1.5, 0.2], [0.8, 0.9, 1.0]])
     for off, tol in ((1e-6, 1e-5), (1e-4, 1e-3)):
         p = ParticleInstance(center=[0, 0, 0], delta=0.05, eps_c=star + off,
                              spectrum=sphere_spec3)
-        inc = incident_six(bg, WAVE, p.center)
-        a = scattered_field_dipole(bg, p, inc, xs, variant="resonant-mode")
-        b = scattered_field_dipole(bg, p, inc, xs, variant="full-tensor", mesh=ico3)
+        a = dipole_response_tensor(bg, p)
+        b = (np.kron(k0_matrix(bg, p.eps_c), np.eye(3))
+             @ polarization_tensor(sphere_spec3, bg, p.eps_c, ico3).M_tilde)
         assert np.abs(a - b).max() / np.abs(b).max() < tol
-
-
-def test_full_tensor_needs_mesh(bg, particle):
-    with pytest.raises(ValueError, match="mesh"):
-        dipole_response_tensor(bg, particle, variant="full-tensor")
-    with pytest.raises(ValueError, match="variant"):
-        dipole_response_tensor(bg, particle, variant="nope")
 
 
 def test_exact_resonance_raises(bg, ball_spectrum):
@@ -146,14 +139,24 @@ def test_exact_resonance_raises(bg, ball_spectrum):
         scattered_field_dipole(bg, p, inc, [1.0, 0.0, 0.0])
 
 
+def transpose_deviations(bg, x, eta=0.0):
+    """Largest entry of each block of G(-x) minus its reciprocity partner
+    in G(x) (EE, HH transposed; EH, HE transposed with a sign swap),
+    relative to the largest entry of G(x)."""
+    x = np.asarray(x, dtype=float)
+    Gp = green_dyadic(bg, x, eta=eta)
+    Gm = green_dyadic(bg, -x, eta=eta)
+    scale = np.abs(Gp).max()
+    assert scale > 0
+    return {"ee": np.abs(Gm[:3, :3] - Gp[:3, :3].T).max() / scale,
+            "hh": np.abs(Gm[3:, 3:] - Gp[3:, 3:].T).max() / scale,
+            "eh": np.abs(Gm[:3, 3:] + Gp[3:, :3].T).max() / scale,
+            "he": np.abs(Gm[3:, :3] + Gp[:3, 3:].T).max() / scale}
+
+
 def test_reciprocity_report(bg):
-    rep = reciprocity_report(bg, [0.3, -0.7, 0.9])
-    assert set(rep) == {"ee_transpose", "hh_transpose", "eh_minus_he_transpose",
-                        "he_minus_eh_transpose", "scale"}
-    assert rep["scale"] > 0
-    for key in ("ee_transpose", "hh_transpose", "eh_minus_he_transpose",
-                "he_minus_eh_transpose"):
-        assert rep[key] < 1e-14
+    for dev in transpose_deviations(bg, [0.3, -0.7, 0.9]).values():
+        assert dev < 1e-14
 
 
 def test_reciprocity_exact_in_diagonal_blocks():
@@ -162,6 +165,6 @@ def test_reciprocity_exact_in_diagonal_blocks():
     bg = ChiralBackground(eps_m=1.2, mu_m=0.8, beta_m=0.4, omega=1.1)
     for x in ([0.3, -0.7, 0.9], [1.5, 0.2, -0.4], [0.0, 0.0, 0.25]):
         for eta in (0.0, 0.1):
-            rep = reciprocity_report(bg, x, eta=eta)
-            assert rep["ee_transpose"] == 0.0
-            assert rep["hh_transpose"] == 0.0
+            dev = transpose_deviations(bg, x, eta=eta)
+            assert dev["ee"] == 0.0
+            assert dev["hh"] == 0.0

@@ -93,7 +93,7 @@ def test_single_particle_field_matches_dipole(bg, cfg, ball_spectrum):
     # one lattice site with eta = 0 is exactly the point-dipole model
     lat = build_lattice(1, cfg)
     st = solve_foldy(bg, lat, -3.0, ball_spectrum, WAVE, eta=0.0)
-    probes = probe_ring(8, 3.0)
+    probes = probe_ring(8)
     total = eval_foldy_field(bg, lat, st, probes)
     part = ParticleInstance(center=lat.centers[0], delta=lat.cfg.delta, eps_c=-3.0,
                             spectrum=ball_spectrum, far_field_factor=2.0)
@@ -180,7 +180,7 @@ def test_far_field_decay(bg, lat2, state2):
 def test_eta_consistency(bg, lat2, ball_spectrum):
     # halving the regularization scale changes the probe fields less and
     # less: the eta-dependence is a vanishing perturbation
-    probes = probe_ring(8, 3.0)
+    probes = probe_ring(8)
     outs = {}
     for eta in (0.2, 0.1, 0.05):
         st = solve_foldy(bg, lat2, -3.0, ball_spectrum, WAVE, eta=eta)
@@ -209,7 +209,7 @@ def test_homogenized_fixed_point_identity(bg):
 
 def test_homogenized_grid_refinement(bg):
     tl = s_limit_tilde(bg, 1 / 6, 0.3)
-    probes = probe_ring(8, 3.0)
+    probes = probe_ring(8)
     fields = {}
     for m in (4, 6, 8):
         hom = solve_homogenized_ls(bg, tl, m, 0.5, WAVE)
@@ -290,7 +290,7 @@ def test_distribution_single_site_has_no_neighbours(bg, cfg):
 
 
 def test_lattice_and_volume_fields_match_block_reference(bg, lat2, state2):
-    pts = np.vstack([probe_ring(8, 3.0), [[0.5, 0.5, 0.5], [0.1, 0.9, 0.4]]])
+    pts = np.vstack([probe_ring(8), [[0.5, 0.5, 0.5], [0.1, 0.9, 0.4]]])
     got = eval_foldy_field(bg, lat2, state2, pts)
     ref = _field_reference(bg, lat2.centers, state2.eta, state2.coupling, state2.values,
                            WAVE, pts)
@@ -319,8 +319,8 @@ def test_invertibility_stat_needs_pairs(bg, cfg):
 
 
 def test_probe_ring_geometry():
-    a = probe_ring(16, 3.0)
-    b = probe_ring(16, 3.0)
+    a = probe_ring(16)
+    b = probe_ring(16)
     assert np.array_equal(a, b)
     assert a.shape == (16, 3)
     r = np.linalg.norm(a - np.array([0.5, 0.5, 0.5]), axis=1)
@@ -329,22 +329,22 @@ def test_probe_ring_geometry():
 
 def test_compare_homogenization_small(bg, cfg, ball_spectrum):
     rows = compare_homogenization(bg, cfg, ball_spectrum, -3.0, [2, 3], 0.1,
-                                  probe_ring(8, 3.0), grid_m=6)
+                                  probe_ring(8), grid_m=6)
     assert [r.n_per_axis for r in rows] == [2, 3]
     assert rows[1].rel_l2_error < rows[0].rel_l2_error
 
 
 def test_compare_homogenization_probe_independent(bg, cfg, ball_spectrum):
     a = compare_homogenization(bg, cfg, ball_spectrum, -3.0, [2], 0.1,
-                               probe_ring(8, 3.0), grid_m=6)[0].rel_l2_error
+                               probe_ring(8), grid_m=6)[0].rel_l2_error
     b = compare_homogenization(bg, cfg, ball_spectrum, -3.0, [2], 0.1,
-                               probe_ring(16, 3.0), grid_m=6)[0].rel_l2_error
+                               probe_ring(16), grid_m=6)[0].rel_l2_error
     assert abs(a - b) < 0.2 * max(a, b)
 
 
 def test_compare_homogenization_single_site_baseline(bg, cfg, ball_spectrum):
     row = compare_homogenization(bg, cfg, ball_spectrum, -3.0, [1], 0.1,
-                                 probe_ring(8, 3.0), grid_m=6)[0]
+                                 probe_ring(8), grid_m=6)[0]
     assert 0.0 < row.rel_l2_error < 1.0
 
 
@@ -578,6 +578,25 @@ def test_lu_fallback_factors_each_block_once(bg, coupled_tilde, monkeypatch):
         assert rep["method"] == "lu"
         assert rep["size"] == 6 * m ** 3
         assert np.isfinite(rep["condition_estimate"]) and rep["condition_estimate"] >= 1.0
+
+
+def test_blocked_lu_even_grid_factors_in_place(bg, coupled_tilde, rng):
+    # at even m no rotation fixes a cell, so every (cell, component) pair is
+    # kept and each block is factored as a view of the combined gather: the
+    # solve holds the four blocks and little more
+    import tracemalloc
+    m = 6
+    T6 = np.kron(coupling_from_tilde(coupled_tilde, bg.omega), np.eye(3))
+    blocks = _offset_blocks(bg, m, 0.1, T6, 1.0 / m ** 3, zero_self=False)
+    b = rng.standard_normal(6 * m ** 3) + 1j * rng.standard_normal(6 * m ** 3)
+    block_bytes = 4 * 16 * (6 * m ** 3 // 4) ** 2
+    tracemalloc.start()
+    try:
+        _lu_solve_system(blocks, _grid_index(m), b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * block_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,17 @@ def test_mode_params_singular_denominator():
         mode_params(bg, bg.eps_m * bg.dbf_factor)
 
 
+def test_mode_params_magnetic_denominator_guard():
+    # mu_m - mu_m/(1 - (k beta)^2) cancels to rounding below k*beta ~ 1e-7
+    with pytest.raises(SingularModeError, match="magnetic denominator"):
+        mode_params(ChiralBackground(1.0, 1.0, 1e-9, 1.0), -3.0)
+    failed = np.zeros(2, dtype=bool)
+    with np.errstate(divide="ignore"):
+        mode_params(ChiralBackground(1.0, 1.0, 1e-9, 1.0), np.array([-3.0, -2.0]), failed=failed)
+    assert failed.all()
+    assert not mode_params(ChiralBackground(1.0, 1.0, 1e-6, 1.0), -3.0).degenerate
+
+
 def test_assemble_diagonal_det():
     bg = ChiralBackground(1.0, 1.0, 0.0, 1.0)
     p = mode_params(bg, -3.0)
