@@ -10,7 +10,10 @@ comparing probe fields of the two is the convergence experiment.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -29,8 +32,8 @@ _I3 = np.eye(3)
 # it replaced peaked at 210 MB)
 _CHUNK_ELEMS = 200_000
 # largest system handed to the LU fallback: at grid_m 9 (4,374 unknowns) its
-# four symmetry blocks take 0.4-0.6 s in all, 0.2 s of it LU, and peak at
-# 125 MB by tracemalloc (2 threads)
+# five irrep blocks (180 to 558 unknowns) take 0.09-0.13 s in all, 0.02 s of
+# it LU, and peak at 45 MB by tracemalloc (2 OpenBLAS threads, 2 vCPUs)
 _DIRECT_CAP = 4500
 # fixed-point sweeps before the grid solve falls back to LU or fails
 _MAX_SWEEPS = 200
@@ -209,114 +212,247 @@ def _fft_apply(blocks: np.ndarray, cells: np.ndarray):
 #
 # The chiral background breaks mirror symmetry, not rotation symmetry:
 # G_eta(R d) = (R+R) G_eta(d) (R+R)^T for a proper rotation R, and T6 acts on
-# the E/H pair only, so it commutes with R+R.  The three 180-degree rotations
-# about the axes through the grid centre map every n^3 grid onto itself.
-# Rotation g reverses two cell axes and flips the same two components of E and
-# of H (the diagonal signs S_g), so the offset table obeys
-# B(R_g d) = S_g B(d) S_g, and I - K splits into one block per character chi
-# of this group D2, in the basis of signed orbit sums: cell g.r carries
-# chi(g) S_g[a] / sqrt|O_r| for orbit representative r and component a.
+# the E/H pair only, so it commutes with Q = R+R.  The 24 rotations R_g of the
+# cube about the grid centre (the group O) map every n^3 grid onto itself, so
+# the offset table obeys B(R_g d) = Q_g B(d) Q_g^T and I - K commutes with
+# (T_g u)[g.r] = Q_g u[r].  In a symmetry-adapted basis (Faessler & Stiefel,
+# Group Theoretical Methods and Their Applications, 1992) I - K is the direct
+# sum of d copies of one block per real irrep D_rho of O (dimension d):
+#     A_rho = I + W^T M_rho W,  M_rho[(j,r,a),(l,s,b)]
+#           = -sum_g D_rho(g)_jl [B(r - g.s) Q_g]_ab
+# over orbit representatives r, s, partners j, l and components a, b.  W maps
+# an orbit's 6d raw coordinates (j, a) to an orthonormal basis: the identity
+# on a free orbit; on a cell that the rotations h in H fix, the range of the
+# stabilizer projector (1/|H|) sum_h D_rho(h) (x) Q_h, scaled by 1/sqrt|H|.
+# Blocks, right-hand sides and the solution all carry raw coordinates with
+# the axes (j, r, a); the orthonormal basis index is (r, kappa).
 
 
-def _d2_transform(a: np.ndarray) -> np.ndarray:
-    """In place over the first axis (length 4): a[x] <- sum_g chi_x(g) a[g],
-    with the characters chi_x(g) = (-1)^popcount(x & g) of D2 and the
-    elements g = identity, C2x, C2y, C2z.  Applied twice it gives 4a."""
-    diff = np.empty_like(a[0])
-    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3)):
-        np.subtract(a[i], a[j], out=diff)
-        a[i] += a[j]
-        a[j] = diff
-    return a
+class _CubeGroup(NamedTuple):
+    """Tables of the rotation group O, built by :func:`_cube_group`."""
+
+    rot: np.ndarray      # (24, 3, 3) rotations R_g
+    Q: np.ndarray        # (24, 6, 6) Q_g = R_g + R_g on (E, H)
+    qperm: np.ndarray    # (24, 6) Q_g e_b = qsign[g, b] e_qperm[g, b]
+    qsign: np.ndarray
+    irreps: tuple        # D_rho(g), shape (24, d, d), for A1, A2, E, T1, T2
+    chi: np.ndarray      # (4, 4) characters of D2: 1 and the diagonals of R_k
 
 
-def _d2_orbits(cells: np.ndarray, n: int):
-    """Orbits of D2 on the grid cells ``cells`` (a permutation of the n^3
-    grid).  Returns the cells g.r of the orbit representatives r, shape
-    (4, R, 3); their positions in ``cells``, shape (4, R); the signs S_g,
-    shape (4, 6); the stabilizer order |H_r|; and keep[x, r, a], whether
-    pair (r, a) carries a basis vector of block x: at a cell that a rotation
-    h fixes, only chi_x(h) S_h[a] = 1 survives the orbit sum."""
-    flips = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=bool)
-    signs = 1.0 - 2.0 * np.tile(flips, 2)
-    images = np.where(flips[:, None, :], n - 1 - cells, cells)
+@functools.cache
+def _cube_group() -> _CubeGroup:
+    """The rotation group O of the cube and its five real irreps.
+
+    Element g = 4 q + k is the half-turn k of D2 (identity, C2x, C2y, C2z)
+    followed by the axis permutation q, negated when odd so that
+    det R_g = 1.  A1 = 1, A2 = the sign of the axis permutation, E = the
+    axis permutation on the plane normal to (1, 1, 1), T1 = R_g and
+    T2 = A2 R_g.  Every irrep is diagonal on D2: D(4q + k) = D(4q) diag(c)
+    with c = chi[0, k] for A1, A2 and E and chi[1 + l, k] for partner l of
+    T1 and T2."""
+    half = np.array([np.diag(s) for s in
+                     ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))], dtype=float)
+    perms = list(itertools.permutations(range(3)))
+    parity = np.array([(-1.0) ** sum(p[j] > p[i] for i in range(3) for j in range(i))
+                       for p in perms])
+    axis_perm = np.repeat(np.eye(3)[:, perms].transpose(1, 0, 2), 4, axis=0)
+    a2 = np.repeat(parity, 4)[:, None, None]
+    rot = (a2 * axis_perm) @ np.tile(half, (6, 1, 1))
+    Q = np.zeros((24, 6, 6))
+    Q[:, :3, :3] = Q[:, 3:, 3:] = rot
+    qperm = np.abs(Q).argmax(axis=1)
+    qsign = np.take_along_axis(Q, qperm[:, None, :], axis=1)[:, 0]
+    plane = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]) / np.sqrt([[2.0], [6.0]])
+    irreps = (np.ones((24, 1, 1)), a2, plane @ axis_perm @ plane.T, rot, a2 * rot)
+    chi = np.vstack([np.ones(4), half.diagonal(axis1=1, axis2=2).T])
+    return _CubeGroup(rot, Q, qperm, qsign, irreps, chi)
+
+
+def _group_sums(Y: np.ndarray):
+    """Yield sum_g D_rho(g)_jl Y[g] for each irrep rho in turn, shape
+    (d, d) + Y.shape[1:].
+
+    The 24-term sum runs as a 4-term D2 character sum within each coset and
+    a 6-term sum over the cosets, by einsum on the real view rather than
+    BLAS: with two BLAS threads a product this skinny costs more in thread
+    start-up than in arithmetic."""
+    grp = _cube_group()
+    shape = Y.shape[1:]
+    Yh = np.einsum("ck,qkx->qcx", grp.chi,
+                   np.ascontiguousarray(Y, dtype=complex).view(float).reshape(6, 4, -1))
+    del Y   # the caller's gather is not needed past this point
+    for D in grp.irreps:
+        d = D.shape[1]
+        # the three-dimensional irreps are the ones that D2 does not fix
+        Z = Yh[:, 1:] if d == 3 else np.broadcast_to(Yh[:, :1], (6, d, Yh.shape[2]))
+        yield np.einsum("qjl,qlx->jlx", D[::4], Z).view(complex).reshape((d, d) + shape)
+
+
+def _cube_orbits(cells: np.ndarray, n: int):
+    """Orbits of O on the grid cells ``cells`` (a permutation of the n^3
+    grid), their representatives r grouped by stabilizer.  Returns the
+    positions in ``cells`` of the cells g.r, shape (24, R); those cells,
+    shape (24, R, 3); the number of orbits per stabilizer pattern, the
+    trivial one first; and per irrep the orbit bases of the patterns
+    (:func:`_orbit_bases`)."""
+    grp = _cube_group()
+    images = (np.einsum("gij,cj->gci", grp.rot.astype(int), 2 * cells - (n - 1))
+              + (n - 1)) // 2
     flat = (images[..., 0] * n + images[..., 1]) * n + images[..., 2]
     pos = np.empty(n ** 3, dtype=int)
     pos[flat[0]] = np.arange(cells.shape[0])
     reps = np.flatnonzero(flat[0] == flat.min(axis=0))
-    fixed = flat[:, reps] == flat[0, reps]
-    chars = _d2_transform(np.eye(4))
-    survives = chars[:, :, None] * signs[None, :, :] == 1.0           # (x, h, a)
-    keep = np.all(~fixed[None, :, :, None] | survives[:, :, None, :], axis=1)
-    return images[:, reps], pos[flat[:, reps]], signs, fixed.sum(axis=0), keep
+    # rows: whether rotation g fixes the cell; every row has g = 0 set, so
+    # the trivial pattern sorts first
+    patterns, which = np.unique((flat[:, reps] == flat[0, reps]).T, axis=0,
+                                return_inverse=True)
+    which = which.reshape(-1)
+    reps = reps[np.argsort(which, kind="stable")]
+    return (pos[flat[:, reps]], images[:, reps], np.bincount(which),
+            _orbit_bases(patterns))
 
 
-def _symmetry_blocks(blocks: np.ndarray, orbits: tuple):
-    """Yield, per character x of D2, the kept (representative, component)
-    indices r * 6 + a and the block A_x of I - K over them (None for an
-    empty block), Fortran-ordered so LAPACK can factor it in place.  Where
-    every pair is kept (all of even n) A_x is a view of the combined
-    gather, so the blocks take no memory beyond it.
+def _orbit_bases(patterns: np.ndarray) -> list[list]:
+    """Per irrep and stabilizer pattern H (whether rotation g fixes the
+    cells, shape (P, 24)), the map W/sqrt|H| of shape (d, 6, k) from an
+    orbit's raw coordinates (j, a) to its k orthonormal basis vectors: the
+    range of (1/|H|) sum_{h in H} D(h) (x) Q_h.  None stands for the
+    identity (a free orbit, k = 6d)."""
+    grp = _cube_group()
+    bases = []
+    for D in grp.irreps:
+        d = D.shape[1]
+        per = []
+        for fixes in patterns:
+            h = fixes.sum()
+            if h == 1:
+                per.append(None)
+                continue
+            P = np.einsum("hjl,hab->jalb", D[fixes], grp.Q[fixes]).reshape(6 * d, 6 * d) / h
+            per.append((_range_basis(P) / np.sqrt(h)).reshape(d, 6, -1))
+        bases.append(per)
+    return bases
 
-    A_x[(r,a),(s,b)] = sum_h chi_x(h) (I - K)[r, h.s]_ab S_h[b]
-    / sqrt(|H_r| |H_s|), gathered from the offset table for representative
-    pairs only (a quarter of the full matrix) and combined in place.
-    ``orbits`` is what :func:`_d2_orbits` returns."""
-    reps, _, signs, stab, keep = orbits
+
+def _range_basis(P: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of the orthogonal projector P, by
+    pivoted Cholesky P = L L^T: a full-rank factor of a projector has
+    orthonormal columns.  What is left after each step is again a
+    projector, whose largest diagonal entry is at least rank / size, so a
+    fixed threshold tells the range from roundoff."""
+    P = P.copy()
+    cols = []
+    while True:
+        i = np.argmax(P.diagonal())
+        if P[i, i] < 0.01:
+            break
+        c = P[:, i] / np.sqrt(P[i, i])
+        P -= np.outer(c, c)
+        cols.append(c)
+    return np.array(cols).reshape(-1, P.shape[0]).T
+
+
+def _basis_size(W, d: int) -> int:
+    return 6 * d if W is None else W.shape[2]
+
+
+def _to_basis(x: np.ndarray, counts: np.ndarray, bases: list) -> np.ndarray:
+    """Map the leading raw axes (j, r, a) of ``x`` to the orthonormal orbit
+    basis: W^T x, shape (K,) + x.shape[3:]."""
+    d, rest = x.shape[0], x.shape[3:]
+    sizes = [c * _basis_size(W, d) for c, W in zip(counts, bases)]
+    out = np.empty((sum(sizes),) + rest, dtype=x.dtype)
+    lo = f = 0
+    for c, W, size in zip(counts, bases, sizes):
+        part = x[:, lo:lo + c]
+        if W is None:
+            out[f:f + size].reshape(part.shape)[...] = part
+        else:
+            np.einsum("jra...,jak->rk...", part, W,
+                      out=out[f:f + size].reshape((c, W.shape[2]) + rest))
+        lo, f = lo + c, f + size
+    return out
+
+
+def _from_basis(x: np.ndarray, counts: np.ndarray, bases: list, d: int) -> np.ndarray:
+    """Adjoint of :func:`_to_basis`: W x, shape (d, R, 6) + x.shape[1:]."""
+    rest = x.shape[1:]
+    out = np.empty((d, counts.sum(), 6) + rest, dtype=x.dtype)
+    lo = f = 0
+    for c, W in zip(counts, bases):
+        size = c * _basis_size(W, d)
+        part = x[f:f + size]
+        if W is None:
+            out[:, lo:lo + c] = part.reshape((d, c, 6) + rest)
+        else:
+            np.einsum("rk...,jak->jra...", part.reshape((c, W.shape[2]) + rest), W,
+                      out=out[:, lo:lo + c])
+        lo, f = lo + c, f + size
+    return out
+
+
+def _orbit_gather(blocks: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Y[g, s, b, r, a] = -[B(r - g.s) Q_g]_ab from the offset table
+    ``blocks`` for the orbit representatives r, s = images[0]: 1/24 of the
+    entries of the full matrix."""
+    grp = _cube_group()
     span = blocks.shape[0]
-    flat = blocks.reshape(-1, 6, 6)
-    R = reps.shape[1]
-    w = 1.0 / np.sqrt(stab)
-    # signed gathers W[h][s, b, r, a] = -S_h[b] K[r, h.s]_ab w_r w_s
-    W = np.empty((4, R, 6, R, 6), dtype=complex)
-    for h in range(4):
-        d = reps[0][None, :, :] - reps[h][:, None, :] + (span - 1) // 2
-        coef = -(w[:, None, None, None] * signs[h][None, :, None, None]
-                 * w[None, None, :, None])
-        np.multiply(flat[(d[..., 0] * span + d[..., 1]) * span + d[..., 2]]
-                    .transpose(0, 3, 1, 2), coef, out=W[h])
-    _d2_transform(W)
-    for x in range(4):
-        k = np.flatnonzero(keep[x])
-        if k.size == 0:
-            yield k, None
+    off = images[0][None, None, :, :] - images[:, :, None, :] + (span - 1) // 2
+    at = (off[..., 0] * span + off[..., 1]) * span + off[..., 2]
+    Y = blocks.reshape(-1, 6, 6).transpose(0, 2, 1)[at[:, :, None, :],
+                                                    grp.qperm[:, None, :, None]]
+    Y *= -grp.qsign[:, None, :, None, None]
+    return Y
+
+
+def _irrep_blocks(blocks: np.ndarray, orbits: tuple):
+    """Yield, per irrep of O in turn, its block A = I + W^T M W of I - K
+    (None for an empty block), Fortran-ordered so that LAPACK factors it in
+    place.  ``orbits`` is what :func:`_cube_orbits` returns."""
+    _, images, counts, bases = orbits
+    for M, W in zip(_group_sums(_orbit_gather(blocks, images)), bases):
+        # A[(j,r,a),(l,s,b)] = M[j,l,s,b,r,a]; built as the C-ordered A^T
+        At = _to_basis(_to_basis(M.transpose(0, 4, 5, 1, 2, 3), counts, W)
+                       .transpose(1, 2, 3, 0), counts, W)
+        if At.size == 0:
+            yield None
             continue
-        A = W[x].reshape(6 * R, 6 * R)
-        if k.size < A.shape[0]:
-            A = A[np.ix_(k, k)]
-        A = A.T
-        A[np.diag_indices(k.size)] += 1.0
-        yield k, A
+        At[np.diag_indices(At.shape[0])] += 1.0
+        yield At.T
 
 
 def _lu_solve_system(blocks: np.ndarray, cells: np.ndarray,
-                     b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve (I - K) u = b by LU of the four D2 symmetry blocks; returns u and
-    the 1-norm condition estimate of the block-diagonal form,
-    max_x ||A_x||_1 * max_x ||A_x^-1||_1."""
+                     b: np.ndarray) -> tuple[np.ndarray, float, list[int]]:
+    """Solve (I - K) u = b by LU of the five irrep blocks of O, each once
+    for its d right-hand sides.  Returns u; the 1-norm condition estimate
+    of the block-diagonal form, max ||A_rho||_1 * max ||A_rho^-1||_1; and
+    the block sizes in irrep order (A1, A2, E, T1, T2)."""
     n = (blocks.shape[0] + 1) // 2
-    orbits = _d2_orbits(cells, n)
-    _, at, signs, stab, _ = orbits
+    grp = _cube_group()
+    orbits = _cube_orbits(cells, n)
+    at, _, counts, bases = orbits
     b6 = b.reshape(-1, 6)
-    # b_x = V_x^T b: signed orbit sums over g, scaled by 1/sqrt|O_r|
-    root = np.sqrt(stab)[None, :, None]
-    rhs = _d2_transform(signs[:, None, :] * b6[at]) * (0.5 / root)
-    sol = np.zeros_like(rhs)
-    anorm, inv_norm = 0.0, 0.0
-    for x, (k, A) in enumerate(_symmetry_blocks(blocks, orbits)):
+    # raw right-hand sides sum_g D(g)_ij Q_g^T b[g.r], axes (i, j, r, a)
+    rhs = _group_sums(np.einsum("gca,grc->gra", grp.Q, b6[at]))
+    z = np.zeros(at.shape + (6,), dtype=complex)
+    anorm, inv_norm, sizes = 0.0, 0.0, []
+    for D, r, W, A in zip(grp.irreps, rhs, bases, _irrep_blocks(blocks, orbits)):
+        sizes.append(0 if A is None else A.shape[0])
         if A is None:
             continue
-        norm = float(scipy.linalg.lapack.zlange("1", A))
+        d = D.shape[1]
+        norm = float(np.linalg.norm(A, 1))
         lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True)
-        sol[x].reshape(-1)[k] = scipy.linalg.lu_solve((lu, piv), rhs[x].reshape(-1)[k])
+        x = scipy.linalg.lu_solve((lu, piv), _to_basis(r.transpose(1, 2, 3, 0), counts, W))
         rcond, info = scipy.linalg.lapack.zgecon(lu, norm)
         anorm = max(anorm, norm)
         inv_norm = max(inv_norm, 1.0 / (rcond * norm) if info == 0 and rcond > 0
                        else float("inf"))
-    # u = sum_x V_x sol_x, written to every cell g.r of each orbit
-    u = np.empty_like(b6)
-    u[at] = signs[:, None, :] * _d2_transform(sol) * (0.5 * root)
-    return u.reshape(-1), anorm * inv_norm
+        # u[g.r] = sum over irreps of (d/24) sum_ij D(g)_ij Q_g (W x_i)[j, r]
+        z += (d / 24) * np.einsum("gij,jrai->gra", D, _from_basis(x, counts, W, d))
+    u6 = np.zeros(b6.shape, dtype=complex)
+    np.add.at(u6, at, np.einsum("gca,gra->grc", grp.Q, z))
+    return u6.reshape(-1), anorm * inv_norm, sizes
 
 
 def _solve_grid(blocks: np.ndarray, cells: np.ndarray, b: np.ndarray,
@@ -326,9 +462,11 @@ def _solve_grid(blocks: np.ndarray, cells: np.ndarray, b: np.ndarray,
 
     Fixed-point sweeps u <- b + K u, each one FFT product, run with a
     divergence check; if they stall, a system up to the dense cap falls
-    back to the LU of its four symmetry blocks.  The residual is taken
-    with the FFT product either way, so the LU may overwrite its blocks,
-    and it certifies the blocked solve.  Returns u and the solver report."""
+    back to the LU of its five symmetry blocks, whose sizes the report
+    lists under "blocks" in irrep order (0 for an irrep with no basis
+    vectors).  The residual is taken with the FFT product either way, so
+    the LU may overwrite its blocks, and it certifies the blocked solve.
+    Returns u and the solver report."""
     size = b.size
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -357,7 +495,7 @@ def _solve_grid(blocks: np.ndarray, cells: np.ndarray, b: np.ndarray,
                 f"fixed-point iteration did not converge in {iterations} sweeps "
                 f"(last update {last_update:.3e}); system of size {size} is beyond "
                 f"the dense fallback cap {_DIRECT_CAP}")
-        u, cond = _lu_solve_system(blocks, cells, b)
+        u, cond, sizes = _lu_solve_system(blocks, cells, b)
         method = "lu"
     resid = float(np.linalg.norm(u - b - apply_K(u))) / bnorm
     if not resid < tol:
@@ -366,6 +504,8 @@ def _solve_grid(blocks: np.ndarray, cells: np.ndarray, b: np.ndarray,
             f"condition estimate {cond:.3e})")
     report = {"residual": resid, "condition_estimate": cond, "size": size,
               "method": method, "iterations": iterations}
+    if method == "lu":
+        report["blocks"] = sizes
     return u, report
 
 
@@ -425,8 +565,7 @@ def eval_foldy_field(bg: ChiralBackground, lattice: ParticleLattice,
 
 
 def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
-                         eta: float, incident: PlaneWaveSpec,
-                         tol: float = 1e-10) -> HomogenizedState:
+                         eta: float, incident: PlaneWaveSpec) -> HomogenizedState:
     """Solve the volume fixed-point equation on an m^3 cell grid.
 
     Midpoint quadrature with cell weight 1/m^3; the self cell is kept
@@ -442,7 +581,7 @@ def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
     n = pts.shape[0]
     b = incident_six(bg, incident, pts).reshape(-1)
     blocks = _offset_blocks(bg, grid_m, eta, T6, 1.0 / n, zero_self=False)
-    u, report = _solve_grid(blocks, _grid_index(grid_m), b, tol)
+    u, report = _solve_grid(blocks, _grid_index(grid_m), b, 1e-10)
     return HomogenizedState(grid_m=grid_m, centers=pts, values=u.reshape(n, 6),
                             eta=eta, solver_report=report, coupling=T6,
                             incident=incident)

@@ -7,9 +7,11 @@ from chiralmeta.background import (ChiralBackground, circular_wave, green_dyadic
 from chiralmeta.dipole import ParticleInstance, scattered_field_dipole
 from chiralmeta.effective import (DiluteConfig, EffectiveError, coupling_from_tilde,
                                   s_limit_tilde, tilde_from_definition)
-from chiralmeta.foldy import (FoldyError, ParticleLattice, _d2_orbits, _fft_apply,
-                              _grid_index, _lu_solve_system, _offset_blocks,
-                              _symmetry_blocks, build_lattice, cell_centers,
+from chiralmeta.foldy import (FoldyError, ParticleLattice, _cube_group, _cube_orbits,
+                              _fft_apply, _from_basis, _grid_index, _group_sums,
+                              _irrep_blocks,
+                              _lu_solve_system, _offset_blocks, _solve_grid,
+                              build_lattice, cell_centers,
                               check_distribution, compare_homogenization, eval_foldy_field,
                               eval_homogenized_field, probe_ring, solve_foldy,
                               solve_homogenized_ls, uniform_invertibility_stat)
@@ -388,47 +390,126 @@ def _d2_signs(flipped):
     return np.tile(s, 2)
 
 
-def _d2_character(x, g):
-    return (-1.0) ** bin(x & g).count("1")
+def _product_table(rot):
+    """gh[g, h]: the index of R_g R_h among the 24 rotations."""
+    prod = np.einsum("gij,hjk->ghik", rot, rot)
+    match = np.all(prod[:, :, None] == rot[None, None], axis=(-2, -1))
+    assert np.all(match.sum(axis=-1) == 1)
+    return match.argmax(axis=-1)
 
 
-def _symmetry_basis(at, keep):
-    """Dense V_x per character x from the definition: column (r, a) is the
-    normalized sum over g of chi_x(g) S_g[a] e_(g.r, a)."""
-    R = at.shape[1]
-    V = np.zeros((4, 6 * at.max() + 6, 6 * R))
-    for x in range(4):
-        for g, flipped in enumerate(D2_FLIPS):
-            rows = 6 * at[g][:, None] + np.arange(6)
-            V[x, rows, np.arange(6 * R).reshape(R, 6)] += (_d2_character(x, g)
-                                                          * _d2_signs(flipped))
-    Vs = [V[x][:, keep[x].reshape(-1)] for x in range(4)]
-    return [Vx / np.linalg.norm(Vx, axis=0) for Vx in Vs]
+def test_cube_rotations_form_a_group():
+    rot = _cube_group().rot
+    assert rot.shape == (24, 3, 3)
+    assert np.array_equal(rot[0], np.eye(3))
+    # signed permutation matrices of determinant 1, all distinct
+    assert np.all(np.sum(rot != 0, axis=1) == 1)
+    assert np.all(np.isin(rot, (-1.0, 0.0, 1.0)))
+    assert np.allclose(np.linalg.det(rot), 1.0)
+    assert len(np.unique(rot.reshape(24, 9), axis=0)) == 24
+    _product_table(rot)   # closed under products
+
+
+def test_cube_irreps_are_orthogonal_homomorphisms():
+    grp = _cube_group()
+    gh = _product_table(grp.rot)
+    assert [D.shape[1] for D in grp.irreps] == [1, 1, 2, 3, 3]
+    for D in grp.irreps:
+        assert D.dtype == float
+        d = D.shape[1]
+        assert np.abs(D @ D.transpose(0, 2, 1) - np.eye(d)).max() <= 1e-15
+        prod = np.einsum("gij,hjk->ghik", D, D)
+        assert np.abs(prod - D[gh]).max() <= 1e-15
+
+
+def test_cube_irrep_characters_orthogonal():
+    chars = np.array([np.trace(D, axis1=1, axis2=2) for D in _cube_group().irreps])
+    assert np.abs(chars @ chars.T - 24 * np.eye(5)).max() <= 1e-13
+
+
+def test_group_sums_match_definition(rng):
+    # the coset-wise sums equal sum_g D(g)_jl Y[g] term by term
+    Y = rng.standard_normal((24, 2, 3)) + 1j * rng.standard_normal((24, 2, 3))
+    got = list(_group_sums(Y))
+    assert len(got) == 5
+    for D, S in zip(_cube_group().irreps, got):
+        assert np.abs(S - np.einsum("gjl,gxy->jlxy", D, Y)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("beta, eta, zero_self", [(0.4, 0.0, True), (0.4, 0.3, False),
+                                                  (0.0, 0.3, False)])
+def test_offset_blocks_cube_invariant(rng, n, beta, eta, zero_self):
+    # B(R_g d) = Q_g B(d) Q_g^T for all 24 rotations; a quarter-turn reorders
+    # the sum inside |d|, so this holds to roundoff, not bit for bit
+    grp = _cube_group()
+    bgb = ChiralBackground(1.0, 1.0, beta, 1.0)
+    T2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    B = _offset_blocks(bgb, n, eta, np.kron(T2, np.eye(3)), 1.0 / n ** 3, zero_self)
+    span = 2 * n - 1
+    d = _grid_index(span) - (n - 1)
+    flat = B.reshape(-1, 6, 6)
+    for R, Q in zip(grp.rot, grp.Q):
+        Rd = d @ R.T.astype(int) + (n - 1)
+        turned = flat[(Rd[:, 0] * span + Rd[:, 1]) * span + Rd[:, 2]]
+        assert np.abs(turned - Q @ flat @ Q.T).max() <= 1e-15 * np.abs(B).max()
+
+
+def _rotation_operators(cells, n):
+    """Dense T_g with (T_g u)[g.r] = Q_g u[r] over the cells, per rotation."""
+    grp = _cube_group()
+    where = {tuple(c): p for p, c in enumerate(cells)}
+    T = np.zeros((24, 6 * len(cells), 6 * len(cells)))
+    for g, (R, Q) in enumerate(zip(grp.rot, grp.Q)):
+        for p, c in enumerate(cells):
+            q = where[tuple(np.rint(R @ (c - (n - 1) / 2) + (n - 1) / 2).astype(int))]
+            T[g, 6 * q:6 * q + 6, 6 * p:6 * p + 6] = Q
+    return T
+
+
+def _symmetry_basis(cells, n, orbits):
+    """Dense V_(rho, i) per irrep rho and partner i, from the projection
+    definition P_ij = (d/24) sum_g D(g)_ij T_g: column kappa is
+    sqrt(24/d) sum_j P_ij e_j, where e_j carries the orbit coordinates
+    (j, r, a) of basis vector kappa on the representative cells."""
+    grp = _cube_group()
+    at, _, counts, bases = orbits
+    T = _rotation_operators(cells, n)
+    Vs = []
+    for D, W in zip(grp.irreps, bases):
+        d = D.shape[1]
+        K = sum(c * (6 * d if w is None else w.shape[2]) for c, w in zip(counts, W))
+        coords = _from_basis(np.eye(K), counts, W, d)           # (j, r, a, kappa)
+        e = np.zeros((d, 6 * len(cells), K))
+        e[:, (6 * at[0][:, None] + np.arange(6)).reshape(-1)] = coords.reshape(d, -1, K)
+        P = (d / 24) * np.einsum("gij,gxy->ijxy", D, T)
+        Vs.append([np.sqrt(24 / d) * np.einsum("jxy,jyk->xk", P[i], e) for i in range(d)])
+    return Vs
 
 
 @pytest.mark.parametrize("n, eta, zero_self", [(2, 0.0, True), (3, 0.1, True),
                                                (3, 0.5, False), (4, 0.0, True),
                                                (4, 0.5, False)])
 def test_gathered_matrix_matches_pairwise(bg, T6_dilute, rng, n, eta, zero_self):
-    # each gathered symmetry block is V_x^T (I - K) V_x, with V_x and I - K
-    # formed densely; the V_x together are square and orthogonal
+    # each gathered irrep block is V^T (I - K) V for every partner's V, with
+    # V and I - K formed densely; the V of all irreps and partners together
+    # are square and orthogonal
     cells = _grid_index(n)[rng.permutation(n ** 3)]
     blocks = _offset_blocks(bg, n, eta, T6_dilute, 1.0 / n ** 3, zero_self)
-    orbits = _d2_orbits(cells, n)
-    _, at, _, _, keep = orbits
+    orbits = _cube_orbits(cells, n)
     A = np.eye(6 * n ** 3) - _pairwise_interaction(bg, (cells + 0.5) / n, eta,
                                                    T6_dilute, zero_self)
-    Vs = _symmetry_basis(at, keep)
-    V = np.hstack(Vs)
+    Vs = _symmetry_basis(cells, n, orbits)
+    V = np.hstack([Vi for partners in Vs for Vi in partners])
     assert V.shape == A.shape
     assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-14
-    got = list(_symmetry_blocks(blocks, orbits))
-    assert len(got) == 4
-    for x, ((k, block), Vx) in enumerate(zip(got, Vs)):
-        expect = Vx.T @ A @ Vx
-        assert np.array_equal(k, np.flatnonzero(keep[x]))
-        assert block.shape == expect.shape
-        assert np.abs(block - expect).max() <= 1e-14 * np.abs(A).max()
+    got = list(_irrep_blocks(blocks, orbits))
+    assert len(got) == 5
+    for block, partners in zip(got, Vs):
+        for Vi in partners:
+            expect = Vi.T @ A @ Vi
+            assert block.shape == expect.shape
+            assert np.abs(block - expect).max() <= 1e-14 * np.abs(A).max()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -471,12 +552,15 @@ def test_invertibility_stat_pairwise(bg, cfg, N):
 
 
 def test_volume_picard_matches_dense_solve(bg, T6_dilute):
-    tl = s_limit_tilde(bg, 1 / 6, 0.3)
-    hom = solve_homogenized_ls(bg, tl, 6, 0.1, WAVE, tol=1e-12)
-    assert hom.solver_report["method"] == "iteration"
-    A = np.eye(6 * 216) - _pairwise_interaction(bg, hom.centers, 0.1, T6_dilute, False)
-    expect = np.linalg.solve(A, incident_six(bg, WAVE, hom.centers).reshape(-1))
-    dev = np.linalg.norm(hom.values.reshape(-1) - expect) / np.linalg.norm(expect)
+    # the volume system of solve_homogenized_ls, swept to a 1e-12 residual
+    pts = cell_centers(6)
+    b = incident_six(bg, WAVE, pts).reshape(-1)
+    blocks = _offset_blocks(bg, 6, 0.1, T6_dilute, 1.0 / 216, zero_self=False)
+    u, rep = _solve_grid(blocks, _grid_index(6), b, 1e-12)
+    assert rep["method"] == "iteration"
+    A = np.eye(6 * 216) - _pairwise_interaction(bg, pts, 0.1, T6_dilute, False)
+    expect = np.linalg.solve(A, b)
+    dev = np.linalg.norm(u - expect) / np.linalg.norm(expect)
     assert dev <= 1e-12
 
 
@@ -513,7 +597,7 @@ def test_dense_system_is_fortran_ordered(bg, T6_dilute):
     # lu_factor(overwrite_a=True) factors in place only a Fortran-ordered matrix
     for n in (2, 3):
         blocks = _offset_blocks(bg, n, 0.1, T6_dilute, 1.0 / n ** 3, zero_self=True)
-        for _, block in _symmetry_blocks(blocks, _d2_orbits(_grid_index(n), n)):
+        for block in _irrep_blocks(blocks, _cube_orbits(_grid_index(n), n)):
             assert block.flags.f_contiguous
 
 
@@ -532,29 +616,30 @@ def test_offset_blocks_rotation_invariant(rng, n, beta, eta, zero_self):
         assert np.array_equal(np.flip(B, axis=flipped), S[:, None] * B * S[None, :])
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_blocked_lu_matches_dense_solve_volume(bg, coupled_tilde, rng, m):
     T6 = np.kron(coupling_from_tilde(coupled_tilde, bg.omega), np.eye(3))
     blocks = _offset_blocks(bg, m, 0.1, T6, 1.0 / m ** 3, zero_self=False)
     b = rng.standard_normal(6 * m ** 3) + 1j * rng.standard_normal(6 * m ** 3)
-    u, cond = _lu_solve_system(blocks, _grid_index(m), b)
+    u, cond, _ = _lu_solve_system(blocks, _grid_index(m), b)
     A = np.eye(6 * m ** 3) - _pairwise_interaction(bg, cell_centers(m), 0.1, T6, False)
     expect = np.linalg.solve(A, b)
     assert np.linalg.norm(u - expect) <= 1e-12 * np.linalg.norm(expect)
     assert 1.0 <= cond < np.inf
 
 
-@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_blocked_lu_matches_dense_solve_permuted_lattice(bg, cfg, coupled_tilde, rng, N):
     centers = cell_centers(N)[rng.permutation(N ** 3)] + np.array([0.02, -0.01, 0.03]) / N
     lat = ParticleLattice(n_per_axis=N, centers=centers, cfg=cfg)
     T6 = np.kron(coupling_from_tilde(coupled_tilde, bg.omega), np.eye(3))
     blocks = _offset_blocks(bg, N, 0.1, T6, 1.0 / N ** 3, zero_self=True)
     b = rng.standard_normal(6 * N ** 3) + 1j * rng.standard_normal(6 * N ** 3)
-    u, _ = _lu_solve_system(blocks, lat.cells, b)
+    u, cond, _ = _lu_solve_system(blocks, lat.cells, b)
     A = np.eye(6 * N ** 3) - _pairwise_interaction(bg, lat.centers, 0.1, T6, True)
     expect = np.linalg.solve(A, b)
     assert np.linalg.norm(u - expect) <= 1e-12 * np.linalg.norm(expect)
+    assert 1.0 <= cond < np.inf
 
 
 def test_lu_fallback_factors_each_block_once(bg, coupled_tilde, monkeypatch):
@@ -569,34 +654,50 @@ def test_lu_fallback_factors_each_block_once(bg, coupled_tilde, monkeypatch):
         return lu_factor(A, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
-    # one cell: every rotation fixes it and each component survives in one
-    # character only, so the trivial character's block is empty
-    for m, expect in ((1, [2, 2, 2]), (3, [42, 42, 42, 36]), (4, [96] * 4)):
+    # one cell: every rotation fixes it, and (E, H) there carries T1 twice,
+    # so the other irreps' blocks are empty
+    for m, expect in ((1, [0, 0, 0, 2, 0]), (3, [6, 6, 12, 24, 18]),
+                      (4, [16, 16, 32, 48, 48])):
         sizes.clear()
         rep = solve_homogenized_ls(bg, coupled_tilde, m, 0.1, WAVE).solver_report
-        assert sorted(sizes, reverse=True) == expect
+        assert rep["blocks"] == expect
+        assert sizes == [k for k in expect if k]
         assert rep["method"] == "lu"
         assert rep["size"] == 6 * m ** 3
+        assert sum(d * k for d, k in zip((1, 1, 2, 3, 3), expect)) == rep["size"]
         assert np.isfinite(rep["condition_estimate"]) and rep["condition_estimate"] >= 1.0
+        assert rep["residual"] < 1e-10
 
 
-def test_blocked_lu_even_grid_factors_in_place(bg, coupled_tilde, rng):
-    # at even m no rotation fixes a cell, so every (cell, component) pair is
-    # kept and each block is factored as a view of the combined gather: the
-    # solve holds the four blocks and little more
+def test_blocked_lu_even_grid_factors_in_place(bg, coupled_tilde, rng, monkeypatch):
+    # every block is factored in place, and the solve holds the gathered
+    # orbit table, its D2 character sums and one irrep's block pipeline: at
+    # m = 6 (blocks 54, 54, 108, 162, 162) 3.4 times the bytes of the five
+    # blocks by tracemalloc, where the four D2 blocks it replaced peaked at 8
+    import scipy.linalg
     import tracemalloc
+    in_place = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def checked(A, *args, **kwargs):
+        lu, piv = lu_factor(A, *args, **kwargs)
+        in_place.append(np.shares_memory(lu, A))
+        return lu, piv
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", checked)
     m = 6
     T6 = np.kron(coupling_from_tilde(coupled_tilde, bg.omega), np.eye(3))
     blocks = _offset_blocks(bg, m, 0.1, T6, 1.0 / m ** 3, zero_self=False)
     b = rng.standard_normal(6 * m ** 3) + 1j * rng.standard_normal(6 * m ** 3)
-    block_bytes = 4 * 16 * (6 * m ** 3 // 4) ** 2
     tracemalloc.start()
     try:
-        _lu_solve_system(blocks, _grid_index(m), b)
+        _, _, sizes = _lu_solve_system(blocks, _grid_index(m), b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.4 * block_bytes
+    assert sizes == [54, 54, 108, 162, 162]
+    assert in_place == [True] * 5
+    assert peak < 3.6 * 16 * sum(k * k for k in sizes)
 
 
 # ---------------------------------------------------------------------------
