@@ -19,7 +19,7 @@ from .background import (BackgroundError, ChiralBackground, PlaneWaveSpec,
 from .dipole import FarFieldError, ParticleInstance, scattered_field_dipole
 from .effective import (DiluteConfig, EffectiveError, effective_closed_form,
                         invert_effective, s_limit_tilde, shifted_resonances, sweep_figure,
-                        sweep_summary)
+                        sweep_summary, tilde_from_definition)
 from .foldy import (FoldyError, build_lattice, check_distribution, compare_homogenization,
                     eval_foldy_field, probe_ring, solve_foldy, uniform_invertibility_stat)
 from .mesh import MeshError, mesh_from_file
@@ -517,8 +517,8 @@ def cmd_foldy(cfg, out: Path) -> int:
     n_big = max(n_list)
     lattice = build_lattice(n_big, dilute)
     eta_big = _get(cfg, "eta", 0.1 / n_big)
-    state = solve_foldy(bg, lattice, eps_c, spectrum, wave, eta=eta_big,
-                        mode_index=mode_index)
+    tilde = tilde_from_definition(bg, eps_c, lattice.cfg, spectrum, mode_index=mode_index)
+    state = solve_foldy(bg, lattice, tilde, eta_big, wave)
     fields = eval_foldy_field(bg, lattice, state, probes)
     dest_csv = out / "foldy_field.csv"
     write_csv(dest_csv, _FIELD_HEADER, field_csv_rows(probes, fields))
@@ -561,20 +561,16 @@ def cmd_check_assumptions(cfg, out: Path) -> int:
     probe_count = _get_probe_count(cfg, 8)
     a = dilute.dilution_exponent
 
-    dist_rows = []
+    dist_rows, inv_rows = [], []
     for N in n_list:
         lat = build_lattice(N, dilute)
         dist_rows.append({"N": N, "eta": eta,
                           "statistic": check_distribution(lat, bg, eta, probe_count)})
+        if N >= 2:
+            stat = uniform_invertibility_stat(lat, bg)
+            inv_rows.append({"N": N, "statistic": stat,
+                             "scaled_by_n6a": stat * N ** (6.0 * a)})
     stats = [r["statistic"] for r in dist_rows]
-    inv_rows = []
-    for N in n_list:
-        if N < 2:
-            continue
-        lat = build_lattice(N, dilute)
-        stat = uniform_invertibility_stat(lat, bg)
-        inv_rows.append({"N": N, "statistic": stat,
-                         "scaled_by_n6a": stat * N ** (6.0 * a)})
     scaled = [r["scaled_by_n6a"] for r in inv_rows]
     # least-squares slope of log(scaled) against log N: how fast the scaled
     # statistic still grows, which is what keeps the max/min ratio unbounded

@@ -20,8 +20,7 @@ import scipy.linalg
 
 from .background import (ChiralBackground, PlaneWaveSpec, green_apply, green_dyadic,
                          incident_six)
-from .effective import DiluteConfig, TildeParams, coupling_from_tilde, coupling_matrix, \
-    tilde_from_definition
+from .effective import DiluteConfig, TildeParams, coupling_from_tilde, tilde_from_definition
 from .np_spectral import NPSpectrum
 
 _I3 = np.eye(3)
@@ -48,37 +47,19 @@ class FoldyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParticleLattice:
-    """Regular lattice of point scatterers filling the unit cube.
-
-    The centers may come in any order and at any offset of the grid
-    inside the cube; ``cells`` (derived, not passed) holds the integer
-    grid index of each center.
-    """
+    """Regular N^3 lattice of point scatterers filling the unit cube: one
+    at each cell center of the N^3 grid, in :func:`cell_centers` order
+    (``centers`` is derived, not passed)."""
 
     n_per_axis: int
-    centers: np.ndarray
     cfg: DiluteConfig
-    cells: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    centers: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.centers, dtype=float).reshape(-1, 3)
-        object.__setattr__(self, "centers", c)
         N = self.n_per_axis
         if N < 1:
             raise FoldyError(f"n_per_axis must be at least 1, got {N}")
-        if c.shape[0] != N ** 3:
-            raise FoldyError(f"expected {N ** 3} centers, got {c.shape[0]}")
-        if np.any(c <= 0.0) or np.any(c >= 1.0):
-            raise FoldyError("lattice centers must be interior to the unit cube")
-        spacing = 1.0 / N
-        origin = c.min(axis=0)
-        cells = np.rint((c - origin) * N).astype(int)
-        off_grid = float(np.abs(c - origin - cells * spacing).max())
-        if off_grid > 1e-12 or cells.max() >= N or len(np.unique(cells, axis=0)) != N ** 3:
-            raise FoldyError(
-                f"centers are not a permutation of a grid of spacing {spacing:.6e} "
-                f"(largest distance from the grid {off_grid:.3e})")
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "centers", cell_centers(N))
 
 
 def _grid_index(n: int) -> np.ndarray:
@@ -88,8 +69,8 @@ def _grid_index(n: int) -> np.ndarray:
 
 
 def cell_centers(n: int) -> np.ndarray:
-    """Centers ((i-1/2)/n, (j-1/2)/n, (k-1/2)/n) of the n^3 grid cells,
-    first axis fastest-varying last."""
+    """Centers ((i+1/2)/n, (j+1/2)/n, (k+1/2)/n) of the n^3 grid cells, for
+    the 0-based indices of :func:`_grid_index`, last axis fastest."""
     return (_grid_index(n) + 0.5) / n
 
 
@@ -100,7 +81,7 @@ def build_lattice(n_per_axis: int, cfg: DiluteConfig) -> ParticleLattice:
     new count, so particle size always tracks the lattice.
     """
     cfg_n = dataclasses.replace(cfg, n_per_axis=n_per_axis)
-    return ParticleLattice(n_per_axis=n_per_axis, centers=cell_centers(n_per_axis), cfg=cfg_n)
+    return ParticleLattice(n_per_axis=n_per_axis, cfg=cfg_n)
 
 
 @dataclass(frozen=True)
@@ -127,32 +108,15 @@ class HomogenizedState:
     incident: PlaneWaveSpec
 
 
-def _coupling6(bg: ChiralBackground, lattice_cfg: DiluteConfig, eps_c: complex,
-               spectrum: NPSpectrum | None, tilde: TildeParams | None,
-               mode_index: int) -> np.ndarray:
-    """6x6 per-particle coupling; explicit tilde overrides the finite-count
-    coupling derived from the lattice config."""
-    if tilde is not None:
-        T2 = coupling_from_tilde(tilde, bg.omega)
-    else:
-        if spectrum is None:
-            raise FoldyError("need a spectrum (or explicit tilde) for the coupling")
-        clusters = spectrum.clusters()
-        if not 0 <= mode_index < len(clusters):
-            raise FoldyError(
-                f"mode_index {mode_index} out of range for {len(clusters)} clusters")
-        T2 = coupling_matrix(bg, eps_c, lattice_cfg, clusters[mode_index].eigenvalue)
-    return np.kron(T2, _I3)
-
-
 # ---------------------------------------------------------------------------
 # block-Toeplitz grid operator
 #
 # Both the lattice and the volume system couple the cells of a regular n^3
-# grid through K = weight * omega * G_eta(x_i - x_j) @ T6.  The kernel
-# depends on the cell offset x_i - x_j only, so it is evaluated once per
-# offset, (2n-1)^3 points instead of n^6, and every use of K reads that
-# table: gathered into symmetry blocks for LU, or applied by FFT.
+# grid, in cell_centers order, through K = weight * omega * G_eta(x_i - x_j)
+# @ T6.  The kernel depends on the cell offset x_i - x_j only, so it is
+# evaluated once per offset, (2n-1)^3 points instead of n^6, and every use
+# of K reads that table: gathered into symmetry blocks for LU, or applied
+# by FFT.
 
 
 def _offset_kernel(bg: ChiralBackground, n: int, eta: float,
@@ -178,13 +142,12 @@ def _offset_blocks(bg: ChiralBackground, n: int, eta: float, T6: np.ndarray,
     return weight * bg.omega * (_offset_kernel(bg, n, eta, zero_self) @ T6)
 
 
-def _fft_apply(blocks: np.ndarray, cells: np.ndarray):
-    """u -> K u over the cells with integer grid indices ``cells`` (all in
-    [0, n)^3), as a linear convolution by a zero-padded (2n)^3 FFT:
-    O(n^3 log n) per product.  A product transforms one axis at a time,
-    so it skips the lines that hold only padding on the way in and the
-    lines that no cell reads on the way out: 7/12 of the work of a full
-    (2n)^3 transform each way."""
+def _fft_apply(blocks: np.ndarray):
+    """u -> K u over the n^3 grid cells, as a linear convolution by a
+    zero-padded (2n)^3 FFT: O(n^3 log n) per product.  A product
+    transforms one axis at a time, so it skips the lines that hold only
+    padding on the way in and the lines that no cell reads on the way
+    out: 7/12 of the work of a full (2n)^3 transform each way."""
     n = (blocks.shape[0] + 1) // 2
     L = 2 * n
     # circular embedding: offset d sits at d mod L; offset +-n stays zero
@@ -192,17 +155,15 @@ def _fft_apply(blocks: np.ndarray, cells: np.ndarray):
     c = np.zeros((L, L, L, 6, 6), dtype=complex)
     c[np.ix_(wrap, wrap, wrap)] = blocks
     c_hat = np.fft.fftn(c, axes=(0, 1, 2))
-    at = tuple(cells.T)
 
     def apply(u: np.ndarray) -> np.ndarray:
-        g = np.zeros((n, n, n, 6), dtype=complex)
-        g[at] = u.reshape(-1, 6)
+        g = u.reshape(n, n, n, 6)
         for axis in (2, 1, 0):   # fft(..., n=L) zero-pads the axis to L
             g = np.fft.fft(g, n=L, axis=axis)
         g = np.einsum("...ij,...j->...i", c_hat, g)
         for axis in (0, 1, 2):   # only the first n outputs of an axis are read
             g = np.fft.ifft(g, axis=axis)[(slice(None),) * axis + (slice(n),)]
-        return g[at].reshape(-1)
+        return g.reshape(-1)
 
     return apply
 
@@ -288,19 +249,16 @@ def _group_sums(Y: np.ndarray):
         yield np.einsum("qjl,qlx->jlx", D[::4], Z).view(complex).reshape((d, d) + shape)
 
 
-def _cube_orbits(cells: np.ndarray, n: int):
-    """Orbits of O on the grid cells ``cells`` (a permutation of the n^3
-    grid), their representatives r grouped by stabilizer.  Returns the
-    positions in ``cells`` of the cells g.r, shape (24, R); those cells,
-    shape (24, R, 3); the number of orbits per stabilizer pattern, the
-    trivial one first; and per irrep the orbit bases of the patterns
-    (:func:`_orbit_bases`)."""
+def _cube_orbits(n: int):
+    """Orbits of O on the n^3 grid cells, their representatives r grouped
+    by stabilizer.  Returns the flat indices of the cells g.r, shape
+    (24, R); those cells' grid indices, shape (24, R, 3); the number of
+    orbits per stabilizer pattern, the trivial one first; and per irrep
+    the orbit bases of the patterns (:func:`_orbit_bases`)."""
     grp = _cube_group()
-    images = (np.einsum("gij,cj->gci", grp.rot.astype(int), 2 * cells - (n - 1))
+    images = (np.einsum("gij,cj->gci", grp.rot.astype(int), 2 * _grid_index(n) - (n - 1))
               + (n - 1)) // 2
     flat = (images[..., 0] * n + images[..., 1]) * n + images[..., 2]
-    pos = np.empty(n ** 3, dtype=int)
-    pos[flat[0]] = np.arange(cells.shape[0])
     reps = np.flatnonzero(flat[0] == flat.min(axis=0))
     # rows: whether rotation g fixes the cell; every row has g = 0 set, so
     # the trivial pattern sorts first
@@ -308,7 +266,7 @@ def _cube_orbits(cells: np.ndarray, n: int):
                                 return_inverse=True)
     which = which.reshape(-1)
     reps = reps[np.argsort(which, kind="stable")]
-    return (pos[flat[:, reps]], images[:, reps], np.bincount(which),
+    return (flat[:, reps], images[:, reps], np.bincount(which),
             _orbit_bases(patterns))
 
 
@@ -421,15 +379,14 @@ def _irrep_blocks(blocks: np.ndarray, orbits: tuple):
         yield At.T
 
 
-def _lu_solve_system(blocks: np.ndarray, cells: np.ndarray,
-                     b: np.ndarray) -> tuple[np.ndarray, float, list[int]]:
+def _lu_solve_system(blocks: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, list[int]]:
     """Solve (I - K) u = b by LU of the five irrep blocks of O, each once
     for its d right-hand sides.  Returns u; the 1-norm condition estimate
     of the block-diagonal form, max ||A_rho||_1 * max ||A_rho^-1||_1; and
     the block sizes in irrep order (A1, A2, E, T1, T2)."""
     n = (blocks.shape[0] + 1) // 2
     grp = _cube_group()
-    orbits = _cube_orbits(cells, n)
+    orbits = _cube_orbits(n)
     at, _, counts, bases = orbits
     b6 = b.reshape(-1, 6)
     # raw right-hand sides sum_g D(g)_ij Q_g^T b[g.r], axes (i, j, r, a)
@@ -455,10 +412,9 @@ def _lu_solve_system(blocks: np.ndarray, cells: np.ndarray,
     return u6.reshape(-1), anorm * inv_norm, sizes
 
 
-def _solve_grid(blocks: np.ndarray, cells: np.ndarray, b: np.ndarray,
-                tol: float) -> tuple[np.ndarray, dict]:
+def _solve_grid(blocks: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, dict]:
     """Solve (I - K) u = b for the grid operator K with offset table
-    ``blocks`` over the cells with integer grid indices ``cells``.
+    ``blocks`` over the n^3 grid cells.
 
     Fixed-point sweeps u <- b + K u, each one FFT product, run with a
     divergence check; if they stall, a system up to the dense cap falls
@@ -473,7 +429,7 @@ def _solve_grid(blocks: np.ndarray, cells: np.ndarray, b: np.ndarray,
         report = {"residual": 0.0, "condition_estimate": 1.0, "size": size,
                   "method": "trivial", "iterations": 0}
         return np.zeros_like(b), report
-    apply_K = _fft_apply(blocks, cells)
+    apply_K = _fft_apply(blocks)
     u = b.copy()
     last_update = float("inf")
     growth = 0
@@ -495,7 +451,7 @@ def _solve_grid(blocks: np.ndarray, cells: np.ndarray, b: np.ndarray,
                 f"fixed-point iteration did not converge in {iterations} sweeps "
                 f"(last update {last_update:.3e}); system of size {size} is beyond "
                 f"the dense fallback cap {_DIRECT_CAP}")
-        u, cond, sizes = _lu_solve_system(blocks, cells, b)
+        u, cond, sizes = _lu_solve_system(blocks, b)
         method = "lu"
     resid = float(np.linalg.norm(u - b - apply_K(u))) / bnorm
     if not resid < tol:
@@ -509,35 +465,39 @@ def _solve_grid(blocks: np.ndarray, cells: np.ndarray, b: np.ndarray,
     return u, report
 
 
-def solve_foldy(bg: ChiralBackground, lattice: ParticleLattice, eps_c: complex,
-                spectrum: NPSpectrum | None, incident: PlaneWaveSpec,
-                eta: float | None = None, tilde: TildeParams | None = None,
-                mode_index: int = 0) -> FoldyState:
+def _solve_cells(bg: ChiralBackground, tilde: TildeParams, n: int, eta: float,
+                 incident: PlaneWaveSpec,
+                 zero_self: bool) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The grid problem that the lattice and the volume share: coupling
+    T6 from the tilde parameters, cell weight 1/n^3 and the incident field
+    at :func:`cell_centers`.  Returns T6, the (n^3, 6) field table and the
+    solver report."""
+    T6 = np.kron(coupling_from_tilde(tilde, bg.omega), _I3)
+    b = incident_six(bg, incident, cell_centers(n)).reshape(-1)
+    blocks = _offset_blocks(bg, n, eta, T6, 1.0 / n ** 3, zero_self)
+    u, report = _solve_grid(blocks, b, 1e-10)
+    return T6, u.reshape(-1, 6), report
+
+
+def solve_foldy(bg: ChiralBackground, lattice: ParticleLattice, tilde: TildeParams,
+                eta: float, incident: PlaneWaveSpec) -> FoldyState:
     """Solve the self-consistent point-interaction system on the lattice.
 
     Diagonal blocks are the identity; off-diagonal blocks couple particle
-    pairs through the regularized fundamental dyadic times the shared
-    coupling matrix, weighted by one over the particle count.  ``tilde``
-    switches the coupling from the finite-count value to an explicit
-    (e.g. limiting) one.  ``eta`` defaults to a tenth of the lattice
-    spacing.
+    pairs through the regularized fundamental dyadic times the coupling
+    matrix of ``tilde`` (:func:`coupling_from_tilde`), weighted by one
+    over the particle count.
     """
     N = lattice.n_per_axis
     if N > _MAX_AXIS:
         raise FoldyError(f"lattice count per axis {N} exceeds {_MAX_AXIS}")
-    if eta is None:
-        eta = 0.1 / N
     if eta < 0:
         raise FoldyError(f"eta must be nonnegative, got {eta}")
-    T6 = _coupling6(bg, lattice.cfg, eps_c, spectrum, tilde, mode_index)
-    b = incident_six(bg, incident, lattice.centers).reshape(-1)
-    n = lattice.centers.shape[0]
     # eta = 0 is fine here: self blocks are masked out, and distinct
     # centers keep the kernel regular
-    blocks = _offset_blocks(bg, N, eta, T6, 1.0 / n, zero_self=True)
-    u, report = _solve_grid(blocks, lattice.cells, b, 1e-10)
-    return FoldyState(values=u.reshape(n, 6), eta=eta, solver_report=report,
-                      coupling=T6, incident=incident)
+    T6, u, report = _solve_cells(bg, tilde, N, eta, incident, zero_self=True)
+    return FoldyState(values=u, eta=eta, solver_report=report, coupling=T6,
+                      incident=incident)
 
 
 def _eval_field(bg, src_pts, weight, eta, T6, values, incident, x) -> np.ndarray:
@@ -570,19 +530,15 @@ def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
 
     Midpoint quadrature with cell weight 1/m^3; the self cell is kept
     (the regularized kernel is finite at the origin, so eta must be
-    positive).  The lattice solve shares the grid solve (``_solve_grid``).
+    positive).  The lattice solve shares this grid problem
+    (``_solve_cells``).
     """
     if not 1 <= grid_m <= _MAX_AXIS:
         raise FoldyError(f"grid_m must lie in [1, {_MAX_AXIS}], got {grid_m}")
     if not eta > 0:
         raise FoldyError("volume discretization needs eta > 0 (self cell)")
-    T6 = np.kron(coupling_from_tilde(tilde, bg.omega), _I3)
-    pts = cell_centers(grid_m)
-    n = pts.shape[0]
-    b = incident_six(bg, incident, pts).reshape(-1)
-    blocks = _offset_blocks(bg, grid_m, eta, T6, 1.0 / n, zero_self=False)
-    u, report = _solve_grid(blocks, _grid_index(grid_m), b, 1e-10)
-    return HomogenizedState(grid_m=grid_m, centers=pts, values=u.reshape(n, 6),
+    T6, u, report = _solve_cells(bg, tilde, grid_m, eta, incident, zero_self=False)
+    return HomogenizedState(grid_m=grid_m, centers=cell_centers(grid_m), values=u,
                             eta=eta, solver_report=report, coupling=T6,
                             incident=incident)
 
@@ -710,8 +666,7 @@ def compare_homogenization(bg: ChiralBackground, cfg: DiluteConfig,
     rows = []
     for N in N_list:
         lat = build_lattice(int(N), cfg)
-        state = solve_foldy(bg, lat, eps_c, spectrum, incident, eta=eta,
-                            tilde=tilde, mode_index=mode_index)
+        state = solve_foldy(bg, lat, tilde, eta, incident)
         scat_f = eval_foldy_field(bg, lat, state, probes) - inc_p
         rows.append(CompareRow(
             n_per_axis=int(N),

@@ -1,0 +1,57 @@
+"""The benchmark tracer against the program it wraps.
+
+``benchmark/tracer.py`` times the program by replacing its functions by
+name, and a traced benchmark run fails when an expected span never fires.
+A renamed or bypassed function would only show there, so this runs small
+versions of the lattice workloads' commands under the tracer.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# install() patches modules process-wide, so the traced commands run in
+# their own interpreter
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from run import EXPECTED_SPANS
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+import chiralmeta.cli
+rcs = [chiralmeta.cli.main(argv) for argv in json.loads(sys.argv[2])]
+expected = EXPECTED_SPANS["lattice_dilute"] | EXPECTED_SPANS["lattice_coupled"]
+print(json.dumps({"rcs": rcs, "missing": sorted(expected - tracer.fired())}))
+"""
+
+CONFIGS = {
+    # strongly coupled: the volume sweeps stall and the LU fallback runs
+    "compare-hom": "beta_m = 0.4\nvolume_scale = 3\neps_c_re = -3\neta = 0.1\n"
+                   "n_list = 2,3\ngrid_m = 4\nprobe_count = 4\n",
+    "foldy": "beta_m = 0.4\nvolume_scale = 0.5\neps_c_re = -3\neta = 0.1\n"
+             "n_list = 2,3\ngrid_m = 4\nprobe_count = 4\n",
+    "check-assumptions": "beta_m = 0.4\nvolume_scale = 0.5\neps_c_re = -3\neta = 1.0\n"
+                         "n_list = 2,3\nprobe_count = 2\n",
+}
+
+
+def test_tracer_fires_every_lattice_span(tmp_path):
+    argvs = []
+    for cmd, text in CONFIGS.items():
+        cfg = tmp_path / f"{cmd}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        argvs.append([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)])
+    # no bytecode written next to the benchmark's sources
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "benchmark"),
+                          json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    res = json.loads(out.stdout.splitlines()[-1])
+    assert res["rcs"] == [0, 0, 0]
+    assert res["missing"] == []

@@ -6,7 +6,7 @@ from chiralmeta.background import (ChiralBackground, circular_wave, green_dyadic
                                    incident_six, linear_wave)
 from chiralmeta.dipole import ParticleInstance, scattered_field_dipole
 from chiralmeta.effective import (DiluteConfig, EffectiveError, coupling_from_tilde,
-                                  s_limit_tilde, tilde_from_definition)
+                                  coupling_matrix, s_limit_tilde, tilde_from_definition)
 from chiralmeta.foldy import (FoldyError, ParticleLattice, _cube_group, _cube_orbits,
                               _fft_apply, _from_basis, _grid_index, _group_sums,
                               _irrep_blocks,
@@ -35,9 +35,16 @@ def lat2(cfg):
     return build_lattice(2, cfg)
 
 
+def _solve(bg, lat, spectrum, incident, eta):
+    """The lattice solve of ``foldy``: eps_c -3, the coupling of the
+    lattice's own config."""
+    tilde = tilde_from_definition(bg, -3.0, lat.cfg, spectrum)
+    return solve_foldy(bg, lat, tilde, eta, incident)
+
+
 @pytest.fixture(scope="module")
 def state2(bg, lat2, ball_spectrum):
-    return solve_foldy(bg, lat2, -3.0, ball_spectrum, WAVE, eta=0.1)
+    return _solve(bg, lat2, ball_spectrum, WAVE, 0.1)
 
 
 def test_cell_centers_layout():
@@ -63,22 +70,20 @@ def test_build_lattice_revalidates_dilution(ball_cn):
         build_lattice(1, big)
 
 
-def test_lattice_validation(cfg):
-    with pytest.raises(FoldyError, match="expected"):
-        ParticleLattice(n_per_axis=2, centers=np.full((7, 3), 0.5), cfg=cfg)
-    bad = cell_centers(2)
-    bad[0] = [0.25, 0.25, 1.25]
-    with pytest.raises(FoldyError, match="interior"):
-        ParticleLattice(n_per_axis=2, centers=bad, cfg=cfg)
-    squeezed = cell_centers(2)
-    squeezed[0] = [0.3, 0.25, 0.25]
-    with pytest.raises(FoldyError, match="spacing"):
-        ParticleLattice(n_per_axis=2, centers=squeezed, cfg=cfg)
+def test_lattice_needs_a_cell(cfg):
+    for N in (0, -2):
+        with pytest.raises(FoldyError, match="n_per_axis must be at least 1"):
+            ParticleLattice(n_per_axis=N, cfg=cfg)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_lattice_centers_are_cell_centers(cfg, N):
+    assert np.array_equal(ParticleLattice(n_per_axis=N, cfg=cfg).centers, cell_centers(N))
 
 
 def test_single_particle_state_is_incident(bg, cfg, ball_spectrum):
     lat = build_lattice(1, cfg)
-    st = solve_foldy(bg, lat, -3.0, ball_spectrum, WAVE)
+    st = _solve(bg, lat, ball_spectrum, WAVE, 0.1)
     # the masked self block leaves K = 0: one sweep returns b
     assert st.solver_report["method"] == "iteration"
     assert st.solver_report["iterations"] == 1
@@ -87,14 +92,14 @@ def test_single_particle_state_is_incident(bg, cfg, ball_spectrum):
 
 def test_zero_incident_gives_zero_state(bg, lat2, ball_spectrum):
     dark = circular_wave([0.0, 0.0, 1.0], "left", amplitude=0.0)
-    st = solve_foldy(bg, lat2, -3.0, ball_spectrum, dark, eta=0.1)
+    st = _solve(bg, lat2, ball_spectrum, dark, 0.1)
     assert np.all(st.values == 0)
 
 
 def test_single_particle_field_matches_dipole(bg, cfg, ball_spectrum):
     # one lattice site with eta = 0 is exactly the point-dipole model
     lat = build_lattice(1, cfg)
-    st = solve_foldy(bg, lat, -3.0, ball_spectrum, WAVE, eta=0.0)
+    st = _solve(bg, lat, ball_spectrum, WAVE, 0.0)
     probes = probe_ring(8)
     total = eval_foldy_field(bg, lat, st, probes)
     part = ParticleInstance(center=lat.centers[0], delta=lat.cfg.delta, eps_c=-3.0,
@@ -110,20 +115,13 @@ def test_mirror_symmetry(cfg, ball_spectrum):
     bg0 = ChiralBackground(1.0, 1.0, 0.0, 1.0)
     wave = linear_wave([0.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     lat = build_lattice(2, cfg)
-    st = solve_foldy(bg0, lat, -3.0, ball_spectrum, wave, eta=0.1)
+    st = _solve(bg0, lat, ball_spectrum, wave, 0.1)
     mirrored = lat.centers.copy()
     mirrored[:, 0] = 1.0 - mirrored[:, 0]
     sgn = np.array([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
     for i, mc in enumerate(mirrored):
         j = int(np.argmin(np.linalg.norm(lat.centers - mc, axis=1)))
         assert np.abs(st.values[j] - sgn * st.values[i]).max() < 1e-8
-
-
-def test_permutation_invariance(bg, cfg, lat2, state2, ball_spectrum, rng):
-    perm = rng.permutation(8)
-    shuffled = ParticleLattice(n_per_axis=2, centers=lat2.centers[perm], cfg=lat2.cfg)
-    st = solve_foldy(bg, shuffled, -3.0, ball_spectrum, WAVE, eta=0.1)
-    assert np.abs(st.values - state2.values[perm]).max() < 1e-12
 
 
 def test_solver_report(state2):
@@ -137,6 +135,7 @@ def test_solver_report(state2):
 def test_lattice_axis_bound(bg, cfg, ball_spectrum, monkeypatch):
     # refused before any kernel or incident-field evaluation
     lat = build_lattice(25, cfg)
+    tilde = tilde_from_definition(bg, -3.0, lat.cfg, ball_spectrum)
 
     def no_kernel_work(*args, **kwargs):
         raise AssertionError("kernel work before the size check")
@@ -144,24 +143,28 @@ def test_lattice_axis_bound(bg, cfg, ball_spectrum, monkeypatch):
     monkeypatch.setattr(foldy, "green_dyadic", no_kernel_work)
     monkeypatch.setattr(foldy, "incident_six", no_kernel_work)
     with pytest.raises(FoldyError, match="lattice count per axis 25 exceeds 24"):
-        solve_foldy(bg, lat, -3.0, ball_spectrum, WAVE)
+        solve_foldy(bg, lat, tilde, 0.1 / 25, WAVE)
 
 
-def test_explicit_tilde_matches_default(bg, lat2, state2, ball_spectrum):
-    tl = tilde_from_definition(bg, -3.0, lat2.cfg, ball_spectrum, mode_index=0)
-    st = solve_foldy(bg, lat2, -3.0, None, WAVE, eta=0.1, tilde=tl)
-    assert np.array_equal(st.values, state2.values)
-
-
-def test_missing_coupling_source(bg, lat2):
-    with pytest.raises(FoldyError, match="spectrum"):
-        solve_foldy(bg, lat2, -3.0, None, WAVE)
+def test_lattice_coupling_is_coupling_matrix(bg, lat2, state2, ball_spectrum):
+    # the coupling goes T2 -> tilde -> T2; at omega = 1 the round trip is
+    # exact, elsewhere it rounds: 1.9e-17 of the largest entry measured at
+    # omega 1.3, eps_c -2.5+0.3i
+    lam = ball_spectrum.clusters()[0].eigenvalue
+    expect = np.kron(coupling_matrix(bg, -3.0, lat2.cfg, lam), np.eye(3))
+    assert np.array_equal(state2.coupling, expect)
+    bg13 = ChiralBackground(1.0, 1.0, 0.4, 1.3)
+    eps_c = -2.5 + 0.3j
+    st = solve_foldy(bg13, lat2, tilde_from_definition(bg13, eps_c, lat2.cfg, ball_spectrum),
+                     0.1, WAVE)
+    expect = np.kron(coupling_matrix(bg13, eps_c, lat2.cfg, lam), np.eye(3))
+    assert np.abs(st.coupling - expect).max() <= 2.2e-16 * np.abs(expect).max()
 
 
 def test_solve_linear_in_amplitude(bg, lat2, state2, ball_spectrum):
     a = 2.0 - 0.5j
-    st = solve_foldy(bg, lat2, -3.0, ball_spectrum,
-                     circular_wave([0.0, 0.0, 1.0], "left", amplitude=a), eta=0.1)
+    st = _solve(bg, lat2, ball_spectrum,
+                circular_wave([0.0, 0.0, 1.0], "left", amplitude=a), 0.1)
     assert np.abs(st.values - a * state2.values).max() < 1e-12 * np.abs(st.values).max()
 
 
@@ -185,7 +188,7 @@ def test_eta_consistency(bg, lat2, ball_spectrum):
     probes = probe_ring(8)
     outs = {}
     for eta in (0.2, 0.1, 0.05):
-        st = solve_foldy(bg, lat2, -3.0, ball_spectrum, WAVE, eta=eta)
+        st = _solve(bg, lat2, ball_spectrum, WAVE, eta)
         outs[eta] = eval_foldy_field(bg, lat2, st, probes)
     scale = np.linalg.norm(outs[0.05])
     d1 = np.linalg.norm(outs[0.2] - outs[0.1]) / scale
@@ -455,9 +458,11 @@ def test_offset_blocks_cube_invariant(rng, n, beta, eta, zero_self):
         assert np.abs(turned - Q @ flat @ Q.T).max() <= 1e-15 * np.abs(B).max()
 
 
-def _rotation_operators(cells, n):
-    """Dense T_g with (T_g u)[g.r] = Q_g u[r] over the cells, per rotation."""
+def _rotation_operators(n):
+    """Dense T_g with (T_g u)[g.r] = Q_g u[r] over the n^3 grid cells, per
+    rotation."""
     grp = _cube_group()
+    cells = _grid_index(n)
     where = {tuple(c): p for p, c in enumerate(cells)}
     T = np.zeros((24, 6 * len(cells), 6 * len(cells)))
     for g, (R, Q) in enumerate(zip(grp.rot, grp.Q)):
@@ -467,20 +472,20 @@ def _rotation_operators(cells, n):
     return T
 
 
-def _symmetry_basis(cells, n, orbits):
+def _symmetry_basis(n, orbits):
     """Dense V_(rho, i) per irrep rho and partner i, from the projection
     definition P_ij = (d/24) sum_g D(g)_ij T_g: column kappa is
     sqrt(24/d) sum_j P_ij e_j, where e_j carries the orbit coordinates
     (j, r, a) of basis vector kappa on the representative cells."""
     grp = _cube_group()
     at, _, counts, bases = orbits
-    T = _rotation_operators(cells, n)
+    T = _rotation_operators(n)
     Vs = []
     for D, W in zip(grp.irreps, bases):
         d = D.shape[1]
         K = sum(c * (6 * d if w is None else w.shape[2]) for c, w in zip(counts, W))
         coords = _from_basis(np.eye(K), counts, W, d)           # (j, r, a, kappa)
-        e = np.zeros((d, 6 * len(cells), K))
+        e = np.zeros((d, 6 * n ** 3, K))
         e[:, (6 * at[0][:, None] + np.arange(6)).reshape(-1)] = coords.reshape(d, -1, K)
         P = (d / 24) * np.einsum("gij,gxy->ijxy", D, T)
         Vs.append([np.sqrt(24 / d) * np.einsum("jxy,jyk->xk", P[i], e) for i in range(d)])
@@ -490,16 +495,15 @@ def _symmetry_basis(cells, n, orbits):
 @pytest.mark.parametrize("n, eta, zero_self", [(2, 0.0, True), (3, 0.1, True),
                                                (3, 0.5, False), (4, 0.0, True),
                                                (4, 0.5, False)])
-def test_gathered_matrix_matches_pairwise(bg, T6_dilute, rng, n, eta, zero_self):
+def test_gathered_matrix_matches_pairwise(bg, T6_dilute, n, eta, zero_self):
     # each gathered irrep block is V^T (I - K) V for every partner's V, with
     # V and I - K formed densely; the V of all irreps and partners together
     # are square and orthogonal
-    cells = _grid_index(n)[rng.permutation(n ** 3)]
     blocks = _offset_blocks(bg, n, eta, T6_dilute, 1.0 / n ** 3, zero_self)
-    orbits = _cube_orbits(cells, n)
-    A = np.eye(6 * n ** 3) - _pairwise_interaction(bg, (cells + 0.5) / n, eta,
+    orbits = _cube_orbits(n)
+    A = np.eye(6 * n ** 3) - _pairwise_interaction(bg, cell_centers(n), eta,
                                                    T6_dilute, zero_self)
-    Vs = _symmetry_basis(cells, n, orbits)
+    Vs = _symmetry_basis(n, orbits)
     V = np.hstack([Vi for partners in Vs for Vi in partners])
     assert V.shape == A.shape
     assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-14
@@ -517,26 +521,8 @@ def test_fft_apply_matches_gathered_matvec(bg, T6_dilute, rng, m):
     blocks = _offset_blocks(bg, m, 0.5, T6_dilute, 1.0 / m ** 3, zero_self=False)
     u = rng.standard_normal(6 * m ** 3) + 1j * rng.standard_normal(6 * m ** 3)
     expect = u - _pairwise_interaction(bg, cell_centers(m), 0.5, T6_dilute, False) @ u
-    got = u - _fft_apply(blocks, _grid_index(m))(u)
+    got = u - _fft_apply(blocks)(u)
     assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
-
-
-def test_permuted_translated_lattice_matches(bg, lat2, state2, ball_spectrum, rng):
-    # a shift across the incidence direction leaves the incident field at
-    # the centers unchanged, and the kernel sees only center offsets
-    perm = rng.permutation(8)
-    moved = lat2.centers[perm] + np.array([0.03, -0.02, 0.0])
-    lat = ParticleLattice(n_per_axis=2, centers=moved, cfg=lat2.cfg)
-    st = solve_foldy(bg, lat, -3.0, ball_spectrum, WAVE, eta=0.1)
-    assert np.abs(st.values - state2.values[perm]).max() <= 1e-12 * np.abs(state2.values).max()
-
-
-def test_lattice_validation_needs_every_cell(cfg):
-    # every center on the grid and the spacing right, but one cell twice
-    doubled = cell_centers(2)
-    doubled[7] = doubled[0]
-    with pytest.raises(FoldyError, match="spacing"):
-        ParticleLattice(n_per_axis=2, centers=doubled, cfg=cfg)
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -556,7 +542,7 @@ def test_volume_picard_matches_dense_solve(bg, T6_dilute):
     pts = cell_centers(6)
     b = incident_six(bg, WAVE, pts).reshape(-1)
     blocks = _offset_blocks(bg, 6, 0.1, T6_dilute, 1.0 / 216, zero_self=False)
-    u, rep = _solve_grid(blocks, _grid_index(6), b, 1e-12)
+    u, rep = _solve_grid(blocks, b, 1e-12)
     assert rep["method"] == "iteration"
     A = np.eye(6 * 216) - _pairwise_interaction(bg, pts, 0.1, T6_dilute, False)
     expect = np.linalg.solve(A, b)
@@ -582,22 +568,11 @@ def test_volume_large_grid_iterates(bg):
     assert hom.solver_report["residual"] < 1e-10
 
 
-def test_fft_apply_on_permuted_cells(bg, T6_dilute, rng):
-    # the lattice residual scatters through the cells of a permuted lattice
-    n = 3
-    blocks = _offset_blocks(bg, n, 0.1, T6_dilute, 1.0 / n ** 3, zero_self=True)
-    cells = _grid_index(n)[rng.permutation(n ** 3)]
-    u = rng.standard_normal(6 * n ** 3) + 1j * rng.standard_normal(6 * n ** 3)
-    expect = u - _pairwise_interaction(bg, (cells + 0.5) / n, 0.1, T6_dilute, True) @ u
-    got = u - _fft_apply(blocks, cells)(u)
-    assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
-
-
 def test_dense_system_is_fortran_ordered(bg, T6_dilute):
     # lu_factor(overwrite_a=True) factors in place only a Fortran-ordered matrix
     for n in (2, 3):
         blocks = _offset_blocks(bg, n, 0.1, T6_dilute, 1.0 / n ** 3, zero_self=True)
-        for block in _irrep_blocks(blocks, _cube_orbits(_grid_index(n), n)):
+        for block in _irrep_blocks(blocks, _cube_orbits(n)):
             assert block.flags.f_contiguous
 
 
@@ -621,7 +596,7 @@ def test_blocked_lu_matches_dense_solve_volume(bg, coupled_tilde, rng, m):
     T6 = np.kron(coupling_from_tilde(coupled_tilde, bg.omega), np.eye(3))
     blocks = _offset_blocks(bg, m, 0.1, T6, 1.0 / m ** 3, zero_self=False)
     b = rng.standard_normal(6 * m ** 3) + 1j * rng.standard_normal(6 * m ** 3)
-    u, cond, _ = _lu_solve_system(blocks, _grid_index(m), b)
+    u, cond, _ = _lu_solve_system(blocks, b)
     A = np.eye(6 * m ** 3) - _pairwise_interaction(bg, cell_centers(m), 0.1, T6, False)
     expect = np.linalg.solve(A, b)
     assert np.linalg.norm(u - expect) <= 1e-12 * np.linalg.norm(expect)
@@ -629,14 +604,13 @@ def test_blocked_lu_matches_dense_solve_volume(bg, coupled_tilde, rng, m):
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
-def test_blocked_lu_matches_dense_solve_permuted_lattice(bg, cfg, coupled_tilde, rng, N):
-    centers = cell_centers(N)[rng.permutation(N ** 3)] + np.array([0.02, -0.01, 0.03]) / N
-    lat = ParticleLattice(n_per_axis=N, centers=centers, cfg=cfg)
+def test_blocked_lu_matches_dense_solve_permuted_lattice(bg, coupled_tilde, rng, N):
+    # the lattice system: self blocks masked, centers in cell_centers order
     T6 = np.kron(coupling_from_tilde(coupled_tilde, bg.omega), np.eye(3))
     blocks = _offset_blocks(bg, N, 0.1, T6, 1.0 / N ** 3, zero_self=True)
     b = rng.standard_normal(6 * N ** 3) + 1j * rng.standard_normal(6 * N ** 3)
-    u, cond, _ = _lu_solve_system(blocks, lat.cells, b)
-    A = np.eye(6 * N ** 3) - _pairwise_interaction(bg, lat.centers, 0.1, T6, True)
+    u, cond, _ = _lu_solve_system(blocks, b)
+    A = np.eye(6 * N ** 3) - _pairwise_interaction(bg, cell_centers(N), 0.1, T6, True)
     expect = np.linalg.solve(A, b)
     assert np.linalg.norm(u - expect) <= 1e-12 * np.linalg.norm(expect)
     assert 1.0 <= cond < np.inf
@@ -691,7 +665,7 @@ def test_blocked_lu_even_grid_factors_in_place(bg, coupled_tilde, rng, monkeypat
     b = rng.standard_normal(6 * m ** 3) + 1j * rng.standard_normal(6 * m ** 3)
     tracemalloc.start()
     try:
-        _, _, sizes = _lu_solve_system(blocks, _grid_index(m), b)
+        _, _, sizes = _lu_solve_system(blocks, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -716,8 +690,7 @@ def dilute_tilde(bg, ball_spectrum, ball_cn):
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_lattice_matches_dense_solve(bg, cfg, request, material, method, N):
     lat = build_lattice(N, cfg)
-    st = solve_foldy(bg, lat, -3.0, None, WAVE, eta=0.1,
-                     tilde=request.getfixturevalue(material))
+    st = solve_foldy(bg, lat, request.getfixturevalue(material), 0.1, WAVE)
     rep = st.solver_report
     assert rep["method"] == method
     assert rep["residual"] < 1e-10
@@ -730,8 +703,7 @@ def test_lattice_matches_dense_solve(bg, cfg, request, material, method, N):
 
 
 def test_large_dilute_lattice_iterates(bg, cfg, dilute_tilde):
-    st = solve_foldy(bg, build_lattice(12, cfg), -3.0, None, WAVE, eta=0.1,
-                     tilde=dilute_tilde)
+    st = solve_foldy(bg, build_lattice(12, cfg), dilute_tilde, 0.1, WAVE)
     rep = st.solver_report
     assert rep["method"] == "iteration"
     assert rep["size"] == 6 * 12 ** 3
@@ -741,5 +713,4 @@ def test_large_dilute_lattice_iterates(bg, cfg, dilute_tilde):
 def test_coupled_lattice_beyond_dense_cap(bg, cfg, coupled_tilde):
     # 6,000 unknowns: the sweeps stall and the LU fallback is past its cap
     with pytest.raises(FoldyError, match="dense fallback cap"):
-        solve_foldy(bg, build_lattice(10, cfg), -3.0, None, WAVE, eta=0.1,
-                    tilde=coupled_tilde)
+        solve_foldy(bg, build_lattice(10, cfg), coupled_tilde, 0.1, WAVE)
