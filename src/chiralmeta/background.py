@@ -45,7 +45,7 @@ class ChiralBackground:
         for name in ("eps_m", "mu_m", "omega"):
             if not getattr(self, name) > 0:
                 raise BackgroundError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.beta_m < 0:
+        if not self.beta_m >= 0:
             raise BackgroundError(f"beta_m must be nonnegative, got {self.beta_m}")
         if self.k * self.beta_m >= 1.0:
             if not self.allow_kbeta_ge_1:

@@ -9,6 +9,7 @@ deterministic given its inputs.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -118,16 +119,20 @@ _NOUN = {float: "a number", int: "an integer"}
 
 
 def _get(cfg, key, default=None, parse=float):
-    """The value of ``key`` parsed by ``parse`` (float or int)."""
+    """The value of ``key`` parsed by ``parse`` (float or int); a float
+    must be finite."""
     raw = cfg.get(key)
     if raw is None:
         if default is None:
             raise ConfigError(f"missing required config key {key!r}")
         return parse(default)
     try:
-        return parse(raw)
+        value = parse(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: not {_NOUN[parse]}: {raw!r}") from exc
+    if parse is float and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: not finite: {raw!r}")
+    return value
 
 
 def _get_bool(cfg, key, default=False) -> bool:
@@ -145,9 +150,12 @@ def _get_bool(cfg, key, default=False) -> bool:
 def _get_list(cfg, key, default: str, parse=float) -> list:
     raw = cfg.get(key, default)
     try:
-        return [parse(tok) for tok in raw.split(",") if tok.strip()]
+        values = [parse(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: not {_NOUN[parse]} list: {raw!r}") from exc
+    if parse is float and not all(map(math.isfinite, values)):
+        raise ConfigError(f"config key {key!r}: not finite: {raw!r}")
+    return values
 
 
 def _get_n_list(cfg, default: str) -> list[int]:
@@ -366,7 +374,8 @@ def cmd_np_spectrum(cfg, out: Path) -> int:
 
 def cmd_resonances(cfg, out: Path) -> int:
     bg, spectrum, _, dilute = load_model(cfg)
-    omega_p = cfg.get("drude_omega_p")
+    # read before the mode loop, whose error entries would swallow a ConfigError
+    omega_p = _get(cfg, "drude_omega_p") if "drude_omega_p" in cfg else None
     tau = _get(cfg, "drude_tau", 0.0)
     modes = []
     successes = 0
@@ -382,8 +391,7 @@ def cmd_resonances(cfg, out: Path) -> int:
             entry["shifted_for_eps_eff"] = s_eps
             entry["shifted_for_mu_eff"] = s_mu
             if omega_p is not None:
-                entry["drude_omega"] = drude_omega_for_eps(
-                    star, _get(cfg, "drude_omega_p"), tau)
+                entry["drude_omega"] = drude_omega_for_eps(star, omega_p, tau)
             successes += 1
         except (SingularModeError, RootFindError, EffectiveError, ValueError) as exc:
             entry["error"] = str(exc)
@@ -519,7 +527,7 @@ def cmd_foldy(cfg, out: Path) -> int:
     eta_big = _get(cfg, "eta", 0.1 / n_big)
     tilde = tilde_from_definition(bg, eps_c, lattice.cfg, spectrum, mode_index=mode_index)
     state = solve_foldy(bg, lattice, tilde, eta_big, wave)
-    fields = eval_foldy_field(bg, lattice, state, probes)
+    fields = eval_foldy_field(bg, state, probes)
     dest_csv = out / "foldy_field.csv"
     write_csv(dest_csv, _FIELD_HEADER, field_csv_rows(probes, fields))
     print(f"wrote {dest_csv} (N={n_big}, residual {fmt(state.solver_report['residual'])})")

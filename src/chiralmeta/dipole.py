@@ -14,7 +14,7 @@ import numpy as np
 
 from .background import ChiralBackground, green_dyadic, k0_matrix
 from .np_spectral import NPSpectrum
-from .polarization import SingularModeError, assemble_A_n, mode_params
+from .polarization import mode_response
 
 _I3 = np.eye(3)
 
@@ -40,6 +40,10 @@ class ParticleInstance:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not self.far_field_factor > 0:
             raise ValueError(f"far_field_factor must be positive, got {self.far_field_factor}")
+        count = len(self.spectrum.clusters())
+        if not 0 <= self.cluster_index < count:
+            raise ValueError(
+                f"cluster_index {self.cluster_index} out of range for {count} clusters")
 
 
 def dipole_response_tensor(bg: ChiralBackground, particle: ParticleInstance) -> np.ndarray:
@@ -50,14 +54,9 @@ def dipole_response_tensor(bg: ChiralBackground, particle: ParticleInstance) -> 
     term of the full polarization tensor are negligible.
     """
     cluster = particle.spectrum.clusters()[particle.cluster_index]
-    p = mode_params(bg, particle.eps_c)
-    mm = assemble_A_n(p, cluster.eigenvalue, bg.omega)
-    if abs(mm.det_direct) < 1e-14:
-        raise SingularModeError(
-            f"mode response nearly singular at eps_c = {particle.eps_c}, "
-            f"lambda_n = {cluster.eigenvalue}")
+    M = mode_response(bg, particle.eps_c, cluster.eigenvalue)
     K6 = np.kron(k0_matrix(bg, particle.eps_c), _I3)
-    return K6 @ np.kron(mm.M_blocks, cluster.moment_tensor)
+    return K6 @ np.kron(M, cluster.moment_tensor)
 
 
 def scattered_field_dipole(bg: ChiralBackground, particle: ParticleInstance,

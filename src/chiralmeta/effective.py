@@ -16,8 +16,7 @@ import numpy as np
 
 from .background import ChiralBackground, k0_matrix, matmul2x2
 from .np_spectral import NPSpectrum
-from .polarization import (SingularModeError, assemble_A_n, flag_or_raise, mode_params,
-                           resonant_eps)
+from .polarization import SingularModeError, flag_or_raise, mode_response, resonant_eps
 
 
 class EffectiveError(RuntimeError):
@@ -94,12 +93,8 @@ def _unwrap(x, kind=complex):
 def coupling_matrix(bg: ChiralBackground, eps_c: complex, cfg: DiluteConfig,
                     lambda_n: float, *, failed: np.ndarray | None = None) -> np.ndarray:
     """2x2 lattice coupling: dilution * moment constant * contrast * mode response."""
-    p = mode_params(bg, eps_c, failed=failed)
-    mm = assemble_A_n(p, lambda_n, bg.omega)
-    flag_or_raise(
-        abs(mm.det_direct) < 1e-14, failed, SingularModeError,
-        lambda: f"mode response nearly singular at eps_c = {eps_c}, lambda_n = {lambda_n}")
-    return cfg.dilution_factor * cfg.moment_scale * matmul2x2(k0_matrix(bg, eps_c), mm.M_blocks)
+    M = mode_response(bg, eps_c, lambda_n, failed=failed)
+    return cfg.dilution_factor * cfg.moment_scale * matmul2x2(k0_matrix(bg, eps_c), M)
 
 
 def tilde_from_coupling(T2: np.ndarray, omega: float) -> TildeParams:

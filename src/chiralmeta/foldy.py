@@ -47,19 +47,19 @@ class FoldyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParticleLattice:
-    """Regular N^3 lattice of point scatterers filling the unit cube: one
-    at each cell center of the N^3 grid, in :func:`cell_centers` order
-    (``centers`` is derived, not passed)."""
+    """Regular N^3 lattice of point scatterers filling the unit cube, N =
+    ``cfg.n_per_axis``: one at each cell center of the N^3 grid, in
+    :func:`cell_centers` order."""
 
-    n_per_axis: int
     cfg: DiluteConfig
-    centers: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        N = self.n_per_axis
-        if N < 1:
-            raise FoldyError(f"n_per_axis must be at least 1, got {N}")
-        object.__setattr__(self, "centers", cell_centers(N))
+    @property
+    def n_per_axis(self) -> int:
+        return self.cfg.n_per_axis
+
+    @functools.cached_property
+    def centers(self) -> np.ndarray:
+        return cell_centers(self.n_per_axis)
 
 
 def _grid_index(n: int) -> np.ndarray:
@@ -80,32 +80,25 @@ def build_lattice(n_per_axis: int, cfg: DiluteConfig) -> ParticleLattice:
     Re-deriving the config revalidates the dilution invariant for the
     new count, so particle size always tracks the lattice.
     """
-    cfg_n = dataclasses.replace(cfg, n_per_axis=n_per_axis)
-    return ParticleLattice(n_per_axis=n_per_axis, cfg=cfg_n)
+    return ParticleLattice(dataclasses.replace(cfg, n_per_axis=n_per_axis))
 
 
 @dataclass(frozen=True)
-class FoldyState:
-    """Local (E, H) 6-vectors at the lattice centers after the solve."""
+class GridState:
+    """Solution of the grid problem on the n^3 cells: the local (E, H)
+    6-vectors ``values``, shape (n^3, 6), at :func:`cell_centers` of a
+    lattice or a volume grid, with the inputs that its field needs."""
 
+    n: int
     values: np.ndarray
     eta: float
     solver_report: dict
     coupling: np.ndarray
     incident: PlaneWaveSpec
 
-
-@dataclass(frozen=True)
-class HomogenizedState:
-    """Volume field table of the homogenized fixed-point equation."""
-
-    grid_m: int
-    centers: np.ndarray
-    values: np.ndarray
-    eta: float
-    solver_report: dict
-    coupling: np.ndarray
-    incident: PlaneWaveSpec
+    @functools.cached_property
+    def centers(self) -> np.ndarray:
+        return cell_centers(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +459,20 @@ def _solve_grid(blocks: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarr
 
 
 def _solve_cells(bg: ChiralBackground, tilde: TildeParams, n: int, eta: float,
-                 incident: PlaneWaveSpec,
-                 zero_self: bool) -> tuple[np.ndarray, np.ndarray, dict]:
+                 incident: PlaneWaveSpec, zero_self: bool) -> GridState:
     """The grid problem that the lattice and the volume share: coupling
     T6 from the tilde parameters, cell weight 1/n^3 and the incident field
-    at :func:`cell_centers`.  Returns T6, the (n^3, 6) field table and the
-    solver report."""
+    at :func:`cell_centers`."""
     T6 = np.kron(coupling_from_tilde(tilde, bg.omega), _I3)
     b = incident_six(bg, incident, cell_centers(n)).reshape(-1)
     blocks = _offset_blocks(bg, n, eta, T6, 1.0 / n ** 3, zero_self)
     u, report = _solve_grid(blocks, b, 1e-10)
-    return T6, u.reshape(-1, 6), report
+    return GridState(n=n, values=u.reshape(-1, 6), eta=eta, solver_report=report,
+                     coupling=T6, incident=incident)
 
 
 def solve_foldy(bg: ChiralBackground, lattice: ParticleLattice, tilde: TildeParams,
-                eta: float, incident: PlaneWaveSpec) -> FoldyState:
+                eta: float, incident: PlaneWaveSpec) -> GridState:
     """Solve the self-consistent point-interaction system on the lattice.
 
     Diagonal blocks are the identity; off-diagonal blocks couple particle
@@ -491,41 +483,15 @@ def solve_foldy(bg: ChiralBackground, lattice: ParticleLattice, tilde: TildePara
     N = lattice.n_per_axis
     if N > _MAX_AXIS:
         raise FoldyError(f"lattice count per axis {N} exceeds {_MAX_AXIS}")
-    if eta < 0:
+    if not eta >= 0:
         raise FoldyError(f"eta must be nonnegative, got {eta}")
     # eta = 0 is fine here: self blocks are masked out, and distinct
     # centers keep the kernel regular
-    T6, u, report = _solve_cells(bg, tilde, N, eta, incident, zero_self=True)
-    return FoldyState(values=u, eta=eta, solver_report=report, coupling=T6,
-                      incident=incident)
-
-
-def _eval_field(bg, src_pts, weight, eta, T6, values, incident, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    tv = values @ T6.T
-    out = incident_six(bg, incident, pts)
-    step = max(1, _CHUNK_ELEMS // max(src_pts.shape[0], 1))
-    for lo in range(0, pts.shape[0], step):
-        hi = min(lo + step, pts.shape[0])
-        rel = pts[lo:hi, None, :] - src_pts[None, :, :]
-        out[lo:hi] += weight * bg.omega * green_apply(bg, rel, tv, eta=eta)
-    return out[0] if single else out.reshape(x.shape[:-1] + (6,))
-
-
-def eval_foldy_field(bg: ChiralBackground, lattice: ParticleLattice,
-                     state: FoldyState, x) -> np.ndarray:
-    """Total (E, H) at points ``x``: incident plus the coupled retarded
-    sum over the lattice.  With eta = 0 the points must avoid the
-    centers (the kernel raises on a singular hit)."""
-    n = lattice.centers.shape[0]
-    return _eval_field(bg, lattice.centers, 1.0 / n, state.eta, state.coupling,
-                       state.values, state.incident, x)
+    return _solve_cells(bg, tilde, N, eta, incident, zero_self=True)
 
 
 def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
-                         eta: float, incident: PlaneWaveSpec) -> HomogenizedState:
+                         eta: float, incident: PlaneWaveSpec) -> GridState:
     """Solve the volume fixed-point equation on an m^3 cell grid.
 
     Midpoint quadrature with cell weight 1/m^3; the self cell is kept
@@ -537,17 +503,38 @@ def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
         raise FoldyError(f"grid_m must lie in [1, {_MAX_AXIS}], got {grid_m}")
     if not eta > 0:
         raise FoldyError("volume discretization needs eta > 0 (self cell)")
-    T6, u, report = _solve_cells(bg, tilde, grid_m, eta, incident, zero_self=False)
-    return HomogenizedState(grid_m=grid_m, centers=cell_centers(grid_m), values=u,
-                            eta=eta, solver_report=report, coupling=T6,
-                            incident=incident)
+    return _solve_cells(bg, tilde, grid_m, eta, incident, zero_self=False)
 
 
-def eval_homogenized_field(bg: ChiralBackground, hom: HomogenizedState, x) -> np.ndarray:
+def _eval_field(bg: ChiralBackground, state: GridState, x) -> np.ndarray:
+    """Total (E, H) at points ``x``: the incident field plus the retarded
+    sum over the cells of ``state``, each of weight 1/n^3."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = np.atleast_2d(x)
+    src = state.centers
+    weight = 1.0 / src.shape[0]
+    tv = state.values @ state.coupling.T
+    out = incident_six(bg, state.incident, pts)
+    step = max(1, _CHUNK_ELEMS // src.shape[0])
+    for lo in range(0, pts.shape[0], step):
+        hi = min(lo + step, pts.shape[0])
+        rel = pts[lo:hi, None, :] - src[None, :, :]
+        out[lo:hi] += weight * bg.omega * green_apply(bg, rel, tv, eta=state.eta)
+    return out[0] if single else out.reshape(x.shape[:-1] + (6,))
+
+
+# two functions, not one under two names: a wrapper on one name sees its calls only
+def eval_foldy_field(bg: ChiralBackground, state: GridState, x) -> np.ndarray:
+    """Total (E, H) of a lattice solution at points ``x``.  With eta = 0
+    the points must avoid the centers (the kernel raises on a singular
+    hit)."""
+    return _eval_field(bg, state, x)
+
+
+def eval_homogenized_field(bg: ChiralBackground, state: GridState, x) -> np.ndarray:
     """Total (E, H) of the volume solution at points ``x``."""
-    n = hom.centers.shape[0]
-    return _eval_field(bg, hom.centers, 1.0 / n, hom.eta, hom.coupling,
-                       hom.values, hom.incident, x)
+    return _eval_field(bg, state, x)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +654,7 @@ def compare_homogenization(bg: ChiralBackground, cfg: DiluteConfig,
     for N in N_list:
         lat = build_lattice(int(N), cfg)
         state = solve_foldy(bg, lat, tilde, eta, incident)
-        scat_f = eval_foldy_field(bg, lat, state, probes) - inc_p
+        scat_f = eval_foldy_field(bg, state, probes) - inc_p
         rows.append(CompareRow(
             n_per_axis=int(N),
             rel_l2_error=float(np.linalg.norm(scat_f - scat_h)) / ref_norm,

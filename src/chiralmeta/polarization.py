@@ -9,6 +9,8 @@ polarization tensor of the particle.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +156,22 @@ def assemble_A_n(params: ModeParams, lambda_n: float, omega: float) -> ModeMatri
     return ModeMatrix(lambda_n=lambda_n, A=A, det_direct=det, M_blocks=M)
 
 
+def mode_response(bg: ChiralBackground, eps_c: complex, lambda_n: float, *,
+                  failed: np.ndarray | None = None) -> np.ndarray:
+    """Coefficient blocks ``M_blocks`` of the mode response at eigenvalue
+    lambda_n for particle permittivity ``eps_c``.
+
+    A nearly singular response matrix (|det| < 1e-14) is refused, or
+    marked in ``failed`` for an array ``eps_c`` (see :func:`flag_or_raise`).
+    """
+    mm = assemble_A_n(mode_params(bg, eps_c, failed=failed), lambda_n, bg.omega)
+    flag_or_raise(
+        abs(mm.det_direct) < 1e-14, failed, SingularModeError,
+        lambda: f"mode response nearly singular at eps_c = {eps_c}, lambda_n = {lambda_n} "
+                f"(|det| = {abs(mm.det_direct):.3e})")
+    return mm.M_blocks
+
+
 def resonant_eps(bg: ChiralBackground, lambda_n: float) -> complex:
     """Permittivity at which the mode response matrix becomes singular."""
     u = 0.5 - lambda_n
@@ -194,7 +212,6 @@ def polarization_tensor(spectrum: NPSpectrum, bg: ChiralBackground, eps_c: compl
     response matrix is nearly singular raise (resonance is the physics
     of interest, silently regularizing would mask it).
     """
-    params = mode_params(bg, eps_c)
     mom = np.asarray(spectrum.moments)
     lam = np.asarray(spectrum.eigenvalues)
     norms = np.linalg.norm(mom, axis=1)
@@ -203,12 +220,7 @@ def polarization_tensor(spectrum: NPSpectrum, bg: ChiralBackground, eps_c: compl
     for i in range(lam.size):
         if norms[i] < cutoff:
             continue
-        mm = assemble_A_n(params, float(lam[i]), bg.omega)
-        if abs(mm.det_direct) < 1e-14:
-            raise SingularModeError(
-                f"mode response nearly singular at eps_c = {eps_c}, lambda_n = {lam[i]!r} "
-                f"(|det| = {abs(mm.det_direct):.3e})")
-        M6 += np.kron(mm.M_blocks, np.outer(mom[i], mom[i]))
+        M6 += np.kron(mode_response(bg, eps_c, float(lam[i])), np.outer(mom[i], mom[i]))
     vol = signed_volume(mesh)
     return PolarizationTensor(M=M6, M_tilde=vol * np.eye(6) + M6, volume=vol)
 
@@ -259,10 +271,21 @@ def find_resonance_root(bg: ChiralBackground, lambda_n: float,
     is real for real permittivity).  Bisection halves it until its ends
     are adjacent floats, keeping the end whose objective has the sign of
     f(bracket[0]): the returned r has f(r) = 0 or a sign change between r
-    and the next float towards bracket[1].
+    and the next float towards bracket[1].  A non-finite bracket end or
+    objective value raises: bisection never halves a NaN end away, and a
+    NaN value fails every sign test.
     """
-    f = _mode_objective(bg, lambda_n)
+    objective = _mode_objective(bg, lambda_n)
+
+    def f(eps_c: float) -> complex:
+        value = objective(eps_c)
+        if not cmath.isfinite(value):
+            raise RootFindError(f"objective not finite at eps_c = {eps_c}: {value}")
+        return value
+
     a, b = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise RootFindError(f"bracket [{a}, {b}] is not finite")
     fa, fb = f(a).real, f(b).real
     if fa * fb > 0:
         raise RootFindError(

@@ -252,7 +252,7 @@ def test_11_foldy_convergence(ball_spectrum, ball_cn):
     lat = build_lattice(1, single_cfg)
     st = solve_foldy(bg, lat, tilde_from_definition(bg, -3.0, lat.cfg, ball_spectrum), 0.0,
                      wave)
-    total = eval_foldy_field(bg, lat, st, probes)
+    total = eval_foldy_field(bg, st, probes)
     part = ParticleInstance(center=lat.centers[0], delta=lat.cfg.delta, eps_c=-3.0,
                             spectrum=ball_spectrum, far_field_factor=2.0)
     expect = (incident_six(bg, wave, probes)

@@ -47,6 +47,12 @@ def test_parameter_validation():
             ChiralBackground(**kw)
 
 
+def test_nan_beta_refused():
+    # NaN passes "beta_m < 0" and "k * beta_m >= 1" alike
+    with pytest.raises(BackgroundError, match="beta_m must be nonnegative, got nan"):
+        ChiralBackground(1.0, 1.0, float("nan"), 1.0)
+
+
 def test_circular_basis_right():
     p, q = make_circular_basis(E3, "right")
     assert np.allclose(q, np.array([1.0, -1.0j, 0.0]) / np.sqrt(2))

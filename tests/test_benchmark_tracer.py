@@ -26,7 +26,9 @@ tracer.install()
 import chiralmeta.cli
 rcs = [chiralmeta.cli.main(argv) for argv in json.loads(sys.argv[2])]
 expected = EXPECTED_SPANS["lattice_dilute"] | EXPECTED_SPANS["lattice_coupled"]
-print(json.dumps({"rcs": rcs, "missing": sorted(expected - tracer.fired())}))
+# the benchmark's child writes the metrics with json.dump
+print(json.dumps({"rcs": rcs, "fired": sorted(tracer.fired()),
+                  "lattice_spans": sorted(expected), "metrics": tracer.metrics()}))
 """
 
 CONFIGS = {
@@ -40,9 +42,11 @@ CONFIGS = {
 }
 
 
-def test_tracer_fires_every_lattice_span(tmp_path):
+def _traced(tmp_path, configs: dict) -> dict:
+    """Run each command of ``configs`` under the tracer in one fresh
+    interpreter; returns the script's JSON line."""
     argvs = []
-    for cmd, text in CONFIGS.items():
+    for cmd, text in configs.items():
         cfg = tmp_path / f"{cmd}.cfg"
         cfg.write_text(text, encoding="utf-8")
         argvs.append([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)])
@@ -52,6 +56,19 @@ def test_tracer_fires_every_lattice_span(tmp_path):
                           json.dumps(argvs)],
                          capture_output=True, text=True, env=env, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
-    res = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_tracer_fires_every_lattice_span(tmp_path):
+    res = _traced(tmp_path, CONFIGS)
     assert res["rcs"] == [0, 0, 0]
-    assert res["missing"] == []
+    assert sorted(set(res["lattice_spans"]) - set(res["fired"])) == []
+
+
+def test_tracer_reads_sweep_rows(tmp_path):
+    # the tracer's sweep callback sums the rows' flags: the metrics must stay
+    # JSON-serializable whatever type sweep_figure returns its rows in
+    res = _traced(tmp_path, {"eff-sweep": "beta_m = 0.4\neps_c_points = 50\n"})
+    assert res["rcs"] == [0]
+    assert "effective.sweep_figure" in res["fired"]
+    assert res["metrics"]["effective.sweep_points"] == 50

@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from collections import OrderedDict
@@ -397,6 +398,65 @@ def test_foldy_bad_eta_rejected(tmp_path, capsys):
     rc = main(["foldy", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert "config key 'eta': not a number" in capsys.readouterr().err
+
+
+# the float keys each command reads; list keys get the bad value as one
+# component
+_MODEL_FLOATS = ("eps_m", "mu_m", "beta_m", "omega", "volume_scale", "dilution_exponent",
+                 "moment_scale")
+_LATTICE_FLOATS = _MODEL_FLOATS + ("eps_c_re", "eps_c_im", "direction", "amplitude", "eta")
+FLOAT_KEYS = {
+    "resonances": _MODEL_FLOATS + ("drude_omega_p", "drude_tau"),
+    "eff-sweep": _MODEL_FLOATS + ("eps_c_min", "eps_c_max", "dense_window"),
+    "eff-closed-form": ("eps_m", "mu_m", "beta_m", "omega", "lambda_n", "s_values"),
+    "dipole-field": _MODEL_FLOATS + ("eps_c_re", "eps_c_im", "delta", "center",
+                                     "far_field_factor", "direction", "amplitude"),
+    "foldy": _LATTICE_FLOATS,
+    "compare-hom": _LATTICE_FLOATS,
+    "check-assumptions": _MODEL_FLOATS + ("eta",),
+}
+_LIST_KEYS = {"s_values", "center", "direction"}
+
+
+def test_float_key_table_is_complete():
+    # every key that cli.py reads as a float or float list is in the table
+    read = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                in ("_get", "_get_list", "_get_vec3")
+                and not any(getattr(a, "id", None) == "int" for a in node.args)
+                and isinstance(node.args[1], ast.Constant)):
+            read.add(node.args[1].value)
+    assert read == {key for keys in FLOAT_KEYS.values() for key in keys}
+
+
+@pytest.fixture()
+def deadline():
+    """Fail a test that runs longer than 2 s instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("command still running after 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(2)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in FLOAT_KEYS.items()
+                                          for k in keys])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_value_rejected(tmp_path, capsys, deadline, command, key, bad):
+    # resonances with beta_m = nan used to bisect forever, foldy with
+    # eta = nan died in the LU, dipole-field wrote NaN rows
+    value = f"0,{bad},1" if key in _LIST_KEYS else bad
+    cfg = write(tmp_path / "c.cfg", f"volume_scale = 0.5\nn_list = 2\ngrid_m = 4\n"
+                                    f"{key} = {value}\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert f"config key {key!r}: not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, line", [("foldy", "n_cap = 10"),

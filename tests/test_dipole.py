@@ -35,6 +35,15 @@ def test_particle_validation(ball_spectrum):
     assert p.center.shape == (3,)
 
 
+def test_cluster_index_in_range(ball_spectrum):
+    # -1 used to pick the last cluster silently
+    count = len(ball_spectrum.clusters())
+    for index in (-1, count):
+        with pytest.raises(ValueError, match=f"cluster_index {index} out of range"):
+            ParticleInstance(center=[0, 0, 0], delta=0.1, eps_c=-2.0, spectrum=ball_spectrum,
+                             cluster_index=index)
+
+
 def test_scattered_vanishes_with_contrast(particle, ball_spectrum):
     bg0 = ChiralBackground(1.0, 1.0, 0.0, 1.0)
     inc = incident_six(bg0, WAVE, particle.center)

@@ -7,7 +7,7 @@ from chiralmeta.background import (ChiralBackground, circular_wave, green_dyadic
 from chiralmeta.dipole import ParticleInstance, scattered_field_dipole
 from chiralmeta.effective import (DiluteConfig, EffectiveError, coupling_from_tilde,
                                   coupling_matrix, s_limit_tilde, tilde_from_definition)
-from chiralmeta.foldy import (FoldyError, ParticleLattice, _cube_group, _cube_orbits,
+from chiralmeta.foldy import (FoldyError, GridState, _cube_group, _cube_orbits,
                               _fft_apply, _from_basis, _grid_index, _group_sums,
                               _irrep_blocks,
                               _lu_solve_system, _offset_blocks, _solve_grid,
@@ -70,15 +70,11 @@ def test_build_lattice_revalidates_dilution(ball_cn):
         build_lattice(1, big)
 
 
-def test_lattice_needs_a_cell(cfg):
-    for N in (0, -2):
-        with pytest.raises(FoldyError, match="n_per_axis must be at least 1"):
-            ParticleLattice(n_per_axis=N, cfg=cfg)
-
-
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_lattice_centers_are_cell_centers(cfg, N):
-    assert np.array_equal(ParticleLattice(n_per_axis=N, cfg=cfg).centers, cell_centers(N))
+    lat = build_lattice(N, cfg)
+    assert lat.n_per_axis == lat.cfg.n_per_axis == N
+    assert np.array_equal(lat.centers, cell_centers(N))
 
 
 def test_single_particle_state_is_incident(bg, cfg, ball_spectrum):
@@ -101,7 +97,7 @@ def test_single_particle_field_matches_dipole(bg, cfg, ball_spectrum):
     lat = build_lattice(1, cfg)
     st = _solve(bg, lat, ball_spectrum, WAVE, 0.0)
     probes = probe_ring(8)
-    total = eval_foldy_field(bg, lat, st, probes)
+    total = eval_foldy_field(bg, st, probes)
     part = ParticleInstance(center=lat.centers[0], delta=lat.cfg.delta, eps_c=-3.0,
                             spectrum=ball_spectrum, far_field_factor=2.0)
     inc_c = incident_six(bg, WAVE, lat.centers[0])
@@ -130,6 +126,23 @@ def test_solver_report(state2):
     assert rep["size"] == 48
     assert rep["residual"] < 1e-10
     assert rep["iterations"] >= 1
+
+
+def test_both_solves_return_grid_state(bg, state2):
+    hom = solve_homogenized_ls(bg, s_limit_tilde(bg, 1 / 6, 0.3), 3, 0.5, WAVE)
+    for st, n in ((state2, 2), (hom, 3)):
+        assert type(st) is GridState
+        assert st.n == n
+        assert np.array_equal(st.centers, cell_centers(n))
+        assert st.values.shape == (n ** 3, 6)
+
+
+@pytest.mark.parametrize("eta", [-0.1, float("nan")])
+def test_lattice_eta_guard(bg, lat2, ball_spectrum, eta):
+    # NaN fails every comparison, so the check is "not eta >= 0"
+    tilde = tilde_from_definition(bg, -3.0, lat2.cfg, ball_spectrum)
+    with pytest.raises(FoldyError, match="eta must be nonnegative"):
+        solve_foldy(bg, lat2, tilde, eta, WAVE)
 
 
 def test_lattice_axis_bound(bg, cfg, ball_spectrum, monkeypatch):
@@ -176,7 +189,7 @@ def test_far_field_decay(bg, lat2, state2):
         mags = []
         for r in rs:
             x = center + r * d
-            scat = eval_foldy_field(bg, lat2, state2, x) - incident_six(bg, WAVE, x)
+            scat = eval_foldy_field(bg, state2, x) - incident_six(bg, WAVE, x)
             mags.append(np.linalg.norm(scat))
         slope = np.polyfit(np.log(rs), np.log(mags), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.05)
@@ -189,7 +202,7 @@ def test_eta_consistency(bg, lat2, ball_spectrum):
     outs = {}
     for eta in (0.2, 0.1, 0.05):
         st = _solve(bg, lat2, ball_spectrum, WAVE, eta)
-        outs[eta] = eval_foldy_field(bg, lat2, st, probes)
+        outs[eta] = eval_foldy_field(bg, st, probes)
     scale = np.linalg.norm(outs[0.05])
     d1 = np.linalg.norm(outs[0.2] - outs[0.1]) / scale
     d2 = np.linalg.norm(outs[0.1] - outs[0.05]) / scale
@@ -296,7 +309,7 @@ def test_distribution_single_site_has_no_neighbours(bg, cfg):
 
 def test_lattice_and_volume_fields_match_block_reference(bg, lat2, state2):
     pts = np.vstack([probe_ring(8), [[0.5, 0.5, 0.5], [0.1, 0.9, 0.4]]])
-    got = eval_foldy_field(bg, lat2, state2, pts)
+    got = eval_foldy_field(bg, state2, pts)
     ref = _field_reference(bg, lat2.centers, state2.eta, state2.coupling, state2.values,
                            WAVE, pts)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

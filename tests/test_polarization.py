@@ -10,8 +10,8 @@ from chiralmeta.background import ChiralBackground, k0_matrix
 from chiralmeta.np_spectral import mesh_spectrum
 from chiralmeta.polarization import (RootFindError, SingularModeError, assemble_A_n,
                                      det_closed_form, drude_eps, drude_omega_for_eps,
-                                     find_resonance_root, mode_params, polarization_tensor,
-                                     resonant_eps)
+                                     find_resonance_root, mode_params, mode_response,
+                                     polarization_tensor, resonant_eps)
 from _fd import loglog_slope
 from _meshes import small_torus
 
@@ -233,6 +233,37 @@ def test_find_root_no_sign_change():
     bg = ChiralBackground(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(RootFindError, match="sign change"):
         find_resonance_root(bg, 1 / 6, bracket=(-1.5, -1.0))
+
+
+@pytest.mark.parametrize("bracket", [(math.nan, -1.0), (-3.0, math.inf), (-math.inf, -1.0)])
+def test_find_root_refuses_non_finite_bracket(bracket):
+    # a NaN end is never halved away: the bisection used to run forever
+    bg = ChiralBackground(1.0, 1.0, 0.4, 1.0)
+    with pytest.raises(RootFindError, match="is not finite"):
+        find_resonance_root(bg, 1 / 6, bracket=bracket)
+
+
+def test_find_root_refuses_non_finite_objective(monkeypatch):
+    # NaN fails every sign test, and "|objective| > 1e-10" too, so a NaN
+    # inside the bracket used to steer the bisection blind and pass
+    def holed(bg, lambda_n):
+        return lambda x: complex(math.nan) if -2.1 < x.real < -1.9 else complex(x + 2.7)
+
+    monkeypatch.setattr(polarization, "_mode_objective", holed)
+    with pytest.raises(RootFindError, match=r"objective not finite at eps_c = -2\.0"):
+        find_resonance_root(ChiralBackground(1.0, 1.0, 0.4, 1.0), 1 / 6, bracket=(-3.0, -1.0))
+
+
+def test_mode_response_refuses_resonance():
+    bg = ChiralBackground(1.0, 1.0, 0.4, 1.0)
+    star = resonant_eps(bg, 1 / 6)
+    expect = assemble_A_n(mode_params(bg, -3.0), 1 / 6, bg.omega).M_blocks
+    assert np.array_equal(mode_response(bg, -3.0, 1 / 6), expect)
+    with pytest.raises(SingularModeError, match="mode response nearly singular"):
+        mode_response(bg, star, 1 / 6)
+    failed = np.zeros(2, dtype=bool)
+    mode_response(bg, np.array([star, -3.0]), 1 / 6, failed=failed)
+    assert failed.tolist() == [True, False]
 
 
 def resonance_cases(sphere_spec3):
