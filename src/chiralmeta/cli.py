@@ -264,6 +264,8 @@ def load_probes(cfg) -> np.ndarray:
                 rows.append([float(v) for v in parts])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad number") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise ConfigError(f"{path}:{lineno}: coordinate not finite")
         if not rows:
             raise ConfigError(f"probes file {path} holds no points")
         return np.array(rows, dtype=float)

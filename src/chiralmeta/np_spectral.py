@@ -121,10 +121,14 @@ class NPSpectrum:
 
     Inside a degenerate cluster (the sphere's l = 1 triple, the torus's
     pairs) the per-mode ``densities`` and ``moments`` are one orthonormal
-    basis of the cluster's eigenspace, and roundoff chooses which one: a
-    last-bit change of the operators can rotate or reorder them.  Only the
-    cluster quantities of ``clusters()`` (mean eigenvalue, moment tensor,
-    c_n) are meaningful, and they are what every program reader uses.
+    basis of the cluster's eigenspace.  On a mesh with a rotation axis the
+    two modes of a +-q pair are its cos and sin partners, whose basis is set
+    by the mesh (see ``spectral_decomposition``), and a ``mode_count`` cut
+    through a pair keeps the cos partner.  Every other degeneracy is
+    resolved by roundoff: a last-bit change of the operators can rotate or
+    reorder those modes.  Only the cluster quantities of ``clusters()``
+    (mean eigenvalue, moment tensor, c_n) are meaningful, and they are what
+    every program reader uses.
 
     The arrays are read-only copies of the ones passed in, so a spectrum
     shared between callers (see ``mesh_spectrum``) cannot be changed by
@@ -284,6 +288,158 @@ def _reflect_sym(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return B
 
 
+# Cyclic panel symmetry.  A rotation about an axis that maps the panels onto
+# themselves and leaves S and K unchanged commutes with the pencil, so the
+# pencil splits into one Fourier block per rotation order (Allgower, Boehmer,
+# Georg and Miranda, SIAM J. Numer. Anal. 29 (1992) 534).
+_MATCH_TOL = 1e-9         # centroid and vertex match, relative to the mesh diameter
+_INVARIANCE_TOL = 1e-10   # max |M[s, s] - M| relative to max |M|, for M = S and K
+
+
+def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rotation matrix about the unit vector ``axis`` by ``angle`` (Rodrigues)."""
+    x, y, z = axis
+    C = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + np.sin(angle) * C + (1.0 - np.cos(angle)) * (C @ C)
+
+
+def _match(points: np.ndarray, moved: np.ndarray, tol: float) -> np.ndarray | None:
+    """The permutation p with |points[p[i]] - moved[i]| <= tol, or None.
+
+    Points are sorted by their projection on a fixed generic direction and
+    each moved point is looked up in the window of width 2 tol around its
+    own projection, in O(n log n).
+    """
+    g = np.sqrt([0.3, 0.4, 0.3])
+    key = points @ g
+    order = np.argsort(key)
+    key = key[order]
+    mk = moved @ g
+    lo = np.searchsorted(key, mk - tol, "left")
+    hi = np.searchsorted(key, mk + tol, "right")
+    if np.any(hi == lo):
+        return None
+    perm = order[lo]
+    for i in np.nonzero(hi - lo > 1)[0]:   # rare: two projections within tol
+        cand = order[lo[i]:hi[i]]
+        perm[i] = cand[np.argmin(np.linalg.norm(points[cand] - moved[i], axis=1))]
+    if (np.linalg.norm(points[perm] - moved, axis=1).max() > tol
+            or np.bincount(perm, minlength=len(points)).max() > 1):
+        return None
+    return perm
+
+
+def _candidate_axes(mesh: TriMesh, center: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Unit axes through ``center`` that may carry a rotation symmetry: the
+    simple eigenvectors of the area-weighted second moment of the centroids
+    (a body of revolution, an ellipsoid), then the directions to the vertices
+    of the rarest valence, when not all vertices share one (the vertex axes
+    of an icosphere)."""
+    d = mesh.centroids - center
+    ev, vec = np.linalg.eigh((mesh.areas[:, None] * d).T @ d)
+    gap = 1e-8 * ev[-1]
+    axes = [vec[:, i] for i in range(3)
+            if all(abs(ev[i] - ev[j]) > gap for j in range(3) if j != i)]
+    valence = np.bincount(mesh.triangles.ravel(), minlength=len(mesh.vertices))
+    alike = np.bincount(valence)[valence]   # vertices of each vertex's valence
+    if alike.min() < alike.max():
+        for a in mesh.vertices[alike == alike.min()] - center:
+            if np.linalg.norm(a) > tol:
+                axes.append(a / np.linalg.norm(a))
+    return axes
+
+
+def _orders(mesh: TriMesh, center: np.ndarray, axis: np.ndarray, tol: float) -> list[int]:
+    """Rotation orders k about ``axis`` for which a turn of 2 pi / k takes
+    panel 0 onto another panel at its height and radius, largest first.  An
+    axis with no such panel is rejected in O(n)."""
+    d = mesh.centroids - center
+    h = d @ axis
+    radial = d - h[:, None] * axis
+    rad = np.linalg.norm(radial, axis=1)
+    if rad[0] <= tol:   # panel 0 on the axis: no rotation moves it
+        return []
+    same = np.nonzero((np.abs(h - h[0]) <= tol) & (np.abs(rad - rad[0]) <= tol))[0][1:]
+    e1 = radial[0] / rad[0]
+    theta = np.arctan2(radial[same] @ np.cross(axis, e1), radial[same] @ e1) % (2.0 * np.pi)
+    k = np.rint(2.0 * np.pi / theta)
+    ok = (k >= 2) & (np.abs(k * theta - 2.0 * np.pi) <= 1e-6) & (mesh.n_panels % k == 0)
+    return sorted({int(x) for x in k[ok]}, reverse=True)
+
+
+def _orbits(perm: np.ndarray, k: int) -> np.ndarray | None:
+    """(n / k, k) table of the orbits of the panel permutation ``perm``, row
+    i = (r_i, perm[r_i], perm[perm[r_i]], ...) with r_i the lowest panel of
+    its orbit, rows in increasing r_i; None unless every orbit has exactly k
+    panels (the action is free)."""
+    n = len(perm)
+    powers = np.empty((k, n), dtype=int)
+    powers[0] = np.arange(n)
+    for j in range(1, k):
+        powers[j] = perm[powers[j - 1]]
+    if np.any(powers[1:] == powers[0]) or not np.array_equal(perm[powers[-1]], powers[0]):
+        return None
+    reps = np.nonzero(powers.min(axis=0) == powers[0])[0]
+    return powers[:, reps].T
+
+
+def _invariant(M: np.ndarray, perm: np.ndarray) -> bool:
+    """max |M[perm, perm] - M| <= _INVARIANCE_TOL * max |M|, in row blocks."""
+    bound = _INVARIANCE_TOL * np.abs(M).max()
+    for lo in range(0, len(M), 256):
+        rows = np.take(np.take(M, perm[lo:lo + 256], axis=0), perm, axis=1)
+        rows -= M[lo:lo + 256]
+        if np.abs(rows).max() > bound:
+            return False
+    return True
+
+
+def _cyclic_orbits(mesh: TriMesh, S: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Orbit table (see ``_orbits``) of the largest free cyclic rotation of
+    the panels under which S and K are invariant; (n, 1) when there is none.
+
+    A rotation is accepted only when the rotated centroids match the
+    centroids within 1e-9 of the diameter, the matching maps triangles to
+    triangles, every orbit has k panels, and S and K are invariant to 1e-10
+    relative: the operators decide, not the geometry.
+    """
+    c, w = mesh.centroids, mesh.areas
+    center = (w @ c) / w.sum()
+    tol = _MATCH_TOL * np.linalg.norm(np.ptp(mesh.vertices, axis=0))
+    candidates = [(k, axis) for axis in _candidate_axes(mesh, center, tol)
+                  for k in _orders(mesh, center, axis, tol)]
+    candidates.sort(key=lambda cand: -cand[0])   # stable: candidate order breaks ties
+    for k, axis in candidates:
+        R = _rotation(axis, 2.0 * np.pi / k)
+        perm = _match(c, (c - center) @ R.T + center, tol)
+        if perm is None:
+            continue
+        vperm = _match(mesh.vertices, (mesh.vertices - center) @ R.T + center, tol)
+        if vperm is None or not np.array_equal(np.sort(vperm[mesh.triangles], axis=1),
+                                               np.sort(mesh.triangles[perm], axis=1)):
+            continue
+        orbits = _orbits(perm, k)
+        if orbits is not None and _invariant(S, perm) and _invariant(K, perm):
+            return orbits
+    return np.arange(len(w))[:, None]
+
+
+def _fourier_blocks(C: np.ndarray, hermitian: bool) -> list[np.ndarray]:
+    """Blocks B_q[a, i] = sum_d C[a, i, d] exp(2 pi i q d / k) of a gathered
+    block row C[a, i, d] = M[r_a, s^d r_i] (or of the rows of M, over the
+    orbit index), for q = 0 .. k // 2: the block of -q is the conjugate of
+    that of q, and those of q = 0 and q = k / 2 are real.  With
+    ``hermitian`` each block is made exactly Hermitian, as a gathered block
+    row of a symmetric matrix is so only to roundoff."""
+    k = C.shape[-1]
+    F = np.conj(np.fft.rfft(C, axis=-1))
+    blocks = []
+    for q in range(k // 2 + 1):
+        B = F[..., q].real if 2 * q % k == 0 else F[..., q]
+        blocks.append(0.5 * (B + B.conj().T) if hermitian else np.ascontiguousarray(B))
+    return blocks
+
+
 def spectral_decomposition(
     S: np.ndarray,
     K: np.ndarray,
@@ -300,6 +456,19 @@ def spectral_decomposition(
     densities with zero area-weighted mean.  Modes are sorted by normal
     moment magnitude (descending), then eigenvalue (descending), and the
     leading ``mode_count`` are retained.
+
+    When the panels have a free cyclic symmetry s of order k > 1 that leaves
+    S and K invariant (``_cyclic_orbits``), the pencil is solved as its
+    k // 2 + 1 distinct Fourier blocks of n / k rows: a density of block q
+    is u_i exp(2 pi i q j / k) on panel s^j r_i.  Only the block q = 0 holds
+    the mean-zero constraint, and only its modes enter ``dropped_eigenvalue``.
+    A block 0 < q < k / 2 stands for the pair +-q and gives each eigenvalue
+    twice, as the real and imaginary parts of its density (the cos and sin
+    partners).  The phase makes r . m real and positive, where m is the
+    complex moment and r the moment row of panel 0, so the sin partner's
+    moment is orthogonal to r.  Both partners rank by the pair's mean
+    moment, so where ``mode_count`` splits a pair the cos partner is kept.
+    Without such a symmetry k = 1 and the one block is the full pencil.
     """
     n = len(mesh.areas)
     if not 1 <= mode_count <= n - 1:
@@ -307,42 +476,84 @@ def spectral_decomposition(
     w = mesh.areas
     G = -(w[:, None] * S)
     G = 0.5 * (G + G.T)
-    A = G @ K
-    A = 0.5 * (A + A.T)   # K^T G = (G K)^T as G is symmetric
-
-    v = _householder_vector(w)
-    Gp = _reflect_sym(G, v)
-    Ap = _reflect_sym(A, v)
-    del A   # not needed past its reflection; freeing it lowers eigh's peak memory
-    try:
-        # The Cholesky factorization inside eigh is the positive-definiteness
-        # check.  Both matrices are exactly symmetric, so their transposes are
-        # the same matrices in LAPACK's column order and eigh overwrites them
-        # instead of copying.
-        lam, Y = scipy.linalg.eigh(Ap.T, Gp.T, overwrite_a=True, overwrite_b=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SpectralError(
-            "energy Gram matrix is not positive definite on the mean-zero "
-            "subspace; the discretization is too ill-conditioned") from exc
-    # Phi = P [0; Y]: G-orthonormal, exactly mean-zero
-    Phi = np.zeros((n, n - 1), order="F")
-    Phi[1:] = Y
-    Phi = scipy.linalg.blas.dger(-2.0, v, v[1:] @ Y, a=Phi, overwrite_a=True)
-
     # normal moments against unit-L2 eigendensities: three row vectors
     # -(w nu)^T S applied to the densities, not S applied to all of them
-    mom = (-((w[:, None] * mesh.normals).T @ S) @ Phi).T   # (n-1, 3)
-    mom /= np.sqrt(np.einsum("im,i,im->m", Phi, w, Phi))[:, None]
+    T = -((w[:, None] * mesh.normals).T @ S)
+    orbits = _cyclic_orbits(mesh, S, K)
+    reps, k = orbits[:, 0], orbits.shape[1]
+    w_rep = w[reps]
+    if k == 1:
+        Gq, Kq, Tq = [G], [K], [T]
+    else:
+        Gq = _fourier_blocks(G[reps][:, orbits], hermitian=True)
+        Kq = _fourier_blocks(K[reps][:, orbits], hermitian=False)
+        Tq = _fourier_blocks(T[:, orbits], hermitian=False)
+
+    blocks, lams, moms, norms, source = [], [], [], [], []
+    for q, (B, Kb, Tb) in enumerate(zip(Gq, Kq, Tq)):
+        A = B @ Kb
+        A = 0.5 * (A + A.conj().T)   # (G K)^H = K^H G as G is Hermitian
+        if q == 0:
+            v = _householder_vector(w_rep)
+            B = _reflect_sym(B, v)
+            A = _reflect_sym(A, v)
+        try:
+            # The Cholesky factorization inside eigh is the positive-definiteness
+            # check.  Both matrices are exactly Hermitian, so their transposes
+            # are their conjugates in LAPACK's column order: eigh overwrites them
+            # instead of copying, and its vectors are the conjugates of ours.
+            lam, U = scipy.linalg.eigh(A.T, B.T, overwrite_a=True, overwrite_b=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise SpectralError(
+                "energy Gram matrix is not positive definite on the mean-zero "
+                "subspace; the discretization is too ill-conditioned") from exc
+        del A, B
+        np.conj(U, out=U)
+        if q == 0:
+            # Phi = P [0; Y]: G-orthonormal, exactly mean-zero
+            Y = U
+            U = np.zeros((len(w_rep), len(lam)), order="F")
+            U[1:] = Y
+            U = scipy.linalg.blas.dger(-2.0, v, v[1:] @ Y, a=U, overwrite_a=True)
+        mom = Tb @ U
+        l2 = np.einsum("im,i,im->m", U.conj(), w_rep, U).real
+        cols = np.arange(len(lam))
+        if 2 * q % k == 0:
+            mom = mom.T
+            mom /= np.sqrt(k * l2)[:, None]
+            mnorm = np.linalg.norm(mom, axis=1)
+            parts = np.zeros_like(cols)
+        else:
+            phase = np.exp(-1j * np.angle(T[:, 0] @ mom))
+            U *= phase
+            mom *= phase / np.sqrt(0.5 * k * l2)
+            mom = np.stack([mom.real.T, mom.imag.T], axis=1).reshape(-1, 3)
+            mnorm = np.linalg.norm(mom, axis=1) ** 2
+            mnorm = np.repeat(np.sqrt((mnorm[0::2] + mnorm[1::2]) / 2), 2)
+            lam, cols = np.repeat(lam, 2), np.repeat(cols, 2)
+            parts = np.tile([1, 2], len(U))
+        blocks.append(U)
+        lams.append(lam)
+        moms.append(mom)
+        norms.append(mnorm)
+        source.append(np.column_stack([np.full_like(cols, q), cols, parts]))
+    lam, mom, mnorm, source = (np.concatenate(a) for a in (lams, moms, norms, source))
 
     # Sort by moment magnitude (descending), then eigenvalue (descending).
     # Moments below 1% of the largest are discretization noise and rank as
     # zero, so the classic zero-moment clusters keep their eigenvalue order.
-    mnorm = np.linalg.norm(mom, axis=1)
     qnorm = np.where(mnorm >= 0.01 * mnorm.max(), mnorm, 0.0)
     order = np.lexsort((-lam, -qnorm))[:mode_count]
     lam_r = lam[order]
-    Phi_r = Phi[:, order]
     mom_r = mom[order]
+    # the retained densities on all panels: the real part (or for a sin
+    # partner the imaginary part) of u_i exp(2 pi i q j / k) on panel s^j r_i,
+    # G-normalized
+    Phi_r = np.empty((n, mode_count), order="F")
+    for col, (q, c, part) in enumerate(source[order]):
+        z = np.outer(blocks[q][:, c], np.exp(2j * np.pi * q * np.arange(k) / k))
+        scale = 1.0 / np.sqrt(k) if part == 0 else np.sqrt(2.0 / k)
+        Phi_r[orbits, col] = (z.imag if part == 2 else z.real) * scale
 
     # canonical sign: largest-|entry| component of each density positive
     signs = np.sign(Phi_r[np.argmax(np.abs(Phi_r), axis=0), np.arange(mode_count)])
@@ -358,8 +569,12 @@ def spectral_decomposition(
     # The eigenvalue near 1/2 lives outside the mean-zero subspace; report
     # the Rayleigh quotient of its (equilibrium) density.  That density
     # solves G psi = w, so it is G-orthogonal to every mean-zero density and
-    # is proportional to 1 minus the G-projection of 1 onto span(Phi).
-    psi = 1.0 - Phi @ (Phi.T @ G.sum(axis=1))
+    # is proportional to 1 minus the G-projection of 1 onto span(Phi).  G 1
+    # is invariant under the symmetry, so only the block q = 0 (densities
+    # u_i / sqrt(k) on the orbit of r_i) contributes.
+    U0 = blocks[0]
+    psi = np.empty(n)
+    psi[orbits] = (1.0 - U0 @ (U0.T @ G.sum(axis=1)[orbits].sum(axis=1)) / k)[:, None]
     Gpsi = G @ psi
     dropped = float((Gpsi @ (K @ psi)) / (Gpsi @ psi))
 

@@ -17,3 +17,11 @@ def small_torus(n_around=16, n_tube=8, major=1.0, minor=0.4):
     b, c = (i + 1) % n_around * n_tube + j, (i + 1) % n_around * n_tube + (j + 1) % n_tube
     tris = np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], -2).reshape(-1, 3)
     return TriMesh(verts, tris)
+
+
+def jittered_torus(seed=7, n_around=16, n_tube=8, amplitude=0.02):
+    """``small_torus`` with every vertex moved by a seeded random offset of up
+    to ``amplitude`` per axis: still closed and outward, with no symmetry."""
+    torus = small_torus(n_around, n_tube)
+    jitter = np.random.default_rng(seed).uniform(-amplitude, amplitude, torus.vertices.shape)
+    return TriMesh(torus.vertices + jitter, torus.triangles)

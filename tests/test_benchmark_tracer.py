@@ -3,7 +3,7 @@
 ``benchmark/tracer.py`` times the program by replacing its functions by
 name, and a traced benchmark run fails when an expected span never fires.
 A renamed or bypassed function would only show there, so this runs small
-versions of the lattice workloads' commands under the tracer.
+versions of the workloads' commands under the tracer.
 """
 
 import json
@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from _meshes import small_torus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,10 +27,10 @@ tracer = Tracer()
 tracer.install()
 import chiralmeta.cli
 rcs = [chiralmeta.cli.main(argv) for argv in json.loads(sys.argv[2])]
-expected = EXPECTED_SPANS["lattice_dilute"] | EXPECTED_SPANS["lattice_coupled"]
 # the benchmark's child writes the metrics with json.dump
 print(json.dumps({"rcs": rcs, "fired": sorted(tracer.fired()),
-                  "lattice_spans": sorted(expected), "metrics": tracer.metrics()}))
+                  "expected": {w: sorted(s) for w, s in EXPECTED_SPANS.items()},
+                  "metrics": tracer.metrics()}))
 """
 
 CONFIGS = {
@@ -62,7 +64,26 @@ def _traced(tmp_path, configs: dict) -> dict:
 def test_tracer_fires_every_lattice_span(tmp_path):
     res = _traced(tmp_path, CONFIGS)
     assert res["rcs"] == [0, 0, 0]
-    assert sorted(set(res["lattice_spans"]) - set(res["fired"])) == []
+    expected = set(res["expected"]["lattice_dilute"]) | set(res["expected"]["lattice_coupled"])
+    assert sorted(expected - set(res["fired"])) == []
+
+
+def test_tracer_fires_every_spectrum_span(tmp_path):
+    # a torus with a rotation axis takes the Fourier-block eigensolve; the
+    # particle workload's np_spectral spans must still fire
+    mesh = small_torus()
+    lines = ["OFF", f"{len(mesh.vertices)} {mesh.n_panels} 0"]
+    lines += [" ".join(repr(float(x)) for x in v) for v in mesh.vertices]
+    lines += ["3 " + " ".join(str(int(i)) for i in t) for t in mesh.triangles]
+    off = tmp_path / "torus.off"
+    off.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    res = _traced(tmp_path, {"np-spectrum": f"mesh_source = {off}\nmode_count = 8\n"})
+    assert res["rcs"] == [0]
+    expected = {s for s in res["expected"]["particle_sweep"] if s.startswith("np_spectral.")}
+    assert len(expected) == 3
+    assert sorted(expected - set(res["fired"])) == []
+    assert res["metrics"]["np_spectral.spectra_computed"] == 1
+    assert res["metrics"]["np_spectral.eigh_flops"] > 0
 
 
 def test_tracer_reads_sweep_rows(tmp_path):

@@ -459,6 +459,20 @@ def test_non_finite_value_rejected(tmp_path, capsys, deadline, command, key, bad
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["dipole-field", "foldy", "compare-hom"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_probe_rejected(tmp_path, capsys, deadline, command, bad):
+    # a nan row used to exit 0 and write NaN fields
+    probes = write(tmp_path / "probes.csv", PROBES_CSV.replace("0.5,3.5,0.5", f"0.5,{bad},0.5"))
+    cfg = write(tmp_path / "c.cfg", f"volume_scale = 0.5\nn_list = 2\ngrid_m = 4\n"
+                                    f"probes_file = {probes}\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert f"{probes}:3: coordinate not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, line", [("foldy", "n_cap = 10"),
                                            ("dipole-field", "variant = resonant-mode"),
                                            ("eff-sweep", "density = 2"),

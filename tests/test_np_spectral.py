@@ -6,12 +6,12 @@ import pytest
 import scipy.linalg
 
 from chiralmeta import np_spectral
-from chiralmeta.mesh import icosphere
+from chiralmeta.mesh import TriMesh, icosphere
 from chiralmeta.np_spectral import (SpectralError, _householder_vector, _reflect_sym,
                                     assemble_np, assemble_single_layer, mesh_spectrum,
                                     spectral_decomposition, spectrum_from_json, sphere_spectrum,
                                     unit_ball_spectrum)
-from _meshes import small_torus
+from _meshes import jittered_torus, small_torus
 
 C1 = 4 * np.pi / 27  # isotropic moment constant of the dipole cluster
 
@@ -120,10 +120,14 @@ def test_eigenvalue_range(sphere_spec3):
 
 def test_mode_ordering(sphere_spec3):
     # moment magnitude descending (norms under 1% of the leading one rank
-    # as zero), then eigenvalue descending
+    # as zero), then eigenvalue descending; the cos and sin partners of a
+    # +-q pair share their eigenvalue bit for bit and rank by the root mean
+    # square of their two moments
     norms = np.linalg.norm(sphere_spec3.moments, axis=1)
-    qnorms = np.where(norms >= 0.01 * norms.max(), norms, 0.0)
     lams = sphere_spec3.eigenvalues
+    for lam in np.unique(lams):
+        norms[lams == lam] = np.sqrt(np.mean(norms[lams == lam] ** 2))
+    qnorms = np.where(norms >= 0.01 * norms.max(), norms, 0.0)
     key = list(zip(-qnorms, -lams))
     assert key == sorted(key)
 
@@ -192,10 +196,13 @@ def test_moments_match_single_layer_reference(ico3, sk3, sphere_spec3):
 
 
 def test_indefinite_gram_raises():
-    mesh = icosphere(1)
-    S, K = assemble_single_layer(mesh), assemble_np(mesh)
-    with pytest.raises(SpectralError, match="not positive definite"):
-        spectral_decomposition(-S, K, mesh, mode_count=8)
+    # on icosphere(1) a Fourier block of its C5 symmetry fails, on the
+    # jittered torus the one full pencil
+    for mesh, order in ((icosphere(1), 5), (jittered_torus(), 1)):
+        S, K = assemble_single_layer(mesh), assemble_np(mesh)
+        assert np_spectral._cyclic_orbits(mesh, -S, K).shape[1] == order
+        with pytest.raises(SpectralError, match="not positive definite"):
+            spectral_decomposition(-S, K, mesh, mode_count=8)
 
 
 def test_reflect_sym_matches_explicit_reflector(rng):
@@ -343,11 +350,13 @@ def test_np_gauss_column_condition(make_mesh):
     assert np.abs((w @ assemble_np(mesh)) / w - 0.5).max() <= 1e-14
 
 
-@pytest.mark.parametrize("make_mesh", [lambda: icosphere(2), small_torus],
-                         ids=["icosphere2", "torus256"])
-def test_eigh_receives_exactly_symmetric_pencil(monkeypatch, make_mesh):
-    # diag(areas) @ S is symmetric only to rounding; the pencil handed to
-    # eigh is exactly symmetric
+@pytest.mark.parametrize("make_mesh, blocks", [(lambda: icosphere(2), 3), (small_torus, 9),
+                                               (jittered_torus, 1)],
+                         ids=["icosphere2", "torus256", "jittered"])
+def test_eigh_receives_exactly_symmetric_pencil(monkeypatch, make_mesh, blocks):
+    # diag(areas) @ S is symmetric only to rounding; each pencil handed to
+    # eigh is exactly Hermitian, one per distinct Fourier block: k // 2 + 1
+    # for the icosphere's C5 and the torus's C16, one for no symmetry
     mesh = make_mesh()
     S = assemble_single_layer(mesh)
     G = -(mesh.areas[:, None] * S)
@@ -356,12 +365,12 @@ def test_eigh_receives_exactly_symmetric_pencil(monkeypatch, make_mesh):
     eigh = scipy.linalg.eigh
 
     def checked(a, b, **kwargs):
-        seen.append(np.array_equal(a, a.T) and np.array_equal(b, b.T))
+        seen.append(np.array_equal(a, a.conj().T) and np.array_equal(b, b.conj().T))
         return eigh(a, b, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh", checked)
     spectral_decomposition(S, assemble_np(mesh), mesh, mode_count=8)
-    assert seen == [True]
+    assert seen == [True] * blocks
 
 
 def test_dropped_eigenvalue_matches_equilibrium_solve(ico3, sk3, sphere_spec3):
@@ -391,24 +400,31 @@ def test_density_sign_convention(sphere_spec3):
     assert np.all(lead > 0)
 
 
-def test_spectrum_matches_reference_decomposition(ico3, sk3, sphere_spec3):
-    # the decomposition written out with the explicit reflector, full-matrix
-    # products and a moment ranking over all modes
-    S, K = sk3
-    n, w = ico3.n_panels, ico3.areas
-    G = reference_gram(ico3, S)
+def dense_pencil(mesh, S, K):
+    """Every eigenvalue of the full pencil on mean-zero densities, with its
+    moment, and the indices of the modes the moment ranking retains first:
+    the decomposition written out with the explicit reflector and
+    full-matrix products, blind to any symmetry."""
+    n, w = mesh.n_panels, mesh.areas
+    G = reference_gram(mesh, S)
     A = 0.5 * (G @ K + K.T @ G)
     v = _householder_vector(w)
     P = np.eye(n) - 2.0 * np.outer(v, v)
     lam, Y = scipy.linalg.eigh((P @ A @ P)[1:, 1:], (P @ G @ P)[1:, 1:])
     Phi = P[:, 1:] @ Y
     l2 = np.sqrt(np.einsum("im,i,im->m", Phi, w, Phi))
-    mom = -np.einsum("i,ic,im->mc", w, ico3.normals, S @ Phi) / l2[:, None]
+    mom = -np.einsum("i,ic,im->mc", w, mesh.normals, S @ Phi) / l2[:, None]
     mnorm = np.linalg.norm(mom, axis=1)
     qnorm = np.where(mnorm >= 0.01 * mnorm.max(), mnorm, 0.0)
-    order = np.lexsort((-lam, -qnorm))[:sphere_spec3.n_modes]
+    return lam, mom, np.lexsort((-lam, -qnorm))
+
+
+def test_spectrum_matches_reference_decomposition(ico3, sk3, sphere_spec3):
+    S, K = sk3
+    lam, mom, order = dense_pencil(ico3, S, K)
+    order = order[:sphere_spec3.n_modes]
     assert np.abs(sphere_spec3.eigenvalues - lam[order]).max() <= 1e-12
-    ref = np_spectral.NPSpectrum(eigenvalues=lam[order], densities=Phi[:, order],
+    ref = np_spectral.NPSpectrum(eigenvalues=lam[order], densities=np.zeros((0, len(order))),
                                  moments=mom[order], residuals=np.zeros(len(order)),
                                  gram_certificate=0.0, dropped_eigenvalue=0.5)
     got = sphere_spec3.clusters()
@@ -432,7 +448,8 @@ def test_moment_free_clusters_in_eigenvalue_order():
 
 def test_mesh_spectrum_fires_each_traced_stage_once(monkeypatch):
     # the benchmark's tracer wraps these four names; each must run exactly
-    # once for a spectrum that is not yet remembered
+    # once for a spectrum that is not yet remembered, eigh once per distinct
+    # Fourier block (three for the C5 symmetry of an icosphere)
     calls = {}
 
     def count(owner, name):
@@ -449,4 +466,104 @@ def test_mesh_spectrum_fires_each_traced_stage_once(monkeypatch):
     monkeypatch.setattr(np_spectral, "_MEMO", OrderedDict())
     mesh_spectrum(icosphere(1), 8)
     assert calls == {"assemble_single_layer": 1, "assemble_np": 1,
-                     "spectral_decomposition": 1, "eigh": 1}
+                     "spectral_decomposition": 1, "eigh": 3}
+
+
+# --- Fourier blocks of a cyclic panel symmetry --------------------------------
+
+def rotated(mesh, seed):
+    """``mesh`` turned by a seeded random proper rotation, and the rotation."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return TriMesh(mesh.vertices @ q.T, mesh.triangles), q
+
+
+def ellipsoid():
+    """icosphere(2) scaled 1 : 1.3 : 0.8; its axes are C2 axes."""
+    mesh = icosphere(2)
+    return TriMesh(mesh.vertices * [1.0, 1.3, 0.8], mesh.triangles)
+
+
+# mesh and the order of its largest free cyclic panel symmetry
+SYMMETRY_MESHES = {"icosphere2": (lambda: icosphere(2), 5), "torus256": (small_torus, 16),
+                   "ellipsoid": (ellipsoid, 2), "jittered": (jittered_torus, 1)}
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["aligned", "rotated"])
+@pytest.mark.parametrize("name", list(SYMMETRY_MESHES))
+def test_block_spectrum_matches_dense_pencil(name, rotate):
+    make_mesh, order = SYMMETRY_MESHES[name]
+    mesh = rotated(make_mesh(), 11)[0] if rotate else make_mesh()
+    S, K = assemble_single_layer(mesh), assemble_np(mesh)
+    assert np_spectral._cyclic_orbits(mesh, S, K).shape[1] == order
+    spec = spectral_decomposition(S, K, mesh, mode_count=15)
+    lam, mom, ranked = dense_pencil(mesh, S, K)
+    keep, drop = ranked[:15], ranked[15:]
+    assert np.abs(spec.eigenvalues - lam[keep]).max() <= 1e-12
+    assert spec.gram_certificate < 1e-10
+    ref = np_spectral.NPSpectrum(eigenvalues=lam[keep], densities=np.zeros((0, 15)),
+                                 moments=mom[keep], residuals=np.zeros(15),
+                                 gram_certificate=0.0, dropped_eigenvalue=0.5)
+    compared = 0
+    for a, b in zip(sorted(spec.clusters(), key=lambda c: c.eigenvalue),
+                    sorted(ref.clusters(), key=lambda c: c.eigenvalue)):
+        assert abs(a.eigenvalue - b.eigenvalue) <= 1e-12
+        # a cluster that the cut splits (a degenerate partner dropped) holds
+        # a basis-dependent share of its eigenspace
+        if np.abs(lam[drop][:, None] - spec.eigenvalues[list(a.indices)]).min() > 1e-9:
+            assert np.abs(a.moment_tensor - b.moment_tensor).max() <= 1e-10
+            compared += len(a.indices)
+    assert compared >= 13
+
+
+def test_jittered_torus_candidate_axes_rejected():
+    # the jitter leaves the second moment three simple eigenvectors, so the
+    # detector tries three axes, and refuses each: one block, the full pencil
+    mesh = jittered_torus()
+    assert len(np_spectral._candidate_axes(
+        mesh, mesh.areas @ mesh.centroids / mesh.areas.sum(), 1e-9)) == 3
+    S, K = assemble_single_layer(mesh), assemble_np(mesh)
+    assert np_spectral._cyclic_orbits(mesh, S, K).shape == (mesh.n_panels, 1)
+
+
+def test_operators_decide_the_symmetry(monkeypatch):
+    # one vertex of icosphere(2) moved by 1e-6: with the centroid match
+    # loosened past the move, the rotation passes every geometric check and
+    # the invariance of S and K refuses it
+    mesh = icosphere(2)
+    verts = mesh.vertices.copy()
+    verts[20, 0] += 1e-6
+    moved = TriMesh(verts, mesh.triangles)
+    S, K = assemble_single_layer(moved), assemble_np(moved)
+    assert np_spectral._cyclic_orbits(moved, S, K).shape[1] == 1
+    monkeypatch.setattr(np_spectral, "_MATCH_TOL", 1e-5)
+    assert np_spectral._cyclic_orbits(moved, S, K).shape[1] == 1
+    monkeypatch.setattr(np_spectral, "_invariant", lambda M, perm: True)
+    assert np_spectral._cyclic_orbits(moved, S, K).shape[1] == 5
+
+
+def test_pair_basis_is_set_by_the_mesh():
+    # in each +-q pair the sin partner's moment is orthogonal to the moment
+    # row r of panel 0, so the cos partner, the one a cut through the pair
+    # keeps, carries the projection on r; and every per-mode moment of a
+    # turned torus is the turned moment (up to the density's sign), the
+    # split pair included
+    mesh = small_torus()
+    S, K = assemble_single_layer(mesh), assemble_np(mesh)
+    r = -((mesh.areas[:, None] * mesh.normals).T @ S)[:, 0]
+    spec = spectral_decomposition(S, K, mesh, mode_count=16)
+    lam, mom = spec.eigenvalues, spec.moments
+    pairs = [i for i in range(15) if lam[i] == lam[i + 1]]
+    assert pairs == [0, 5, 8, 10, 12, 14]   # mode_count 15 cuts the last one
+    for i in pairs:
+        assert abs(mom[i + 1] @ r) <= 1e-10 * np.linalg.norm(mom[i + 1]) * np.linalg.norm(r)
+        assert abs(mom[i] @ r) >= 0.1 * np.linalg.norm(mom[i]) * np.linalg.norm(r)
+    turned, Q = rotated(mesh, 5)
+    a, b = (spectral_decomposition(assemble_single_layer(m), assemble_np(m), m, mode_count=15)
+            for m in (mesh, turned))
+    assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-12
+    mom = a.moments @ Q.T
+    sign = np.sign(np.sum(mom * b.moments, axis=1))
+    assert np.abs(sign[:, None] * mom - b.moments).max() <= 1e-10
