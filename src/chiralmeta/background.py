@@ -223,6 +223,20 @@ def _scalar_kernel(r, gamma, eta):
     return g, g1, g2
 
 
+def _radial(bg: ChiralBackground, r, eta: float) -> list:
+    """For each circular branch, the scalars (gamma, h, sign, a, b, g1) of
+    the dyadic at radii ``r`` > 0 (see :func:`_branches`)."""
+    if eta < 0:
+        raise BackgroundError(f"eta must be nonnegative, got {eta}")
+    branches = []
+    for gamma, om, sign in ((bg.gamma1, bg.omega1, +1.0), (bg.gamma2, bg.omega2, -1.0)):
+        g, g1, g2 = _scalar_kernel(r, gamma, eta)
+        a = g + g1 / (r * gamma ** 2)
+        b = (g2 - g1 / r) / gamma ** 2
+        branches.append((gamma, gamma ** 2 / (2.0 * om), sign, a, b, g1))
+    return branches
+
+
 def _branches(bg: ChiralBackground, x, eta: float):
     """Unit vectors x^ and, for each circular branch, the scalars
     (gamma, h, sign, a, b, g1) of the dyadic at points ``x`` (..., 3).
@@ -233,8 +247,6 @@ def _branches(bg: ChiralBackground, x, eta: float):
     index; a = g + g1/(r gamma^2) and b = (g2 - g1/r)/gamma^2 from the scalar
     kernel g and its radial derivatives.  At the origin (eta > 0 only)
     g = 1/eta and g1 = g2 = 0 by convention, and x^ = 0."""
-    if eta < 0:
-        raise BackgroundError(f"eta must be nonnegative, got {eta}")
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise BackgroundError(f"points must have trailing dimension 3, got {x.shape}")
@@ -246,16 +258,11 @@ def _branches(bg: ChiralBackground, x, eta: float):
             raise SingularPointError("dyadic evaluated at its singular point with eta = 0")
         r = np.where(at_origin, 1.0, r)  # placeholder; x^ is zero there
     xh = x / r[..., None]
-    branches = []
-    for gamma, om, sign in ((bg.gamma1, bg.omega1, +1.0), (bg.gamma2, bg.omega2, -1.0)):
-        g, g1, g2 = _scalar_kernel(r, gamma, eta)
-        if any_origin:
-            g = np.where(at_origin, 1.0 / eta, g)
-            g1 = np.where(at_origin, 0.0, g1)
-            g2 = np.where(at_origin, 0.0, g2)
-        a = g + g1 / (r * gamma ** 2)
-        b = (g2 - g1 / r) / gamma ** 2
-        branches.append((gamma, gamma ** 2 / (2.0 * om), sign, a, b, g1))
+    branches = _radial(bg, r, eta)
+    if any_origin:
+        branches = [(gamma, h, sign, np.where(at_origin, 1.0 / eta, a),
+                     np.where(at_origin, 0.0, b), np.where(at_origin, 0.0, g1))
+                    for gamma, h, sign, a, b, g1 in branches]
     return xh, branches
 
 
@@ -326,7 +333,13 @@ def green_apply(bg: ChiralBackground, x, f, eta: float = 0.0) -> np.ndarray:
             or np.shape(x)[-2] != f.shape[-2]):
         raise BackgroundError(f"need points (..., C, 3) and sources (..., C, 6), "
                               f"got {np.shape(x)} and {f.shape}")
-    xh, branches = _branches(bg, x, eta)
+    return _contract(bg, *_branches(bg, x, eta), f)
+
+
+def _contract(bg: ChiralBackground, xh: np.ndarray, branches: list, f: np.ndarray) -> np.ndarray:
+    """Sum over the source axis of G f from unit vectors ``xh`` (..., C, 3)
+    and the branch scalars of :func:`_branches`, the contraction of
+    :func:`green_apply`."""
     s = bg.impedance_ratio
     xhT = np.swapaxes(xh, -1, -2)
     xf_E = np.einsum("...i,...i->...", xh, f[..., :3])

@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .background import (ChiralBackground, PlaneWaveSpec, green_apply, green_dyadic,
-                         incident_six)
+from .background import (ChiralBackground, PlaneWaveSpec, _contract, _radial, green_apply,
+                         green_dyadic, incident_six)
 from .effective import DiluteConfig, TildeParams, coupling_from_tilde, tilde_from_definition
 from .np_spectral import NPSpectrum
 
@@ -227,9 +227,10 @@ def _group_sums(Y: np.ndarray):
     (d, d) + Y.shape[1:].
 
     The 24-term sum runs as a 4-term D2 character sum within each coset and
-    a 6-term sum over the cosets, by einsum on the real view rather than
-    BLAS: with two BLAS threads a product this skinny costs more in thread
-    start-up than in arithmetic."""
+    a sum over the 6 cosets, on the real view rather than by BLAS: with two
+    BLAS threads a product this skinny costs more in thread start-up than in
+    arithmetic.  For T1 and T2 each D(4q) is a signed permutation, so entry
+    (j, l) takes only the two cosets where it is nonzero."""
     grp = _cube_group()
     shape = Y.shape[1:]
     Yh = np.einsum("ck,qkx->qcx", grp.chi,
@@ -237,9 +238,22 @@ def _group_sums(Y: np.ndarray):
     del Y   # the caller's gather is not needed past this point
     for D in grp.irreps:
         d = D.shape[1]
-        # the three-dimensional irreps are the ones that D2 does not fix
-        Z = Yh[:, 1:] if d == 3 else np.broadcast_to(Yh[:, :1], (6, d, Yh.shape[2]))
-        yield np.einsum("qjl,qlx->jlx", D[::4], Z).view(complex).reshape((d, d) + shape)
+        yield _coset_sum(D[::4], Yh).view(complex).reshape((d, d) + shape)
+
+
+def _coset_sum(Dq: np.ndarray, Yh: np.ndarray) -> np.ndarray:
+    """sum_q Dq[q, j, l] Yh[q, c(l)] with the D2 character c(l) = 1 + l for
+    the three-dimensional irreps, which D2 does not fix, and 0 otherwise."""
+    d = Dq.shape[1]
+    if d < 3:
+        return np.einsum("qjl,qlx->jlx", Dq, np.broadcast_to(Yh[:, :1], (6, d, Yh.shape[2])))
+    q = np.argsort(Dq == 0, axis=0, kind="stable")[:2]
+    sign = np.take_along_axis(Dq, q, axis=0)
+    S = np.empty((3, 3, Yh.shape[2]))
+    for j, l in np.ndindex(3, 3):
+        np.multiply(Yh[q[0, j, l], 1 + l], sign[0, j, l], out=S[j, l])
+        S[j, l] += sign[1, j, l] * Yh[q[1, j, l], 1 + l]
+    return S
 
 
 def _cube_orbits(n: int):
@@ -559,6 +573,16 @@ def _smooth_test_pair(z: np.ndarray) -> np.ndarray:
     return env * phase[:, None]
 
 
+def _table_apply(bg: ChiralBackground, table: list, D: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Sum over c of G_eta(D_c / (8N)) F_c for nonzero integer offsets D
+    (C, 3), the branch scalars read from ``table`` at index |D_c|^2 - 1."""
+    k = np.einsum("ci,ci->c", D, D)
+    xh = D / np.sqrt(k)[:, None]
+    at = k - 1
+    branches = [(gamma, h, sign, a[at], b[at], g1[at]) for gamma, h, sign, a, b, g1 in table]
+    return _contract(bg, xh, branches, F)
+
+
 def check_distribution(lattice: ParticleLattice, bg: ChiralBackground, eta: float,
                        probe_count: int = 8) -> float:
     """Sup over sampled lattice sites of |lattice average - volume integral|
@@ -570,22 +594,30 @@ def check_distribution(lattice: ParticleLattice, bg: ChiralBackground, eta: floa
     as the lattice refines once the regularization scale eta/(4 pi) is
     comparable to the lattice spacing; below that scale the kernel varies
     faster than either grid resolves.
+
+    In units of 1/(8N) the lattice centers sit at 8i + 4 and the fine nodes
+    at 2f + 1, so every offset either sum takes is an integer vector: 8(i' - i)
+    between lattice centers, 2f - 8i - 3 (odd on every axis, never zero) from
+    a center to a fine node.  The dyadic's radial scalars are therefore
+    evaluated once per squared length k = 1 ... 3(8N)^2, and every probe and
+    both sums read that table.
     """
     if probe_count < 1:
         raise FoldyError(f"probe_count must be at least 1, got {probe_count}")
     N = lattice.n_per_axis
     n = lattice.centers.shape[0]
-    fine = cell_centers(4 * N)
+    lat = 8 * _grid_index(N) + 4
+    fine = 2 * _grid_index(4 * N) + 1
     F_lat = _smooth_test_pair(lattice.centers)
-    F_fine = _smooth_test_pair(fine)
+    F_fine = _smooth_test_pair(cell_centers(4 * N))
+    table = _radial(bg, np.sqrt(np.arange(1, 3 * (8 * N) ** 2 + 1)) / (8 * N), eta)
     js = np.unique(np.linspace(0, n - 1, min(probe_count, n)).round().astype(int))
     worst = 0.0
     for j in js:
-        zj = lattice.centers[j]
-        rel = lattice.centers - zj
-        keep = np.linalg.norm(rel, axis=-1) > 1e-14
-        lat_sum = green_apply(bg, rel[keep], F_lat[keep], eta=eta) / n
-        ref = green_apply(bg, fine - zj, F_fine, eta=eta) / fine.shape[0]
+        rel = lat - lat[j]
+        keep = rel.any(axis=-1)
+        lat_sum = _table_apply(bg, table, rel[keep], F_lat[keep]) / n
+        ref = _table_apply(bg, table, fine - lat[j], F_fine) / fine.shape[0]
         worst = max(worst, float(np.linalg.norm(lat_sum - ref)))
     return worst
 

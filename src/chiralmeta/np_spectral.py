@@ -81,20 +81,29 @@ def assemble_np(mesh: TriMesh) -> np.ndarray:
     w = mesh.areas
     nu = mesh.normals
     n = len(w)
-    # (c_i - c_j) . nu_i one axis at a time, with no (n, n, 3) array
-    K = np.zeros((n, n))
-    d = np.empty((n, n))
-    for k in range(3):
-        np.subtract.outer(c[:, k], c[:, k], out=d)
-        d *= nu[:, k, None]
-        K += d
+    scale = w / (4.0 * np.pi)
+    K = np.empty((n, n))
+    # each axis difference serves both (c_i - c_j) . nu_i and |c_i - c_j|, in
+    # blocks of 64 rows, summed in axis order as _centroid_distances does
+    for lo in range(0, n, 64):
+        num = K[lo:lo + 64]
+        for k in range(3):
+            d = np.subtract.outer(c[lo:lo + 64, k], c[:, k])
+            if k == 0:
+                np.multiply(d, nu[lo:lo + 64, 0, None], out=num)
+                r = np.multiply(d, d, out=d)
+            else:
+                num += d * nu[lo:lo + 64, k, None]
+                d *= d
+                r += d
+        np.sqrt(r, out=r)
+        # zero self term; the Gauss identity sets it below
+        r[np.arange(len(r)), np.arange(lo, lo + len(r))] = np.inf
+        d = r * r
+        d *= r
+        np.divide(scale, d, out=d)
+        num *= d
     diag = np.diag_indices(n)
-    r = _centroid_distances(c)
-    r[diag] = np.inf   # zero self term; the Gauss identity sets it below
-    np.multiply(r, r, out=d)
-    d *= r
-    np.divide(w / (4.0 * np.pi), d, out=d)
-    K *= d
     # Column condition: sum_j w_j K[j, i] = w_i / 2  for every i.
     K[diag] = 0.5 - (w @ K) / w
     return K

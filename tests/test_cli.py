@@ -346,6 +346,7 @@ def test_probe_count_below_one_rejected(tmp_path, capsys, monkeypatch, command, 
         raise AssertionError("kernel evaluated")
 
     monkeypatch.setattr("chiralmeta.foldy.green_apply", no_kernel)
+    monkeypatch.setattr("chiralmeta.foldy._radial", no_kernel)
     monkeypatch.setattr("chiralmeta.foldy.green_dyadic", no_kernel)
     monkeypatch.setattr("chiralmeta.dipole.green_dyadic", no_kernel)
     cfg = write(tmp_path / "c.cfg",

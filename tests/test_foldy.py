@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from chiralmeta import foldy
-from chiralmeta.background import (ChiralBackground, circular_wave, green_dyadic,
-                                   incident_six, linear_wave)
+from chiralmeta.background import (BackgroundError, ChiralBackground, _radial, circular_wave,
+                                   green_apply, green_dyadic, incident_six, linear_wave)
 from chiralmeta.dipole import ParticleInstance, scattered_field_dipole
 from chiralmeta.effective import (DiluteConfig, EffectiveError, coupling_from_tilde,
                                   coupling_matrix, s_limit_tilde, tilde_from_definition)
@@ -305,6 +305,54 @@ def test_distribution_single_site_has_no_neighbours(bg, cfg):
                     foldy._smooth_test_pair(fine)) / fine.shape[0]
     assert check_distribution(lat, bg, 1.0) == pytest.approx(float(np.linalg.norm(ref)),
                                                              rel=1e-13)
+
+
+def _distribution_offsets(N, j):
+    """Integer offsets, in units of 1/(8N), of check_distribution's two sums
+    for lattice site j: to the other lattice centers and to the fine nodes."""
+    lat = 8 * _grid_index(N) + 4
+    rel = lat - lat[j]
+    return rel[rel.any(axis=-1)], 2 * _grid_index(4 * N) + 1 - lat[j]
+
+
+@pytest.mark.parametrize("N", [5, 7])
+@pytest.mark.parametrize("eta", [0.0, 0.1, 1.0])
+def test_radial_table_matches_green_apply(bg, N, eta):
+    # one probe's sums through the per-radius table against green_apply on
+    # the same offsets as float points
+    table = _radial(bg, np.sqrt(np.arange(1, 3 * (8 * N) ** 2 + 1)) / (8 * N), eta)
+    for j in (0, N ** 3 // 2 + N // 3, N ** 3 - 1):
+        for D in _distribution_offsets(N, j):
+            F = foldy._smooth_test_pair(D / (8.0 * N) + 0.5)
+            got = foldy._table_apply(bg, table, D, F)
+            ref = green_apply(bg, D / (8.0 * N), F, eta=eta)
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_distribution_negative_eta_rejected(bg, cfg):
+    with pytest.raises(BackgroundError, match="eta must be nonnegative"):
+        check_distribution(build_lattice(3, cfg), bg, -1.0)
+
+
+def test_distribution_one_radial_evaluation_per_radius(bg, cfg, monkeypatch):
+    # the dyadic's radial scalars are evaluated once per squared integer
+    # radius k = 1 ... 3(8N)^2, not once per (probe, point) pair
+    radii = []
+
+    def counted(bg, r, eta):
+        radii.append(np.size(r))
+        return _radial(bg, r, eta)
+
+    def per_point(*args, **kwargs):
+        raise AssertionError("kernel evaluated per point")
+
+    monkeypatch.setattr(foldy, "_radial", counted)
+    monkeypatch.setattr(foldy, "green_apply", per_point)
+    monkeypatch.setattr(foldy, "green_dyadic", per_point)
+    for N in (1, 3, 6):
+        radii.clear()
+        check_distribution(build_lattice(N, cfg), bg, 1.0)
+        assert 0 < sum(radii) <= 3 * (8 * N) ** 2 + 1
 
 
 def test_lattice_and_volume_fields_match_block_reference(bg, lat2, state2):
