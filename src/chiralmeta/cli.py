@@ -23,9 +23,8 @@ from .effective import (DiluteConfig, EffectiveError, effective_closed_form,
                         sweep_summary, tilde_from_definition)
 from .foldy import (FoldyError, build_lattice, check_distribution, compare_homogenization,
                     eval_foldy_field, probe_ring, solve_foldy, uniform_invertibility_stat)
-from .mesh import MeshError, mesh_from_file
-from .np_spectral import (NPSpectrum, SpectralError, mesh_spectrum, sphere_spectrum,
-                          unit_ball_spectrum)
+from .mesh import MeshError, icosphere, mesh_from_file
+from .np_spectral import NPSpectrum, SpectralError, mesh_spectrum, unit_ball_spectrum
 from .polarization import (RootFindError, SingularModeError, drude_omega_for_eps,
                            find_resonance_root, resonant_eps)
 
@@ -199,14 +198,21 @@ def build_background(cfg) -> ChiralBackground:
 def build_spectrum(cfg):
     source = cfg.get("mesh_source", "analytic")
     mode_count = _get(cfg, "mode_count", 8, int)
+    if mode_count < 1:
+        raise ConfigError(f"mode_count must be at least 1, got {mode_count}")
     if source == "analytic":
         return unit_ball_spectrum()
-    if source == "icosphere":
-        return sphere_spectrum(_get(cfg, "subdivisions", 3, int), mode_count=mode_count)
     try:
-        mesh = mesh_from_file(source)
+        if source == "icosphere":
+            mesh = icosphere(_get(cfg, "subdivisions", 3, int))
+        else:
+            mesh = mesh_from_file(source)
     except (OSError, MeshError) as exc:
         raise ConfigError(f"cannot read mesh {source!r}: {exc}") from exc
+    # the mean-zero subspace has n_panels - 1 modes
+    if mode_count > mesh.n_panels - 1:
+        raise ConfigError(f"mode_count must be at most {mesh.n_panels - 1} for "
+                          f"{mesh.n_panels} panels, got {mode_count}")
     return mesh_spectrum(mesh, mode_count)
 
 

@@ -44,6 +44,42 @@ def _centroid_distances(c: np.ndarray) -> np.ndarray:
     return np.sqrt(r, out=r)
 
 
+def _transposed(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """An array and BLAS ``trans`` flag that stand for x^T: the Fortran-ordered
+    view x.T of a C-ordered x, else x itself, transposed by the flag."""
+    if x.flags.c_contiguous:
+        return x.T, 0
+    return x, 1
+
+
+def _gemm(a: np.ndarray, b: np.ndarray):
+    """``a @ b`` for operands of rank 1 or 2, through scipy's BLAS.
+
+    numpy and scipy each bundle an OpenBLAS with its own thread pool, and a
+    pool that has just worked spins for a while before it sleeps.  The
+    eigensolve runs in scipy's, so the dense products around it run there
+    too, instead of leaving numpy's pool spinning against it.  Operands go
+    to the wrapper in Fortran order by way of ``_transposed``, so it copies
+    no matrix (a real operand of a complex product is converted), and a
+    matrix result is C-ordered, as numpy's.
+    """
+    blas = scipy.linalg.blas
+    if a.ndim == 1 and b.ndim == 1:
+        return blas.get_blas_funcs("dotu", (a, b))(a, b)
+    if a.ndim == 1:   # a b = (b^T) a
+        bt, trans = _transposed(b)
+        return blas.get_blas_funcs("gemv", (a, b))(1.0, bt, a, trans=trans)
+    if b.ndim == 1:
+        at, trans = _transposed(a)
+        return blas.get_blas_funcs("gemv", (a, b))(1.0, at, b, trans=1 - trans)
+    # (a b)^T = b^T a^T comes out of gemm in Fortran order; its transpose
+    # is a b in C order
+    bt, trans_b = _transposed(b)
+    at, trans_a = _transposed(a)
+    return blas.get_blas_funcs("gemm", (a, b))(1.0, bt, at, trans_a=trans_b,
+                                               trans_b=trans_a).T
+
+
 def assemble_single_layer(mesh: TriMesh) -> np.ndarray:
     """Single-layer operator matrix (density values -> boundary values).
 
@@ -105,7 +141,7 @@ def assemble_np(mesh: TriMesh) -> np.ndarray:
         num *= d
     diag = np.diag_indices(n)
     # Column condition: sum_j w_j K[j, i] = w_i / 2  for every i.
-    K[diag] = 0.5 - (w @ K) / w
+    K[diag] = 0.5 - _gemm(w, K) / w
     return K
 
 
@@ -287,8 +323,8 @@ def _householder_vector(w: np.ndarray) -> np.ndarray:
 def _reflect_sym(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Trailing (n-1) x (n-1) block of P M P for the reflector P = I - 2vv^T
     and symmetric M: P M P = M - 2(v z^T + z v^T) with z = Mv - (v^T M v) v."""
-    Mv = M @ v
-    z = (Mv - (v @ Mv) * v)[1:]
+    Mv = _gemm(M, v)
+    z = (Mv - _gemm(v, Mv) * v)[1:]
     v1 = v[1:]
     B = np.outer(v1, z)
     B += np.outer(z, v1)
@@ -487,7 +523,7 @@ def spectral_decomposition(
     G = 0.5 * (G + G.T)
     # normal moments against unit-L2 eigendensities: three row vectors
     # -(w nu)^T S applied to the densities, not S applied to all of them
-    T = -((w[:, None] * mesh.normals).T @ S)
+    T = -_gemm((w[:, None] * mesh.normals).T, S)
     orbits = _cyclic_orbits(mesh, S, K)
     reps, k = orbits[:, 0], orbits.shape[1]
     w_rep = w[reps]
@@ -500,7 +536,7 @@ def spectral_decomposition(
 
     blocks, lams, moms, norms, source = [], [], [], [], []
     for q, (B, Kb, Tb) in enumerate(zip(Gq, Kq, Tq)):
-        A = B @ Kb
+        A = _gemm(B, Kb)
         A = 0.5 * (A + A.conj().T)   # (G K)^H = K^H G as G is Hermitian
         if q == 0:
             v = _householder_vector(w_rep)
@@ -523,8 +559,8 @@ def spectral_decomposition(
             Y = U
             U = np.zeros((len(w_rep), len(lam)), order="F")
             U[1:] = Y
-            U = scipy.linalg.blas.dger(-2.0, v, v[1:] @ Y, a=U, overwrite_a=True)
-        mom = Tb @ U
+            U = scipy.linalg.blas.dger(-2.0, v, _gemm(v[1:], Y), a=U, overwrite_a=True)
+        mom = _gemm(Tb, U)
         l2 = np.einsum("im,i,im->m", U.conj(), w_rep, U).real
         cols = np.arange(len(lam))
         if 2 * q % k == 0:
@@ -533,7 +569,7 @@ def spectral_decomposition(
             mnorm = np.linalg.norm(mom, axis=1)
             parts = np.zeros_like(cols)
         else:
-            phase = np.exp(-1j * np.angle(T[:, 0] @ mom))
+            phase = np.exp(-1j * np.angle(_gemm(T[:, 0], mom)))
             U *= phase
             mom *= phase / np.sqrt(0.5 * k * l2)
             mom = np.stack([mom.real.T, mom.imag.T], axis=1).reshape(-1, 3)
@@ -570,9 +606,9 @@ def spectral_decomposition(
     Phi_r *= signs
     mom_r *= signs[:, None]
 
-    R = K @ Phi_r - lam_r * Phi_r
-    resid = np.sqrt(np.maximum(np.einsum("im,im->m", R, G @ R), 0.0))
-    gram = Phi_r.T @ (G @ Phi_r)
+    R = _gemm(K, Phi_r) - lam_r * Phi_r
+    resid = np.sqrt(np.maximum(np.einsum("im,im->m", R, _gemm(G, R)), 0.0))
+    gram = _gemm(Phi_r.T, _gemm(G, Phi_r))
     cert = float(np.max(np.abs(gram - np.eye(mode_count))))
 
     # The eigenvalue near 1/2 lives outside the mean-zero subspace; report
@@ -583,9 +619,9 @@ def spectral_decomposition(
     # u_i / sqrt(k) on the orbit of r_i) contributes.
     U0 = blocks[0]
     psi = np.empty(n)
-    psi[orbits] = (1.0 - U0 @ (U0.T @ G.sum(axis=1)[orbits].sum(axis=1)) / k)[:, None]
-    Gpsi = G @ psi
-    dropped = float((Gpsi @ (K @ psi)) / (Gpsi @ psi))
+    psi[orbits] = (1.0 - _gemm(U0, _gemm(U0.T, G.sum(axis=1)[orbits].sum(axis=1))) / k)[:, None]
+    Gpsi = _gemm(G, psi)
+    dropped = float(_gemm(Gpsi, _gemm(K, psi)) / _gemm(Gpsi, psi))
 
     return NPSpectrum(
         eigenvalues=lam_r,

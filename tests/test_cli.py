@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chiralmeta import cli, np_spectral
 from chiralmeta.cli import field_csv_rows, fmt, main
@@ -512,7 +513,7 @@ def test_mesh_spectrum_computed_once_per_process(tmp_path, capsys, decomposition
     assert len(decompositions) == 4
 
 
-def test_mesh_spectrum_memo_key(tmp_path, capsys, decompositions):
+def test_mesh_spectrum_memo_key(tmp_path, capsys, monkeypatch, decompositions):
     mesh = icosphere(2)
     off = tmp_path / "m.off"
 
@@ -534,7 +535,47 @@ def test_mesh_spectrum_memo_key(tmp_path, capsys, decompositions):
     assert np_spectrum(8) == (0, first) and decompositions == [8, 8]
     assert np_spectrum(6)[0] == 0 and decompositions == [8, 8, 6]
     # a failed decomposition is not remembered: it fails again, and recomputes
-    assert np_spectrum(mesh.n_panels)[0] == 3
-    assert np_spectrum(mesh.n_panels)[0] == 3
-    assert decompositions == [8, 8, 6, mesh.n_panels, mesh.n_panels]
-    assert "mode_count must be in" in capsys.readouterr().err
+    capsys.readouterr()
+    monkeypatch.setattr(scipy.linalg, "eigh", not_positive_definite)
+    assert np_spectrum(7)[0] == 3
+    assert np_spectrum(7)[0] == 3
+    assert decompositions == [8, 8, 6, 7, 7]
+    assert "not positive definite" in capsys.readouterr().err
+    # an out-of-range mode_count is refused before any decomposition
+    assert np_spectrum(mesh.n_panels)[0] == 2
+    assert decompositions == [8, 8, 6, 7, 7]
+
+
+def not_positive_definite(*args, **kwargs):
+    raise scipy.linalg.LinAlgError("the leading minor is not positive definite")
+
+
+@pytest.mark.parametrize("source, count", [("analytic", 0), ("icosphere", 0), ("icosphere", -3),
+                                           ("icosphere", 80), ("icosphere", 100000),
+                                           ("file", 0), ("file", 80)])
+def test_mode_count_out_of_range_is_config_error(tmp_path, capsys, monkeypatch, source, count):
+    # used to exit 3 after assembling S and K; icosphere(1) and the file
+    # mesh have 80 panels, so at most 79 modes
+    def no_work(mesh):
+        raise AssertionError("assembled an operator")
+
+    for name in ("assemble_single_layer", "assemble_np"):
+        monkeypatch.setattr(np_spectral, name, no_work)
+    if source == "file":
+        mesh = icosphere(1)
+        source = write_off(tmp_path / "m.off", mesh.vertices, mesh.triangles)
+    cfg = write(tmp_path / "c.cfg",
+                f"mesh_source = {source}\nsubdivisions = 1\nmode_count = {count}\n")
+    out = tmp_path / "out"
+    rc = main(["np-spectrum", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mode_count must be at")
+    assert f"got {count}" in err and not out.exists()
+
+
+def test_icosphere_subdivisions_out_of_range_is_config_error(tmp_path, capsys):
+    # used to leave MeshError uncaught
+    cfg = write(tmp_path / "c.cfg", "mesh_source = icosphere\nsubdivisions = 9\n")
+    assert main(["np-spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "subdivisions must be between 0 and 6" in capsys.readouterr().err

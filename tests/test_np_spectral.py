@@ -1,3 +1,7 @@
+import ast
+import inspect
+import itertools
+import tracemalloc
 from collections import OrderedDict
 from types import SimpleNamespace
 
@@ -214,6 +218,57 @@ def test_reflect_sym_matches_explicit_reflector(rng):
     expect = (P @ M @ P)[1:, 1:]
     got = _reflect_sym(M, v)
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("shapes", [((5, 7), (7, 4)), ((5, 7), (7,)), ((7,), (7, 4)),
+                                    ((7,), (7,))], ids=["mat-mat", "mat-vec", "vec-mat", "vec-vec"])
+def test_gemm_matches_matmul(rng, shapes):
+    def operand(shape, dtype, order):
+        x = rng.standard_normal(shape)
+        if dtype is complex:
+            x = x + 1j * rng.standard_normal(shape)
+        return np.asarray(x, order=order)
+
+    for dtype_a, dtype_b, order_a, order_b in itertools.product((float, complex),
+                                                                (float, complex), "CF", "CF"):
+        a = operand(shapes[0], dtype_a, order_a)
+        b = operand(shapes[1], dtype_b, order_b)
+        expect = a @ b
+        got = np_spectral._gemm(a, b)
+        case = (dtype_a, dtype_b, order_a, order_b)
+        assert np.shape(got) == expect.shape and np.result_type(got) == expect.dtype, case
+        assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max(), case
+
+
+def test_gemm_copies_no_matrix(rng):
+    # a C-ordered matrix goes to BLAS as its transpose, not as a Fortran copy
+    n = 1000
+    M = rng.standard_normal((n, n))
+    X, v = rng.standard_normal((n, 3)), rng.standard_normal(n)
+    for a, b in ((M, X), (X.T, M), (M, v), (v, M), (M.T, X), (X.T, M.T)):
+        tracemalloc.start()
+        try:
+            np_spectral._gemm(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < M.nbytes / 2, (a.shape, b.shape, a.flags.c_contiguous)
+
+
+def test_shape_stage_products_stay_in_scipy_blas():
+    """assemble_np, _reflect_sym and spectral_decomposition make every product
+    through ``_gemm``.  numpy's ``@``, ``np.dot`` and ``np.matmul`` run in
+    numpy's own bundled OpenBLAS, whose idle threads spin against scipy's
+    during the eigensolve; on a 2-vCPU host that made the benchmark's
+    eigensolves about four times slower."""
+    tree = ast.parse(inspect.getsource(np_spectral))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("assemble_np", "_reflect_sym", "spectral_decomposition"):
+        for node in ast.walk(functions[name]):
+            assert not (isinstance(node, (ast.BinOp, ast.AugAssign))
+                        and isinstance(node.op, ast.MatMult)), (name, node.lineno)
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr in ("dot", "matmul")), (name, node.lineno)
 
 
 def test_spectrum_arrays_read_only(tmp_path, sphere_spec3, ball_spectrum):
