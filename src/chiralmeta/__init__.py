@@ -14,7 +14,7 @@ from .foldy import (FoldyError, GridState, ParticleLattice, build_lattice, check
 from .mesh import MeshError, TriMesh, icosphere, mesh_from_file
 from .np_spectral import (ModeCluster, NPSpectrum, SpectralError, assemble_np,
                           assemble_single_layer, spectral_decomposition, spectrum_from_json,
-                          sphere_spectrum, unit_ball_spectrum)
+                          unit_ball_spectrum)
 from .polarization import (ModeParams, PolarizationTensor, RootFindError, SingularModeError,
                            drude_eps, drude_omega_for_eps, find_resonance_root, mode_params,
                            mode_response, polarization_tensor, resonant_eps)
@@ -35,7 +35,7 @@ __all__ = [
     "solve_foldy", "solve_homogenized_ls", "uniform_invertibility_stat",
     "MeshError", "TriMesh", "icosphere", "mesh_from_file",
     "ModeCluster", "NPSpectrum", "SpectralError", "assemble_np", "assemble_single_layer",
-    "spectral_decomposition", "spectrum_from_json", "sphere_spectrum", "unit_ball_spectrum",
+    "spectral_decomposition", "spectrum_from_json", "unit_ball_spectrum",
     "ModeParams", "PolarizationTensor", "RootFindError", "SingularModeError", "drude_eps",
     "drude_omega_for_eps", "find_resonance_root", "mode_params", "mode_response",
     "polarization_tensor", "resonant_eps",

@@ -74,11 +74,6 @@ class ChiralBackground:
         return 1.0 / denom
 
     @property
-    def gamma_sq(self) -> float:
-        """Squared effective wavenumber k^2/(1 - (k*beta_m)^2)."""
-        return self.k ** 2 * self.dbf_factor
-
-    @property
     def gamma1(self) -> float:
         """Wavenumber of the left-circular (negative-helicity-curl) branch."""
         return self.k / (1.0 - self.k * self.beta_m)

@@ -22,10 +22,10 @@ class TriMesh:
         Vertex indices, counter-clockwise seen from outside.
 
     Per-panel centroids, unit normals and areas are derived on
-    construction.  Construction validates closedness and consistent
-    orientation (every edge shared by exactly two triangles that traverse
-    it in opposite directions), strictly positive panel areas and a
-    positive enclosed volume.
+    construction.  Construction validates finite vertex coordinates,
+    closedness and consistent orientation (every edge shared by exactly two
+    triangles that traverse it in opposite directions), strictly positive
+    and finite panel areas, finite normals and a positive enclosed volume.
     """
 
     vertices: np.ndarray
@@ -43,19 +43,27 @@ class TriMesh:
             raise MeshError(f"triangles must be (F, 3), got {tris.shape}")
         if tris.min(initial=0) < 0 or tris.max(initial=-1) >= len(verts):
             raise MeshError("triangle indices out of range")
+        bad = np.nonzero(~np.isfinite(verts).all(axis=1))[0]
+        if len(bad):
+            raise MeshError(f"vertex {bad[0]} has a non-finite coordinate")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
 
         a = verts[tris[:, 0]]
         b = verts[tris[:, 1]]
         c = verts[tris[:, 2]]
-        cross = np.cross(b - a, c - a)
-        double_area = np.linalg.norm(cross, axis=1)
+        with np.errstate(all="ignore"):   # zero and non-finite areas are refused below
+            cross = np.cross(b - a, c - a)
+            double_area = np.linalg.norm(cross, axis=1)
+            normals = cross / double_area[:, None]
         if np.any(double_area <= 1e-14):
             bad = int(np.argmin(double_area))
             raise MeshError(f"degenerate panel {bad} (zero area)")
+        bad = np.nonzero(~(np.isfinite(double_area) & np.isfinite(normals).all(axis=1)))[0]
+        if len(bad):
+            raise MeshError(f"panel {bad[0]} has a non-finite area or normal")
         object.__setattr__(self, "centroids", (a + b + c) / 3.0)
-        object.__setattr__(self, "normals", cross / double_area[:, None])
+        object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "areas", 0.5 * double_area)
 
         self._check_closed()
@@ -89,10 +97,6 @@ class TriMesh:
     @property
     def n_panels(self) -> int:
         return len(self.triangles)
-
-    def euler_characteristic(self) -> int:
-        n_edges = 3 * len(self.triangles) // 2
-        return len(self.vertices) - n_edges + len(self.triangles)
 
 
 def signed_volume(mesh: TriMesh) -> float:

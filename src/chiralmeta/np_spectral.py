@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .mesh import TriMesh, icosphere
+from .mesh import TriMesh
 
 
 class SpectralError(RuntimeError):
@@ -163,6 +163,8 @@ class NPSpectrum:
     <phi, psi> = -integral(S[psi] * phi); ``moments`` are the normal
     moments taken against the same eigendensities rescaled to unit
     surface-L2 norm, which reproduces the closed-form unit-ball values.
+    The operator is self-adjoint in that inner product, so the densities,
+    the moments and the cluster tensors are real.
 
     Inside a degenerate cluster (the sphere's l = 1 triple, the torus's
     pairs) the per-mode ``densities`` and ``moments`` are one orthonormal
@@ -182,11 +184,10 @@ class NPSpectrum:
 
     eigenvalues: np.ndarray          # (n_modes,)
     densities: np.ndarray            # (n_panels, n_modes)
-    moments: np.ndarray              # (n_modes, 3)
+    moments: np.ndarray              # (n_modes, 3), real
     residuals: np.ndarray            # (n_modes,)
     gram_certificate: float
     dropped_eigenvalue: float
-    cluster_tol: float = 1e-3
     _clusters: tuple[ModeCluster, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -194,12 +195,7 @@ class NPSpectrum:
             arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_clusters", _group_clusters(
-            self.eigenvalues, self.moments, self.cluster_tol))
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.eigenvalues)
+        object.__setattr__(self, "_clusters", _group_clusters(self.eigenvalues, self.moments))
 
     def clusters(self) -> tuple[ModeCluster, ...]:
         """Eigenvalue clusters ordered by isotropic moment strength, then
@@ -207,12 +203,10 @@ class NPSpectrum:
         return self._clusters
 
     def to_json_dict(self) -> dict:
+        # each moment component as an [re, im] pair, im = 0.0: the moments are real
         return {
             "eigenvalues": [float(v) for v in self.eigenvalues],
-            "moments": [
-                [[float(np.real(m)), float(np.imag(m))] for m in row]
-                for row in self.moments
-            ],
+            "moments": [[[float(m), 0.0] for m in row] for row in self.moments],
             "gram_certificate": float(self.gram_certificate),
             "residuals": [float(v) for v in self.residuals],
             "dropped_eigenvalue": float(self.dropped_eigenvalue),
@@ -225,17 +219,17 @@ class NPSpectrum:
 
 
 def spectrum_from_json(path: str) -> NPSpectrum:
-    """Rebuild a spectrum (without densities) from its JSON export."""
+    """Rebuild a spectrum (without densities) from its JSON export; a moment
+    with a non-zero imaginary part raises ``SpectralError``."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    moments = np.array(
-        [[complex(re, im) for re, im in row] for row in data["moments"]])
-    if np.allclose(moments.imag, 0.0):
-        moments = moments.real
+    pairs = np.array(data["moments"], dtype=float)   # (n_modes, 3, [re, im])
+    if np.any(pairs[..., 1] != 0.0):
+        raise SpectralError(f"{path}: moments must be real, found an imaginary part")
     return NPSpectrum(
         eigenvalues=np.array(data["eigenvalues"], dtype=float),
         densities=np.zeros((0, len(data["eigenvalues"]))),
-        moments=moments,
+        moments=pairs[..., 0],
         residuals=np.array(data["residuals"], dtype=float),
         gram_certificate=float(data["gram_certificate"]),
         dropped_eigenvalue=float(data["dropped_eigenvalue"]),
@@ -250,33 +244,27 @@ def unit_ball_spectrum() -> NPSpectrum:
     modes carry a normal moment, of squared magnitude 4*pi/27 along each
     axis.
     """
-    eigs, moms = [], []
-    for n in (1, 2):
-        lam = 1.0 / (2.0 * (2 * n + 1))
-        for l in range(2 * n + 1):
-            eigs.append(lam)
-            if n == 1:
-                m = np.zeros(3)
-                m[l] = np.sqrt(4.0 * np.pi / 27.0)
-                moms.append(m)
-            else:
-                moms.append(np.zeros(3))
+    moments = np.zeros((8, 3))
+    moments[:3] = np.sqrt(4.0 * np.pi / 27.0) * np.eye(3)
     return NPSpectrum(
-        eigenvalues=np.array(eigs),
-        densities=np.zeros((0, len(eigs))),
-        moments=np.array(moms),
-        residuals=np.zeros(len(eigs)),
+        eigenvalues=np.repeat([1.0 / 6.0, 1.0 / 10.0], [3, 5]),
+        densities=np.zeros((0, 8)),
+        moments=moments,
+        residuals=np.zeros(8),
         gram_certificate=0.0,
         dropped_eigenvalue=0.5,
     )
 
 
-def _group_clusters(eigenvalues, moments, tol) -> tuple[ModeCluster, ...]:
+_CLUSTER_TOL = 1e-3   # largest eigenvalue step inside one cluster
+
+
+def _group_clusters(eigenvalues, moments) -> tuple[ModeCluster, ...]:
     order = np.argsort(eigenvalues)[::-1]
     clusters = []
     current = [order[0]] if len(order) else []
     for idx in order[1:]:
-        if abs(eigenvalues[idx] - eigenvalues[current[-1]]) <= tol:
+        if abs(eigenvalues[idx] - eigenvalues[current[-1]]) <= _CLUSTER_TOL:
             current.append(idx)
         else:
             clusters.append(current)
@@ -285,18 +273,15 @@ def _group_clusters(eigenvalues, moments, tol) -> tuple[ModeCluster, ...]:
         clusters.append(current)
     out = []
     for idxs in clusters:
-        mm = np.zeros((3, 3), dtype=complex)
+        mm = np.zeros((3, 3))
         for i in idxs:
-            m = moments[i]
-            mm += np.outer(m, np.conj(m))
-        if np.allclose(mm.imag, 0.0):
-            mm = mm.real
+            mm += np.outer(moments[i], moments[i])
         mm.flags.writeable = False
         out.append(ModeCluster(
             eigenvalue=float(np.mean([eigenvalues[i] for i in idxs])),
             indices=tuple(int(i) for i in idxs),
             moment_tensor=mm,
-            c_n=float(np.real(np.trace(mm)) / 3.0),
+            c_n=float(np.trace(mm) / 3.0),
         ))
     # As in the mode selection, a moment under 1% of the largest (c_n under
     # 1e-4 of the largest) is discretization noise and ranks as zero, so the
@@ -337,7 +322,7 @@ def _reflect_sym(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 # themselves and leaves S and K unchanged commutes with the pencil, so the
 # pencil splits into one Fourier block per rotation order (Allgower, Boehmer,
 # Georg and Miranda, SIAM J. Numer. Anal. 29 (1992) 534).
-_MATCH_TOL = 1e-9         # centroid and vertex match, relative to the mesh diameter
+_MATCH_TOL = 1e-9         # centroid match, relative to the mesh diameter
 _INVARIANCE_TOL = 1e-10   # max |M[s, s] - M| relative to max |M|, for M = S and K
 
 
@@ -444,9 +429,10 @@ def _cyclic_orbits(mesh: TriMesh, S: np.ndarray, K: np.ndarray) -> np.ndarray:
     the panels under which S and K are invariant; (n, 1) when there is none.
 
     A rotation is accepted only when the rotated centroids match the
-    centroids within 1e-9 of the diameter, the matching maps triangles to
-    triangles, every orbit has k panels, and S and K are invariant to 1e-10
-    relative: the operators decide, not the geometry.
+    centroids within 1e-9 of the diameter, every orbit has k panels, and S
+    and K are invariant to 1e-10 relative: the blocks need only that the
+    pencil commute with the panel permutation, so the operators decide, not
+    the geometry.
     """
     c, w = mesh.centroids, mesh.areas
     center = (w @ c) / w.sum()
@@ -458,10 +444,6 @@ def _cyclic_orbits(mesh: TriMesh, S: np.ndarray, K: np.ndarray) -> np.ndarray:
         R = _rotation(axis, 2.0 * np.pi / k)
         perm = _match(c, (c - center) @ R.T + center, tol)
         if perm is None:
-            continue
-        vperm = _match(mesh.vertices, (mesh.vertices - center) @ R.T + center, tol)
-        if vperm is None or not np.array_equal(np.sort(vperm[mesh.triangles], axis=1),
-                                               np.sort(mesh.triangles[perm], axis=1)):
             continue
         orbits = _orbits(perm, k)
         if orbits is not None and _invariant(S, perm) and _invariant(K, perm):
@@ -489,8 +471,7 @@ def spectral_decomposition(
     S: np.ndarray,
     K: np.ndarray,
     mesh: TriMesh,
-    mode_count: int = 8,
-    cluster_tol: float = 1e-3,
+    mode_count: int,
 ) -> NPSpectrum:
     """Diagonalize the NP operator in the single-layer energy metric.
 
@@ -630,7 +611,6 @@ def spectral_decomposition(
         residuals=resid,
         gram_certificate=cert,
         dropped_eigenvalue=dropped,
-        cluster_tol=cluster_tol,
     )
 
 
@@ -672,8 +652,3 @@ def mesh_spectrum(mesh: TriMesh, mode_count: int) -> NPSpectrum:
     else:
         _MEMO.move_to_end(key)
     return spectrum
-
-
-def sphere_spectrum(subdivisions: int = 3, mode_count: int = 8) -> NPSpectrum:
-    """Convenience: the spectrum of ``icosphere(subdivisions)``."""
-    return mesh_spectrum(icosphere(subdivisions), mode_count)

@@ -19,7 +19,8 @@ def bg_chiral():
 def test_derived_constants_identities():
     bg = bg_chiral()
     assert bg.k == pytest.approx(bg.omega * np.sqrt(bg.eps_m * bg.mu_m), rel=1e-15)
-    assert bg.gamma1 * bg.gamma2 == pytest.approx(bg.gamma_sq, rel=1e-14)
+    gamma_sq = bg.k ** 2 / (1 - (bg.k * bg.beta_m) ** 2)
+    assert bg.gamma1 * bg.gamma2 == pytest.approx(gamma_sq, rel=1e-14)
     assert 0.5 * (1 / bg.gamma1 + 1 / bg.gamma2) == pytest.approx(1 / bg.k, rel=1e-14)
     assert bg.gamma1 > bg.gamma2 > 0
 

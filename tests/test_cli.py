@@ -50,9 +50,9 @@ def decompositions(monkeypatch):
     calls = []
     decompose = np_spectral.spectral_decomposition
 
-    def counted(S, K, mesh, mode_count=8, cluster_tol=1e-3):
+    def counted(S, K, mesh, mode_count):
         calls.append(mode_count)
-        return decompose(S, K, mesh, mode_count, cluster_tol)
+        return decompose(S, K, mesh, mode_count)
 
     monkeypatch.setattr(np_spectral, "spectral_decomposition", counted)
     return calls

