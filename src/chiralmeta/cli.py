@@ -293,14 +293,14 @@ def fmt(x) -> str:
 _BOOL_TEXT = {True: "true", False: "false"}
 
 
-def _fmt_floats(values) -> list[str]:
-    """``fmt`` over a column of Python floats, in one pass."""
-    return list(map("{:.17g}".format, values))
-
-
-def _fmt_bools(values) -> list[str]:
-    """``fmt`` over a column of Python bools, in one pass."""
-    return list(map(_BOOL_TEXT.__getitem__, values))
+def _column_text(values) -> list[str]:
+    """``fmt`` over one CSV column, its element type decided once."""
+    values = np.asarray(values)
+    if values.dtype == bool:
+        return list(map(_BOOL_TEXT.__getitem__, values.tolist()))
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return list(map("{:.17g}".format, values.tolist()))
 
 
 def _json_render(obj, indent: int = 0) -> str:
@@ -337,29 +337,27 @@ def write_json(path: Path, obj) -> None:
     path.write_bytes((_json_render(obj) + "\n").encode("utf-8"))
 
 
-def write_csv(path: Path, header: str, rows) -> None:
+def write_csv(path: Path, header: str, columns) -> None:
+    """A CSV file from its columns, each cell rendered as ``fmt`` renders it."""
+    cells = zip(*map(_column_text, columns))
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [header] + [",".join(r) for r in rows]
+    lines = [header] + [",".join(r) for r in cells]
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def field_csv_rows(points: np.ndarray, fields: np.ndarray):
+def write_field_csv(path: Path, points: np.ndarray, fields: np.ndarray) -> None:
     """Rows x, y, z, then the real and imaginary part of each of the six
     field components."""
     parts = np.stack([fields.real, fields.imag], axis=-1).reshape(len(fields), -1)
-    columns = [_fmt_floats(col) for col in np.hstack([points, parts]).T.tolist()]
-    return zip(*columns)
+    write_csv(path, "x,y,z,re_ex,im_ex,re_ey,im_ey,re_ez,im_ez,"
+                    "re_hx,im_hx,re_hy,im_hy,re_hz,im_hz", np.hstack([points, parts]).T)
 
 
 def write_error_table(path: Path, rows) -> None:
     """One lattice-versus-volume probe error row per lattice size."""
     write_csv(path, "N,rel_l2_error,eta,eps_c_re,eps_c_im",
-              [[str(r.n_per_axis), fmt(r.rel_l2_error), fmt(r.eta),
-                fmt(r.eps_c.real), fmt(r.eps_c.imag)] for r in rows])
-
-
-_FIELD_HEADER = ("x,y,z,re_ex,im_ex,re_ey,im_ey,re_ez,im_ez,"
-                 "re_hx,im_hx,re_hy,im_hy,re_hz,im_hz")
+              zip(*[(r.n_per_axis, r.rel_l2_error, r.eta, r.eps_c.real, r.eps_c.imag)
+                    for r in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +368,7 @@ def cmd_np_spectrum(cfg, out: Path) -> int:
     cfg = {"mesh_source": "icosphere", **cfg}
     spectrum = build_spectrum(cfg)
     dest = out / "np_spectrum.json"
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    spectrum.save(dest)
+    write_json(dest, spectrum.to_json_dict())
     clusters = spectrum.clusters()
     print(f"wrote {dest} ({len(spectrum.eigenvalues)} modes, {len(clusters)} clusters)")
     for c in clusters:
@@ -425,10 +422,12 @@ def _sweep_grid(cfg, bg, spectrum, mode_index) -> np.ndarray:
     grid = np.linspace(lo, hi, pts)
     window = _get(cfg, "dense_window", 0.0)
     if window > 0.0:
+        dense_pts = _get(cfg, "dense_points", 800, int)
+        if dense_pts < 1:
+            raise ConfigError(f"dense_points must be at least 1, got {dense_pts}")
         lam = spectrum.clusters()[mode_index].eigenvalue
         star = resonant_eps(bg, lam).real
-        dense = np.linspace(star - window, star + window,
-                            _get(cfg, "dense_points", 800, int))
+        dense = np.linspace(star - window, star + window, dense_pts)
         grid = np.unique(np.concatenate([grid, dense]))
     return grid
 
@@ -437,17 +436,12 @@ def cmd_eff_sweep(cfg, out: Path, preset: str | None) -> int:
     bg, spectrum, mode_index, dilute = load_model(cfg)
     grid = _sweep_grid(cfg, bg, spectrum, mode_index)
     rows = sweep_figure(bg, dilute, spectrum, grid, mode_index=mode_index)
-    columns = [_fmt_floats([r.eps_c.real for r in rows]),
-               _fmt_floats([r.eps_eff.real for r in rows]),
-               _fmt_floats([r.eps_eff.imag for r in rows]),
-               _fmt_floats([r.mu_eff.real for r in rows]),
-               _fmt_floats([r.mu_eff.imag for r in rows]),
-               _fmt_bools([r.double_negative for r in rows]),
-               _fmt_bools([r.out_of_assumption for r in rows])]
     dest_csv = out / "eff_sweep.csv"
     write_csv(dest_csv,
               "eps_c,re_eps_eff,im_eps_eff,re_mu_eff,im_mu_eff,"
-              "double_negative,out_of_assumption", zip(*columns))
+              "double_negative,out_of_assumption",
+              zip(*[(r.eps_c.real, r.eps_eff.real, r.eps_eff.imag, r.mu_eff.real,
+                     r.mu_eff.imag, r.double_negative, r.out_of_assumption) for r in rows]))
     reference = _FIGURE1_REFERENCE_ABSCISSA if preset == "figure1-left" else None
     summary = sweep_summary(rows, reference_abscissa=reference)
     dest_json = out / "eff_sweep_summary.json"
@@ -467,20 +461,18 @@ def cmd_eff_closed_form(cfg, out: Path) -> int:
     bg = build_background(cfg)
     lam = _get(cfg, "lambda_n", 1.0 / 6.0)
     s_values = _get_list(cfg, "s_values", "0,0.1,0.5,0.9,0.99")
-    rows = []
+    params = np.empty((len(s_values), 3), dtype=complex)   # eps_eff, mu_eff, beta_eff per s
     worst = 0.0
-    for s in s_values:
+    for i, s in enumerate(s_values):
         eff = effective_closed_form(bg, lam, s)
         via_tilde = invert_effective(s_limit_tilde(bg, lam, s), bg)
         dev = max(abs(eff.eps_eff - via_tilde.eps_eff), abs(eff.mu_eff - via_tilde.mu_eff),
                   abs(eff.beta_eff - via_tilde.beta_eff))
         worst = max(worst, dev)
-        rows.append([fmt(s), fmt(eff.eps_eff.real), fmt(eff.eps_eff.imag),
-                     fmt(eff.mu_eff.real), fmt(eff.mu_eff.imag),
-                     fmt(eff.beta_eff.real), fmt(eff.beta_eff.imag)])
+        params[i] = eff.eps_eff, eff.mu_eff, eff.beta_eff
     dest = out / "eff_closed_form.csv"
     write_csv(dest, "s,re_eps_eff,im_eps_eff,re_mu_eff,im_mu_eff,re_beta_eff,im_beta_eff",
-              rows)
+              [s_values] + [part for p in params.T for part in (p.real, p.imag)])
     # double-negative onset scan along s
     s_grid = np.linspace(1e-6, 0.999, 2000)
     eff = effective_closed_form(bg, lam, s_grid)
@@ -507,17 +499,20 @@ def cmd_dipole_field(cfg, out: Path) -> int:
     bg, spectrum, mode_index, dilute = load_model(cfg)
     eps_c = _get_eps_c(cfg)
     delta = _get(cfg, "delta", dilute.delta)
-    particle = ParticleInstance(
-        center=_get_vec3(cfg, "center", "0.5,0.5,0.5"), delta=delta, eps_c=eps_c,
-        spectrum=spectrum, cluster_index=mode_index,
-        far_field_factor=_get(cfg, "far_field_factor", 10.0))
+    center = _get_vec3(cfg, "center", "0.5,0.5,0.5")
+    far_field_factor = _get(cfg, "far_field_factor", 10.0)
+    try:
+        particle = ParticleInstance(center=center, delta=delta, eps_c=eps_c, spectrum=spectrum,
+                                    cluster_index=mode_index, far_field_factor=far_field_factor)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     wave = build_incident(cfg)
     probes = load_probes(cfg)
     inc_center = incident_six(bg, wave, particle.center)
     scattered = scattered_field_dipole(bg, particle, inc_center, probes)
     total = incident_six(bg, wave, probes) + scattered
     dest = out / "dipole_field.csv"
-    write_csv(dest, _FIELD_HEADER, field_csv_rows(probes, total))
+    write_field_csv(dest, probes, total)
     print(f"wrote {dest} ({probes.shape[0]} probes)")
     return EXIT_OK
 
@@ -537,7 +532,7 @@ def cmd_foldy(cfg, out: Path) -> int:
     state = solve_foldy(bg, lattice, tilde, eta_big, wave)
     fields = eval_foldy_field(bg, state, probes)
     dest_csv = out / "foldy_field.csv"
-    write_csv(dest_csv, _FIELD_HEADER, field_csv_rows(probes, fields))
+    write_field_csv(dest_csv, probes, fields)
     print(f"wrote {dest_csv} (N={n_big}, residual {fmt(state.solver_report['residual'])})")
 
     if _get_bool(cfg, "compare", default=True):

@@ -45,6 +45,12 @@ class FoldyError(RuntimeError):
     """Lattice or volume solve failed."""
 
 
+def _check_axis(N: int) -> None:
+    """Refuse more than ``_MAX_AXIS`` particles per axis, before any N^3-sized work."""
+    if N > _MAX_AXIS:
+        raise FoldyError(f"lattice count per axis {N} exceeds {_MAX_AXIS}")
+
+
 @dataclass(frozen=True)
 class ParticleLattice:
     """Regular N^3 lattice of point scatterers filling the unit cube, N =
@@ -495,8 +501,7 @@ def solve_foldy(bg: ChiralBackground, lattice: ParticleLattice, tilde: TildePara
     over the particle count.
     """
     N = lattice.n_per_axis
-    if N > _MAX_AXIS:
-        raise FoldyError(f"lattice count per axis {N} exceeds {_MAX_AXIS}")
+    _check_axis(N)
     if not eta >= 0:
         raise FoldyError(f"eta must be nonnegative, got {eta}")
     # eta = 0 is fine here: self blocks are masked out, and distinct
@@ -605,6 +610,7 @@ def check_distribution(lattice: ParticleLattice, bg: ChiralBackground, eta: floa
     if probe_count < 1:
         raise FoldyError(f"probe_count must be at least 1, got {probe_count}")
     N = lattice.n_per_axis
+    _check_axis(N)
     n = lattice.centers.shape[0]
     lat = 8 * _grid_index(N) + 4
     fine = 2 * _grid_index(4 * N) + 1
@@ -631,6 +637,7 @@ def uniform_invertibility_stat(lattice: ParticleLattice, bg: ChiralBackground) -
     N = lattice.n_per_axis
     if N < 2:
         raise FoldyError("pair statistic needs at least 2 per axis")
+    _check_axis(N)
     norms = np.sum(np.abs(_offset_kernel(bg, N, 0.0, zero_self=True)) ** 2, axis=(-2, -1))
     r = N - np.abs(np.arange(-(N - 1), N))
     pairs = r[:, None, None] * r[None, :, None] * r[None, None, :]

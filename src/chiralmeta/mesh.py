@@ -160,6 +160,28 @@ def icosphere(subdivisions: int = 3) -> TriMesh:
     return TriMesh(np.array(verts), tris)
 
 
+def _off_block(tokens, lines, start, n_rows, row_name, column_names, dtype) -> np.ndarray:
+    """``n_rows`` rows of ``len(column_names)`` tokens from ``tokens[start]``
+    on, converted as one array; a missing or unparsable token is reported
+    with its line number."""
+    n_cols = len(column_names)
+    stop = start + n_rows * n_cols
+    if stop > len(tokens):
+        raise MeshError(f"truncated OFF file while reading {row_name} "
+                        f"{(len(tokens) - start) // n_cols} (after line {lines[-1]})")
+    block = tokens[start:stop]
+    try:
+        return np.array(block, dtype=dtype).reshape(n_rows, n_cols)
+    except (ValueError, OverflowError):
+        for i, tok in enumerate(block):   # name the first token the array refused
+            try:
+                np.array(tok, dtype=dtype)
+            except (ValueError, OverflowError):
+                raise MeshError(
+                    f"line {lines[start + i]}: bad {column_names[i % n_cols]}") from None
+        raise
+
+
 def mesh_from_file(path: str) -> TriMesh:
     """Read a triangle mesh in OFF format.
 
@@ -167,63 +189,38 @@ def mesh_from_file(path: str) -> TriMesh:
     volume, all triangles are flipped before validation.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.readlines()
+        rows = [line.split("#", 1)[0].split() for line in fh]
+    tokens = [tok for row in rows for tok in row]
+    lines = [lineno for lineno, row in enumerate(rows, start=1) for _ in row]
 
-    tokens: list[tuple[int, str]] = []  # (1-based line number, token)
-    for lineno, line in enumerate(raw_lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            for tok in body.split():
-                tokens.append((lineno, tok))
-
-    pos = 0
-
-    def take(n: int, what: str) -> list[tuple[int, str]]:
-        nonlocal pos
-        if pos + n > len(tokens):
-            last = tokens[-1][0] if tokens else 1
-            raise MeshError(f"truncated OFF file while reading {what} (after line {last})")
-        out = tokens[pos:pos + n]
-        pos += n
-        return out
-
-    (lineno, magic), = take(1, "header")
-    if magic != "OFF":
-        raise MeshError(f"line {lineno}: expected OFF header, got {magic!r}")
-    counts = take(3, "element counts")
+    if not tokens:
+        raise MeshError("truncated OFF file while reading header (after line 1)")
+    if tokens[0] != "OFF":
+        raise MeshError(f"line {lines[0]}: expected OFF header, got {tokens[0]!r}")
+    if len(tokens) < 4:
+        raise MeshError(f"truncated OFF file while reading element counts (after line {lines[-1]})")
     try:
-        n_verts, n_faces = int(counts[0][1]), int(counts[1][1])
+        n_verts, n_faces = int(tokens[1]), int(tokens[2])
     except ValueError as exc:
-        raise MeshError(f"line {counts[0][0]}: bad element counts") from exc
+        raise MeshError(f"line {lines[1]}: bad element counts") from exc
+    if n_verts < 0 or n_faces < 0:
+        raise MeshError(f"line {lines[1]}: negative element counts")
 
-    verts = np.empty((n_verts, 3), dtype=float)
-    for v in range(n_verts):
-        triple = take(3, f"vertex {v}")
-        try:
-            verts[v] = [float(t) for _, t in triple]
-        except ValueError as exc:
-            raise MeshError(f"line {triple[0][0]}: bad vertex coordinate") from exc
+    verts = _off_block(tokens, lines, 4, n_verts, "vertex", ["vertex coordinate"] * 3, float)
+    first = 4 + 3 * n_verts
+    faces = _off_block(tokens, lines, first, n_faces, "face",
+                       ["face vertex count"] + ["face index"] * 3, int)
+    bad = np.flatnonzero(faces[:, 0] != 3)
+    if len(bad):
+        raise MeshError(f"line {lines[first + 4 * bad[0]]}: only triangles supported, "
+                        f"face has {faces[bad[0], 0]} vertices")
+    tris = faces[:, 1:]
+    bad = np.flatnonzero(((tris < 0) | (tris >= n_verts)).any(axis=1))
+    if len(bad):
+        raise MeshError(f"line {lines[first + 4 * bad[0] + 1]}: face index out of range")
 
-    tris = np.empty((n_faces, 3), dtype=int)
-    for f in range(n_faces):
-        (lineno, deg_tok), = take(1, f"face {f}")
-        try:
-            deg = int(deg_tok)
-        except ValueError as exc:
-            raise MeshError(f"line {lineno}: bad face vertex count") from exc
-        if deg != 3:
-            raise MeshError(f"line {lineno}: only triangles supported, face has {deg} vertices")
-        triple = take(3, f"face {f}")
-        try:
-            tris[f] = [int(t) for _, t in triple]
-        except ValueError as exc:
-            raise MeshError(f"line {triple[0][0]}: bad face index") from exc
-
-    # Probe orientation on an unvalidated copy; flip if the volume is negative.
-    a = verts[tris[:, 0]]
-    b = verts[tris[:, 1]]
-    c = verts[tris[:, 2]]
-    vol6 = np.sum(np.einsum("ij,ij->i", a, np.cross(b, c)))
-    if vol6 < 0:
+    # Probe orientation on the checked indices; flip if the volume is negative.
+    a, b, c = verts[tris.T]
+    if np.sum(np.einsum("ij,ij->i", a, np.cross(b, c))) < 0:
         tris = tris[:, ::-1]
     return TriMesh(verts, tris)

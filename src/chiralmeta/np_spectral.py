@@ -212,11 +212,6 @@ class NPSpectrum:
             "dropped_eigenvalue": float(self.dropped_eigenvalue),
         }
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
 
 def spectrum_from_json(path: str) -> NPSpectrum:
     """Rebuild a spectrum (without densities) from its JSON export; a moment

@@ -51,3 +51,45 @@ def test_every_export_backs_a_live_path():
     assert unused <= set(REFERENCES), sorted(unused - set(REFERENCES))
     tested = set().union(*(called_names(p) for p in TESTS.glob("test_*.py")))
     assert set(REFERENCES) <= tested, sorted(set(REFERENCES) - tested)
+
+
+def writes_file(call):
+    """Whether ``call`` writes a file: ``json.dump``, ``write_text``,
+    ``write_bytes``, or ``open`` with a mode that is not read-only."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        name, mode = func.attr, call.args[:1]                # path.open(mode)
+    else:
+        name, mode = getattr(func, "id", None), call.args[1:2]   # open(path, mode)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name == "dump":
+        return isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json"
+    mode += [k.value for k in call.keywords if k.arg == "mode"]
+    return name == "open" and bool(mode) and not (
+        isinstance(mode[0], ast.Constant) and set(str(mode[0].value)) <= set("rbt"))
+
+
+def file_writes(path):
+    """(enclosing function or method, line) of every call in ``path`` that
+    writes a file."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Call) and writes_file(child):
+                found.append((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_artifacts_written_only_by_the_cli_writers():
+    # README: every artifact, np_spectrum.json included, is rendered by one
+    # of the CLI's two writers, so no other code writes a file
+    writes = {(p.stem, where) for p in PACKAGE.glob("*.py") for where, _ in file_writes(p)}
+    assert writes == {("cli", "write_csv"), ("cli", "write_json")}, sorted(writes)

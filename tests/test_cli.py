@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from chiralmeta import cli, np_spectral
-from chiralmeta.cli import field_csv_rows, fmt, main
+from chiralmeta.cli import fmt, main, write_csv, write_field_csv
 from chiralmeta.mesh import icosphere
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -162,6 +162,8 @@ def test_rerun_byte_identical_spectrum(tmp_path, capsys, decompositions):
     assert main(["np-spectrum", "--config", cfg, "--out", str(b)]) == 0
     assert decompositions == [8, 8]
     assert (a / "np_spectrum.json").read_bytes() == (b / "np_spectrum.json").read_bytes()
+    spectrum = np_spectral.mesh_spectrum(icosphere(2), 8)
+    assert json.loads((a / "np_spectrum.json").read_text()) == spectrum.to_json_dict()
 
 
 def test_every_known_key_is_read():
@@ -175,14 +177,23 @@ def test_every_known_key_is_read():
     assert sorted(cli._KNOWN_KEYS - strings) == []
 
 
-def test_field_csv_rows_match_fmt(rng):
+def test_field_csv_rows_match_fmt(tmp_path, rng):
+    # every CSV goes through write_csv, which renders a column at a time:
+    # each cell must read as fmt renders it
     points = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-20, 20, (5, 3))
     fields = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
     fields[0, 0] = complex(-0.0, 0.0)
     fields[1, 2] = complex(1e300, -1e-300)
+    write_field_csv(tmp_path / "field.csv", points, fields)
     expect = [[fmt(v) for v in p] + [fmt(part) for c in f for part in (c.real, c.imag)]
               for p, f in zip(points, fields)]
-    assert [list(row) for row in field_csv_rows(points, fields)] == expect
+    assert read_csv(tmp_path / "field.csv")[1] == expect
+    # SweepRow.out_of_assumption is a numpy.bool_; CompareRow.n_per_axis an int
+    columns = [[np.bool_(True), False, np.bool_(False)], [3, np.int64(-7), 0],
+               [-0.0, 1e300, -1e-300]]
+    write_csv(tmp_path / "mixed.csv", "b,i,f", columns)
+    assert read_csv(tmp_path / "mixed.csv") == ("b,i,f", [[fmt(v) for v in row]
+                                                          for row in zip(*columns)])
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -357,6 +368,39 @@ def test_probe_count_below_one_rejected(tmp_path, capsys, monkeypatch, command, 
     rc = main([command, "--config", cfg, "--out", str(out)])
     assert rc == 2
     assert f"probe_count must be at least 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [0, -5])
+def test_dense_points_below_one_rejected(tmp_path, capsys, points):
+    # np.linspace refused a negative count with a traceback
+    cfg = write(tmp_path / "c.cfg", f"dense_window = 1e-4\ndense_points = {points}\n")
+    out = tmp_path / "out"
+    assert main(["eff-sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert f"dense_points must be at least 1, got {points}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [("delta = 0", "delta must be positive"),
+                                           ("delta = -0.01", "delta must be positive"),
+                                           ("far_field_factor = 0", "far_field_factor must be"),
+                                           ("far_field_factor = -2", "far_field_factor must be")])
+def test_dipole_field_bad_particle_rejected(tmp_path, capsys, line, message):
+    # ParticleInstance's refusal is a config error, not a traceback
+    cfg = write(tmp_path / "c.cfg", f"volume_scale = 0.5\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["dipole-field", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dipole_field_probe_in_guard_radius(tmp_path, capsys):
+    # a probe inside far_field_factor * delta stays a numerical failure
+    probes = write(tmp_path / "p.csv", "x,y,z\n0.5,0.5,0.5\n")
+    cfg = write(tmp_path / "c.cfg", f"volume_scale = 0.5\nprobes_file = {probes}\n")
+    out = tmp_path / "out"
+    assert main(["dipole-field", "--config", cfg, "--out", str(out)]) == 3
+    assert "far-field guard radius" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -159,6 +159,22 @@ def test_lattice_axis_bound(bg, cfg, ball_spectrum, monkeypatch):
         solve_foldy(bg, lat, tilde, 0.1 / 25, WAVE)
 
 
+@pytest.mark.parametrize("check", [lambda lat, bg: check_distribution(lat, bg, 1.0),
+                                   uniform_invertibility_stat],
+                         ids=["check_distribution", "uniform_invertibility_stat"])
+def test_assumption_checks_axis_bound(bg, cfg, monkeypatch, check):
+    # both checks grow about as N^3 in time and memory (203 MB at N = 16):
+    # the lattice bound of solve_foldy holds for them too, before any table
+    def no_kernel_work(*args, **kwargs):
+        raise AssertionError("kernel work before the size check")
+
+    monkeypatch.setattr(foldy, "_MAX_AXIS", 4)
+    monkeypatch.setattr(foldy, "_radial", no_kernel_work)
+    monkeypatch.setattr(foldy, "_offset_kernel", no_kernel_work)
+    with pytest.raises(FoldyError, match="lattice count per axis 5 exceeds 4"):
+        check(build_lattice(5, cfg), bg)
+
+
 def test_lattice_coupling_is_coupling_matrix(bg, lat2, state2, ball_spectrum):
     # the coupling goes T2 -> tilde -> T2; at omega = 1 the round trip is
     # exact, elsewhere it rounds: 1.9e-17 of the largest entry measured at

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chiralmeta.cli import main
 from chiralmeta.mesh import MeshError, TriMesh, icosphere, mesh_from_file, signed_volume
+from _meshes import small_torus
 
 # unit cube scaled by `side`, 12 outward-oriented triangles
 _CUBE_VERTS = np.array([
@@ -123,6 +124,19 @@ def test_off_inward_faces_flipped(tmp_path):
     assert signed_volume(mesh) > 0
 
 
+@pytest.mark.parametrize("mesh", [icosphere(3), small_torus()], ids=["icosphere3", "torus"])
+def test_off_round_trip_bit_exact(tmp_path, mesh):
+    # the reader converts whole blocks, which must parse each token as float() does
+    lines = ["OFF", f"{len(mesh.vertices)} {mesh.n_panels} 0"]
+    lines += [" ".join(map(repr, row)) for row in mesh.vertices.tolist()]
+    lines += ["3 " + " ".join(map(str, row)) for row in mesh.triangles.tolist()]
+    path = tmp_path / "mesh.off"
+    path.write_text("\n".join(lines) + "\n")
+    back = mesh_from_file(str(path))
+    assert back.vertices.tobytes() == mesh.vertices.tobytes()
+    assert back.triangles.tobytes() == mesh.triangles.tobytes()
+
+
 def test_off_truncated_names_line(tmp_path):
     path = tmp_path / "trunc.off"
     path.write_text(cube_off_text(truncate=True))
@@ -145,15 +159,20 @@ def test_degenerate_panel_rejected():
 
 
 @pytest.mark.parametrize("command", ["np-spectrum", "resonances"])
-@pytest.mark.parametrize("value, message", [("nan", "vertex 6 has a non-finite coordinate"),
-                                            ("inf", "vertex 6 has a non-finite coordinate"),
-                                            ("-inf", "vertex 6 has a non-finite coordinate"),
-                                            ("1e300", "non-finite area or normal")])
-def test_non_finite_geometry_refused(tmp_path, capsys, command, value, message):
-    # a non-finite coordinate, or one whose panel areas overflow, is a mesh
-    # error: exit 2 and no artifact, not an eigensolver traceback
+@pytest.mark.parametrize("row, text, message", [
+    *(pytest.param(2 + 6, f"{v} 1 1", "vertex 6 has a non-finite coordinate",
+                   id=f"{v}-vertex 6 has a non-finite coordinate") for v in ("nan", "inf", "-inf")),
+    pytest.param(2 + 6, "1e300 1 1", "non-finite area or normal",
+                 id="1e300-non-finite area or normal"),
+    pytest.param(1, "8 -12 0", "line 2: negative element counts", id="negative count"),
+    pytest.param(2 + 8 + 11, "3 1 6 8", "line 22: face index out of range",
+                 id="face index past the vertices")])
+def test_non_finite_geometry_refused(tmp_path, capsys, command, row, text, message):
+    # a non-finite coordinate, one whose panel areas overflow, a negative
+    # element count or a face index past the vertices is a mesh error: exit
+    # 2 and no artifact, not a numpy or eigensolver traceback
     lines = cube_off_text().splitlines()
-    lines[2 + 6] = f"{value} 1 1"
+    lines[row] = text
     path = tmp_path / "bad.off"
     path.write_text("\n".join(lines) + "\n")
     cfg = tmp_path / "c.cfg"

@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 from chiralmeta import np_spectral
+from chiralmeta.cli import write_json
 from chiralmeta.mesh import TriMesh, icosphere
 from chiralmeta.np_spectral import (SpectralError, _householder_vector, _reflect_sym,
                                     assemble_np, assemble_single_layer, mesh_spectrum,
@@ -180,12 +181,12 @@ def test_icosphere_mesh_spectrum():
 
 def test_json_roundtrip(tmp_path, ball_spectrum):
     p1 = tmp_path / "spec.json"
-    ball_spectrum.save(str(p1))
+    write_json(p1, ball_spectrum.to_json_dict())
     back = spectrum_from_json(str(p1))
     assert np.array_equal(back.eigenvalues, ball_spectrum.eigenvalues)
     assert np.array_equal(back.moments, ball_spectrum.moments)
     p2 = tmp_path / "again.json"
-    back.save(str(p2))
+    write_json(p2, back.to_json_dict())
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -202,16 +203,21 @@ REAL_MOMENT_SPECTRA = {
 def test_moments_are_real(tmp_path, sphere_spec3, name):
     # the NP operator is self-adjoint in the energy inner product: the
     # moments and cluster tensors are float64, and the JSON export writes
-    # each moment component as an [re, 0.0] pair
+    # each moment component as an [re, 0.0] pair.  The export goes through
+    # the CLI's JSON writer at 17 digits and reads back bit for bit.
     spec = REAL_MOMENT_SPECTRA[name](sphere_spec3)
     assert spec.moments.dtype == np.float64
     for cluster in spec.clusters():
         assert cluster.moment_tensor.dtype == np.float64
     path = tmp_path / "spec.json"
-    spec.save(str(path))
-    pairs = json.loads(path.read_text(encoding="utf-8"))["moments"]
-    assert [im for row in pairs for _, im in row] == [0.0] * spec.moments.size
-    assert np.array_equal(spectrum_from_json(str(path)).moments, spec.moments)
+    write_json(path, spec.to_json_dict())
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert data == spec.to_json_dict()
+    assert [im for row in data["moments"] for _, im in row] == [0.0] * spec.moments.size
+    back = spectrum_from_json(str(path))
+    for field in ("eigenvalues", "moments", "residuals"):
+        assert getattr(back, field).tobytes() == getattr(spec, field).tobytes(), field
+    assert back.gram_certificate == spec.gram_certificate
 
 
 def test_json_imaginary_moment_refused(tmp_path, ball_spectrum):
@@ -308,7 +314,7 @@ def test_shape_stage_products_stay_in_scipy_blas():
 
 def test_spectrum_arrays_read_only(tmp_path, sphere_spec3, ball_spectrum):
     path = tmp_path / "spec.json"
-    sphere_spec3.save(str(path))
+    write_json(path, sphere_spec3.to_json_dict())
     for spec in (sphere_spec3, spectrum_from_json(str(path)), ball_spectrum):
         for name in ("eigenvalues", "densities", "moments", "residuals"):
             arr = getattr(spec, name)
