@@ -326,7 +326,8 @@ def _json_render(obj, indent: int = 0) -> str:
             return '"nan"'
         if np.isinf(obj):
             return '"inf"' if obj > 0 else '"-inf"'
-        return fmt(float(obj))
+        text = fmt(float(obj))
+        return "-0.0" if text == "-0" else text   # "-0" reads back as the integer 0
     if isinstance(obj, (complex, np.complexfloating)):
         return _json_render({"re": float(obj.real), "im": float(obj.imag)}, indent)
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -382,6 +383,10 @@ def cmd_resonances(cfg, out: Path) -> int:
     # read before the mode loop, whose error entries would swallow a ConfigError
     omega_p = _get(cfg, "drude_omega_p") if "drude_omega_p" in cfg else None
     tau = _get(cfg, "drude_tau", 0.0)
+    if omega_p is not None and omega_p <= 0.0:
+        raise ConfigError(f"drude_omega_p must be positive, got {omega_p}")
+    if tau < 0.0:
+        raise ConfigError(f"drude_tau must be nonnegative, got {tau}")
     modes = []
     successes = 0
     for cluster in spectrum.clusters():
@@ -421,6 +426,8 @@ def _sweep_grid(cfg, bg, spectrum, mode_index) -> np.ndarray:
         raise ConfigError("sweep grid needs eps_c_max > eps_c_min and >= 2 points")
     grid = np.linspace(lo, hi, pts)
     window = _get(cfg, "dense_window", 0.0)
+    if window < 0.0:
+        raise ConfigError(f"dense_window must be nonnegative, got {window}")
     if window > 0.0:
         dense_pts = _get(cfg, "dense_points", 800, int)
         if dense_pts < 1:
@@ -461,6 +468,8 @@ def cmd_eff_closed_form(cfg, out: Path) -> int:
     bg = build_background(cfg)
     lam = _get(cfg, "lambda_n", 1.0 / 6.0)
     s_values = _get_list(cfg, "s_values", "0,0.1,0.5,0.9,0.99")
+    if not s_values:
+        raise ConfigError("s_values must not be empty")
     params = np.empty((len(s_values), 3), dtype=complex)   # eps_eff, mu_eff, beta_eff per s
     worst = 0.0
     for i, s in enumerate(s_values):
@@ -531,14 +540,17 @@ def cmd_foldy(cfg, out: Path) -> int:
     tilde = tilde_from_definition(bg, eps_c, lattice.cfg, spectrum, mode_index=mode_index)
     state = solve_foldy(bg, lattice, tilde, eta_big, wave)
     fields = eval_foldy_field(bg, state, probes)
+    # both results before either file, so a failed comparison writes nothing
+    compare = _get_bool(cfg, "compare", default=True)
+    if compare:
+        rows = compare_homogenization(bg, dilute, spectrum, eps_c, n_list, _get(cfg, "eta", 0.1),
+                                      probes, grid_m=_get(cfg, "grid_m", 10, int),
+                                      mode_index=mode_index, incident=wave)
     dest_csv = out / "foldy_field.csv"
     write_field_csv(dest_csv, probes, fields)
     print(f"wrote {dest_csv} (N={n_big}, residual {fmt(state.solver_report['residual'])})")
 
-    if _get_bool(cfg, "compare", default=True):
-        rows = compare_homogenization(bg, dilute, spectrum, eps_c, n_list, _get(cfg, "eta", 0.1),
-                                      probes, grid_m=_get(cfg, "grid_m", 10, int),
-                                      mode_index=mode_index, incident=wave)
+    if compare:
         dest_tab = out / "foldy_errors.csv"
         write_error_table(dest_tab, rows)
         print(f"wrote {dest_tab}")

@@ -50,22 +50,6 @@ class ModeParams:
 
 
 @dataclass(frozen=True)
-class ModeMatrix:
-    """Assembled 2x2 response for one surface-mode eigenvalue.
-
-    ``det_direct`` is the determinant of ``A`` computed directly from
-    its entries; it is the source of truth for resonance location.
-    ``M_blocks`` holds the 2x2 of scalar coefficients multiplying the
-    mode's moment outer product in the (EE, EH; HE, HH) blocks.
-    """
-
-    lambda_n: float
-    A: np.ndarray
-    det_direct: complex
-    M_blocks: np.ndarray
-
-
-@dataclass(frozen=True)
 class PolarizationTensor:
     M: np.ndarray        # 6x6, blocks (EE, EH; HE, HH)
     M_tilde: np.ndarray  # volume*I6 + M
@@ -134,42 +118,38 @@ def _det2(a, b, c, d):
     return a * d - b * c
 
 
-def assemble_A_n(params: ModeParams, lambda_n: float, omega: float) -> ModeMatrix:
-    """2x2 response matrix and its coefficient blocks at eigenvalue lambda_n.
+def mode_response(bg: ChiralBackground, eps_c: complex, lambda_n: float, *,
+                  failed: np.ndarray | None = None) -> np.ndarray:
+    """Coefficient blocks of the mode response at eigenvalue lambda_n for
+    particle permittivity ``eps_c``: the 2x2 of scalars multiplying the
+    mode's moment outer product in the (EE, EH; HE, HH) blocks.
 
-    Array parameters (from an array ``eps_c``) give (2, 2, ...) stacks
-    and an array determinant.
+    M = -A^{-1} B for the response matrix A of :func:`_response_entries`
+    and B = [[1, -i omega d_eps], [i omega d_mu, 1]]; in the achiral limit
+    (``degenerate``) the mu branch decouples: M = [[-1/A_00, 0], [0, 0]].
+    M is inf where det A (A_00 in the limit) is exactly 0.  A nearly
+    singular A (|det| < 1e-14, the determinant the root finder's objective
+    reads) is refused, or marked in ``failed`` for an array ``eps_c``
+    (see :func:`flag_or_raise`); an array gives a (2, 2, ...) stack.
     """
-    A = mat2x2(*_response_entries(params, lambda_n, omega))
+    params = mode_params(bg, eps_c, failed=failed)
+    A = mat2x2(*_response_entries(params, lambda_n, bg.omega))
+    # from the complex entries of A, whose signed zeros the blocks inherit
     det = _det2(*A.reshape((4,) + A.shape[2:]))
+    flag_or_raise(
+        abs(det) < 1e-14, failed, SingularModeError,
+        lambda: f"mode response nearly singular at eps_c = {eps_c}, lambda_n = {lambda_n} "
+                f"(|det| = {abs(det):.3e})")
     with np.errstate(divide="ignore", invalid="ignore"):
         if params.degenerate:
-            # analytic achiral limit: the mu branch decouples and contributes nothing
             singular = A[0, 0] == 0.0
             M = mat2x2(-1.0 / A[0, 0], 0.0, 0.0, 0.0)
         else:
             singular = det == 0.0
-            B = mat2x2(1.0, -1j * omega * params.d_eps, 1j * omega * params.d_mu, 1.0)
+            B = mat2x2(1.0, -1j * bg.omega * params.d_eps, 1j * bg.omega * params.d_mu, 1.0)
             Ainv = mat2x2(A[1, 1], -A[0, 1], -A[1, 0], A[0, 0]) / det
             M = matmul2x2(-Ainv, B)
-    M = np.where(singular, complex(np.inf), M)
-    return ModeMatrix(lambda_n=lambda_n, A=A, det_direct=det, M_blocks=M)
-
-
-def mode_response(bg: ChiralBackground, eps_c: complex, lambda_n: float, *,
-                  failed: np.ndarray | None = None) -> np.ndarray:
-    """Coefficient blocks ``M_blocks`` of the mode response at eigenvalue
-    lambda_n for particle permittivity ``eps_c``.
-
-    A nearly singular response matrix (|det| < 1e-14) is refused, or
-    marked in ``failed`` for an array ``eps_c`` (see :func:`flag_or_raise`).
-    """
-    mm = assemble_A_n(mode_params(bg, eps_c, failed=failed), lambda_n, bg.omega)
-    flag_or_raise(
-        abs(mm.det_direct) < 1e-14, failed, SingularModeError,
-        lambda: f"mode response nearly singular at eps_c = {eps_c}, lambda_n = {lambda_n} "
-                f"(|det| = {abs(mm.det_direct):.3e})")
-    return mm.M_blocks
+    return np.where(singular, complex(np.inf), M)
 
 
 def resonant_eps(bg: ChiralBackground, lambda_n: float) -> complex:
@@ -183,24 +163,6 @@ def resonant_eps(bg: ChiralBackground, lambda_n: float) -> complex:
         raise SingularModeError(
             f"lambda_n = {lambda_n}: chirality factor 1 - k^2 beta^2 (1/2 - lambda_n) vanishes")
     return complex(-bg.eps_m * (v / u) / fac)
-
-
-def det_closed_form(bg: ChiralBackground, eps_c: complex, lambda_n: float) -> complex:
-    """Factored determinant of the mode response matrix.
-
-    Diagnostic only; the assembled determinant (``det_direct``) is
-    authoritative.  Undefined in the achiral limit.
-    """
-    kb2 = bg.k ** 2 * bg.beta_m ** 2
-    if kb2 == 0.0:
-        raise SingularModeError(
-            "closed-form determinant undefined at beta_m = 0; use the assembled determinant")
-    u = 0.5 - lambda_n
-    star = resonant_eps(bg, lambda_n)
-    den = (1.0 - kb2) * eps_c - bg.eps_m
-    if abs(den) < 1e-300:
-        raise SingularModeError("closed-form determinant denominator vanishes")
-    return (-u * (1.0 - kb2 * u) * (1.0 - kb2) / kb2) * (eps_c - star) / den
 
 
 def polarization_tensor(spectrum: NPSpectrum, bg: ChiralBackground, eps_c: complex,
@@ -250,8 +212,8 @@ def drude_omega_for_eps(eps_target: complex, omega_p: float, tau: float = 0.0) -
 def _mode_objective(bg: ChiralBackground, lambda_n: float):
     """Objective whose zero locates the resonance in eps_c.
 
-    The determinant of the response matrix (``det_direct`` of
-    :func:`assemble_A_n`, without the rest of the assembly), except on the
+    The determinant of the response matrix that :func:`mode_response`
+    refuses near zero, without the rest of the assembly, except on the
     achiral degenerate path where the determinant carries the sentinel
     scale and the finite electric factor is the meaningful root function.
     """

@@ -20,6 +20,12 @@ def referenced_names(path):
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
+def program_reads():
+    """Every name read by a program module (``__init__`` only re-exports)."""
+    return set().union(*(referenced_names(p) for p in PACKAGE.glob("*.py")
+                         if p.name != "__init__.py"))
+
+
 def called_names(path):
     """Every name called in ``path``, as ``f(...)`` or ``x.f(...)``."""
     calls = set()
@@ -44,13 +50,25 @@ def test_every_export_backs_a_live_path():
     # README: every name in __all__ backs a CLI command or a check that a
     # test runs against a live path.  An export that no program module
     # reads is one of the kept references, and a test calls it.
-    used = set().union(*(referenced_names(p) for p in PACKAGE.glob("*.py")
-                         if p.name != "__init__.py"))
+    used = program_reads()
     unused = {name for name in chiralmeta.__all__
               if not name.startswith("__") and name not in used}
     assert unused <= set(REFERENCES), sorted(unused - set(REFERENCES))
     tested = set().union(*(called_names(p) for p in TESTS.glob("test_*.py")))
     assert set(REFERENCES) <= tested, sorted(set(REFERENCES) - tested)
+
+
+def test_every_public_definition_backs_a_live_path():
+    # the export check above sees only __all__; a module-level function or
+    # class without a leading underscore must be read by a program module
+    # (its own included) or be one of the kept references
+    used = program_reads()
+    unused = sorted(f"{p.stem}.{node.name}" for p in PACKAGE.glob("*.py")
+                    for node in ast.parse(p.read_text(encoding="utf-8")).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in used and node.name not in REFERENCES)
+    assert not unused, unused
 
 
 def writes_file(call):

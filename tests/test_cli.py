@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import shutil
 import signal
@@ -13,7 +14,7 @@ import pytest
 import scipy.linalg
 
 from chiralmeta import cli, np_spectral
-from chiralmeta.cli import fmt, main, write_csv, write_field_csv
+from chiralmeta.cli import fmt, main, write_csv, write_field_csv, write_json
 from chiralmeta.mesh import icosphere
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -371,13 +372,18 @@ def test_probe_count_below_one_rejected(tmp_path, capsys, monkeypatch, command, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("points", [0, -5])
-def test_dense_points_below_one_rejected(tmp_path, capsys, points):
-    # np.linspace refused a negative count with a traceback
-    cfg = write(tmp_path / "c.cfg", f"dense_window = 1e-4\ndense_points = {points}\n")
+@pytest.mark.parametrize("lines, message", [
+    ("dense_window = 1e-4\ndense_points = 0", "dense_points must be at least 1, got 0"),
+    ("dense_window = 1e-4\ndense_points = -5", "dense_points must be at least 1, got -5"),
+    ("dense_window = -1e-4", "dense_window must be nonnegative, got -0.0001"),
+], ids=["0", "-5", "negative-window"])
+def test_dense_points_below_one_rejected(tmp_path, capsys, lines, message):
+    # np.linspace refused a negative count with a traceback, and a negative
+    # window ran as if no window had been given
+    cfg = write(tmp_path / "c.cfg", lines + "\n")
     out = tmp_path / "out"
     assert main(["eff-sweep", "--config", cfg, "--out", str(out)]) == 2
-    assert f"dense_points must be at least 1, got {points}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -429,14 +435,52 @@ def test_mode_index_out_of_range(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["foldy", "compare-hom", "check-assumptions"])
+@pytest.mark.parametrize("command", ["foldy", "compare-hom", "check-assumptions",
+                                     "eff-closed-form"])
 def test_empty_n_list_rejected(tmp_path, capsys, command):
-    cfg = write(tmp_path / "c.cfg", "beta_m = 0.4\nvolume_scale = 0.5\nn_list =\ngrid_m = 4\n")
+    # an empty s_values wrote an empty CSV and a deviation of 0 that checked nothing
+    key = "s_values" if command == "eff-closed-form" else "n_list"
+    cfg = write(tmp_path / "c.cfg", f"beta_m = 0.4\nvolume_scale = 0.5\n{key} =\ngrid_m = 4\n")
     out = tmp_path / "out"
     rc = main([command, "--config", cfg, "--out", str(out)])
     assert rc == 2
-    assert "n_list must not be empty" in capsys.readouterr().err
+    assert f"{key} must not be empty" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["grid_m = 25", "eta = 0"])
+def test_foldy_failed_comparison_writes_nothing(tmp_path, capsys, line):
+    # the field CSV used to be written before the volume solve refused
+    cfg = write(tmp_path / "c.cfg", f"beta_m = 0.4\nvolume_scale = 0.5\nn_list = 2\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["foldy", "--config", cfg, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("drude_omega_p = 0", "drude_omega_p must be positive, got 0.0"),
+    ("drude_omega_p = -1", "drude_omega_p must be positive, got -1.0"),
+    ("drude_tau = -1", "drude_tau must be nonnegative, got -1.0"),
+])
+def test_resonances_bad_drude_rejected(tmp_path, capsys, line, message):
+    # omega_p = 0 wrote a report of error entries; a negative value ran
+    cfg = write(tmp_path / "c.cfg", f"beta_m = 0.4\nvolume_scale = 0.5\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["resonances", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_negative_zero_round_trips(tmp_path):
+    # .17g spells -0.0 as "-0", which json reads back as the integer 0
+    write_json(tmp_path / "z.json", {"x": -0.0, "z": complex(0.0, -0.0), "y": np.float64(-0.0),
+                                     "w": 0.0, "v": -1.5})
+    back = json.loads((tmp_path / "z.json").read_text())
+    for value in (back["x"], back["z"]["im"], back["y"]):
+        assert isinstance(value, float) and math.copysign(1.0, value) == -1.0
+    assert back["w"] == 0 and math.copysign(1.0, back["w"]) == 1.0
+    assert back["v"] == -1.5 and back["z"]["re"] == 0.0
 
 
 def test_foldy_bad_eta_rejected(tmp_path, capsys):

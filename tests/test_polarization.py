@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralmeta import polarization
-from chiralmeta.background import ChiralBackground, k0_matrix
+from chiralmeta.background import ChiralBackground, k0_matrix, mat2x2
 from chiralmeta.np_spectral import mesh_spectrum
-from chiralmeta.polarization import (RootFindError, SingularModeError, assemble_A_n,
-                                     det_closed_form, drude_eps, drude_omega_for_eps,
-                                     find_resonance_root, mode_params, mode_response,
-                                     polarization_tensor, resonant_eps)
+from chiralmeta.polarization import (RootFindError, SingularModeError, drude_eps,
+                                     drude_omega_for_eps, find_resonance_root, mode_params,
+                                     mode_response, polarization_tensor, resonant_eps)
 from _fd import loglog_slope
 from _meshes import small_torus
 
@@ -49,21 +48,33 @@ def test_mode_params_magnetic_denominator_guard():
     assert not mode_params(ChiralBackground(1.0, 1.0, 1e-6, 1.0), -3.0).degenerate
 
 
+def assembled_det(bg, eps_c, lam):
+    """The determinant of the response matrix as mode_response assembles it:
+    from the complex entries of A."""
+    A = mat2x2(*polarization._response_entries(mode_params(bg, eps_c), lam, bg.omega))
+    return A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+
+
 def test_assemble_diagonal_det():
     bg = ChiralBackground(1.0, 1.0, 0.0, 1.0)
     p = mode_params(bg, -3.0)
-    mm = assemble_A_n(p, 0.2, bg.omega)
-    assert mm.det_direct == pytest.approx((p.lambda_eps - 0.2) * (p.lambda_mu - 0.2))
+    expect = (p.lambda_eps - 0.2) * (p.lambda_mu - 0.2)
+    assert assembled_det(bg, -3.0, 0.2) == pytest.approx(expect)
+    # achiral limit: the mu branch decouples and contributes nothing
+    M = mode_response(bg, -3.0, 0.2)
+    assert np.allclose(M, [[-1.0 / (p.lambda_eps - 0.2), 0.0], [0.0, 0.0]], rtol=1e-15, atol=0)
 
 
 def test_assemble_blocks_definition(rng):
-    # M_blocks must reproduce -A^{-1} [[1, -iw d_eps], [iw d_mu, 1]]
+    # the blocks must reproduce -A^{-1} [[1, -iw d_eps], [iw d_mu, 1]]
     bg = ChiralBackground(1.1, 0.9, 0.4, 1.3)
-    p = mode_params(bg, -2.5 + 0.3j)
-    mm = assemble_A_n(p, 1 / 6, bg.omega)
-    B = np.array([[1.0, -1j * bg.omega * p.d_eps], [1j * bg.omega * p.d_mu, 1.0]])
-    recon = -np.linalg.inv(mm.A) @ B
-    assert np.abs(mm.M_blocks - recon).max() < 1e-12 * np.abs(recon).max()
+    ec, lam, w = -2.5 + 0.3j, 1 / 6, bg.omega
+    p = mode_params(bg, ec)
+    A = np.array([[p.lambda_eps - lam, 1j * w * p.d_eps * (0.5 + lam)],
+                  [-1j * w * p.d_mu * (0.5 + lam), p.lambda_mu - lam]])
+    B = np.array([[1.0, -1j * w * p.d_eps], [1j * w * p.d_mu, 1.0]])
+    recon = -np.linalg.inv(A) @ B
+    assert np.abs(mode_response(bg, ec, lam) - recon).max() < 1e-12 * np.abs(recon).max()
 
 
 def test_det_matches_independent_expansion(rng):
@@ -72,31 +83,29 @@ def test_det_matches_independent_expansion(rng):
         ec = complex(rng.uniform(-5, -1), rng.uniform(0, 0.5))
         lam = rng.uniform(-0.4, 0.4)
         p = mode_params(bg, ec)
-        mm = assemble_A_n(p, lam, bg.omega)
         v = 0.5 + lam
         expand = ((p.lambda_eps - lam) * (p.lambda_mu - lam)
                   - bg.omega ** 2 * p.d_eps * p.d_mu * v * v)
-        assert mm.det_direct == pytest.approx(expand, rel=1e-13)
+        assert assembled_det(bg, ec, lam) == pytest.approx(expand, rel=1e-13)
 
 
 def test_mode_objective_is_det_direct_bit_for_bit(rng):
-    # the bisection's determinant-only objective reads the same value as the
-    # assembly, so the direct resonance roots do not move
+    # the bisection's determinant-only objective reads the same value as
+    # mode_response's refusal, so the direct resonance roots do not move
     for bg in (ChiralBackground(1.2, 0.7, 0.35, 0.9), ChiralBackground(1.0, 1.0, 0.4, 1.0)):
         for _ in range(200):
             ec = float(rng.uniform(-6.0, -0.5))
             lam = float(rng.uniform(-0.45, 0.45))
-            expect = assemble_A_n(mode_params(bg, ec), lam, bg.omega).det_direct
-            assert polarization._mode_objective(bg, lam)(ec) == expect
+            assert polarization._mode_objective(bg, lam)(ec) == assembled_det(bg, ec, lam)
 
 
 def test_mode_matrix_worked_example():
     # omega = eps_m = mu_m = 1, beta = 0.5, eps_c = -3, lambda = 1/6:
     # exact rational arithmetic gives the matrices below
     bg = ChiralBackground(1.0, 1.0, 0.5, 1.0)
-    mm = assemble_A_n(mode_params(bg, -3.0), 1 / 6, bg.omega)
-    assert np.allclose(mm.M_blocks, [[-15.0, -2.0j], [-6.0j, 1.0]], rtol=1e-12)
-    prod = k0_matrix(bg, -3.0) @ mm.M_blocks
+    M = mode_response(bg, -3.0, 1 / 6)
+    assert np.allclose(M, [[-15.0, -2.0j], [-6.0j, 1.0]], rtol=1e-12)
+    prod = k0_matrix(bg, -3.0) @ M
     assert np.allclose(prod, [[61.0, 8.0j], [-8.0j, 1.0]], rtol=1e-12)
 
 
@@ -115,26 +124,12 @@ def test_resonant_eps_real_negative(beta, lam):
     assert star.real < 0
 
 
-def test_det_closed_form_root():
+def test_det_vanishes_at_resonant_eps():
+    # the closed-form resonant permittivity is a zero of the assembled
+    # determinant over a representative set of eigenvalues
     bg = ChiralBackground(1.0, 1.0, 0.5, 1.0)
-    lam = 1 / 6
-    assert det_closed_form(bg, resonant_eps(bg, lam), lam) == 0
-
-
-def test_det_closed_form_requires_chirality():
-    bg = ChiralBackground(1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(SingularModeError):
-        det_closed_form(bg, -2.0, 1 / 6)
-
-
-def test_det_discrepancy_table():
-    # the factored form agrees with the assembled determinant to roundoff
-    # over a representative grid
-    bg = ChiralBackground(1.0, 1.0, 0.5, 1.0)
-    for ec in (-3.0, -2.5, -1.5 + 0.1j):
-        for lam in (0.1, 1 / 6, 0.3):
-            direct = assemble_A_n(mode_params(bg, ec), lam, bg.omega).det_direct
-            assert abs(det_closed_form(bg, ec, lam) - direct) < 1e-10
+    for lam in (0.1, 1 / 6, 0.3):
+        assert abs(assembled_det(bg, resonant_eps(bg, lam), lam)) < 1e-10
 
 
 def test_polarization_classical_sphere(sphere_spec3, ico3):
@@ -257,13 +252,13 @@ def test_find_root_refuses_non_finite_objective(monkeypatch):
 def test_mode_response_refuses_resonance():
     bg = ChiralBackground(1.0, 1.0, 0.4, 1.0)
     star = resonant_eps(bg, 1 / 6)
-    expect = assemble_A_n(mode_params(bg, -3.0), 1 / 6, bg.omega).M_blocks
-    assert np.array_equal(mode_response(bg, -3.0, 1 / 6), expect)
     with pytest.raises(SingularModeError, match="mode response nearly singular"):
         mode_response(bg, star, 1 / 6)
     failed = np.zeros(2, dtype=bool)
-    mode_response(bg, np.array([star, -3.0]), 1 / 6, failed=failed)
+    M = mode_response(bg, np.array([star, -3.0]), 1 / 6, failed=failed)
     assert failed.tolist() == [True, False]
+    # the array path gives the scalar path's blocks at the point it keeps
+    assert np.allclose(M[..., 1], mode_response(bg, -3.0, 1 / 6), rtol=1e-15, atol=0)
 
 
 def resonance_cases(sphere_spec3):
