@@ -4,10 +4,10 @@ from .background import (BackgroundError, ChiralBackground, PlaneWaveSpec, Singu
                          circular_wave, green_apply, green_dyadic, incident_field, incident_six,
                          k0_matrix, linear_wave, maxwell_dyadic)
 from .dipole import FarFieldError, ParticleInstance, scattered_field_dipole
-from .effective import (DiluteConfig, EffectiveError, EffectiveParams, SweepRow, TildeParams,
-                        effective_closed_form, epsc_from_s, invert_effective, s_limit_tilde,
-                        shifted_resonances, sweep_figure, sweep_summary, tilde_from_definition,
-                        tilde_leading_order)
+from .effective import (DiluteConfig, EffectiveError, EffectiveParams, Sweep, SweepRow,
+                        TildeParams, effective_closed_form, epsc_from_s, invert_effective,
+                        s_limit_tilde, shifted_resonances, sweep_figure, sweep_summary,
+                        tilde_from_definition, tilde_leading_order)
 from .foldy import (FoldyError, GridState, ParticleLattice, build_lattice, check_distribution,
                     compare_homogenization, eval_foldy_field, eval_homogenized_field,
                     probe_ring, solve_foldy, solve_homogenized_ls, uniform_invertibility_stat)
@@ -26,7 +26,7 @@ __all__ = [
     "circular_wave", "green_apply", "green_dyadic", "incident_field", "incident_six", "k0_matrix",
     "linear_wave", "maxwell_dyadic",
     "FarFieldError", "ParticleInstance", "scattered_field_dipole",
-    "DiluteConfig", "EffectiveError", "EffectiveParams", "SweepRow", "TildeParams",
+    "DiluteConfig", "EffectiveError", "EffectiveParams", "Sweep", "SweepRow", "TildeParams",
     "effective_closed_form", "epsc_from_s", "invert_effective", "s_limit_tilde",
     "shifted_resonances", "sweep_figure", "sweep_summary", "tilde_from_definition",
     "tilde_leading_order",

@@ -442,18 +442,19 @@ def _sweep_grid(cfg, bg, spectrum, mode_index) -> np.ndarray:
 def cmd_eff_sweep(cfg, out: Path, preset: str | None) -> int:
     bg, spectrum, mode_index, dilute = load_model(cfg)
     grid = _sweep_grid(cfg, bg, spectrum, mode_index)
-    rows = sweep_figure(bg, dilute, spectrum, grid, mode_index=mode_index)
+    sweep = sweep_figure(bg, dilute, spectrum, grid, mode_index=mode_index)
     dest_csv = out / "eff_sweep.csv"
     write_csv(dest_csv,
               "eps_c,re_eps_eff,im_eps_eff,re_mu_eff,im_mu_eff,"
               "double_negative,out_of_assumption",
-              zip(*[(r.eps_c.real, r.eps_eff.real, r.eps_eff.imag, r.mu_eff.real,
-                     r.mu_eff.imag, r.double_negative, r.out_of_assumption) for r in rows]))
+              [sweep.eps_c.real, sweep.eps_eff.real, sweep.eps_eff.imag, sweep.mu_eff.real,
+               sweep.mu_eff.imag, sweep.double_negative,
+               np.full(len(sweep), sweep.out_of_assumption)])
     reference = _FIGURE1_REFERENCE_ABSCISSA if preset == "figure1-left" else None
-    summary = sweep_summary(rows, reference_abscissa=reference)
+    summary = sweep_summary(sweep, reference_abscissa=reference)
     dest_json = out / "eff_sweep_summary.json"
     write_json(dest_json, summary)
-    print(f"wrote {dest_csv} ({len(rows)} points) and {dest_json}")
+    print(f"wrote {dest_csv} ({len(sweep)} points) and {dest_json}")
     if "resonance_abscissa" in summary:
         print(f"  resonance abscissa {fmt(summary['resonance_abscissa'])}")
     if reference is not None:

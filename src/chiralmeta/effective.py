@@ -9,8 +9,9 @@ can turn negative simultaneously.
 
 from __future__ import annotations
 
-import cmath
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -312,6 +313,46 @@ class SweepRow:
     failed: bool
 
 
+@dataclass(frozen=True, eq=False)
+class Sweep(Sequence):
+    """A sweep as read-only columns, one entry per grid point.
+
+    Indexing and iteration build :class:`SweepRow` views with Python
+    ``complex`` and ``bool`` fields; the columns themselves are what the
+    CLI writes and :func:`sweep_summary` reduces.
+    """
+
+    eps_c: np.ndarray
+    eps_eff: np.ndarray
+    mu_eff: np.ndarray
+    beta_eff: np.ndarray
+    double_negative: np.ndarray
+    nudged: np.ndarray
+    failed: np.ndarray
+    out_of_assumption: bool
+
+    def __post_init__(self) -> None:
+        for col in self._columns():
+            col.flags.writeable = False
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The per-point columns in :class:`SweepRow` order, less the
+        constant ``out_of_assumption``."""
+        return (self.eps_c, self.eps_eff, self.mu_eff, self.beta_eff, self.double_negative,
+                self.nudged, self.failed)
+
+    def __len__(self) -> int:
+        return len(self.eps_c)
+
+    def __getitem__(self, i: int) -> SweepRow:
+        e, a, m, b, dn, nu, f = (col[i].item() for col in self._columns())
+        return SweepRow(e, a, m, b, dn, self.out_of_assumption, nu, f)
+
+    def __iter__(self):
+        e, a, m, b, dn, nu, f = (col.tolist() for col in self._columns())
+        return map(SweepRow, e, a, m, b, dn, repeat(self.out_of_assumption), nu, f)
+
+
 def _sweep_pass(bg, cfg, spectrum, mode_index,
                 eps_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tilde -> effective chain over all of ``eps_c`` at once.
@@ -334,15 +375,17 @@ def _sweep_pass(bg, cfg, spectrum, mode_index,
 
 
 def sweep_figure(bg: ChiralBackground, cfg: DiluteConfig, spectrum: NPSpectrum,
-                 eps_c_grid, mode_index: int = 0) -> list[SweepRow]:
+                 eps_c_grid, mode_index: int = 0) -> Sweep:
     """Effective parameters over a permittivity grid, with per-point flags.
 
     The chain runs elementwise over the whole grid.  Points that hit a
     singularity are nudged once by 1e-12 and rerun; persistent failures
-    are flagged with NaN values, never fatal.  Output order follows the
-    grid.
+    are flagged with NaN values, never fatal.  The columns follow the
+    grid's order.
     """
-    eps_c = np.array([complex(e) for e in eps_c_grid], dtype=complex)
+    eps_c = np.array(eps_c_grid, dtype=complex)
+    if eps_c.ndim != 1:
+        raise EffectiveError(f"eps_c_grid must be one-dimensional, got shape {eps_c.shape}")
     values, failed = _sweep_pass(bg, cfg, spectrum, mode_index, eps_c)
     nudged = failed.copy()
     if nudged.any():
@@ -352,40 +395,32 @@ def sweep_figure(bg: ChiralBackground, cfg: DiluteConfig, spectrum: NPSpectrum,
     values[:, failed] = complex(np.nan, np.nan)
     eps_eff, mu_eff, beta_eff = values
     double_negative = (eps_eff.real < 0) & (mu_eff.real < 0)
-    outside = bg.out_of_assumption
-    return [SweepRow(eps_c=e, eps_eff=a, mu_eff=m, beta_eff=b, double_negative=dn,
-                     out_of_assumption=outside, nudged=nu, failed=f)
-            for e, a, m, b, dn, nu, f in zip(
-                eps_c.tolist(), eps_eff.tolist(), mu_eff.tolist(), beta_eff.tolist(),
-                double_negative.tolist(), nudged.tolist(), failed.tolist())]
+    return Sweep(eps_c, eps_eff, mu_eff, beta_eff, double_negative, nudged, failed,
+                 bool(bg.out_of_assumption))
 
 
-def sweep_summary(rows: list[SweepRow], reference_abscissa: float | None = None) -> dict:
-    """Resonance abscissa (largest effective-permittivity magnitude), the
-    double-negative interval endpoints and the nudged and failed grid
-    points of a sweep, in one pass over the rows."""
-    failed, nudged, dn = [], [], []
-    peak, peak_mag = None, -1.0
-    for r in rows:
-        if r.nudged:
-            nudged.append(r.eps_c.real)
-        if r.failed:
-            failed.append(r.eps_c.real)
-        elif cmath.isfinite(r.eps_eff) and abs(r.eps_eff) > peak_mag:
-            peak, peak_mag = r, abs(r.eps_eff)
-        if r.double_negative:
-            dn.append(r.eps_c.real)
-    out: dict = {"points": len(rows), "failed": len(failed)}
-    if peak is not None:
-        out["resonance_abscissa"] = peak.eps_c.real
-        out["resonance_peak_magnitude"] = peak_mag
+def sweep_summary(sweep: Sweep, reference_abscissa: float | None = None) -> dict:
+    """Resonance abscissa (largest effective-permittivity magnitude, the
+    first one on a tie), the double-negative interval endpoints and the
+    nudged and failed grid points of a sweep, reduced over its columns."""
+    x = sweep.eps_c.real
+    # libm's hypot, as Python's abs(complex); np.abs rounds some points
+    # one ulp differently
+    mag = np.hypot(sweep.eps_eff.real, sweep.eps_eff.imag)
+    usable = ~sweep.failed & np.isfinite(sweep.eps_eff)
+    dn = x[sweep.double_negative]
+    out: dict = {"points": len(sweep), "failed": int(np.count_nonzero(sweep.failed))}
+    if usable.any():
+        peak = np.argmax(np.where(usable, mag, -1.0))
+        out["resonance_abscissa"] = float(x[peak])
+        out["resonance_peak_magnitude"] = float(mag[peak])
     out["double_negative_count"] = len(dn)
-    if dn:
-        out["double_negative_min"] = min(dn)
-        out["double_negative_max"] = max(dn)
+    if len(dn):
+        out["double_negative_min"] = float(dn.min())
+        out["double_negative_max"] = float(dn.max())
     if reference_abscissa is not None and "resonance_abscissa" in out:
         out["reference_abscissa"] = reference_abscissa
         out["abscissa_deviation"] = out["resonance_abscissa"] - reference_abscissa
-    out["nudged_points"] = nudged
-    out["failed_points"] = failed
+    out["nudged_points"] = x[sweep.nudged].tolist()
+    out["failed_points"] = x[sweep.failed].tolist()
     return out

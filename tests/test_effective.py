@@ -1,3 +1,8 @@
+import ast
+import cmath
+import dataclasses
+import inspect
+import json
 import warnings
 
 import numpy as np
@@ -5,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralmeta import cli, effective
 from chiralmeta.background import ChiralBackground
-from chiralmeta.effective import (DiluteConfig, EffectiveError, compatibility_residual,
+from chiralmeta.effective import (DiluteConfig, EffectiveError, Sweep, SweepRow,
+                                  _sweep_pass, compatibility_residual,
                                   coupling_from_tilde, coupling_matrix, effective_closed_form,
                                   epsc_from_s, invert_effective, roundtrip_residual,
                                   s_limit_tilde, shifted_resonances, sweep_figure,
@@ -320,3 +327,199 @@ def test_sweep_persistent_failure_is_nan_row(bg, cfg, ball_spectrum):
     grid = [-3.0, -2.5]
     for r, e in zip(sweep_figure(bg, cfg, ball_spectrum, grid, mode_index=7), grid):
         assert r.nudged and r.failed and r.eps_c == e + 1e-12 and np.isnan(r.eps_eff)
+
+
+# --- the sweep as columns ---------------------------------------------------
+
+
+def _reference_rows(bg, cfg, spectrum, grid, mode_index=0):
+    """Reference: a list with one SweepRow built per point from the same
+    elementwise pass and nudge, the rows the sweep's row view must give."""
+    eps_c = np.array([complex(e) for e in grid], dtype=complex)
+    values, failed = _sweep_pass(bg, cfg, spectrum, mode_index, eps_c)
+    nudged = failed.copy()
+    if nudged.any():
+        eps_c[nudged] += 1e-12
+        values[:, nudged], failed[nudged] = _sweep_pass(bg, cfg, spectrum, mode_index,
+                                                        eps_c[nudged])
+    values[:, failed] = complex(np.nan, np.nan)
+    eps_eff, mu_eff, beta_eff = values
+    double_negative = (eps_eff.real < 0) & (mu_eff.real < 0)
+    return [SweepRow(eps_c=e, eps_eff=a, mu_eff=m, beta_eff=b, double_negative=dn,
+                     out_of_assumption=bg.out_of_assumption, nudged=nu, failed=f)
+            for e, a, m, b, dn, nu, f in zip(
+                eps_c.tolist(), eps_eff.tolist(), mu_eff.tolist(), beta_eff.tolist(),
+                double_negative.tolist(), nudged.tolist(), failed.tolist())]
+
+
+def _summary_reference(rows, reference_abscissa=None):
+    """Reference: sweep_summary as one pass over the rows."""
+    failed, nudged, dn = [], [], []
+    peak, peak_mag = None, -1.0
+    for r in rows:
+        if r.nudged:
+            nudged.append(r.eps_c.real)
+        if r.failed:
+            failed.append(r.eps_c.real)
+        elif cmath.isfinite(r.eps_eff) and abs(r.eps_eff) > peak_mag:
+            peak, peak_mag = r, abs(r.eps_eff)
+        if r.double_negative:
+            dn.append(r.eps_c.real)
+    out = {"points": len(rows), "failed": len(failed)}
+    if peak is not None:
+        out["resonance_abscissa"] = peak.eps_c.real
+        out["resonance_peak_magnitude"] = peak_mag
+    out["double_negative_count"] = len(dn)
+    if dn:
+        out["double_negative_min"] = min(dn)
+        out["double_negative_max"] = max(dn)
+    if reference_abscissa is not None and "resonance_abscissa" in out:
+        out["reference_abscissa"] = reference_abscissa
+        out["abscissa_deviation"] = out["resonance_abscissa"] - reference_abscissa
+    out["nudged_points"] = nudged
+    out["failed_points"] = failed
+    return out
+
+
+def _row_key(row):
+    """A row's fields as repr text: NaN equals NaN, floats compare bit for
+    bit, and a numpy scalar reads differently from a Python one."""
+    return tuple(repr(v) for v in dataclasses.astuple(row))
+
+
+def _preset_sweep(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # figure1-left lies outside the assumption
+        cfg = cli._PRESETS[name]
+        bg, spectrum, mode_index, dilute = cli.load_model(cfg)
+    grid = cli._sweep_grid(cfg, bg, spectrum, mode_index)
+    return bg, dilute, spectrum, grid, mode_index
+
+
+@pytest.fixture(scope="module")
+def chiral_flagged_grid(bg, cfg):
+    # the bare resonance fails again after its nudge; the point at the
+    # permeability-branch shifted resonance is double-negative
+    star = resonant_eps(bg, LAM).real
+    s_eps, s_mu = (z.real for z in shifted_resonances(bg, LAM, cfg))
+    return [-3.0, star, s_eps, s_mu, star + 0.1, -1.5]
+
+
+@pytest.mark.parametrize("case", ["figure1-left", "chiral"])
+def test_sweep_row_view_matches_rows(case, bg, cfg, ball_spectrum, chiral_flagged_grid):
+    if case == "chiral":
+        args = (bg, cfg, ball_spectrum, chiral_flagged_grid, 0)
+    else:
+        args = _preset_sweep(case)
+    sweep = sweep_figure(*args[:4], mode_index=args[4])
+    ref = _reference_rows(*args)
+    assert any(r.nudged for r in ref) and any(r.double_negative for r in ref)
+    if case == "chiral":
+        assert any(r.failed for r in ref)
+    else:
+        assert all(r.out_of_assumption for r in ref)
+    n = len(ref)
+    assert len(sweep) == n
+    # the row view differs from the reference rows only in the type of
+    # out_of_assumption, which the background computes as a numpy bool
+    want = [_row_key(dataclasses.replace(r, out_of_assumption=bool(r.out_of_assumption)))
+            for r in ref]
+    assert [_row_key(r) for r in sweep] == want
+    assert [_row_key(sweep[i]) for i in range(-n, n)] == want + want
+    with pytest.raises(IndexError):
+        sweep[n]
+    for r in (sweep[0], sweep[-1], *list(sweep)[:50]):
+        assert all(type(getattr(r, name)) is complex
+                   for name in ("eps_c", "eps_eff", "mu_eff", "beta_eff"))
+        assert all(type(getattr(r, name)) is bool
+                   for name in ("double_negative", "out_of_assumption", "nudged", "failed"))
+    # the benchmark tracer sums the flags over the rows into its JSON metrics
+    assert json.loads(json.dumps(sum(r.nudged for r in sweep))) == sum(r.nudged for r in ref)
+    assert json.dumps(sum(r.failed for r in sweep)) == str(sum(r.failed for r in ref))
+
+
+def test_sweep_columns_are_read_only(bg, cfg, ball_spectrum, chiral_flagged_grid):
+    sweep = sweep_figure(bg, cfg, ball_spectrum, chiral_flagged_grid)
+    with pytest.raises(ValueError):
+        sweep.eps_eff[0] = 0.0
+    with pytest.raises(AttributeError):
+        sweep.failed = np.zeros(len(sweep), dtype=bool)
+    # one column entry per grid point: a scalar or a 2-D grid is refused
+    for grid in (-3.0, [[-3.0, -2.0]]):
+        with pytest.raises(EffectiveError, match="one-dimensional"):
+            sweep_figure(bg, cfg, ball_spectrum, grid)
+
+
+def _tie_sweep():
+    """Hand-made columns: three exactly equal |eps_eff| peaks (|3+4i| = 5),
+    then a pair whose magnitudes np.abs rounds equal and Python's abs does
+    not (|0.1+0.1i| is one ulp below 0.14142135623730953)."""
+    eps_eff = np.array([1.0, 3 + 4j, -5.0, 5j, 2.0], dtype=complex)
+    tiny = np.array([0.1 + 0.1j, 0.14142135623730953], dtype=complex)
+    sweeps = []
+    for values in (eps_eff, tiny):
+        n = len(values)
+        sweeps.append(Sweep(eps_c=np.linspace(-3.0, -2.0, n) + 0j, eps_eff=values,
+                            mu_eff=np.full(n, -1.0 + 0j), beta_eff=np.zeros(n, dtype=complex),
+                            double_negative=values.real < 0, nudged=np.zeros(n, dtype=bool),
+                            failed=np.zeros(n, dtype=bool), out_of_assumption=False))
+    return sweeps
+
+
+@pytest.mark.parametrize("case", ["figure1-left", "figure1-right", "all-failed", "ties"])
+def test_sweep_summary_matches_row_loop(case, bg, cfg, ball_spectrum):
+    reference = None
+    if case == "all-failed":
+        # mode_index past the clusters fails every point
+        sweeps = [sweep_figure(bg, cfg, ball_spectrum, [-3.0, -2.5, -2.0], mode_index=7)]
+    elif case == "ties":
+        sweeps = _tie_sweep()
+    else:
+        bgp, dilute, spectrum, grid, mode_index = _preset_sweep(case)
+        sweeps = [sweep_figure(bgp, dilute, spectrum, grid, mode_index=mode_index)]
+        reference = cli._FIGURE1_REFERENCE_ABSCISSA
+    for sweep in sweeps:
+        got = sweep_summary(sweep, reference_abscissa=reference)
+        want = _summary_reference(list(sweep), reference_abscissa=reference)
+        # repr tells -0.0 from 0.0, every float bit and numpy from Python scalars
+        assert got == want and repr(got) == repr(want)
+    if case == "all-failed":
+        assert got["failed"] == 3 and "resonance_abscissa" not in got
+    elif case == "ties":
+        # the first of the equal peaks; the second of the pair, as abs ranks it
+        assert [sweep_summary(s)["resonance_abscissa"] for s in sweeps] == \
+            [s.eps_c[1].real for s in sweeps]
+    elif case == "figure1-right":
+        assert got["double_negative_count"] == 0 and "double_negative_min" not in got
+    else:
+        assert got["nudged_points"] and got["double_negative_count"] > 0
+
+
+def test_eff_sweep_builds_no_rows(tmp_path, monkeypatch, capsys, bg, cfg, ball_spectrum):
+    # the command writes and summarizes the columns; a row is built only
+    # when a caller indexes or iterates the sweep
+    built = []
+
+    class CountedRow(SweepRow):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(effective, "SweepRow", CountedRow)
+    assert cli.main(["eff-sweep", "--preset", "figure1-left", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "eff_sweep.csv").is_file()
+    assert built == []
+    # the patch reaches the row view
+    assert len(list(sweep_figure(bg, cfg, ball_spectrum, [-3.0, -2.5]))) == len(built) == 2
+
+
+def test_sweep_reductions_loop_over_no_points():
+    # sweep_figure and sweep_summary stay whole-column numpy: no Python
+    # loop or comprehension over grid points
+    tree = ast.parse(inspect.getsource(effective))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for name in ("sweep_figure", "sweep_summary"):
+        found = [type(node).__name__ for node in ast.walk(funcs[name])
+                 if isinstance(node, loops)]
+        assert not found, (name, found)
