@@ -86,9 +86,13 @@ def assemble_single_layer(mesh: TriMesh) -> np.ndarray:
     The kernel is -1/(4*pi*|x-y|); entry (i, j) carries panel j's area as
     the quadrature weight, and the self term is the analytic potential of
     a flat disk of equal area evaluated at its center.  The kernel matrix
-    S / areas[None, :] is symmetric, so diag(areas) @ S is symmetric only
-    up to the rounding of its entries (about 1e-16 relative);
-    ``spectral_decomposition`` symmetrizes it before use.
+    S / areas[None, :] is symmetric, so the Gram matrix -diag(areas) @ S is
+    symmetric only up to the rounding of its entries (about 1e-16
+    relative).  ``spectral_decomposition`` uses its symmetrized form
+    (G + G^T) / 2 as a matrix only on the one-block path, as the
+    representative rows of the Fourier blocks on a mesh with a rotation
+    symmetry, and as products with S (``_gram_product``) for the
+    certificates.
     """
     w = mesh.areas
     n = len(w)
@@ -409,12 +413,13 @@ def _orbits(perm: np.ndarray, k: int) -> np.ndarray | None:
 
 
 def _invariant(M: np.ndarray, perm: np.ndarray) -> bool:
-    """max |M[perm, perm] - M| <= _INVARIANCE_TOL * max |M|, in row blocks."""
-    bound = _INVARIANCE_TOL * np.abs(M).max()
+    """max |M[perm, perm] - M| <= _INVARIANCE_TOL * max |M|, in row blocks.
+    Each max |.| is taken as max(max, -min), so no |M| array is formed."""
+    bound = _INVARIANCE_TOL * max(M.max(), -M.min())
     for lo in range(0, len(M), 256):
         rows = np.take(np.take(M, perm[lo:lo + 256], axis=0), perm, axis=1)
         rows -= M[lo:lo + 256]
-        if np.abs(rows).max() > bound:
+        if rows.max() > bound or -rows.min() > bound:
             return False
     return True
 
@@ -462,6 +467,13 @@ def _fourier_blocks(C: np.ndarray, hermitian: bool) -> list[np.ndarray]:
     return blocks
 
 
+def _gram_product(S: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(G + G^T) / 2 applied to X (n or (n, m)), for G = -diag(w) @ S, as
+    -(w * (S X) + S^T (w * X)) / 2: two products with S, and no G."""
+    wx = w if X.ndim == 1 else w[:, None]
+    return 0.5 * (-(wx * _gemm(S, X)) - _gemm(S.T, wx * X))
+
+
 def spectral_decomposition(
     S: np.ndarray,
     K: np.ndarray,
@@ -489,14 +501,20 @@ def spectral_decomposition(
     complex moment and r the moment row of panel 0, so the sin partner's
     moment is orthogonal to r.  Both partners rank by the pair's mean
     moment, so where ``mode_count`` splits a pair the cos partner is kept.
-    Without such a symmetry k = 1 and the one block is the full pencil.
+    The blocks are built from the representative block rows of the
+    symmetrized G, taken from S, so S and K are the only n x n arrays.
+    Without such a symmetry k = 1 and the one block is the full pencil,
+    the only path that forms the symmetrized G as a matrix, for ``eigh``.
+
+    On both paths the residuals, ``gram_certificate`` and
+    ``dropped_eigenvalue`` are those of the returned n-panel densities
+    against the assembled S and K, with the symmetrized G applied as
+    products with S (``_gram_product``).
     """
     n = len(mesh.areas)
     if not 1 <= mode_count <= n - 1:
         raise SpectralError(f"mode_count must be in [1, {n - 1}], got {mode_count}")
     w = mesh.areas
-    G = -(w[:, None] * S)
-    G = 0.5 * (G + G.T)
     # normal moments against unit-L2 eigendensities: three row vectors
     # -(w nu)^T S applied to the densities, not S applied to all of them
     T = -_gemm((w[:, None] * mesh.normals).T, S)
@@ -504,9 +522,14 @@ def spectral_decomposition(
     reps, k = orbits[:, 0], orbits.shape[1]
     w_rep = w[reps]
     if k == 1:
-        Gq, Kq, Tq = [G], [K], [T]
+        G = -(w[:, None] * S)
+        Gq, Kq, Tq = [0.5 * (G + G.T)], [K], [T]
+        del G
     else:
-        Gq = _fourier_blocks(G[reps][:, orbits], hermitian=True)
+        # rows reps of (G + G^T) / 2, bit for bit, in O(n^2 / k)
+        G_rows = 0.5 * (-(w[reps, None] * S[reps]) - (S[:, reps] * w[:, None]).T)
+        Gq = _fourier_blocks(G_rows[:, orbits], hermitian=True)
+        del G_rows
         Kq = _fourier_blocks(K[reps][:, orbits], hermitian=False)
         Tq = _fourier_blocks(T[:, orbits], hermitian=False)
 
@@ -583,8 +606,8 @@ def spectral_decomposition(
     mom_r *= signs[:, None]
 
     R = _gemm(K, Phi_r) - lam_r * Phi_r
-    resid = np.sqrt(np.maximum(np.einsum("im,im->m", R, _gemm(G, R)), 0.0))
-    gram = _gemm(Phi_r.T, _gemm(G, Phi_r))
+    resid = np.sqrt(np.maximum(np.einsum("im,im->m", R, _gram_product(S, w, R)), 0.0))
+    gram = _gemm(Phi_r.T, _gram_product(S, w, Phi_r))
     cert = float(np.max(np.abs(gram - np.eye(mode_count))))
 
     # The eigenvalue near 1/2 lives outside the mean-zero subspace; report
@@ -595,8 +618,9 @@ def spectral_decomposition(
     # u_i / sqrt(k) on the orbit of r_i) contributes.
     U0 = blocks[0]
     psi = np.empty(n)
-    psi[orbits] = (1.0 - _gemm(U0, _gemm(U0.T, G.sum(axis=1)[orbits].sum(axis=1))) / k)[:, None]
-    Gpsi = _gemm(G, psi)
+    G1 = _gram_product(S, w, np.ones(n))
+    psi[orbits] = (1.0 - _gemm(U0, _gemm(U0.T, G1[orbits].sum(axis=1))) / k)[:, None]
+    Gpsi = _gram_product(S, w, psi)
     dropped = float(_gemm(Gpsi, _gemm(K, psi)) / _gemm(Gpsi, psi))
 
     return NPSpectrum(

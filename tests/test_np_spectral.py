@@ -297,14 +297,14 @@ def test_gemm_copies_no_matrix(rng):
 
 
 def test_shape_stage_products_stay_in_scipy_blas():
-    """assemble_np, _reflect_sym and spectral_decomposition make every product
-    through ``_gemm``.  numpy's ``@``, ``np.dot`` and ``np.matmul`` run in
-    numpy's own bundled OpenBLAS, whose idle threads spin against scipy's
-    during the eigensolve; on a 2-vCPU host that made the benchmark's
-    eigensolves about four times slower."""
+    """assemble_np, _reflect_sym, _gram_product and spectral_decomposition
+    make every product through ``_gemm``.  numpy's ``@``, ``np.dot`` and
+    ``np.matmul`` run in numpy's own bundled OpenBLAS, whose idle threads
+    spin against scipy's during the eigensolve; on a 2-vCPU host that made
+    the benchmark's eigensolves about four times slower."""
     tree = ast.parse(inspect.getsource(np_spectral))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("assemble_np", "_reflect_sym", "spectral_decomposition"):
+    for name in ("assemble_np", "_reflect_sym", "_gram_product", "spectral_decomposition"):
         for node in ast.walk(functions[name]):
             assert not (isinstance(node, (ast.BinOp, ast.AugAssign))
                         and isinstance(node.op, ast.MatMult)), (name, node.lineno)
@@ -469,24 +469,62 @@ def test_eigh_receives_exactly_symmetric_pencil(monkeypatch, make_mesh, blocks):
     assert seen == [True] * blocks
 
 
-def test_dropped_eigenvalue_matches_equilibrium_solve(ico3, sk3, sphere_spec3):
-    S, K = sk3
-    G = reference_gram(ico3, S)
+@pytest.fixture(scope="module", params=["icosphere3", "torus256", "jittered"])
+def certified(request):
+    """(mesh, S, K, spectrum at 15 modes) on each decomposition path: the C5
+    Fourier blocks of icosphere(3), the C16 blocks of the small torus and
+    the one full pencil of the jittered torus."""
+    if request.param == "icosphere3":
+        S, K = request.getfixturevalue("sk3")
+        return request.getfixturevalue("ico3"), S, K, request.getfixturevalue("sphere_spec3")
+    mesh = {"torus256": small_torus, "jittered": jittered_torus}[request.param]()
+    S, K = assemble_single_layer(mesh), assemble_np(mesh)
+    return mesh, S, K, spectral_decomposition(S, K, mesh, mode_count=15)
+
+
+def test_dropped_eigenvalue_matches_equilibrium_solve(certified):
+    mesh, S, K, spec = certified
+    G = reference_gram(mesh, S)
     A = 0.5 * (G @ K + K.T @ G)
-    psi = np.linalg.solve(S, -np.ones(ico3.n_panels))
+    psi = np.linalg.solve(S, -np.ones(mesh.n_panels))
     ref = (psi @ A @ psi) / (psi @ G @ psi)
-    assert abs(sphere_spec3.dropped_eigenvalue - ref) <= 1e-12
+    assert abs(spec.dropped_eigenvalue - ref) <= 1e-12
 
 
-def test_residuals_match_per_mode_loop(ico3, sk3, sphere_spec3):
-    S, K = sk3
-    G = reference_gram(ico3, S)
-    Phi, lam = sphere_spec3.densities, sphere_spec3.eigenvalues
+def test_residuals_match_per_mode_loop(certified):
+    mesh, S, K, spec = certified
+    G = reference_gram(mesh, S)
+    Phi, lam = spec.densities, spec.eigenvalues
     ref = []
-    for k in range(len(sphere_spec3.eigenvalues)):
+    for k in range(len(spec.eigenvalues)):
         r = K @ Phi[:, k] - lam[k] * Phi[:, k]
         ref.append(np.sqrt(max(float(r @ G @ r), 0.0)))
-    assert np.allclose(sphere_spec3.residuals, ref, rtol=1e-12, atol=0.0)
+    assert np.allclose(spec.residuals, ref, rtol=1e-12, atol=0.0)
+
+
+def test_gram_certificate_matches_explicit_gram(certified):
+    # the certificate is max |Phi^T G Phi - I| over the returned n-panel
+    # densities, with G symmetrized as a matrix
+    mesh, S, _, spec = certified
+    Phi = spec.densities
+    ref = np.abs(Phi.T @ reference_gram(mesh, S) @ Phi - np.eye(Phi.shape[1])).max()
+    assert abs(spec.gram_certificate - ref) <= 1e-14
+
+
+def test_block_path_allocates_less_than_one_dense_matrix():
+    # on a mesh with a rotation symmetry S and K are the only n x n arrays:
+    # the Gram blocks come from representative rows and the certificates
+    # from products with S, so the decomposition allocates less than one
+    # more n x n matrix
+    mesh = small_torus(40, 20, 1.15, 0.425)
+    S, K = assemble_single_layer(mesh), assemble_np(mesh)
+    tracemalloc.start()
+    try:
+        spectral_decomposition(S, K, mesh, mode_count=15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < S.nbytes, peak
 
 
 def test_density_sign_convention(sphere_spec3):
