@@ -21,7 +21,7 @@ class BackgroundError(ValueError):
     """Invalid background medium parameters."""
 
 
-class SingularPointError(ValueError):
+class SingularPointError(BackgroundError):
     """Kernel evaluated at its singular point without regularization."""
 
 
@@ -103,29 +103,27 @@ class ChiralBackground:
 
 @dataclass(frozen=True)
 class PlaneWaveSpec:
-    """Incident field as a pair of circular plane waves.
+    """Incident field as a pair of circular plane waves along the real unit
+    vector ``p``: ``q1`` rides the gamma1 branch and must satisfy
+    p x q1 = -i q1; ``q2`` rides gamma2 with p x q2 = +i q2.  Either
+    amplitude may be zero for a single circular wave."""
 
-    ``q1`` rides the gamma1 branch and must satisfy p1 x q1 = -i q1;
-    ``q2`` rides gamma2 with p2 x q2 = +i q2.  Either amplitude may be
-    zero for a single circular wave.
-    """
-
-    p1: np.ndarray
+    p: np.ndarray
     q1: np.ndarray
-    p2: np.ndarray
     q2: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("p1", "q1", "p2", "q2"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
-        for p, q, s, nm in ((self.p1, self.q1, -1.0, "1"), (self.p2, self.q2, +1.0, "2")):
-            if abs(np.linalg.norm(p.real) - 1.0) > 1e-12 or np.linalg.norm(p.imag) > 1e-12:
-                raise BackgroundError(f"p{nm} must be a real unit vector")
-            if abs(np.dot(p, q)) > 1e-12:
-                raise BackgroundError(f"p{nm}.q{nm} must vanish")
-            if np.linalg.norm(np.cross(p, q) - s * 1j * q) > 1e-12:
-                raise BackgroundError(
-                    f"p{nm} x q{nm} must equal {'+' if s > 0 else '-'}i q{nm}")
+        p = np.asarray(self.p, dtype=complex)
+        if abs(np.linalg.norm(p.real) - 1.0) > 1e-12 or np.linalg.norm(p.imag) > 1e-12:
+            raise BackgroundError("p must be a real unit vector")
+        object.__setattr__(self, "p", p.real.copy())
+        for q, s, nm in ((self.q1, -1.0, "q1"), (self.q2, +1.0, "q2")):
+            q = np.asarray(q, dtype=complex)
+            object.__setattr__(self, nm, q)
+            if abs(np.dot(self.p, q)) > 1e-12:
+                raise BackgroundError(f"p.{nm} must vanish")
+            if np.linalg.norm(np.cross(self.p, q) - s * 1j * q) > 1e-12:
+                raise BackgroundError(f"p x {nm} must equal {'+' if s > 0 else '-'}i {nm}")
 
 
 def make_circular_basis(direction, handedness: str) -> tuple[np.ndarray, np.ndarray]:
@@ -155,12 +153,10 @@ def make_circular_basis(direction, handedness: str) -> tuple[np.ndarray, np.ndar
 
 def circular_wave(direction, handedness: str, amplitude: complex = 1.0) -> PlaneWaveSpec:
     """Single circular plane wave (the other branch amplitude is zero)."""
-    p, q = make_circular_basis(direction, handedness)
-    pl, ql = make_circular_basis(direction, "left")
-    pr, qr = make_circular_basis(direction, "right")
-    if handedness == "left":
-        return PlaneWaveSpec(p1=pl, q1=amplitude * ql, p2=pr, q2=0.0 * qr)
-    return PlaneWaveSpec(p1=pl, q1=0.0 * ql, p2=pr, q2=amplitude * qr)
+    d, q = make_circular_basis(direction, handedness)
+    _, other = make_circular_basis(direction, "right" if handedness == "left" else "left")
+    q1, q2 = (amplitude * q, 0.0 * other) if handedness == "left" else (0.0 * other, amplitude * q)
+    return PlaneWaveSpec(p=d, q1=q1, q2=q2)
 
 
 def linear_wave(direction, polarization, amplitude: complex = 1.0) -> PlaneWaveSpec:
@@ -178,7 +174,7 @@ def linear_wave(direction, polarization, amplitude: complex = 1.0) -> PlaneWaveS
     # project the desired linear polarization on the two circular states
     a1 = amplitude * np.vdot(ql, e)
     a2 = amplitude * np.vdot(qr, e)
-    return PlaneWaveSpec(p1=d, q1=a1 * ql, p2=d, q2=a2 * qr)
+    return PlaneWaveSpec(p=d, q1=a1 * ql, q2=a2 * qr)
 
 
 def incident_field(bg: ChiralBackground, wave: PlaneWaveSpec, x) -> tuple[np.ndarray, np.ndarray]:
@@ -190,8 +186,9 @@ def incident_field(bg: ChiralBackground, wave: PlaneWaveSpec, x) -> tuple[np.nda
     """
     x = np.asarray(x, dtype=float)
     s = 1.0 / bg.impedance_ratio  # sqrt(eps_m/mu_m)
-    ph1 = np.exp(1j * bg.gamma1 * (x @ wave.p1.real))
-    ph2 = np.exp(1j * bg.gamma2 * (x @ wave.p2.real))
+    xp = x @ wave.p
+    ph1 = np.exp(1j * bg.gamma1 * xp)
+    ph2 = np.exp(1j * bg.gamma2 * xp)
     E = ph1[..., None] * wave.q1 + ph2[..., None] * wave.q2
     H = -1j * s * ph1[..., None] * wave.q1 + 1j * s * ph2[..., None] * wave.q2
     return E, H

@@ -81,12 +81,19 @@ _FIGURE1_REFERENCE_ABSCISSA = -2.94455
 # config plumbing
 
 
+def _read_lines(path: str, what: str) -> list[str]:
+    """The lines of a UTF-8 text file; any failure is a ``ConfigError`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def parse_config_file(path: str) -> dict[str, str]:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_lines(path, "config file"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -161,6 +168,8 @@ def _get_n_list(cfg, default: str) -> list[int]:
     n_list = _get_list(cfg, "n_list", default, int)
     if not n_list:
         raise ConfigError("n_list must not be empty")
+    if min(n_list) < 1:
+        raise ConfigError(f"n_list entries must be at least 1, got {min(n_list)}")
     return n_list
 
 
@@ -242,11 +251,8 @@ def load_model(cfg) -> tuple[ChiralBackground, NPSpectrum, int, DiluteConfig]:
 
 
 def build_incident(cfg) -> PlaneWaveSpec:
-    handed = cfg.get("handedness", "left")
-    if handed not in ("left", "right"):
-        raise ConfigError(f"handedness must be 'left' or 'right', got {handed!r}")
     try:
-        return circular_wave(_get_vec3(cfg, "direction", "0,0,1"), handed,
+        return circular_wave(_get_vec3(cfg, "direction", "0,0,1"), cfg.get("handedness", "left"),
                              amplitude=complex(_get(cfg, "amplitude", 1.0)))
     except BackgroundError as exc:
         raise ConfigError(str(exc)) from exc
@@ -255,11 +261,8 @@ def build_incident(cfg) -> PlaneWaveSpec:
 def load_probes(cfg) -> np.ndarray:
     path = cfg.get("probes_file")
     if path is not None:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"probes file not found: {path}")
         rows = []
-        for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(_read_lines(path, "probes file"), 1):
             line = raw.strip()
             if not line or line.startswith("#") or line.lower().startswith("x"):
                 continue

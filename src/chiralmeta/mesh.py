@@ -188,8 +188,11 @@ def mesh_from_file(path: str) -> TriMesh:
     Orientation is normalized: if the parsed mesh encloses a negative
     volume, all triangles are flipped before validation.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.split("#", 1)[0].split() for line in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [line.split("#", 1)[0].split() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"not UTF-8 text: {exc}") from exc
     tokens = [tok for row in rows for tok in row]
     lines = [lineno for lineno, row in enumerate(rows, start=1) for _ in row]
 

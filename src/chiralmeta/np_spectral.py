@@ -25,23 +25,23 @@ class SpectralError(RuntimeError):
     """Raised when operator assembly or the eigensolve cannot proceed."""
 
 
-def _centroid_distances(c: np.ndarray) -> np.ndarray:
-    """|c_i - c_j| for the rows of ``c`` (n, 3), with no (n, n, 3) array.
-
-    The squared axis differences are summed in axis order and then rooted,
-    which is the order of ``scipy.spatial.distance.cdist``, so the result
-    matches it bit for bit.  Axes 1 and 2 go in blocks of 64 rows, so the
-    only (n, n) array is the result.
-    """
-    r = np.subtract.outer(c[:, 0], c[:, 0])
-    r *= r
-    for lo in range(0, len(c), 64):
-        block = r[lo:lo + 64]
+def _pair_rows(c: np.ndarray, out: np.ndarray):
+    """Yield (rows, r, d) over blocks of 16 rows of the centroids ``c`` (n, 3):
+    r = out[rows] holds |c_i - c_j|, squared axis differences summed in axis
+    order and rooted as ``scipy.spatial.distance.cdist`` does, bit for bit,
+    and d[k] = c[rows, k] - c[:, k] (3, b, n) may be overwritten.  The blocks
+    stay in cache; the only (n, n) array is ``out``."""
+    ct = np.ascontiguousarray(c.T)
+    buf, sq = np.empty((3, 16, len(c))), np.empty((16, len(c)))
+    for lo in range(0, len(c), 16):
+        rows = slice(lo, lo + 16)
+        r = out[rows]
+        d = np.subtract(ct[:, rows, None], ct[:, None, :], out=buf[:, :len(r)])
+        np.multiply(d[0], d[0], out=r)
         for k in (1, 2):
-            d = np.subtract.outer(c[lo:lo + 64, k], c[:, k])
-            d *= d
-            block += d
-    return np.sqrt(r, out=r)
+            r += np.multiply(d[k], d[k], out=sq[:len(r)])
+        np.sqrt(r, out=r)
+        yield rows, r, d
 
 
 def _transposed(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -88,15 +88,17 @@ def assemble_single_layer(mesh: TriMesh) -> np.ndarray:
     a flat disk of equal area evaluated at its center.  The kernel matrix
     S / areas[None, :] is symmetric, so the Gram matrix -diag(areas) @ S is
     symmetric only up to the rounding of its entries (about 1e-16
-    relative).  ``spectral_decomposition`` uses its symmetrized form
-    (G + G^T) / 2 as a matrix only on the one-block path, as the
-    representative rows of the Fourier blocks on a mesh with a rotation
-    symmetry, and as products with S (``_gram_product``) for the
+    relative).  ``spectral_decomposition`` takes its symmetrized form
+    (G + G^T) / 2 from S as rows (``_gram_rows``: every row on a mesh
+    without a rotation symmetry, the representative rows of the Fourier
+    blocks on one with it) and as products (``_gram_product``) for the
     certificates.
     """
     w = mesh.areas
     n = len(w)
-    S = _centroid_distances(mesh.centroids)
+    S = np.empty((n, n))
+    for _ in _pair_rows(mesh.centroids, S):   # only the distances are used
+        pass
     diag = np.diag_indices(n)
     S[diag] = np.inf
     if S.min() < 1e-12:
@@ -117,32 +119,21 @@ def assemble_np(mesh: TriMesh) -> np.ndarray:
     adjoint applied to the constant density must return 1/2, which pins
     each column's self term.
     """
-    c = mesh.centroids
     w = mesh.areas
-    nu = mesh.normals
     n = len(w)
     scale = w / (4.0 * np.pi)
     K = np.empty((n, n))
-    # each axis difference serves both (c_i - c_j) . nu_i and |c_i - c_j|, in
-    # blocks of 64 rows, summed in axis order as _centroid_distances does
-    for lo in range(0, n, 64):
-        num = K[lo:lo + 64]
-        for k in range(3):
-            d = np.subtract.outer(c[lo:lo + 64, k], c[:, k])
-            if k == 0:
-                np.multiply(d, nu[lo:lo + 64, 0, None], out=num)
-                r = np.multiply(d, d, out=d)
-            else:
-                num += d * nu[lo:lo + 64, k, None]
-                d *= d
-                r += d
-        np.sqrt(r, out=r)
+    for rows, r, d in _pair_rows(mesh.centroids, K):
         # zero self term; the Gauss identity sets it below
-        r[np.arange(len(r)), np.arange(lo, lo + len(r))] = np.inf
-        d = r * r
-        d *= r
-        np.divide(scale, d, out=d)
-        num *= d
+        r[np.arange(len(r)), np.arange(rows.start, rows.start + len(r))] = np.inf
+        r3 = r * r
+        r3 *= r
+        np.divide(scale, r3, out=r3)
+        # (c_i - c_j) . nu_i, summed in axis order
+        d *= mesh.normals[rows].T[:, :, None]
+        np.add(d[0], d[1], out=r)
+        r += d[2]
+        r *= r3
     diag = np.diag_indices(n)
     # Column condition: sum_j w_j K[j, i] = w_i / 2  for every i.
     K[diag] = 0.5 - _gemm(w, K) / w
@@ -467,6 +458,12 @@ def _fourier_blocks(C: np.ndarray, hermitian: bool) -> list[np.ndarray]:
     return blocks
 
 
+def _gram_rows(S: np.ndarray, w: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Rows ``reps`` of (G + G^T) / 2 for G = -diag(w) @ S, in O(n len(reps)),
+    with no G; on every row the matrix itself, exactly symmetric."""
+    return 0.5 * (-(w[reps, None] * S[reps]) - (S[:, reps] * w[:, None]).T)
+
+
 def _gram_product(S: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(G + G^T) / 2 applied to X (n or (n, m)), for G = -diag(w) @ S, as
     -(w * (S X) + S^T (w * X)) / 2: two products with S, and no G."""
@@ -501,10 +498,10 @@ def spectral_decomposition(
     complex moment and r the moment row of panel 0, so the sin partner's
     moment is orthogonal to r.  Both partners rank by the pair's mean
     moment, so where ``mode_count`` splits a pair the cos partner is kept.
-    The blocks are built from the representative block rows of the
-    symmetrized G, taken from S, so S and K are the only n x n arrays.
-    Without such a symmetry k = 1 and the one block is the full pencil,
-    the only path that forms the symmetrized G as a matrix, for ``eigh``.
+    The blocks are built from the representative rows of the symmetrized
+    G, taken from S (``_gram_rows``), so S and K are the only n x n arrays.
+    Without such a symmetry k = 1, every panel is a representative and the
+    one block is the full pencil.  Each block's inputs go once used.
 
     On both paths the residuals, ``gram_certificate`` and
     ``dropped_eigenvalue`` are those of the returned n-panel densities
@@ -522,19 +519,16 @@ def spectral_decomposition(
     reps, k = orbits[:, 0], orbits.shape[1]
     w_rep = w[reps]
     if k == 1:
-        G = -(w[:, None] * S)
-        Gq, Kq, Tq = [0.5 * (G + G.T)], [K], [T]
-        del G
+        Gq, Kq, Tq = [_gram_rows(S, w, reps)], [K], [T]
     else:
-        # rows reps of (G + G^T) / 2, bit for bit, in O(n^2 / k)
-        G_rows = 0.5 * (-(w[reps, None] * S[reps]) - (S[:, reps] * w[:, None]).T)
-        Gq = _fourier_blocks(G_rows[:, orbits], hermitian=True)
-        del G_rows
+        # the Gram rows go before the K gather, so the two are never alive together
+        Gq = _fourier_blocks(_gram_rows(S, w, reps)[:, orbits], hermitian=True)
         Kq = _fourier_blocks(K[reps][:, orbits], hermitian=False)
         Tq = _fourier_blocks(T[:, orbits], hermitian=False)
 
     blocks, lams, moms, norms, source = [], [], [], [], []
-    for q, (B, Kb, Tb) in enumerate(zip(Gq, Kq, Tq)):
+    for q, Tb in enumerate(Tq):
+        B, Kb = Gq.pop(0), Kq.pop(0)   # each block's inputs go once used
         A = _gemm(B, Kb)
         A = 0.5 * (A + A.conj().T)   # (G K)^H = K^H G as G is Hermitian
         if q == 0:

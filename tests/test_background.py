@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralmeta.background import (BackgroundError, ChiralBackground, SingularPointError,
-                                   _scalar_kernel, circular_wave, green_apply, green_dyadic,
-                                   incident_field, incident_six, k0_matrix, linear_wave,
-                                   make_circular_basis, maxwell_dyadic)
+from chiralmeta.background import (BackgroundError, ChiralBackground, PlaneWaveSpec,
+                                   SingularPointError, _scalar_kernel, circular_wave, green_apply,
+                                   green_dyadic, incident_field, incident_six, k0_matrix,
+                                   linear_wave, make_circular_basis, maxwell_dyadic)
 from _fd import dbf_residual, fd_curl
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -92,6 +92,19 @@ def test_circular_basis_invariants(direction, hand):
     p, q = make_circular_basis(d, hand)
     assert abs(np.dot(p, q)) < 1e-12
     assert np.linalg.norm(np.cross(p, q) - sign * 1j * q) < 1e-12
+
+
+def test_plane_wave_spec_holds_one_direction():
+    # both branches travel along the one stored unit vector p
+    assert [f for f in PlaneWaveSpec.__dataclass_fields__] == ["p", "q1", "q2"]
+    d = np.array([0.6, 0.0, 0.8])
+    for wave in (circular_wave(d, "left"), circular_wave(d, "right"), linear_wave(d, [1, 0, 0])):
+        assert wave.p.dtype == float
+        assert np.array_equal(wave.p, make_circular_basis(d, "left")[0])
+    p, q = make_circular_basis(E3, "left")
+    for bad in (1.5 * p, p + 1e-3j * np.array([1.0, 0.0, 0.0])):
+        with pytest.raises(BackgroundError, match="p must be a real unit vector"):
+            PlaneWaveSpec(p=bad, q1=q, q2=np.zeros(3))
 
 
 def test_incident_at_origin():

@@ -458,6 +458,56 @@ def test_foldy_failed_comparison_writes_nothing(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_singular_probe_is_numerical_failure(tmp_path, capsys):
+    # a probe on a lattice point at eta = 0 hits the kernel's singular point;
+    # it used to escape as an uncaught traceback (exit 1)
+    probes = write(tmp_path / "p.csv", "0.25,0.25,0.25\n")
+    cfg = write(tmp_path / "c.cfg", "beta_m = 0.4\nvolume_scale = 0.5\nn_list = 2\neta = 0\n"
+                f"compare = false\nprobes_file = {probes}\n")
+    out = tmp_path / "out"
+    assert main(["foldy", "--config", cfg, "--out", str(out)]) == 3
+    assert "numerical failure: dyadic evaluated at its singular point" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which, command, message", [
+    ("config", "eff-closed-form", "cannot read config file"),
+    ("probes", "dipole-field", "cannot read probes file"),
+    ("mesh", "np-spectrum", "cannot read mesh"),
+])
+def test_undecodable_input_file_rejected(tmp_path, capsys, which, command, message):
+    # a file that is not UTF-8 text used to crash with a UnicodeDecodeError
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    if which == "config":
+        cfg = str(bad)
+    else:
+        key = "probes_file" if which == "probes" else "mesh_source"
+        cfg = write(tmp_path / "c.cfg", f"{key} = {bad}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and str(bad) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["foldy", "compare-hom", "check-assumptions"])
+@pytest.mark.parametrize("value", ["0", "-2", "2,0"])
+def test_n_list_below_one_rejected(tmp_path, capsys, monkeypatch, command, value):
+    # a count below 1 used to fail as a numerical error, after compare-hom
+    # had already solved the volume and the N = 2 lattice for "2,0"
+    def solved(*args, **kwargs):
+        raise AssertionError("solved before the config was checked")
+
+    for name in ("build_lattice", "compare_homogenization"):
+        monkeypatch.setattr(cli, name, solved)
+    cfg = write(tmp_path / "c.cfg", f"beta_m = 0.4\nvolume_scale = 0.5\nn_list = {value}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: n_list entries must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("drude_omega_p = 0", "drude_omega_p must be positive, got 0.0"),
     ("drude_omega_p = -1", "drude_omega_p must be positive, got -1.0"),
