@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,29 +38,6 @@ EXIT_NUMERICAL = 3
 class ConfigError(ValueError):
     """Bad configuration: unknown key, unparsable value, invalid parameter."""
 
-
-# every key any command understands; unknown keys are rejected up front
-_KNOWN_KEYS = {
-    # background
-    "eps_m", "mu_m", "beta_m", "omega", "allow_kbeta_ge_1",
-    # spectrum source
-    "mesh_source", "subdivisions", "mode_count", "mode_index",
-    # dilute lattice scaling
-    "volume_scale", "n_per_axis", "dilution_exponent", "moment_scale",
-    # permittivity sweep grid
-    "eps_c_min", "eps_c_max", "eps_c_points", "dense_window", "dense_points",
-    # single-particle / closed-form inputs
-    "eps_c_re", "eps_c_im", "lambda_n", "s_values", "delta", "center",
-    "far_field_factor",
-    # incident wave
-    "direction", "handedness", "amplitude",
-    # probes
-    "probes_file", "probe_count",
-    # lattice simulation
-    "n_list", "eta", "grid_m", "compare",
-    # resonances
-    "drude_omega_p", "drude_tau",
-}
 
 # the two panels of figure 1 differ only in the background chirality
 _FIGURE1 = {
@@ -121,164 +100,213 @@ def build_config(args) -> dict[str, str]:
     return cfg
 
 
-_NOUN = {float: "a number", int: "an integer"}
+def _numbers(parse, length=None):
+    """A parser of one float or int (``length`` 1) or of a comma-separated
+    list of them, ``length`` long if given; a float must be finite."""
+    noun = {float: "a number", int: "an integer"}[parse] + ("" if length == 1 else " list")
+
+    def read(raw):
+        tokens = [raw] if length == 1 else [t for t in raw.split(",") if t.strip()]
+        try:
+            values = tuple(map(parse, tokens))
+        except ValueError:
+            raise ValueError(f"not {noun}: {raw!r}") from None
+        if parse is float and not all(map(math.isfinite, values)):
+            raise ValueError(f"not finite: {raw!r}")
+        if length is not None and len(values) != length:
+            raise ValueError(f"expected {length} components, got {len(values)}")
+        return values[0] if length == 1 else values
+    return read
 
 
-def _get(cfg, key, default=None, parse=float):
-    """The value of ``key`` parsed by ``parse`` (float or int); a float
-    must be finite."""
-    raw = cfg.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return parse(default)
-    try:
-        value = parse(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: not {_NOUN[parse]}: {raw!r}") from exc
-    if parse is float and not math.isfinite(value):
-        raise ConfigError(f"config key {key!r}: not finite: {raw!r}")
-    return value
+_FLOAT, _INT, _VEC3 = _numbers(float, 1), _numbers(int, 1), _numbers(float, 3)
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _get_bool(cfg, key, default=False) -> bool:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"config key {key!r}: not a boolean: {raw!r}")
+def _bool(raw) -> bool:
+    if raw.lower() not in _BOOLS:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return _BOOLS[raw.lower()]
 
 
-def _get_list(cfg, key, default: str, parse=float) -> list:
-    raw = cfg.get(key, default)
-    try:
-        values = [parse(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: not {_NOUN[parse]} list: {raw!r}") from exc
-    if parse is float and not all(map(math.isfinite, values)):
-        raise ConfigError(f"config key {key!r}: not finite: {raw!r}")
-    return values
+def _probes_file(path) -> np.ndarray:
+    rows = []
+    for lineno, raw in enumerate(_read_lines(path, "probes file"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.lower().startswith("x"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ConfigError(f"{path}:{lineno}: expected x,y,z")
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad number") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise ConfigError(f"{path}:{lineno}: coordinate not finite")
+    if not rows:
+        raise ConfigError(f"probes file {path} holds no points")
+    return np.array(rows, dtype=float)
 
 
-def _get_n_list(cfg, default: str) -> list[int]:
-    n_list = _get_list(cfg, "n_list", default, int)
-    if not n_list:
-        raise ConfigError("n_list must not be empty")
-    if min(n_list) < 1:
-        raise ConfigError(f"n_list entries must be at least 1, got {min(n_list)}")
-    return n_list
+def _bound(ok, words):
+    """A check that ``ok`` holds for a value or each entry of a non-empty list:
+    (key, value, the keys resolved before it) -> refusal message or None."""
+    def check(key, value, resolved):
+        if not isinstance(value, tuple):
+            return None if ok(value) else f"{key} must be {words}, got {value}"
+        if not value:
+            return f"{key} must not be empty"
+        bad = [v for v in value if not ok(v)]
+        return f"{key} entries must be {words}, got {min(bad)}" if bad else None
+    return check
 
 
-def _get_probe_count(cfg, default: int) -> int:
-    count = _get(cfg, "probe_count", default, int)
-    if count < 1:
-        raise ConfigError(f"probe_count must be at least 1, got {count}")
-    return count
+_AT_LEAST_1 = _bound(lambda v: v >= 1, "at least 1")
+_POSITIVE = _bound(lambda v: v > 0, "positive")
+_NONNEGATIVE = _bound(lambda v: v >= 0, "nonnegative")
 
 
-def _get_eps_c(cfg) -> complex:
-    return complex(_get(cfg, "eps_c_re", -3.0), _get(cfg, "eps_c_im", 0.0))
+# key: (parser of its config text, which refuses with a ValueError;
+#       default as config text, None to leave it unset; check or None),
+# grouped as the key sets below read them
+_KEYS = {
+    "eps_m": (_FLOAT, "1", None), "mu_m": (_FLOAT, "1", None), "beta_m": (_FLOAT, "0", None),
+    "omega": (_FLOAT, "1", None), "allow_kbeta_ge_1": (_bool, "false", None),
+    "mesh_source": (str, "analytic", None), "subdivisions": (_INT, "3", None),
+    "mode_count": (_INT, "8", _AT_LEAST_1),
+    "mode_index": (_INT, "0", None), "volume_scale": (_FLOAT, "3", None),
+    "n_per_axis": (_INT, "125", None), "dilution_exponent": (_FLOAT, "0.965", None),
+    "moment_scale": (lambda raw: raw if raw == "auto" else _FLOAT(raw), "auto", None),
+    "drude_omega_p": (_FLOAT, None, _POSITIVE), "drude_tau": (_FLOAT, "0", _NONNEGATIVE),
+    "eps_c_min": (_FLOAT, "-4", None), "eps_c_max": (_FLOAT, "-1", None),
+    "eps_c_points": (_INT, "1200", lambda key, points, resolved: None
+                     if resolved["eps_c_max"] > resolved["eps_c_min"] and points >= 2
+                     else "sweep grid needs eps_c_max > eps_c_min and >= 2 points"),
+    "dense_window": (_FLOAT, "0", _NONNEGATIVE), "dense_points": (_INT, "800", _AT_LEAST_1),
+    # the NP eigenvalues on the mean-zero subspace lie in (-1/2, 1/2)
+    "lambda_n": (_FLOAT, "0.16666666666666666", _bound(lambda v: abs(v) < 0.5, "in (-1/2, 1/2)")),
+    "s_values": (_numbers(float), "0,0.1,0.5,0.9,0.99", _bound(lambda s: 0 <= s < 1, "in [0, 1)")),
+    "eps_c_re": (_FLOAT, "-3", None), "eps_c_im": (_FLOAT, "0", None),
+    "delta": (_FLOAT, None, _POSITIVE), "center": (_VEC3, "0.5,0.5,0.5", None),
+    "far_field_factor": (_FLOAT, "10", _POSITIVE),
+    "direction": (_VEC3, "0,0,1", None), "handedness": (str, "left", None),
+    "amplitude": (_FLOAT, "1", None),
+    "probes_file": (_probes_file, None, None), "probe_count": (_INT, "16", _AT_LEAST_1),
+    "n_list": (_numbers(int), None, _AT_LEAST_1), "eta": (_FLOAT, "0.1", None),
+    "grid_m": (_INT, "10", None), "compare": (_bool, "true", None),
+}
+
+_BACKGROUND = ("eps_m", "mu_m", "beta_m", "omega", "allow_kbeta_ge_1")
+_SPECTRUM = ("mesh_source", "subdivisions", "mode_count")
+_MODEL = _BACKGROUND + _SPECTRUM + ("mode_index", "volume_scale", "n_per_axis",
+                                    "dilution_exponent", "moment_scale")
+_WAVE = ("direction", "handedness", "amplitude")
+_PROBES = ("probes_file", "probe_count")
+_LATTICE = _MODEL + ("eps_c_re", "eps_c_im") + _WAVE + _PROBES + ("n_list", "eta", "grid_m")
+
+# the keys each command reads, in the order they are checked, and the
+# defaults it sets differently from the table
+_COMMANDS = {
+    "np-spectrum": (_SPECTRUM, {"mesh_source": "icosphere"}),
+    "resonances": (_MODEL + ("drude_omega_p", "drude_tau"), {}),
+    "eff-sweep": (_MODEL + ("eps_c_min", "eps_c_max", "eps_c_points", "dense_window",
+                            "dense_points"), {}),
+    "eff-closed-form": (_BACKGROUND + ("lambda_n", "s_values"), {}),
+    "dipole-field": (_MODEL + ("eps_c_re", "eps_c_im", "delta", "center",
+                               "far_field_factor") + _WAVE + _PROBES, {}),
+    # an unset eta has two defaults, set in cmd_foldy
+    "foldy": (_LATTICE + ("compare",), {"n_list": "2,3,4", "eta": None}),
+    "compare-hom": (_LATTICE, {"n_list": "2,3,4,5"}),
+    "check-assumptions": (_MODEL + ("n_list", "eta", "probe_count"),
+                          {"n_list": "3,4,5,6", "eta": "1.0", "probe_count": "8"}),
+}
+
+# every key any command reads; unknown keys are rejected up front
+_KNOWN_KEYS = frozenset(key for keys, _ in _COMMANDS.values() for key in keys)
 
 
-def _get_vec3(cfg, key, default: str) -> np.ndarray:
-    vals = _get_list(cfg, key, default)
-    if len(vals) != 3:
-        raise ConfigError(f"config key {key!r}: expected 3 components, got {len(vals)}")
-    return np.array(vals, dtype=float)
+def resolve(command: str, cfg: Mapping[str, str]) -> Mapping:
+    """Every key ``command`` reads, parsed and checked, as one read-only mapping
+    (None for a key left unset); keys the command does not read go unchecked."""
+    keys, defaults = _COMMANDS[command]
+    resolved: dict = {}
+    for key in keys:
+        parse, default, check = _KEYS[key]
+        raw = cfg.get(key, defaults.get(key, default))
+        try:
+            value = None if raw is None else parse(raw)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+        if value is not None and check is not None and (refusal := check(key, value, resolved)):
+            raise ConfigError(refusal)
+        resolved[key] = value
+    return MappingProxyType(resolved)
 
 
 def build_background(cfg) -> ChiralBackground:
     try:
-        return ChiralBackground(
-            eps_m=_get(cfg, "eps_m", 1.0),
-            mu_m=_get(cfg, "mu_m", 1.0),
-            beta_m=_get(cfg, "beta_m", 0.0),
-            omega=_get(cfg, "omega", 1.0),
-            allow_kbeta_ge_1=_get_bool(cfg, "allow_kbeta_ge_1"),
-        )
+        return ChiralBackground(eps_m=cfg["eps_m"], mu_m=cfg["mu_m"], beta_m=cfg["beta_m"],
+                                omega=cfg["omega"], allow_kbeta_ge_1=cfg["allow_kbeta_ge_1"])
     except BackgroundError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_spectrum(cfg):
-    source = cfg.get("mesh_source", "analytic")
-    mode_count = _get(cfg, "mode_count", 8, int)
-    if mode_count < 1:
-        raise ConfigError(f"mode_count must be at least 1, got {mode_count}")
+    source = cfg["mesh_source"]
     if source == "analytic":
         return unit_ball_spectrum()
     try:
-        if source == "icosphere":
-            mesh = icosphere(_get(cfg, "subdivisions", 3, int))
-        else:
-            mesh = mesh_from_file(source)
+        mesh = icosphere(cfg["subdivisions"]) if source == "icosphere" else mesh_from_file(source)
     except (OSError, MeshError) as exc:
         raise ConfigError(f"cannot read mesh {source!r}: {exc}") from exc
     # the mean-zero subspace has n_panels - 1 modes
-    if mode_count > mesh.n_panels - 1:
+    if cfg["mode_count"] > mesh.n_panels - 1:
         raise ConfigError(f"mode_count must be at most {mesh.n_panels - 1} for "
-                          f"{mesh.n_panels} panels, got {mode_count}")
-    return mesh_spectrum(mesh, mode_count)
+                          f"{mesh.n_panels} panels, got {cfg['mode_count']}")
+    return mesh_spectrum(mesh, cfg["mode_count"])
+
+
+def _dilute(cfg, moment_scale: float) -> DiluteConfig:
+    try:
+        return DiluteConfig(cfg["volume_scale"], cfg["n_per_axis"], cfg["dilution_exponent"],
+                            moment_scale)
+    except EffectiveError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_model(cfg) -> tuple[ChiralBackground, NPSpectrum, int, DiluteConfig]:
     """Background, shape spectrum, resonant mode index and dilute lattice
-    scaling: the inputs every particle and lattice command starts from."""
+    scaling: the inputs every particle and lattice command starts from.
+    The scaling is checked before the spectrum is computed."""
     bg = build_background(cfg)
+    auto = cfg["moment_scale"] == "auto"
+    # auto is the mode's c_n, known only with the spectrum: 1 stands in
+    dilute = _dilute(cfg, 1.0 if auto else cfg["moment_scale"])
     spectrum = build_spectrum(cfg)
-    mode_index = _get(cfg, "mode_index", 0, int)
+    mode_index = cfg["mode_index"]
     clusters = spectrum.clusters()
     if not 0 <= mode_index < len(clusters):
         raise ConfigError(f"mode_index {mode_index} out of range for {len(clusters)} clusters")
-    if cfg.get("moment_scale", "auto") == "auto":
-        scale = clusters[mode_index].c_n
-    else:
-        scale = _get(cfg, "moment_scale")
-    try:
-        dilute = DiluteConfig(
-            volume_scale=_get(cfg, "volume_scale", 3.0),
-            n_per_axis=_get(cfg, "n_per_axis", 125, int),
-            dilution_exponent=_get(cfg, "dilution_exponent", 0.965),
-            moment_scale=scale,
-        )
-    except EffectiveError as exc:
-        raise ConfigError(str(exc)) from exc
+    if auto:
+        dilute = _dilute(cfg, clusters[mode_index].c_n)
     return bg, spectrum, mode_index, dilute
 
 
 def build_incident(cfg) -> PlaneWaveSpec:
     try:
-        return circular_wave(_get_vec3(cfg, "direction", "0,0,1"), cfg.get("handedness", "left"),
-                             amplitude=complex(_get(cfg, "amplitude", 1.0)))
+        return circular_wave(cfg["direction"], cfg["handedness"],
+                             amplitude=complex(cfg["amplitude"]))
     except BackgroundError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def load_probes(cfg) -> np.ndarray:
-    path = cfg.get("probes_file")
-    if path is not None:
-        rows = []
-        for lineno, raw in enumerate(_read_lines(path, "probes file"), 1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.lower().startswith("x"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ConfigError(f"{path}:{lineno}: expected x,y,z")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad number") from exc
-            if not all(map(math.isfinite, rows[-1])):
-                raise ConfigError(f"{path}:{lineno}: coordinate not finite")
-        if not rows:
-            raise ConfigError(f"probes file {path} holds no points")
-        return np.array(rows, dtype=float)
-    return probe_ring(_get_probe_count(cfg, 16))
+    """The probes file's points, or without one a ring of ``probe_count``."""
+    probes = cfg["probes_file"]
+    return probe_ring(cfg["probe_count"]) if probes is None else probes
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +397,6 @@ def write_error_table(path: Path, rows) -> None:
 
 
 def cmd_np_spectrum(cfg, out: Path) -> int:
-    cfg = {"mesh_source": "icosphere", **cfg}
     spectrum = build_spectrum(cfg)
     dest = out / "np_spectrum.json"
     write_json(dest, spectrum.to_json_dict())
@@ -383,13 +410,7 @@ def cmd_np_spectrum(cfg, out: Path) -> int:
 
 def cmd_resonances(cfg, out: Path) -> int:
     bg, spectrum, _, dilute = load_model(cfg)
-    # read before the mode loop, whose error entries would swallow a ConfigError
-    omega_p = _get(cfg, "drude_omega_p") if "drude_omega_p" in cfg else None
-    tau = _get(cfg, "drude_tau", 0.0)
-    if omega_p is not None and omega_p <= 0.0:
-        raise ConfigError(f"drude_omega_p must be positive, got {omega_p}")
-    if tau < 0.0:
-        raise ConfigError(f"drude_tau must be nonnegative, got {tau}")
+    omega_p = cfg["drude_omega_p"]
     modes = []
     successes = 0
     for cluster in spectrum.clusters():
@@ -404,7 +425,7 @@ def cmd_resonances(cfg, out: Path) -> int:
             entry["shifted_for_eps_eff"] = s_eps
             entry["shifted_for_mu_eff"] = s_mu
             if omega_p is not None:
-                entry["drude_omega"] = drude_omega_for_eps(star, omega_p, tau)
+                entry["drude_omega"] = drude_omega_for_eps(star, omega_p, cfg["drude_tau"])
             successes += 1
         except (SingularModeError, RootFindError, EffectiveError, ValueError) as exc:
             entry["error"] = str(exc)
@@ -422,22 +443,12 @@ def cmd_resonances(cfg, out: Path) -> int:
 
 
 def _sweep_grid(cfg, bg, spectrum, mode_index) -> np.ndarray:
-    lo = _get(cfg, "eps_c_min", -4.0)
-    hi = _get(cfg, "eps_c_max", -1.0)
-    pts = _get(cfg, "eps_c_points", 1200, int)
-    if not (hi > lo and pts >= 2):
-        raise ConfigError("sweep grid needs eps_c_max > eps_c_min and >= 2 points")
-    grid = np.linspace(lo, hi, pts)
-    window = _get(cfg, "dense_window", 0.0)
-    if window < 0.0:
-        raise ConfigError(f"dense_window must be nonnegative, got {window}")
+    grid = np.linspace(cfg["eps_c_min"], cfg["eps_c_max"], cfg["eps_c_points"])
+    window = cfg["dense_window"]
     if window > 0.0:
-        dense_pts = _get(cfg, "dense_points", 800, int)
-        if dense_pts < 1:
-            raise ConfigError(f"dense_points must be at least 1, got {dense_pts}")
         lam = spectrum.clusters()[mode_index].eigenvalue
         star = resonant_eps(bg, lam).real
-        dense = np.linspace(star - window, star + window, dense_pts)
+        dense = np.linspace(star - window, star + window, cfg["dense_points"])
         grid = np.unique(np.concatenate([grid, dense]))
     return grid
 
@@ -470,10 +481,8 @@ def cmd_eff_sweep(cfg, out: Path, preset: str | None) -> int:
 
 def cmd_eff_closed_form(cfg, out: Path) -> int:
     bg = build_background(cfg)
-    lam = _get(cfg, "lambda_n", 1.0 / 6.0)
-    s_values = _get_list(cfg, "s_values", "0,0.1,0.5,0.9,0.99")
-    if not s_values:
-        raise ConfigError("s_values must not be empty")
+    lam = cfg["lambda_n"]
+    s_values = cfg["s_values"]
     params = np.empty((len(s_values), 3), dtype=complex)   # eps_eff, mu_eff, beta_eff per s
     worst = 0.0
     for i, s in enumerate(s_values):
@@ -509,17 +518,12 @@ def cmd_eff_closed_form(cfg, out: Path) -> int:
 
 
 def cmd_dipole_field(cfg, out: Path) -> int:
-    bg, spectrum, mode_index, dilute = load_model(cfg)
-    eps_c = _get_eps_c(cfg)
-    delta = _get(cfg, "delta", dilute.delta)
-    center = _get_vec3(cfg, "center", "0.5,0.5,0.5")
-    far_field_factor = _get(cfg, "far_field_factor", 10.0)
-    try:
-        particle = ParticleInstance(center=center, delta=delta, eps_c=eps_c, spectrum=spectrum,
-                                    cluster_index=mode_index, far_field_factor=far_field_factor)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     wave = build_incident(cfg)
+    bg, spectrum, mode_index, dilute = load_model(cfg)
+    particle = ParticleInstance(
+        center=cfg["center"], delta=dilute.delta if cfg["delta"] is None else cfg["delta"],
+        eps_c=complex(cfg["eps_c_re"], cfg["eps_c_im"]), spectrum=spectrum,
+        cluster_index=mode_index, far_field_factor=cfg["far_field_factor"])
     probes = load_probes(cfg)
     inc_center = incident_six(bg, wave, particle.center)
     scattered = scattered_field_dipole(bg, particle, inc_center, probes)
@@ -531,30 +535,28 @@ def cmd_dipole_field(cfg, out: Path) -> int:
 
 
 def cmd_foldy(cfg, out: Path) -> int:
-    bg, spectrum, mode_index, dilute = load_model(cfg)
-    eps_c = _get_eps_c(cfg)
     wave = build_incident(cfg)
+    bg, spectrum, mode_index, dilute = load_model(cfg)
+    eps_c = complex(cfg["eps_c_re"], cfg["eps_c_im"])
     probes = load_probes(cfg)
-    n_list = _get_n_list(cfg, "2,3,4")
+    eta = cfg["eta"]  # unset: a tenth of the spacing for the field lattice, 0.1 to compare
 
     # probe CSV for the largest lattice
-    n_big = max(n_list)
+    n_big = max(cfg["n_list"])
     lattice = build_lattice(n_big, dilute)
-    eta_big = _get(cfg, "eta", 0.1 / n_big)
     tilde = tilde_from_definition(bg, eps_c, lattice.cfg, spectrum, mode_index=mode_index)
-    state = solve_foldy(bg, lattice, tilde, eta_big, wave)
+    state = solve_foldy(bg, lattice, tilde, 0.1 / n_big if eta is None else eta, wave)
     fields = eval_foldy_field(bg, state, probes)
     # both results before either file, so a failed comparison writes nothing
-    compare = _get_bool(cfg, "compare", default=True)
-    if compare:
-        rows = compare_homogenization(bg, dilute, spectrum, eps_c, n_list, _get(cfg, "eta", 0.1),
-                                      probes, grid_m=_get(cfg, "grid_m", 10, int),
+    if cfg["compare"]:
+        rows = compare_homogenization(bg, dilute, spectrum, eps_c, cfg["n_list"],
+                                      0.1 if eta is None else eta, probes, grid_m=cfg["grid_m"],
                                       mode_index=mode_index, incident=wave)
     dest_csv = out / "foldy_field.csv"
     write_field_csv(dest_csv, probes, fields)
     print(f"wrote {dest_csv} (N={n_big}, residual {fmt(state.solver_report['residual'])})")
 
-    if compare:
+    if cfg["compare"]:
         dest_tab = out / "foldy_errors.csv"
         write_error_table(dest_tab, rows)
         print(f"wrote {dest_tab}")
@@ -562,20 +564,17 @@ def cmd_foldy(cfg, out: Path) -> int:
 
 
 def cmd_compare_hom(cfg, out: Path) -> int:
-    bg, spectrum, mode_index, dilute = load_model(cfg)
-    eps_c = _get_eps_c(cfg)
     wave = build_incident(cfg)
-    probes = load_probes(cfg)
-    n_list = _get_n_list(cfg, "2,3,4,5")
+    bg, spectrum, mode_index, dilute = load_model(cfg)
     rows = compare_homogenization(
-        bg, dilute, spectrum, eps_c, n_list, _get(cfg, "eta", 0.1), probes,
-        grid_m=_get(cfg, "grid_m", 10, int), mode_index=mode_index, incident=wave)
+        bg, dilute, spectrum, complex(cfg["eps_c_re"], cfg["eps_c_im"]), cfg["n_list"], cfg["eta"],
+        load_probes(cfg), grid_m=cfg["grid_m"], mode_index=mode_index, incident=wave)
     dest = out / "compare_hom.csv"
     write_error_table(dest, rows)
     errs = [r.rel_l2_error for r in rows]
     monotone = all(a > b for a, b in zip(errs, errs[1:]))
     write_json(out / "compare_hom_summary.json", {
-        "n_list": list(n_list), "errors": errs, "monotone_decreasing": monotone,
+        "n_list": list(cfg["n_list"]), "errors": errs, "monotone_decreasing": monotone,
     })
     print(f"wrote {dest}; monotone decreasing: {str(monotone).lower()}")
     return EXIT_OK
@@ -583,16 +582,13 @@ def cmd_compare_hom(cfg, out: Path) -> int:
 
 def cmd_check_assumptions(cfg, out: Path) -> int:
     bg, _, _, dilute = load_model(cfg)
-    n_list = _get_n_list(cfg, "3,4,5,6")
-    eta = _get(cfg, "eta", 1.0)
-    probe_count = _get_probe_count(cfg, 8)
     a = dilute.dilution_exponent
 
     dist_rows, inv_rows = [], []
-    for N in n_list:
+    for N in cfg["n_list"]:
         lat = build_lattice(N, dilute)
-        dist_rows.append({"N": N, "eta": eta,
-                          "statistic": check_distribution(lat, bg, eta, probe_count)})
+        dist_rows.append({"N": N, "eta": cfg["eta"], "statistic": check_distribution(
+            lat, bg, cfg["eta"], cfg["probe_count"])})
         if N >= 2:
             stat = uniform_invertibility_stat(lat, bg)
             inv_rows.append({"N": N, "statistic": stat,
@@ -664,7 +660,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        return commands[args.command](build_config(args), Path(args.out))
+        return commands[args.command](resolve(args.command, build_config(args)), Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -168,14 +168,42 @@ def test_rerun_byte_identical_spectrum(tmp_path, capsys, decompositions):
 
 
 def test_every_known_key_is_read():
-    # a key that no command reads is accepted and then ignored: every known
-    # key must appear as a string somewhere in the module after the presets
-    body = ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
-    start = 1 + next(i for i, node in enumerate(body) if isinstance(node, ast.Assign)
-                     and any(getattr(t, "id", None) == "_PRESETS" for t in node.targets))
-    strings = {node.value for stmt in body[start:] for node in ast.walk(stmt)
-               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    assert sorted(cli._KNOWN_KEYS - strings) == []
+    # a key that no command reads is accepted and then ignored: every key of
+    # the table must be in a command's key set and be read from the resolved
+    # config, as cfg["key"], somewhere outside the table
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+            and getattr(node.value, "id", None) == "cfg" and isinstance(node.slice, ast.Constant)}
+    assert cli._KNOWN_KEYS == set(cli._KEYS)
+    assert sorted(set(cli._KEYS) - read) == []
+
+
+def test_readme_key_table_matches_the_cli():
+    # the README's table of each command's keys and defaults is cli's: a
+    # blank cell where the command does not read the key, the default as
+    # config text, and plain words where the key has no default
+    lines = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| key |"))
+    header = [cell.strip() for cell in lines[start].strip("|").split("|")][1:]
+    assert header == list(cli._COMMANDS)
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        key, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[key.strip("`")] = dict(zip(header, cells))
+    assert list(rows) == list(cli._KEYS)
+    for command, (keys, defaults) in cli._COMMANDS.items():
+        for key, (_, default, _) in cli._KEYS.items():
+            default = defaults.get(key, default)
+            cell = rows[key][command]
+            if key not in keys:
+                assert cell == "", (command, key)
+            elif default is None:
+                assert cell and "`" not in cell, (command, key)
+            else:
+                assert cell == f"`{default}`", (command, key)
 
 
 def test_field_csv_rows_match_fmt(tmp_path, rng):
@@ -558,16 +586,22 @@ FLOAT_KEYS = {
 _LIST_KEYS = {"s_values", "center", "direction"}
 
 
+def float_parsed(key):
+    """Whether the table parses ``key`` as a float or a float list: such a
+    parser refuses "nan" as not finite."""
+    try:
+        cli._KEYS[key][0]("nan")
+    except ValueError as exc:
+        return "not finite" in str(exc)
+    return False
+
+
 def test_float_key_table_is_complete():
-    # every key that cli.py reads as a float or float list is in the table
-    read = set()
-    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
-        if (isinstance(node, ast.Call) and getattr(node.func, "id", None)
-                in ("_get", "_get_list", "_get_vec3")
-                and not any(getattr(a, "id", None) == "int" for a in node.args)
-                and isinstance(node.args[1], ast.Constant)):
-            read.add(node.args[1].value)
-    assert read == {key for keys in FLOAT_KEYS.values() for key in keys}
+    # FLOAT_KEYS, written by hand, is the table's float-parsed keys, command
+    # by command
+    parsed = {command: {key for key in keys if float_parsed(key)}
+              for command, (keys, _) in cli._COMMANDS.items()}
+    assert parsed == {command: set(FLOAT_KEYS.get(command, ())) for command in cli._COMMANDS}
 
 
 @pytest.fixture()
@@ -717,3 +751,60 @@ def test_icosphere_subdivisions_out_of_range_is_config_error(tmp_path, capsys):
     cfg = write(tmp_path / "c.cfg", "mesh_source = icosphere\nsubdivisions = 9\n")
     assert main(["np-spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "subdivisions must be between 0 and 6" in capsys.readouterr().err
+
+
+# a bad value for every key but mesh_source, which is read with the mesh;
+# mode_index's range needs the clusters, so its bad value does not parse
+BAD_VALUES = {
+    "eps_m": "abc", "mu_m": "0", "beta_m": "1.2", "omega": "inf", "allow_kbeta_ge_1": "maybe",
+    "subdivisions": "1.5", "mode_count": "0", "mode_index": "x", "volume_scale": "-1",
+    "n_per_axis": "0", "dilution_exponent": "0", "moment_scale": "-1", "drude_omega_p": "0",
+    "drude_tau": "-1", "eps_c_min": "abc", "eps_c_max": "-5", "eps_c_points": "1",
+    "dense_window": "-1", "dense_points": "0", "lambda_n": "0.5", "s_values": "1",
+    "eps_c_re": "abc", "eps_c_im": "nan", "delta": "0", "center": "1,2", "far_field_factor": "-2",
+    "direction": "0,0,0", "handedness": "up", "amplitude": "abc", "probes_file": "missing.csv",
+    "probe_count": "0", "n_list": "0", "eta": "abc", "grid_m": "abc", "compare": "maybe",
+}
+
+
+@pytest.mark.parametrize("command, key, rc", [
+    (command, key, 2) for command, (keys, _) in cli._COMMANDS.items()
+    for key in keys if key != "mesh_source"
+] + [("eff-closed-form", "drude_tau", 0), ("eff-closed-form", "n_list", 0)])
+def test_config_refused_before_any_decomposition(tmp_path, capsys, monkeypatch, command, key, rc):
+    # every key a command reads is checked before its spectrum; a key the
+    # command does not read is not checked at all.  A bad n_list, drude_tau,
+    # dense_points, handedness, center or volume_scale used to be refused
+    # only after the mesh had been decomposed, if at all.
+    def decomposed(*args, **kwargs):
+        raise AssertionError("spectrum computed before the config was checked")
+
+    monkeypatch.setattr(cli, "build_spectrum", decomposed)
+    monkeypatch.setattr(np_spectral, "mesh_spectrum", decomposed)
+    value = tmp_path / BAD_VALUES[key] if key == "probes_file" else BAD_VALUES[key]
+    cfg = write(tmp_path / "c.cfg", f"volume_scale = 0.5\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    if rc == 2:
+        assert err.startswith("config error: ") and not out.exists()
+    else:
+        assert err == "" and out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("s_values = 1", "s_values entries must be in [0, 1), got 1.0"),
+    ("s_values = -0.5", "s_values entries must be in [0, 1), got -0.5"),
+    ("s_values = 0,0.5,1.5", "s_values entries must be in [0, 1), got 1.5"),
+    ("lambda_n = 0.5", "lambda_n must be in (-1/2, 1/2), got 0.5"),
+    ("lambda_n = -0.5", "lambda_n must be in (-1/2, 1/2), got -0.5"),
+    ("lambda_n = 3", "lambda_n must be in (-1/2, 1/2), got 3.0"),
+])
+def test_closed_form_out_of_range_rejected(tmp_path, capsys, line, message):
+    # s = 1 used to exit 3 from effective_closed_form; an NP eigenvalue
+    # outside (-1/2, 1/2) used to write a full table
+    cfg = write(tmp_path / "c.cfg", f"beta_m = 0.4\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["eff-closed-form", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()

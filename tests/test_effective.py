@@ -390,7 +390,7 @@ def _row_key(row):
 def _preset_sweep(name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # figure1-left lies outside the assumption
-        cfg = cli._PRESETS[name]
+        cfg = cli.resolve("eff-sweep", cli._PRESETS[name])
         bg, spectrum, mode_index, dilute = cli.load_model(cfg)
     grid = cli._sweep_grid(cfg, bg, spectrum, mode_index)
     return bg, dilute, spectrum, grid, mode_index
