@@ -2,7 +2,7 @@
 
 from .background import (BackgroundError, ChiralBackground, PlaneWaveSpec, SingularPointError,
                          circular_wave, green_apply, green_dyadic, incident_field, incident_six,
-                         k0_matrix, linear_wave, maxwell_dyadic)
+                         k0_matrix, maxwell_dyadic)
 from .dipole import FarFieldError, ParticleInstance, scattered_field_dipole
 from .effective import (DiluteConfig, EffectiveError, EffectiveParams, Sweep, SweepRow,
                         TildeParams, effective_closed_form, epsc_from_s, invert_effective,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BackgroundError", "ChiralBackground", "PlaneWaveSpec", "SingularPointError",
     "circular_wave", "green_apply", "green_dyadic", "incident_field", "incident_six", "k0_matrix",
-    "linear_wave", "maxwell_dyadic",
+    "maxwell_dyadic",
     "FarFieldError", "ParticleInstance", "scattered_field_dipole",
     "DiluteConfig", "EffectiveError", "EffectiveParams", "Sweep", "SweepRow", "TildeParams",
     "effective_closed_form", "epsc_from_s", "invert_effective", "s_limit_tilde",

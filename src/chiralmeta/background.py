@@ -159,24 +159,6 @@ def circular_wave(direction, handedness: str, amplitude: complex = 1.0) -> Plane
     return PlaneWaveSpec(p=d, q1=q1, q2=q2)
 
 
-def linear_wave(direction, polarization, amplitude: complex = 1.0) -> PlaneWaveSpec:
-    """Equal-amplitude circular pair; reduces to a linearly polarized
-    plane wave when beta_m = 0 (e.g. E = x_hat e^{ikz} for direction z,
-    polarization x)."""
-    d, ql = make_circular_basis(direction, "left")
-    _, qr = make_circular_basis(direction, "right")
-    e = np.asarray(polarization, dtype=float)
-    e = e - np.dot(e, d) * d
-    nrm = np.linalg.norm(e)
-    if nrm < 1e-300:
-        raise BackgroundError("polarization must have a transverse component")
-    e /= nrm
-    # project the desired linear polarization on the two circular states
-    a1 = amplitude * np.vdot(ql, e)
-    a2 = amplitude * np.vdot(qr, e)
-    return PlaneWaveSpec(p=d, q1=a1 * ql, q2=a2 * qr)
-
-
 def incident_field(bg: ChiralBackground, wave: PlaneWaveSpec, x) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the incident (E, H) pair at points ``x`` of shape (..., 3).
 
@@ -390,8 +372,6 @@ def mat2x2(a, b, c, d) -> np.ndarray:
 
 def matmul2x2(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X @ Y for 2x2 matrices, or elementwise over (2, 2, ...) stacks."""
-    if X.ndim == Y.ndim == 2:
-        return X @ Y
     return np.einsum("ij...,jk...->ik...", X, Y)
 
 

@@ -23,8 +23,9 @@ from .dipole import FarFieldError, ParticleInstance, scattered_field_dipole
 from .effective import (DiluteConfig, EffectiveError, effective_closed_form,
                         invert_effective, s_limit_tilde, shifted_resonances, sweep_figure,
                         sweep_summary, tilde_from_definition)
-from .foldy import (FoldyError, build_lattice, check_distribution, compare_homogenization,
-                    eval_foldy_field, probe_ring, solve_foldy, uniform_invertibility_stat)
+from .foldy import (_MAX_AXIS, FoldyError, build_lattice, check_distribution,
+                    compare_homogenization, eval_foldy_field, probe_ring, solve_foldy,
+                    uniform_invertibility_stat)
 from .mesh import MeshError, icosphere, mesh_from_file
 from .np_spectral import NPSpectrum, SpectralError, mesh_spectrum, unit_ball_spectrum
 from .polarization import (RootFindError, SingularModeError, drude_omega_for_eps,
@@ -95,8 +96,6 @@ def build_config(args) -> dict[str, str]:
         cfg.update(_PRESETS[args.preset])
     if args.config is not None:
         cfg.update(parse_config_file(args.config))
-    if args.allow_kbeta_ge_1:
-        cfg["allow_kbeta_ge_1"] = "true"
     return cfg
 
 
@@ -165,6 +164,19 @@ def _bound(ok, words):
 _AT_LEAST_1 = _bound(lambda v: v >= 1, "at least 1")
 _POSITIVE = _bound(lambda v: v > 0, "positive")
 _NONNEGATIVE = _bound(lambda v: v >= 0, "nonnegative")
+_AXIS = _bound(lambda v: 1 <= v <= _MAX_AXIS, f"in [1, {_MAX_AXIS}]")   # cells per axis
+
+
+def _lattice_sizes(key, sizes, resolved):
+    """Lattice sizes per axis, each at least 1, at most ``_MAX_AXIS`` and with
+    particles that fit their cells at the resolved scaling (``DiluteConfig``)."""
+    refusal = _AT_LEAST_1(key, sizes, resolved) or _AXIS(key, sizes, resolved)
+    for n in () if refusal else sizes:
+        try:
+            DiluteConfig(resolved["volume_scale"], n, resolved["dilution_exponent"], 1.0)
+        except EffectiveError as exc:
+            return f"{key} entry {n}: {exc}"
+    return refusal
 
 
 # key: (parser of its config text, which refuses with a ValueError;
@@ -175,8 +187,8 @@ _KEYS = {
     "omega": (_FLOAT, "1", None), "allow_kbeta_ge_1": (_bool, "false", None),
     "mesh_source": (str, "analytic", None), "subdivisions": (_INT, "3", None),
     "mode_count": (_INT, "8", _AT_LEAST_1),
-    "mode_index": (_INT, "0", None), "volume_scale": (_FLOAT, "3", None),
-    "n_per_axis": (_INT, "125", None), "dilution_exponent": (_FLOAT, "0.965", None),
+    "mode_index": (_INT, "0", None), "volume_scale": (_FLOAT, "3", _POSITIVE),
+    "n_per_axis": (_INT, "125", None), "dilution_exponent": (_FLOAT, "0.965", _POSITIVE),
     "moment_scale": (lambda raw: raw if raw == "auto" else _FLOAT(raw), "auto", None),
     "drude_omega_p": (_FLOAT, None, _POSITIVE), "drude_tau": (_FLOAT, "0", _NONNEGATIVE),
     "eps_c_min": (_FLOAT, "-4", None), "eps_c_max": (_FLOAT, "-1", None),
@@ -193,8 +205,8 @@ _KEYS = {
     "direction": (_VEC3, "0,0,1", None), "handedness": (str, "left", None),
     "amplitude": (_FLOAT, "1", None),
     "probes_file": (_probes_file, None, None), "probe_count": (_INT, "16", _AT_LEAST_1),
-    "n_list": (_numbers(int), None, _AT_LEAST_1), "eta": (_FLOAT, "0.1", None),
-    "grid_m": (_INT, "10", None), "compare": (_bool, "true", None),
+    "n_list": (_numbers(int), None, _lattice_sizes), "eta": (_FLOAT, "0.1", None),
+    "grid_m": (_INT, "10", _AXIS), "compare": (_bool, "true", None),
 }
 
 _BACKGROUND = ("eps_m", "mu_m", "beta_m", "omega", "allow_kbeta_ge_1")
@@ -482,19 +494,14 @@ def cmd_eff_sweep(cfg, out: Path, preset: str | None) -> int:
 def cmd_eff_closed_form(cfg, out: Path) -> int:
     bg = build_background(cfg)
     lam = cfg["lambda_n"]
-    s_values = cfg["s_values"]
-    params = np.empty((len(s_values), 3), dtype=complex)   # eps_eff, mu_eff, beta_eff per s
-    worst = 0.0
-    for i, s in enumerate(s_values):
-        eff = effective_closed_form(bg, lam, s)
-        via_tilde = invert_effective(s_limit_tilde(bg, lam, s), bg)
-        dev = max(abs(eff.eps_eff - via_tilde.eps_eff), abs(eff.mu_eff - via_tilde.mu_eff),
-                  abs(eff.beta_eff - via_tilde.beta_eff))
-        worst = max(worst, dev)
-        params[i] = eff.eps_eff, eff.mu_eff, eff.beta_eff
+    s_values = np.array(cfg["s_values"])
+    eff = effective_closed_form(bg, lam, s_values)
+    via = invert_effective(s_limit_tilde(bg, lam, s_values), bg)
+    params = np.array([eff.eps_eff, eff.mu_eff, eff.beta_eff])
+    worst = float(np.max(np.abs(params - [via.eps_eff, via.mu_eff, via.beta_eff])))
     dest = out / "eff_closed_form.csv"
     write_csv(dest, "s,re_eps_eff,im_eps_eff,re_mu_eff,im_mu_eff,re_beta_eff,im_beta_eff",
-              [s_values] + [part for p in params.T for part in (p.real, p.imag)])
+              [s_values] + [part for p in params for part in (p.real, p.imag)])
     # double-negative onset scan along s
     s_grid = np.linspace(1e-6, 0.999, 2000)
     eff = effective_closed_form(bg, lam, s_grid)
@@ -633,8 +640,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="key=value config file")
     sub.add_argument("--preset", help="named parameter preset")
     sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--allow-kbeta-ge-1", action="store_true",
-                     help="permit backgrounds outside the k*beta < 1 regime")
 
 
 def main(argv=None) -> int:

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import ChiralBackground, green_dyadic, k0_matrix
+from .background import ChiralBackground, green_dyadic, k0_matrix, matmul2x2
 from .np_spectral import NPSpectrum
 from .polarization import mode_response
-
-_I3 = np.eye(3)
 
 
 class FarFieldError(ValueError):
@@ -55,8 +53,7 @@ def dipole_response_tensor(bg: ChiralBackground, particle: ParticleInstance) -> 
     """
     cluster = particle.spectrum.clusters()[particle.cluster_index]
     M = mode_response(bg, particle.eps_c, cluster.eigenvalue)
-    K6 = np.kron(k0_matrix(bg, particle.eps_c), _I3)
-    return K6 @ np.kron(M, cluster.moment_tensor)
+    return np.kron(matmul2x2(k0_matrix(bg, particle.eps_c), M), cluster.moment_tensor)
 
 
 def scattered_field_dipole(bg: ChiralBackground, particle: ParticleInstance,

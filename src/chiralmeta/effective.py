@@ -146,7 +146,8 @@ def tilde_from_definition(bg: ChiralBackground, eps_c: complex, cfg: DiluteConfi
     tilde = tilde_from_coupling(T2, bg.omega)
     res = compatibility_residual(tilde, bg)
     flag_or_raise(res >= 1e-8, failed, EffectiveError,
-                  lambda: f"compatibility residual {res:.3e} >= 1e-8 for eps_c = {eps_c}")
+                  lambda: f"compatibility residual {np.nanmax(res):.3e} >= 1e-8 "
+                          f"for eps_c = {eps_c}")
     return tilde
 
 
@@ -181,7 +182,7 @@ def invert_effective(tilde: TildeParams, bg: ChiralBackground, *,
                           beta_eff=_unwrap(beta_eff))
     res = roundtrip_residual(tilde, out, bg)
     flag_or_raise(res >= 1e-8, failed, EffectiveError,
-                  lambda: f"inversion round-trip residual {res:.3e} >= 1e-8")
+                  lambda: f"inversion round-trip residual {np.nanmax(res):.3e} >= 1e-8")
     return out
 
 
@@ -195,18 +196,17 @@ def roundtrip_residual(tilde: TildeParams, eff: EffectiveParams, bg: ChiralBackg
     t = bg.dbf_factor
     w = bg.omega
     denom_eff = 1.0 - w ** 2 * eff.eps_eff * eff.mu_eff * eff.beta_eff ** 2
-    if np.ndim(denom_eff) == 0 and denom_eff == 0.0:
-        return float("inf")
-    t_eff = 1.0 / denom_eff
-    eq = np.array(np.broadcast_arrays(
-        (eff.eps_eff / bg.eps_m) * t_eff - t,
-        (eff.mu_eff / bg.mu_m) * t_eff - t,
-        (eff.eps_eff * eff.mu_eff * eff.beta_eff / bg.mu_m) * t_eff - bg.eps_m * bg.beta_m * t,
-        (eff.eps_eff * eff.mu_eff * eff.beta_eff / bg.eps_m) * t_eff - bg.mu_m * bg.beta_m * t,
-    ))
-    got = np.array(np.broadcast_arrays(tilde.eps_t, tilde.mu_t, tilde.eps_tt, tilde.mu_tt))
-    scale = np.maximum(np.max(np.abs(got), axis=0), max(abs(t), 1e-30))
-    res = np.max(np.abs(eq - got), axis=0) / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_eff = np.divide(1.0, denom_eff)
+        eq = np.array(np.broadcast_arrays(
+            (eff.eps_eff / bg.eps_m) * t_eff - t,
+            (eff.mu_eff / bg.mu_m) * t_eff - t,
+            (eff.eps_eff * eff.mu_eff * eff.beta_eff / bg.mu_m) * t_eff - bg.eps_m * bg.beta_m * t,
+            (eff.eps_eff * eff.mu_eff * eff.beta_eff / bg.eps_m) * t_eff - bg.mu_m * bg.beta_m * t,
+        ))
+        got = np.array(np.broadcast_arrays(tilde.eps_t, tilde.mu_t, tilde.eps_tt, tilde.mu_tt))
+        scale = np.maximum(np.max(np.abs(got), axis=0), max(abs(t), 1e-30))
+        res = np.max(np.abs(eq - got), axis=0) / scale
     return _unwrap(np.where(denom_eff == 0.0, np.inf, res), float)
 
 
@@ -281,8 +281,6 @@ def shifted_resonances(bg: ChiralBackground, lambda_n: float,
     star = resonant_eps(bg, lambda_n)
     u = 0.5 - lambda_n
     fac = 1.0 - bg.k ** 2 * bg.beta_m ** 2 * u
-    if abs(fac) < 1e-14 or u == 0.0:
-        raise SingularModeError(f"singular shift factors at lambda_n = {lambda_n}")
     scale = cfg.dilution_factor * cfg.moment_scale * bg.eps_m / (fac ** 2 * bg.dbf_factor)
     shift_eps = scale * bg.k ** 2 * bg.beta_m ** 2 / u
     shift_mu = scale / u ** 3

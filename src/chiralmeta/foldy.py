@@ -529,8 +529,7 @@ def _eval_field(bg: ChiralBackground, state: GridState, x) -> np.ndarray:
     """Total (E, H) at points ``x``: the incident field plus the retarded
     sum over the cells of ``state``, each of weight 1/n^3."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
+    pts = x.reshape(-1, 3)
     src = state.centers
     weight = 1.0 / src.shape[0]
     tv = state.values @ state.coupling.T
@@ -540,7 +539,7 @@ def _eval_field(bg: ChiralBackground, state: GridState, x) -> np.ndarray:
         hi = min(lo + step, pts.shape[0])
         rel = pts[lo:hi, None, :] - src[None, :, :]
         out[lo:hi] += weight * bg.omega * green_apply(bg, rel, tv, eta=state.eta)
-    return out[0] if single else out.reshape(x.shape[:-1] + (6,))
+    return out.reshape(x.shape[:-1] + (6,))
 
 
 # two functions, not one under two names: a wrapper on one name sees its calls only

@@ -139,7 +139,7 @@ def mode_response(bg: ChiralBackground, eps_c: complex, lambda_n: float, *,
     flag_or_raise(
         abs(det) < 1e-14, failed, SingularModeError,
         lambda: f"mode response nearly singular at eps_c = {eps_c}, lambda_n = {lambda_n} "
-                f"(|det| = {abs(det):.3e})")
+                f"(|det| = {np.nanmin(abs(det)):.3e})")
     with np.errstate(divide="ignore", invalid="ignore"):
         if params.degenerate:
             singular = A[0, 0] == 0.0

@@ -6,10 +6,16 @@ import chiralmeta
 TESTS = Path(__file__).resolve().parent
 PACKAGE = Path(chiralmeta.__file__).resolve().parent
 
-# Exported references that no program module uses: each is kept as the
-# closed form or loader that a test checks the live path against.
-REFERENCES = ("linear_wave", "maxwell_dyadic", "epsc_from_s", "tilde_leading_order",
-              "spectrum_from_json", "drude_eps", "polarization_tensor")
+# Exported references that no program module uses, each with the live path
+# that a test checks it against: the closed form or loader and its program twin.
+REFERENCES = {
+    "maxwell_dyadic": "green_dyadic",
+    "tilde_leading_order": "tilde_from_definition",
+    "epsc_from_s": "shifted_resonances",
+    "drude_eps": "drude_omega_for_eps",
+    "polarization_tensor": "dipole_response_tensor",
+    "spectrum_from_json": "to_json_dict",
+}
 
 
 def referenced_names(path):
@@ -26,14 +32,21 @@ def program_reads():
                          if p.name != "__init__.py"))
 
 
-def called_names(path):
-    """Every name called in ``path``, as ``f(...)`` or ``x.f(...)``."""
+def called_names(tree):
+    """Every name called in the AST ``tree``, as ``f(...)`` or ``x.f(...)``."""
     calls = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             calls.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
     return calls
+
+
+def calls_per_test():
+    """The names each module-level test function calls, one set per function."""
+    return [called_names(node) for p in TESTS.glob("test_*.py")
+            for node in ast.parse(p.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")]
 
 
 def test_exports_resolve():
@@ -49,13 +62,22 @@ def test_exports_unique():
 def test_every_export_backs_a_live_path():
     # README: every name in __all__ backs a CLI command or a check that a
     # test runs against a live path.  An export that no program module
-    # reads is one of the kept references, and a test calls it.
+    # reads is one of the kept references, each checked by a test below.
     used = program_reads()
     unused = {name for name in chiralmeta.__all__
               if not name.startswith("__") and name not in used}
     assert unused <= set(REFERENCES), sorted(unused - set(REFERENCES))
-    tested = set().union(*(called_names(p) for p in TESTS.glob("test_*.py")))
-    assert set(REFERENCES) <= tested, sorted(set(REFERENCES) - tested)
+
+
+def test_every_reference_is_checked_against_its_live_path():
+    # a kept reference earns its place only where one test calls it next to
+    # the program path it checks, and that path is one the program reads
+    used = program_reads()
+    assert set(REFERENCES.values()) <= used, sorted(set(REFERENCES.values()) - used)
+    calls = calls_per_test()
+    unchecked = sorted(f"{ref} -> {live}" for ref, live in REFERENCES.items()
+                       if not any({ref, live} <= names for names in calls))
+    assert not unchecked, unchecked
 
 
 def test_every_public_definition_backs_a_live_path():

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from chiralmeta.background import (BackgroundError, ChiralBackground, PlaneWaveSpec,
                                    SingularPointError, _scalar_kernel, circular_wave, green_apply,
                                    green_dyadic, incident_field, incident_six, k0_matrix,
-                                   linear_wave, make_circular_basis, maxwell_dyadic)
+                                   make_circular_basis, maxwell_dyadic)
 from _fd import dbf_residual, fd_curl
+from _waves import linear_wave
 
 E3 = np.array([0.0, 0.0, 1.0])
 

@@ -14,7 +14,9 @@ import pytest
 import scipy.linalg
 
 from chiralmeta import cli, np_spectral
+from chiralmeta.background import ChiralBackground
 from chiralmeta.cli import fmt, main, write_csv, write_field_csv, write_json
+from chiralmeta.effective import effective_closed_form
 from chiralmeta.mesh import icosphere
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -257,10 +259,12 @@ def test_kbeta_refusal(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and "allow_kbeta_ge_1" in err
-    # the override flag lets the same config through
-    rc = main(["eff-closed-form", "--config", cfg, "--allow-kbeta-ge-1",
-               "--out", str(tmp_path)])
-    assert rc == 0
+    # the config key is the one override; the command line has no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["eff-closed-form", "--config", cfg, "--allow-kbeta-ge-1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg = write(tmp_path / "c.cfg", "beta_m = 1.2\nallow_kbeta_ge_1 = true\n")
+    assert main(["eff-closed-form", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 def test_missing_mesh_rejected(tmp_path, capsys):
@@ -309,6 +313,24 @@ def test_eff_closed_form_values(tmp_path, capsys):
     assert summary["closed_form_vs_inversion_max_dev"] <= 1e-10
     assert 0.0 < summary["double_negative_onset_s0"] < 1.0
     assert summary["double_negative_onset_s0"] == pytest.approx(0.8001, abs=5e-3)
+
+
+def test_eff_closed_form_table_matches_scalar_calls(tmp_path, capsys):
+    # the table comes from one array evaluation; each row is the scalar
+    # closed form at its s to roundoff
+    s_values = np.sort(np.random.default_rng(3).uniform(0.0, 0.9, 200))
+    s_text = ",".join(map(repr, s_values.tolist()))
+    cfg = write(tmp_path / "c.cfg", f"beta_m = 0.4\ns_values = {s_text}\n")
+    assert main(["eff-closed-form", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "eff_closed_form.csv")
+    table = np.array(rows, dtype=float)
+    assert np.array_equal(table[:, 0], s_values)
+    bg = ChiralBackground(1.0, 1.0, 0.4, 1.0)
+    for s, *parts in table:
+        eff = effective_closed_form(bg, 1 / 6, s)
+        for got, want in zip(np.array(parts[::2]) + 1j * np.array(parts[1::2]),
+                             (eff.eps_eff, eff.mu_eff, eff.beta_eff)):
+            assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_dipole_field_matches_single_site_foldy(tmp_path, capsys):
@@ -478,11 +500,13 @@ def test_empty_n_list_rejected(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("line", ["grid_m = 25", "eta = 0"])
 def test_foldy_failed_comparison_writes_nothing(tmp_path, capsys, line):
-    # the field CSV used to be written before the volume solve refused
+    # the field CSV used to be written before the volume solve refused;
+    # a grid_m past the per-axis bound is now refused with the config
     cfg = write(tmp_path / "c.cfg", f"beta_m = 0.4\nvolume_scale = 0.5\nn_list = 2\n{line}\n")
     out = tmp_path / "out"
-    assert main(["foldy", "--config", cfg, "--out", str(out)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    refused = line == "grid_m = 25"
+    assert main(["foldy", "--config", cfg, "--out", str(out)]) == (2 if refused else 3)
+    assert ("config error" if refused else "numerical failure") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -765,29 +789,46 @@ BAD_VALUES = {
     "direction": "0,0,0", "handedness": "up", "amplitude": "abc", "probes_file": "missing.csv",
     "probe_count": "0", "n_list": "0", "eta": "abc", "grid_m": "abc", "compare": "maybe",
 }
+# lattice sizes that parse but that no lattice or volume solve takes: the
+# key, the config text and the refusal, which names the key or the entry
+BAD_SIZES = {
+    "grid_m_25": ("grid_m", "grid_m = 25", "grid_m must be in [1, 24], got 25"),
+    "n_list_25": ("n_list", "n_list = 2,25", "n_list entries must be in [1, 24], got 25"),
+    "n_list_undiluted": ("n_list", "volume_scale = 3\nn_list = 1,2",
+                         "n_list entry 1: dilution violated"),
+}
 
 
 @pytest.mark.parametrize("command, key, rc", [
     (command, key, 2) for command, (keys, _) in cli._COMMANDS.items()
     for key in keys if key != "mesh_source"
-] + [("eff-closed-form", "drude_tau", 0), ("eff-closed-form", "n_list", 0)])
+] + [("eff-closed-form", "drude_tau", 0), ("eff-closed-form", "n_list", 0)] + [
+    (command, case, 2) for command, (keys, _) in cli._COMMANDS.items()
+    for case, (key, _, _) in BAD_SIZES.items() if key in keys
+])
 def test_config_refused_before_any_decomposition(tmp_path, capsys, monkeypatch, command, key, rc):
     # every key a command reads is checked before its spectrum; a key the
     # command does not read is not checked at all.  A bad n_list, drude_tau,
     # dense_points, handedness, center or volume_scale used to be refused
-    # only after the mesh had been decomposed, if at all.
+    # only after the mesh had been decomposed, if at all; a grid_m or n_list
+    # entry past 24 per axis, or an n_list entry whose particles overfill
+    # their cells, used to exit 3 after it.
     def decomposed(*args, **kwargs):
         raise AssertionError("spectrum computed before the config was checked")
 
     monkeypatch.setattr(cli, "build_spectrum", decomposed)
     monkeypatch.setattr(np_spectral, "mesh_spectrum", decomposed)
-    value = tmp_path / BAD_VALUES[key] if key == "probes_file" else BAD_VALUES[key]
-    cfg = write(tmp_path / "c.cfg", f"volume_scale = 0.5\n{key} = {value}\n")
+    if key in BAD_SIZES:
+        _, line, message = BAD_SIZES[key]
+    else:
+        value = tmp_path / BAD_VALUES[key] if key == "probes_file" else BAD_VALUES[key]
+        line, message = f"{key} = {value}", ""
+    cfg = write(tmp_path / "c.cfg", f"volume_scale = 0.5\n{line}\n")
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == rc
     err = capsys.readouterr().err
     if rc == 2:
-        assert err.startswith("config error: ") and not out.exists()
+        assert err.startswith("config error: " + message) and not out.exists()
     else:
         assert err == "" and out.exists()
 

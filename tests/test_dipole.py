@@ -5,8 +5,11 @@ from chiralmeta.background import (ChiralBackground, circular_wave, green_dyadic
                                    incident_six, k0_matrix)
 from chiralmeta.dipole import (FarFieldError, ParticleInstance, dipole_response_tensor,
                                scattered_field_dipole)
-from chiralmeta.polarization import SingularModeError, polarization_tensor, resonant_eps
+from chiralmeta.np_spectral import mesh_spectrum
+from chiralmeta.polarization import (SingularModeError, mode_response, polarization_tensor,
+                                     resonant_eps)
 from _fd import dbf_residual, loglog_slope
+from _meshes import small_torus
 
 WAVE = circular_wave([0.0, 0.0, 1.0], "right")
 
@@ -137,6 +140,20 @@ def test_response_tensor_variants_agree_near_resonance(bg, sphere_spec3, ico3):
         b = (np.kron(k0_matrix(bg, p.eps_c), np.eye(3))
              @ polarization_tensor(sphere_spec3, bg, p.eps_c, ico3).M_tilde)
         assert np.abs(a - b).max() / np.abs(b).max() < tol
+
+
+@pytest.mark.parametrize("shape", ["sphere", "torus"])
+def test_response_tensor_is_one_coupling_product(bg, sphere_spec3, shape):
+    # the 2x2 contrast-times-response product, then the moment tensor: the
+    # 6x6 product of two Kronecker products it replaces, written out
+    spectrum = sphere_spec3 if shape == "sphere" else mesh_spectrum(small_torus(), 15)
+    for index, cluster in enumerate(spectrum.clusters()):
+        p = ParticleInstance(center=[0, 0, 0], delta=0.05, eps_c=-2.7 + 0.1j,
+                             spectrum=spectrum, cluster_index=index)
+        ref = (np.kron(k0_matrix(bg, p.eps_c), np.eye(3))
+               @ np.kron(mode_response(bg, p.eps_c, cluster.eigenvalue), cluster.moment_tensor))
+        got = dipole_response_tensor(bg, p)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_exact_resonance_raises(bg, ball_spectrum):

@@ -129,6 +129,30 @@ def test_invert_roundtrip(bg, cfg, ball_spectrum):
     assert roundtrip_residual(tl, eff, bg) < 1e-8
 
 
+def test_invert_array_refusal_names_worst_point(bg):
+    # s ~ 0.922 is where mu_eff crosses zero and the round trip loses digits;
+    # an array holding it used to end in a TypeError, not in this refusal
+    with pytest.raises(EffectiveError) as scalar:
+        invert_effective(s_limit_tilde(bg, LAM, 0.921942), bg)
+    with pytest.raises(EffectiveError) as array:
+        invert_effective(s_limit_tilde(bg, LAM, np.array([0.1, 0.921942, 0.5])), bg)
+    assert str(array.value) == str(scalar.value)
+    assert str(scalar.value).startswith("inversion round-trip residual 1.0")
+
+
+def test_tilde_array_refusal_names_worst_point(bg, cfg, ball_spectrum, monkeypatch):
+    # the contrast-times-response product keeps the residual at roundoff,
+    # so stand-in residuals exercise the refusal of the worst point
+    monkeypatch.setattr(effective, "compatibility_residual", lambda tilde, bg: 5e-8)
+    with pytest.raises(EffectiveError, match=r"^compatibility residual 5\.000e-08 >= 1e-8 "
+                                             r"for eps_c = -2\.5$"):
+        tilde_from_definition(bg, -2.5, cfg, ball_spectrum)
+    monkeypatch.setattr(effective, "compatibility_residual",
+                        lambda tilde, bg: np.array([0.0, 5e-8, 2e-8]))
+    with pytest.raises(EffectiveError, match=r"^compatibility residual 5\.000e-08 >= 1e-8 "):
+        tilde_from_definition(bg, np.array([-3.0, -2.5, -2.0]), cfg, ball_spectrum)
+
+
 def test_invert_matches_closed_form(bg):
     for s in (0.1, 0.5, 0.9, 0.99):
         a = invert_effective(s_limit_tilde(bg, LAM, s), bg)
@@ -208,6 +232,20 @@ def test_shifted_resonances_linear_in_dilution(bg, cfg, ball_cn):
     # cancellation, hence the loose relative tolerance
     assert (b_eps - star) / (a_eps - star) == pytest.approx(ratio, rel=1e-6)
     assert (b_mu - star) / (a_mu - star) == pytest.approx(ratio, rel=1e-6)
+
+
+@pytest.mark.parametrize("beta_m, lam", [(0.4, 0.5), (2.0, 0.25)])
+def test_shifted_resonances_refused_as_resonant_eps_refuses(cfg, beta_m, lam):
+    # lambda_n = 1/2, and k beta = 2 at lambda_n = 1/4, where the chirality
+    # factor 1 - (k beta)^2 (1/2 - lambda_n) is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bgs = ChiralBackground(1.0, 1.0, beta_m, 1.0, allow_kbeta_ge_1=True)
+    with pytest.raises(SingularModeError) as star:
+        resonant_eps(bgs, lam)
+    with pytest.raises(SingularModeError) as shifted:
+        shifted_resonances(bgs, lam, cfg)
+    assert str(shifted.value) == str(star.value)
 
 
 def test_epsc_from_s_limits(bg, cfg):

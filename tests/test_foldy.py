@@ -3,7 +3,7 @@ import pytest
 
 from chiralmeta import foldy
 from chiralmeta.background import (BackgroundError, ChiralBackground, _radial, circular_wave,
-                                   green_apply, green_dyadic, incident_six, linear_wave)
+                                   green_apply, green_dyadic, incident_six)
 from chiralmeta.dipole import ParticleInstance, scattered_field_dipole
 from chiralmeta.effective import (DiluteConfig, EffectiveError, coupling_from_tilde,
                                   coupling_matrix, s_limit_tilde, tilde_from_definition)
@@ -15,6 +15,7 @@ from chiralmeta.foldy import (FoldyError, GridState, _cube_group, _cube_orbits,
                               check_distribution, compare_homogenization, eval_foldy_field,
                               eval_homogenized_field, probe_ring, solve_foldy,
                               solve_homogenized_ls, uniform_invertibility_stat)
+from _waves import linear_wave
 
 WAVE = circular_wave([0.0, 0.0, 1.0], "left")
 
@@ -369,6 +370,13 @@ def test_distribution_one_radial_evaluation_per_radius(bg, cfg, monkeypatch):
         radii.clear()
         check_distribution(build_lattice(N, cfg), bg, 1.0)
         assert 0 < sum(radii) <= 3 * (8 * N) ** 2 + 1
+
+
+def test_field_at_one_point_is_row_zero(bg, state2):
+    x = np.array([0.3, 2.9, -1.1])
+    one = eval_foldy_field(bg, state2, x)
+    assert one.shape == (6,)
+    assert np.array_equal(one, eval_foldy_field(bg, state2, x[None, :])[0])
 
 
 def test_lattice_and_volume_fields_match_block_reference(bg, lat2, state2):

@@ -261,6 +261,21 @@ def test_mode_response_refuses_resonance():
     assert np.allclose(M[..., 1], mode_response(bg, -3.0, 1 / 6), rtol=1e-15, atol=0)
 
 
+def test_mode_response_array_refusal_names_worst_point():
+    # without failed= an array is refused as a scalar call at its most
+    # singular point is, with that point's |det|; formatting the |det| of
+    # the whole array used to end in a TypeError
+    bg = ChiralBackground(1.0, 1.0, 0.4, 1.0)
+    star = resonant_eps(bg, 1 / 6).real
+    with pytest.raises(SingularModeError) as scalar:
+        mode_response(bg, star, 1 / 6)
+    with pytest.raises(SingularModeError) as array:
+        mode_response(bg, np.array([-3.0, star, -2.0]), 1 / 6)
+    det = str(scalar.value).split(", lambda_n = ")[1]
+    assert det.startswith("0.16666666666666666 (|det| = ") and det.endswith("e-17)")
+    assert str(array.value).endswith(det)
+
+
 def resonance_cases(sphere_spec3):
     """(background, lambda_n) pairs: 1/6 on an achiral and a chiral
     background, then every cluster of the subdivision-3 sphere and of a
