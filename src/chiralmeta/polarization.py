@@ -19,11 +19,6 @@ from .background import ChiralBackground, mat2x2, matmul2x2
 from .mesh import TriMesh, signed_volume
 from .np_spectral import NPSpectrum
 
-#: stand-in for the formally infinite mu-branch eigenvalue parameter in the
-#: achiral limit (magnitude > 1e12 signals the degenerate path to callers)
-LAMBDA_MU_SENTINEL = -1.0e15
-
-
 class SingularModeError(RuntimeError):
     """A mode response matrix is singular (resonance hit exactly)."""
 
@@ -36,17 +31,18 @@ class RootFindError(RuntimeError):
 class ModeParams:
     """Scalar parameters entering every mode response matrix.
 
-    ``degenerate`` marks the achiral limit where the mu-branch
-    eigenvalue parameter diverges; ``lambda_mu`` then carries a sentinel
-    of magnitude > 1e12 and the response matrix is assembled from the
-    analytic limit instead of the raw formulas.
+    The electric row of A reads ``lambda_eps`` and ``d_eps``.  The
+    magnetic row is the paper's times ``c`` = 1 - t (t = ``bg.dbf_factor``),
+    which clears its denominator mu_m (1 - t): it reads ``c`` and
+    ``c_d_mu`` = eps_m beta t, which is c times the paper's d_mu.  At
+    beta = 0, c = 0 and that row keeps only its diagonal 1: the achiral
+    limit, in which the magnetic response goes away.
     """
 
     lambda_eps: complex
-    lambda_mu: complex
     d_eps: complex
-    d_mu: complex
-    degenerate: bool = False
+    c: float
+    c_d_mu: float
 
 
 @dataclass(frozen=True)
@@ -75,9 +71,10 @@ def mode_params(bg: ChiralBackground, eps_c: complex, *,
     """Scalar mode parameters for particle permittivity ``eps_c``.
 
     The particle is non-magnetic, so the mu-branch formulas take the
-    background permeability.  An array ``eps_c`` gives arrays of
-    parameters; a vanishing denominator then marks its points in
-    ``failed`` (see :func:`flag_or_raise`).
+    background permeability, which cancels from the scaled magnetic row.
+    An array ``eps_c`` gives arrays of parameters; a vanishing electric
+    denominator then marks its points in ``failed`` (see
+    :func:`flag_or_raise`).
     """
     t = bg.dbf_factor
     eps_den = eps_c - bg.eps_m * t
@@ -86,31 +83,18 @@ def mode_params(bg: ChiralBackground, eps_c: complex, *,
         SingularModeError,
         lambda: f"eps_c = {eps_c} makes the electric denominator "
                 "eps_c - eps_m*(1+gamma^2 beta^2) vanish")
-    mu_den = bg.mu_m - bg.mu_m * t
-    lambda_eps = (eps_c + bg.eps_m * t) / (2.0 * eps_den)
-    d_eps = bg.eps_m * bg.mu_m * bg.beta_m * t / eps_den
-    if bg.beta_m == 0.0:
-        # mu denominator vanishes identically; take the analytic limit
-        return ModeParams(lambda_eps=lambda_eps, lambda_mu=LAMBDA_MU_SENTINEL,
-                          d_eps=0.0, d_mu=0.0, degenerate=True)
-    # mu_m (1 - t) = -mu_m t (k beta)^2 cancels to rounding for k*beta below ~1e-7
-    flag_or_raise(
-        abs(mu_den) < 1e-14 * max(abs(bg.mu_m), abs(bg.mu_m * t)), failed,
-        SingularModeError,
-        lambda: f"k*beta_m = {bg.k * abs(bg.beta_m):.3e} makes the magnetic denominator "
-                "mu_m - mu_m*(1+gamma^2 beta^2) vanish")
-    lambda_mu = (bg.mu_m + bg.mu_m * t) / (2.0 * mu_den)
-    d_mu = bg.eps_m * bg.mu_m * bg.beta_m * t / mu_den
-    return ModeParams(lambda_eps=lambda_eps, lambda_mu=lambda_mu,
-                      d_eps=d_eps, d_mu=d_mu, degenerate=False)
+    # c = 1 - t as -(k beta)^2 t: the difference 1 - t cancels for small k*beta
+    return ModeParams(lambda_eps=(eps_c + bg.eps_m * t) / (2.0 * eps_den),
+                      d_eps=bg.eps_m * bg.mu_m * bg.beta_m * t / eps_den,
+                      c=-(bg.k * bg.beta_m) ** 2 * t, c_d_mu=bg.eps_m * bg.beta_m * t)
 
 
 def _response_entries(params: ModeParams, lambda_n: float, omega: float) -> tuple:
     """Entries (a, b, c, d) of the 2x2 response matrix [[a, b], [c, d]] at
-    eigenvalue lambda_n."""
+    eigenvalue lambda_n, its magnetic row scaled by ``params.c``."""
     v = 0.5 + lambda_n
     return (params.lambda_eps - lambda_n, 1j * omega * params.d_eps * v,
-            -1j * omega * params.d_mu * v, params.lambda_mu - lambda_n)
+            -1j * omega * params.c_d_mu * v, 1.0 - params.c * v)
 
 
 def _det2(a, b, c, d):
@@ -125,31 +109,30 @@ def mode_response(bg: ChiralBackground, eps_c: complex, lambda_n: float, *,
     mode's moment outer product in the (EE, EH; HE, HH) blocks.
 
     M = -A^{-1} B for the response matrix A of :func:`_response_entries`
-    and B = [[1, -i omega d_eps], [i omega d_mu, 1]]; in the achiral limit
-    (``degenerate``) the mu branch decouples: M = [[-1/A_00, 0], [0, 0]].
-    M is inf where det A (A_00 in the limit) is exactly 0.  A nearly
-    singular A (|det| < 1e-14, the determinant the root finder's objective
-    reads) is refused, or marked in ``failed`` for an array ``eps_c``
-    (see :func:`flag_or_raise`); an array gives a (2, 2, ...) stack.
+    and B = [[1, -i omega d_eps], [i omega c_d_mu, c]], both with the
+    magnetic row scaled by c = 1 - t, which leaves M unchanged where
+    c != 0; at beta = 0 (c = 0) the same formula gives the achiral limit
+    [[-1/A_00, 0], [0, 0]] with det A = A_00.  M is inf where det A is
+    exactly 0.  A nearly singular A (|det| <= 1e-14 |c|, i.e. the unscaled
+    determinant within 1e-14 of 0; the root finder's objective reads the
+    same determinant) is refused, or marked in ``failed`` for an array
+    ``eps_c`` (see :func:`flag_or_raise`); an array gives a (2, 2, ...)
+    stack.
     """
     params = mode_params(bg, eps_c, failed=failed)
     A = mat2x2(*_response_entries(params, lambda_n, bg.omega))
     # from the complex entries of A, whose signed zeros the blocks inherit
     det = _det2(*A.reshape((4,) + A.shape[2:]))
+    bound = 1e-14 * abs(params.c)
     flag_or_raise(
-        abs(det) < 1e-14, failed, SingularModeError,
+        abs(det) <= bound, failed, SingularModeError,
         lambda: f"mode response nearly singular at eps_c = {eps_c}, lambda_n = {lambda_n} "
-                f"(|det| = {np.nanmin(abs(det)):.3e})")
+                f"(|det| = {np.nanmin(abs(det)):.3e} <= {bound:.3e})")
     with np.errstate(divide="ignore", invalid="ignore"):
-        if params.degenerate:
-            singular = A[0, 0] == 0.0
-            M = mat2x2(-1.0 / A[0, 0], 0.0, 0.0, 0.0)
-        else:
-            singular = det == 0.0
-            B = mat2x2(1.0, -1j * bg.omega * params.d_eps, 1j * bg.omega * params.d_mu, 1.0)
-            Ainv = mat2x2(A[1, 1], -A[0, 1], -A[1, 0], A[0, 0]) / det
-            M = matmul2x2(-Ainv, B)
-    return np.where(singular, complex(np.inf), M)
+        B = mat2x2(1.0, -1j * bg.omega * params.d_eps, 1j * bg.omega * params.c_d_mu, params.c)
+        Ainv = mat2x2(A[1, 1], -A[0, 1], -A[1, 0], A[0, 0]) / det
+        M = matmul2x2(-Ainv, B)
+    return np.where(det == 0.0, complex(np.inf), M)
 
 
 def resonant_eps(bg: ChiralBackground, lambda_n: float) -> complex:
@@ -210,18 +193,11 @@ def drude_omega_for_eps(eps_target: complex, omega_p: float, tau: float = 0.0) -
 
 
 def _mode_objective(bg: ChiralBackground, lambda_n: float):
-    """Objective whose zero locates the resonance in eps_c.
-
-    The determinant of the response matrix that :func:`mode_response`
-    refuses near zero, without the rest of the assembly, except on the
-    achiral degenerate path where the determinant carries the sentinel
-    scale and the finite electric factor is the meaningful root function.
-    """
+    """Objective whose zero locates the resonance in eps_c: the
+    determinant of the response matrix that :func:`mode_response` refuses
+    near zero, for every beta, without the rest of the assembly."""
     def f(eps_c: complex) -> complex:
-        p = mode_params(bg, eps_c)
-        if p.degenerate:
-            return p.lambda_eps - lambda_n
-        return complex(_det2(*_response_entries(p, lambda_n, bg.omega)))
+        return complex(_det2(*_response_entries(mode_params(bg, eps_c), lambda_n, bg.omega)))
     return f
 
 

@@ -93,3 +93,13 @@ def test_tracer_reads_sweep_rows(tmp_path):
     assert res["rcs"] == [0]
     assert "effective.sweep_figure" in res["fired"]
     assert res["metrics"]["effective.sweep_points"] == 50
+
+
+def test_tracer_counts_the_hot_leaf_calls(tmp_path):
+    # install() wraps polarization.mode_params and effective.invert_effective
+    # by name: a removed one would make every traced run raise there, and a
+    # bypassed one would leave its counter at 0
+    res = _traced(tmp_path, {"eff-sweep": "beta_m = 0\neps_c_points = 50\n"})
+    assert res["rcs"] == [0]
+    assert res["metrics"]["polarization.mode_params_calls"] > 0
+    assert res["metrics"]["effective.invert_effective_calls"] > 0

@@ -300,6 +300,21 @@ def test_resonances_achiral(tmp_path, capsys):
     assert lead["drude_omega"]["re"] == pytest.approx(0.5773502691896257, rel=1e-12)
 
 
+def test_tiny_chirality_is_computed_not_refused(tmp_path, capsys):
+    # k*beta = 1e-9 lies inside the k*beta < 1 assumption; the magnetic
+    # denominator 1 - t cancels to rounding there, which used to make
+    # resonances and dipole-field exit 3 and fail every sweep point
+    probes = write(tmp_path / "probes.csv", PROBES_CSV)
+    cfg = write(tmp_path / "c.cfg", "beta_m = 1e-9\nvolume_scale = 0.5\ndrude_omega_p = 1\n"
+                f"eps_c_re = -3\nprobes_file = {probes}\neps_c_points = 200\n")
+    for command in ("resonances", "dipole-field", "eff-sweep"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    lead = json.loads((tmp_path / "resonances" / "resonances.json").read_text())["modes"][0]
+    assert lead["direct_root"]["re"] == pytest.approx(-2.0, abs=1e-9)
+    summary = json.loads((tmp_path / "eff-sweep" / "eff_sweep_summary.json").read_text())
+    assert summary["points"] == 200 and summary["failed"] == 0
+
+
 def test_eff_closed_form_values(tmp_path, capsys):
     cfg = write(tmp_path / "c.cfg", "beta_m = 0.6\ns_values = 0,0.5,0.9\n")
     rc = main(["eff-closed-form", "--config", cfg, "--out", str(tmp_path)])

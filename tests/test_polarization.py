@@ -19,16 +19,14 @@ def test_mode_params_achiral():
     bg = ChiralBackground(1.0, 1.0, 0.0, 1.0)
     p = mode_params(bg, -2.0)
     assert p.lambda_eps == pytest.approx(1 / 6)
-    assert p.d_eps == 0 and p.d_mu == 0
-    assert p.degenerate
-    assert abs(p.lambda_mu) > 1e12
+    assert p.d_eps == 0 and p.c == 0 and p.c_d_mu == 0
 
 
 def test_mode_params_worked_example():
     bg = ChiralBackground(1.0, 1.0, 0.5, 1.0)
     p = mode_params(bg, -3.0)
     assert p.lambda_eps == pytest.approx(5 / 26, rel=1e-14)
-    assert not p.degenerate
+    assert p.c == pytest.approx(1 - 4 / 3, rel=1e-15)   # t = 1/(1 - 1/4)
 
 
 def test_mode_params_singular_denominator():
@@ -37,15 +35,18 @@ def test_mode_params_singular_denominator():
         mode_params(bg, bg.eps_m * bg.dbf_factor)
 
 
-def test_mode_params_magnetic_denominator_guard():
-    # mu_m - mu_m/(1 - (k beta)^2) cancels to rounding below k*beta ~ 1e-7
-    with pytest.raises(SingularModeError, match="magnetic denominator"):
-        mode_params(ChiralBackground(1.0, 1.0, 1e-9, 1.0), -3.0)
+@pytest.mark.parametrize("kbeta", [1e-12, 1e-9, 1e-6])
+def test_tiny_chirality_is_computed_not_refused(kbeta):
+    # k*beta well inside the assumption: the magnetic row's 1 - t, which
+    # cancels to rounding below k*beta ~ 1e-7, must not make the response
+    # refused; it departs from the achiral response linearly in k*beta
+    ec, lam = np.array([-3.0, -2.5 + 0.3j]), 0.2
     failed = np.zeros(2, dtype=bool)
-    with np.errstate(divide="ignore"):
-        mode_params(ChiralBackground(1.0, 1.0, 1e-9, 1.0), np.array([-3.0, -2.0]), failed=failed)
-    assert failed.all()
-    assert not mode_params(ChiralBackground(1.0, 1.0, 1e-6, 1.0), -3.0).degenerate
+    M = mode_response(ChiralBackground(1.0, 1.0, kbeta, 1.0), ec, lam, failed=failed)
+    assert not failed.any()
+    M0 = mode_response(ChiralBackground(1.0, 1.0, 0.0, 1.0), ec, lam)
+    gap = np.abs(M - M0).max(axis=(0, 1)) / np.abs(M0).max(axis=(0, 1))
+    assert np.all((0.1 * kbeta < gap) & (gap < kbeta))
 
 
 def assembled_det(bg, eps_c, lam):
@@ -56,43 +57,57 @@ def assembled_det(bg, eps_c, lam):
 
 
 def test_assemble_diagonal_det():
+    # at beta = 0 the scaled magnetic row is [0, 1], so det A = A_00
     bg = ChiralBackground(1.0, 1.0, 0.0, 1.0)
     p = mode_params(bg, -3.0)
-    expect = (p.lambda_eps - 0.2) * (p.lambda_mu - 0.2)
-    assert assembled_det(bg, -3.0, 0.2) == pytest.approx(expect)
+    assert assembled_det(bg, -3.0, 0.2) == p.lambda_eps - 0.2
     # achiral limit: the mu branch decouples and contributes nothing
     M = mode_response(bg, -3.0, 0.2)
     assert np.allclose(M, [[-1.0 / (p.lambda_eps - 0.2), 0.0], [0.0, 0.0]], rtol=1e-15, atol=0)
+
+
+def unscaled_params(eps_m, mu_m, beta, omega, eps_c):
+    """The paper's (lambda_eps, lambda_mu, d_eps, d_mu), written out from
+    the background's parameters (the magnetic row unscaled)."""
+    t = 1.0 / (1.0 - (omega * math.sqrt(eps_m * mu_m) * beta) ** 2)
+    return ((eps_c + eps_m * t) / (2.0 * (eps_c - eps_m * t)),
+            (mu_m + mu_m * t) / (2.0 * (mu_m - mu_m * t)),
+            eps_m * mu_m * beta * t / (eps_c - eps_m * t),
+            eps_m * mu_m * beta * t / (mu_m - mu_m * t))
 
 
 def test_assemble_blocks_definition(rng):
     # the blocks must reproduce -A^{-1} [[1, -iw d_eps], [iw d_mu, 1]]
     bg = ChiralBackground(1.1, 0.9, 0.4, 1.3)
     ec, lam, w = -2.5 + 0.3j, 1 / 6, bg.omega
-    p = mode_params(bg, ec)
-    A = np.array([[p.lambda_eps - lam, 1j * w * p.d_eps * (0.5 + lam)],
-                  [-1j * w * p.d_mu * (0.5 + lam), p.lambda_mu - lam]])
-    B = np.array([[1.0, -1j * w * p.d_eps], [1j * w * p.d_mu, 1.0]])
+    le, lm, de, dm = unscaled_params(1.1, 0.9, 0.4, 1.3, ec)
+    A = np.array([[le - lam, 1j * w * de * (0.5 + lam)],
+                  [-1j * w * dm * (0.5 + lam), lm - lam]])
+    B = np.array([[1.0, -1j * w * de], [1j * w * dm, 1.0]])
     recon = -np.linalg.inv(A) @ B
     assert np.abs(mode_response(bg, ec, lam) - recon).max() < 1e-12 * np.abs(recon).max()
 
 
 def test_det_matches_independent_expansion(rng):
+    # the assembled determinant is the paper's times the magnetic row
+    # scale 1 - t
     bg = ChiralBackground(1.2, 0.7, 0.35, 0.9)
+    one_minus_t = 1.0 - 1.0 / (1.0 - (0.9 * math.sqrt(1.2 * 0.7) * 0.35) ** 2)
     for _ in range(20):
         ec = complex(rng.uniform(-5, -1), rng.uniform(0, 0.5))
         lam = rng.uniform(-0.4, 0.4)
-        p = mode_params(bg, ec)
+        le, lm, de, dm = unscaled_params(1.2, 0.7, 0.35, 0.9, ec)
         v = 0.5 + lam
-        expand = ((p.lambda_eps - lam) * (p.lambda_mu - lam)
-                  - bg.omega ** 2 * p.d_eps * p.d_mu * v * v)
-        assert assembled_det(bg, ec, lam) == pytest.approx(expand, rel=1e-13)
+        expand = (le - lam) * (lm - lam) - 0.9 ** 2 * de * dm * v * v
+        assert assembled_det(bg, ec, lam) == pytest.approx(one_minus_t * expand, rel=1e-13)
 
 
 def test_mode_objective_is_det_direct_bit_for_bit(rng):
     # the bisection's determinant-only objective reads the same value as
-    # mode_response's refusal, so the direct resonance roots do not move
-    for bg in (ChiralBackground(1.2, 0.7, 0.35, 0.9), ChiralBackground(1.0, 1.0, 0.4, 1.0)):
+    # mode_response's refusal, so the direct resonance roots do not move;
+    # the achiral and nearly achiral backgrounds take the same expression
+    for bg in (ChiralBackground(1.2, 0.7, 0.35, 0.9), ChiralBackground(1.0, 1.0, 0.4, 1.0),
+               ChiralBackground(1.0, 1.0, 0.0, 1.0), ChiralBackground(1.2, 0.7, 1e-9, 0.9)):
         for _ in range(200):
             ec = float(rng.uniform(-6.0, -0.5))
             lam = float(rng.uniform(-0.45, 0.45))
@@ -250,15 +265,20 @@ def test_find_root_refuses_non_finite_objective(monkeypatch):
 
 
 def test_mode_response_refuses_resonance():
-    bg = ChiralBackground(1.0, 1.0, 0.4, 1.0)
-    star = resonant_eps(bg, 1 / 6)
-    with pytest.raises(SingularModeError, match="mode response nearly singular"):
-        mode_response(bg, star, 1 / 6)
-    failed = np.zeros(2, dtype=bool)
-    M = mode_response(bg, np.array([star, -3.0]), 1 / 6, failed=failed)
-    assert failed.tolist() == [True, False]
-    # the array path gives the scalar path's blocks at the point it keeps
-    assert np.allclose(M[..., 1], mode_response(bg, -3.0, 1 / 6), rtol=1e-15, atol=0)
+    # at beta = 0 the bound 1e-14 |c| is 0 and only the exact zero of
+    # det A = A_00 (at eps_c = -2) is refused; the message gives the |det|
+    # and the bound it was tested against
+    chiral = ChiralBackground(1.0, 1.0, 0.4, 1.0)
+    for bg, star in ((chiral, resonant_eps(chiral, 1 / 6)),
+                     (ChiralBackground(1.0, 1.0, 0.0, 1.0), -2.0)):
+        with pytest.raises(SingularModeError,
+                           match=r"^mode response nearly singular .* <= \d\.\d{3}e[+-]\d+\)$"):
+            mode_response(bg, star, 1 / 6)
+        failed = np.zeros(2, dtype=bool)
+        M = mode_response(bg, np.array([star, -3.0]), 1 / 6, failed=failed)
+        assert failed.tolist() == [True, False]
+        # the array path gives the scalar path's blocks at the point it keeps
+        assert np.allclose(M[..., 1], mode_response(bg, -3.0, 1 / 6), rtol=1e-15, atol=0)
 
 
 def test_mode_response_array_refusal_names_worst_point():
@@ -272,7 +292,7 @@ def test_mode_response_array_refusal_names_worst_point():
     with pytest.raises(SingularModeError) as array:
         mode_response(bg, np.array([-3.0, star, -2.0]), 1 / 6)
     det = str(scalar.value).split(", lambda_n = ")[1]
-    assert det.startswith("0.16666666666666666 (|det| = ") and det.endswith("e-17)")
+    assert det.startswith("0.16666666666666666 (|det| = ")
     assert str(array.value).endswith(det)
 
 
