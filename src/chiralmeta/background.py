@@ -54,7 +54,7 @@ class ChiralBackground:
                     "assumption; pass allow_kbeta_ge_1=True to evaluate anyway")
             warnings.warn(
                 f"k*beta_m = {self.k * self.beta_m:.6g} >= 1: outside the assumption "
-                "range, results are formula-level only", stacklevel=2)
+                "range, results are formula-level only", stacklevel=3)
 
     @property
     def k(self) -> float:
@@ -378,7 +378,8 @@ def matmul2x2(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def k0_matrix(bg: ChiralBackground, eps_c: complex) -> np.ndarray:
     """2x2 contrast matrix between the particle interior (permittivity
     ``eps_c``, achiral) and the chiral background; a (2, 2, ...) stack
-    for an array ``eps_c``."""
+    for an array ``eps_c``.  The magnetic diagonal 1 - t is computed as
+    -(k beta)^2 t, the mode parameters' ``c``: 1 - t cancels for small k*beta."""
     tg = bg.dbf_factor
     return mat2x2(eps_c / bg.eps_m - tg, -1j * bg.omega * bg.mu_m * bg.beta_m * tg,
-                  1j * bg.omega * bg.eps_m * bg.beta_m * tg, 1.0 - tg)
+                  1j * bg.omega * bg.eps_m * bg.beta_m * tg, -(bg.k * bg.beta_m) ** 2 * tg)

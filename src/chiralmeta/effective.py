@@ -93,7 +93,13 @@ def _unwrap(x, kind=complex):
 
 def coupling_matrix(bg: ChiralBackground, eps_c: complex, cfg: DiluteConfig,
                     lambda_n: float, *, failed: np.ndarray | None = None) -> np.ndarray:
-    """2x2 lattice coupling: dilution * moment constant * contrast * mode response."""
+    """2x2 lattice coupling: dilution * moment constant * contrast * mode response.
+
+    The particle's E = diag(eps_c/eps_m, 1), the background's C, K0 = E - C and
+    R = (1/2 - lambda_n) E + (1/2 + lambda_n) C are symmetric in the frame
+    diag(1, i sqrt(mu_m/eps_m)).  M = -A^{-1} B = -R^{-1} K0, as A = D R and B = D K0
+    for D = diag(1/K0[0, 0], 1), so K0 M = -K0 R^{-1} K0 and C + T2 are symmetric too.
+    """
     M = mode_response(bg, eps_c, lambda_n, failed=failed)
     return cfg.dilution_factor * cfg.moment_scale * matmul2x2(k0_matrix(bg, eps_c), M)
 
@@ -141,14 +147,8 @@ def tilde_from_definition(bg: ChiralBackground, eps_c: complex, cfg: DiluteConfi
     clusters = spectrum.clusters()
     if not 0 <= mode_index < len(clusters):
         raise EffectiveError(f"mode_index {mode_index} out of range for {len(clusters)} clusters")
-    lam = clusters[mode_index].eigenvalue
-    T2 = coupling_matrix(bg, eps_c, cfg, lam, failed=failed)
-    tilde = tilde_from_coupling(T2, bg.omega)
-    res = compatibility_residual(tilde, bg)
-    flag_or_raise(res >= 1e-8, failed, EffectiveError,
-                  lambda: f"compatibility residual {np.nanmax(res):.3e} >= 1e-8 "
-                          f"for eps_c = {eps_c}")
-    return tilde
+    T2 = coupling_matrix(bg, eps_c, cfg, clusters[mode_index].eigenvalue, failed=failed)
+    return tilde_from_coupling(T2, bg.omega)
 
 
 def invert_effective(tilde: TildeParams, bg: ChiralBackground, *,

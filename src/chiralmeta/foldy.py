@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .background import (ChiralBackground, PlaneWaveSpec, _contract, _radial, green_apply,
-                         green_dyadic, incident_six)
+from .background import (ChiralBackground, PlaneWaveSpec, _contract, _radial, circular_wave,
+                         green_apply, green_dyadic, incident_six)
 from .effective import DiluteConfig, TildeParams, coupling_from_tilde, tilde_from_definition
 from .np_spectral import NPSpectrum
 
@@ -676,8 +676,6 @@ def compare_homogenization(bg: ChiralBackground, cfg: DiluteConfig,
     Errors are relative L2 norms over the probe set of the scattered
     (incident-subtracted) fields.
     """
-    from .background import circular_wave
-
     if incident is None:
         incident = circular_wave(np.array([0.0, 0.0, 1.0]), "left")
     tilde = tilde_from_definition(bg, eps_c, cfg, spectrum, mode_index=mode_index)

@@ -7,6 +7,7 @@ from chiralmeta.background import (BackgroundError, ChiralBackground, PlaneWaveS
                                    SingularPointError, _scalar_kernel, circular_wave, green_apply,
                                    green_dyadic, incident_field, incident_six, k0_matrix,
                                    make_circular_basis, maxwell_dyadic)
+from chiralmeta.polarization import mode_params
 from _fd import dbf_residual, fd_curl
 from _waves import linear_wave
 
@@ -39,6 +40,12 @@ def test_kbeta_guard():
     with pytest.warns(UserWarning):
         bg = ChiralBackground(1.0, 1.0, 1.09, 1.0, allow_kbeta_ge_1=True)
     assert bg.out_of_assumption
+
+
+def test_kbeta_warning_names_its_caller():
+    with pytest.warns(UserWarning, match="outside the assumption") as record:
+        ChiralBackground(1.0, 1.0, 1.09, 1.0, allow_kbeta_ge_1=True)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_parameter_validation():
@@ -354,6 +361,16 @@ def test_k0_zero_contrast():
 def test_k0_beta0_diagonal():
     bg = ChiralBackground(1.0, 1.0, 0.0, 1.0)
     assert np.allclose(k0_matrix(bg, -2.5), np.diag([-3.5, 0.0]))
+
+
+def test_k0_magnetic_diagonal_without_cancellation():
+    # 1 - t reads 0.0 at k beta = 1e-9; -(k beta)^2 t keeps every digit
+    for kb in (1e-9, 1e-6, 0.4):
+        bg = ChiralBackground(1.0, 1.0, kb, 1.0)
+        entry = k0_matrix(bg, -3.0)[1, 1]
+        assert entry == mode_params(bg, -3.0).c
+        ref = -kb ** 2 / (1.0 - kb ** 2)
+        assert abs(entry - ref) <= 4 * np.spacing(abs(ref))
 
 
 def test_k0_worked_example():

@@ -19,6 +19,7 @@ from chiralmeta.effective import (DiluteConfig, EffectiveError, Sweep, SweepRow,
                                   s_limit_tilde, shifted_resonances, sweep_figure,
                                   sweep_summary, tilde_from_coupling, tilde_from_definition,
                                   tilde_leading_order)
+from chiralmeta.np_spectral import NPSpectrum
 from chiralmeta.polarization import SingularModeError, resonant_eps
 from _fd import loglog_slope
 
@@ -140,17 +141,41 @@ def test_invert_array_refusal_names_worst_point(bg):
     assert str(scalar.value).startswith("inversion round-trip residual 1.0")
 
 
-def test_tilde_array_refusal_names_worst_point(bg, cfg, ball_spectrum, monkeypatch):
-    # the contrast-times-response product keeps the residual at roundoff,
-    # so stand-in residuals exercise the refusal of the worst point
-    monkeypatch.setattr(effective, "compatibility_residual", lambda tilde, bg: 5e-8)
-    with pytest.raises(EffectiveError, match=r"^compatibility residual 5\.000e-08 >= 1e-8 "
-                                             r"for eps_c = -2\.5$"):
-        tilde_from_definition(bg, -2.5, cfg, ball_spectrum)
-    monkeypatch.setattr(effective, "compatibility_residual",
-                        lambda tilde, bg: np.array([0.0, 5e-8, 2e-8]))
-    with pytest.raises(EffectiveError, match=r"^compatibility residual 5\.000e-08 >= 1e-8 "):
-        tilde_from_definition(bg, np.array([-3.0, -2.5, -2.0]), cfg, ball_spectrum)
+def test_corrected_coefficients_symmetric_by_construction():
+    # C + T2 is symmetric in the frame diag(1, i sqrt(mu_m/eps_m)) for every
+    # background, so the compatibility relation holds without a per-point check
+    rng = np.random.default_rng(29)
+    kbetas = np.concatenate([np.zeros(10), 10.0 ** rng.uniform(-12.0, -6.0, 10),
+                             rng.uniform(0.0, 1.0, 10), rng.uniform(1.0, 3.0, 10)])
+    checked = 0
+    for kb in kbetas:
+        em, mm, om = rng.uniform(0.5, 2.0, 3)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "k\\*beta_m", UserWarning)
+            bg = ChiralBackground(em, mm, kb / (om * np.sqrt(em * mm)), om,
+                                  allow_kbeta_ge_1=kb >= 1.0)
+        # one mode with a unit moment at an eigenvalue in (-1/2, 1/2)
+        spectrum = NPSpectrum(eigenvalues=rng.uniform(-0.5, 0.5, 1), densities=np.zeros((0, 1)),
+                              moments=np.array([[1.0, 0.0, 0.0]]), residuals=np.zeros(1),
+                              gram_certificate=0.0, dropped_eigenvalue=0.5)
+        cfg = DiluteConfig(rng.uniform(0.1, 5.0), int(rng.integers(2, 200)),
+                           rng.uniform(0.5, 1.5), rng.uniform(0.1, 1.0))
+        eps_c = rng.uniform(-6.0, 1.0, 200) + 1j * rng.uniform(-1.0, 1.0, 200)
+        failed = np.zeros(eps_c.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            tilde = tilde_from_definition(bg, eps_c, cfg, spectrum, failed=failed)
+        ok = ~failed
+        assert np.all(compatibility_residual(tilde, bg)[ok] <= 1e-11)
+        t, w, b = bg.dbf_factor, bg.omega, bg.beta_m
+        C = np.array([[t, 1j * w * bg.mu_m * b * t], [-1j * w * bg.eps_m * b * t, t]])
+        X = C[..., None] + coupling_from_tilde(tilde, w)[..., ok]
+        g = 1j * np.sqrt(bg.mu_m / bg.eps_m)
+        # off-diagonal entries of Lambda X Lambda^-1
+        upper, lower = X[0, 1] / g, X[1, 0] * g
+        scale = np.max(np.abs([X[0, 0], upper, lower, X[1, 1]]), axis=0)
+        assert np.all(np.abs(upper - lower) <= 1e-13 * scale)
+        checked += np.count_nonzero(ok)
+    assert checked > 0.99 * len(kbetas) * 200
 
 
 def test_invert_matches_closed_form(bg):
