@@ -25,23 +25,24 @@ class SpectralError(RuntimeError):
     """Raised when operator assembly or the eigensolve cannot proceed."""
 
 
-def _pair_rows(c: np.ndarray, out: np.ndarray):
-    """Yield (rows, r, d) over blocks of 16 rows of the centroids ``c`` (n, 3):
-    r = out[rows] holds |c_i - c_j|, squared axis differences summed in axis
-    order and rooted as ``scipy.spatial.distance.cdist`` does, bit for bit,
-    and d[k] = c[rows, k] - c[:, k] (3, b, n) may be overwritten.  The blocks
-    stay in cache; the only (n, n) array is ``out``."""
+def _pair_rows(c: np.ndarray, rows: np.ndarray, out: np.ndarray):
+    """Yield (block, r, d) over blocks of 16 of the panel indices ``rows``,
+    for the centroids ``c`` (n, 3): r = out[block] holds |c_i - c_j| for i in
+    rows[block] and every j, squared axis differences summed in axis order
+    and rooted as ``scipy.spatial.distance.cdist`` does, bit for bit, and
+    d[k] = c[rows[block], k] - c[:, k] (3, b, n) may be overwritten.  The
+    blocks stay in cache; the only array of ``out``'s size is ``out``."""
     ct = np.ascontiguousarray(c.T)
     buf, sq = np.empty((3, 16, len(c))), np.empty((16, len(c)))
-    for lo in range(0, len(c), 16):
-        rows = slice(lo, lo + 16)
-        r = out[rows]
-        d = np.subtract(ct[:, rows, None], ct[:, None, :], out=buf[:, :len(r)])
+    for lo in range(0, len(rows), 16):
+        block = slice(lo, lo + 16)
+        r = out[block]
+        d = np.subtract(ct[:, rows[block], None], ct[:, None, :], out=buf[:, :len(r)])
         np.multiply(d[0], d[0], out=r)
         for k in (1, 2):
             r += np.multiply(d[k], d[k], out=sq[:len(r)])
         np.sqrt(r, out=r)
-        yield rows, r, d
+        yield block, r, d
 
 
 def _transposed(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -80,7 +81,64 @@ def _gemm(a: np.ndarray, b: np.ndarray):
                                                trans_b=trans_a).T
 
 
-def assemble_single_layer(mesh: TriMesh) -> np.ndarray:
+def _single_layer_rows(mesh: TriMesh, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of S, (len(rows), n); see ``assemble_single_layer``."""
+    w = mesh.areas
+    S = np.empty((len(rows), len(w)))
+    for _ in _pair_rows(mesh.centroids, rows, S):   # only the distances are used
+        pass
+    own = (np.arange(len(rows)), rows)
+    S[own] = np.inf
+    if S.min() < 1e-12:
+        i, j = divmod(int(np.argmin(S)), len(w))
+        raise SpectralError(f"coincident panel centroids {rows[i]} and {j}")
+    np.divide(-w / (4.0 * np.pi), S, out=S)
+    # disk of equal area: potential at center is radius/2 (with the sign
+    # convention of the kernel above)
+    S[own] = -0.5 * np.sqrt(w[rows] / np.pi)
+    return S
+
+
+def _np_rows(mesh: TriMesh, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of K with zero self terms; see ``assemble_np``."""
+    w = mesh.areas
+    scale = w / (4.0 * np.pi)
+    K = np.empty((len(rows), len(w)))
+    for block, r, d in _pair_rows(mesh.centroids, rows, K):
+        # zero self term; the Gauss identity sets it
+        r[np.arange(len(r)), rows[block]] = np.inf
+        r3 = r * r
+        r3 *= r
+        np.divide(scale, r3, out=r3)
+        # (c_i - c_j) . nu_i, summed in axis order
+        d *= mesh.normals[rows[block]].T[:, :, None]
+        np.add(d[0], d[1], out=r)
+        r += d[2]
+        r *= r3
+    return K
+
+
+def _images_match(M: np.ndarray, orbits: np.ndarray, assemble) -> bool:
+    """Whether the rows ``M`` of the representatives orbits[:, 0] are those of
+    a matrix invariant under the generator s of ``orbits``: the rows of the
+    images orbits[:, 1], made by ``assemble`` 256 at a time and dropped, must
+    satisfy M[s r_a, s j] = M[r_a, j] to _INVARIANCE_TOL times max |M|, each
+    max |.| taken as max(max, -min), so no |M| array is formed.  True when
+    k = 1, where there are no images."""
+    if orbits.shape[1] == 1:
+        return True
+    perm = np.empty(orbits.size, dtype=int)
+    perm[orbits] = np.roll(orbits, -1, axis=1)   # s: s^d r_a -> s^(d+1) r_a
+    bound = _INVARIANCE_TOL * max(M.max(), -M.min())
+    for lo in range(0, len(M), 256):
+        rows = np.take(assemble(orbits[lo:lo + 256, 1]), perm, axis=1)
+        rows -= M[lo:lo + 256]
+        if rows.max() > bound or -rows.min() > bound:
+            return False
+    return True
+
+
+def assemble_single_layer(mesh: TriMesh, orbits: np.ndarray | None = None) -> np.ndarray | None:
     """Single-layer operator matrix (density values -> boundary values).
 
     The kernel is -1/(4*pi*|x-y|); entry (i, j) carries panel j's area as
@@ -88,55 +146,42 @@ def assemble_single_layer(mesh: TriMesh) -> np.ndarray:
     a flat disk of equal area evaluated at its center.  The kernel matrix
     S / areas[None, :] is symmetric, so the Gram matrix -diag(areas) @ S is
     symmetric only up to the rounding of its entries (about 1e-16
-    relative).  ``spectral_decomposition`` takes its symmetrized form
-    (G + G^T) / 2 from S as rows (``_gram_rows``: every row on a mesh
-    without a rotation symmetry, the representative rows of the Fourier
-    blocks on one with it) and as products (``_gram_product``) for the
-    certificates.
+    relative); ``spectral_decomposition`` uses its symmetrized form.
+
+    With the orbit table ``orbits`` (n / k, k) of a rotation of the panels
+    (``_cyclic_orbits``), only the rows of the representatives orbits[:, 0]
+    are returned, an (n / k, n) array: the rows of their images under the
+    generator are assembled too, checked against them and dropped
+    (``_images_match``), and None is returned when they differ.  Without
+    it, the full matrix.
     """
-    w = mesh.areas
-    n = len(w)
-    S = np.empty((n, n))
-    for _ in _pair_rows(mesh.centroids, S):   # only the distances are used
-        pass
-    diag = np.diag_indices(n)
-    S[diag] = np.inf
-    if S.min() < 1e-12:
-        i, j = divmod(int(np.argmin(S)), n)
-        raise SpectralError(f"coincident panel centroids {i} and {j}")
-    np.divide(-w / (4.0 * np.pi), S, out=S)
-    # disk of equal area: potential at center is radius/2 (with the sign
-    # convention of the kernel above)
-    S[diag] = -0.5 * np.sqrt(w / np.pi)
-    return S
+    orbits = _no_rotation(len(mesh.areas)) if orbits is None else orbits
+    S = _single_layer_rows(mesh, orbits[:, 0])
+    return S if _images_match(S, orbits, lambda img: _single_layer_rows(mesh, img)) else None
 
 
-def assemble_np(mesh: TriMesh) -> np.ndarray:
+def assemble_np(mesh: TriMesh, orbits: np.ndarray | None = None) -> np.ndarray | None:
     """Adjoint-double-layer (NP) operator matrix on density values.
 
     Off-diagonal entries are area_j * (c_i - c_j) . nu_i / (4 pi r^3).
     The diagonal is fixed by the Gauss identity: the area-weighted
     adjoint applied to the constant density must return 1/2, which pins
     each column's self term.
+
+    ``orbits`` selects the representative rows as for
+    ``assemble_single_layer``, the images being checked on the off-diagonal
+    entries.  Under the rotation every panel of orbit b has the same column
+    sum, sum_a w_{r_a} sum_d K[r_a, s^d r_b], so the self terms come from
+    the representative rows alone: one product with w, then a sum over each
+    orbit.
     """
-    w = mesh.areas
-    n = len(w)
-    scale = w / (4.0 * np.pi)
-    K = np.empty((n, n))
-    for rows, r, d in _pair_rows(mesh.centroids, K):
-        # zero self term; the Gauss identity sets it below
-        r[np.arange(len(r)), np.arange(rows.start, rows.start + len(r))] = np.inf
-        r3 = r * r
-        r3 *= r
-        np.divide(scale, r3, out=r3)
-        # (c_i - c_j) . nu_i, summed in axis order
-        d *= mesh.normals[rows].T[:, :, None]
-        np.add(d[0], d[1], out=r)
-        r += d[2]
-        r *= r3
-    diag = np.diag_indices(n)
+    orbits = _no_rotation(len(mesh.areas)) if orbits is None else orbits
+    reps, w = orbits[:, 0], mesh.areas
+    K = _np_rows(mesh, reps)
+    if not _images_match(K, orbits, lambda img: _np_rows(mesh, img)):
+        return None
     # Column condition: sum_j w_j K[j, i] = w_i / 2  for every i.
-    K[diag] = 0.5 - _gemm(w, K) / w
+    K[np.arange(len(reps)), reps] = 0.5 - _gemm(w[reps], K)[orbits].sum(axis=1) / w[reps]
     return K
 
 
@@ -312,8 +357,8 @@ def _reflect_sym(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 # themselves and leaves S and K unchanged commutes with the pencil, so the
 # pencil splits into one Fourier block per rotation order (Allgower, Boehmer,
 # Georg and Miranda, SIAM J. Numer. Anal. 29 (1992) 534).
-_MATCH_TOL = 1e-9         # centroid match, relative to the mesh diameter
-_INVARIANCE_TOL = 1e-10   # max |M[s, s] - M| relative to max |M|, for M = S and K
+_MATCH_TOL = 1e-9         # centroids (of the diameter), unit normals, areas (of the smallest)
+_INVARIANCE_TOL = 1e-10   # max |M[s r, s j] - M[r, j]| relative to max |M|, for M = S and K
 
 
 def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -403,29 +448,33 @@ def _orbits(perm: np.ndarray, k: int) -> np.ndarray | None:
     return powers[:, reps].T
 
 
-def _invariant(M: np.ndarray, perm: np.ndarray) -> bool:
-    """max |M[perm, perm] - M| <= _INVARIANCE_TOL * max |M|, in row blocks.
-    Each max |.| is taken as max(max, -min), so no |M| array is formed."""
-    bound = _INVARIANCE_TOL * max(M.max(), -M.min())
-    for lo in range(0, len(M), 256):
-        rows = np.take(np.take(M, perm[lo:lo + 256], axis=0), perm, axis=1)
-        rows -= M[lo:lo + 256]
-        if rows.max() > bound or -rows.min() > bound:
-            return False
-    return True
+def _no_rotation(n: int) -> np.ndarray:
+    """The orbit table of no rotation: every panel its own orbit, (n, 1)."""
+    return np.arange(n)[:, None]
 
 
-def _cyclic_orbits(mesh: TriMesh, S: np.ndarray, K: np.ndarray) -> np.ndarray:
+def _cyclic_orbits(mesh: TriMesh) -> np.ndarray:
     """Orbit table (see ``_orbits``) of the largest free cyclic rotation of
-    the panels under which S and K are invariant; (n, 1) when there is none.
+    the panels that carries every panel onto one with the same centroid,
+    normal and area; ``_no_rotation`` when there is none.  Read from the
+    geometry alone, before any assembly.
 
-    A rotation is accepted only when the rotated centroids match the
-    centroids within 1e-9 of the diameter, every orbit has k panels, and S
-    and K are invariant to 1e-10 relative: the blocks need only that the
-    pencil commute with the panel permutation, so the operators decide, not
-    the geometry.
+    A rotation is accepted when the rotated centroids match the centroids
+    within _MATCH_TOL of the diameter, each rotated unit normal matches
+    that of the panel it lands on within _MATCH_TOL, and its area within
+    _MATCH_TOL of the smallest area, and every orbit has k panels.  That is everything
+    the Nystrom rule reads: every off-diagonal entry of S and K is a
+    rotation-invariant function of (c_i, c_j, nu_i, w_j), and the self terms
+    follow from w and from the column sums of the off-diagonal entries, so
+    such a rotation leaves S and K invariant up to the tolerances.  The
+    assemblers then check the operators themselves to _INVARIANCE_TOL on
+    the 2n/k rows of the representatives and their images
+    (``_images_match``).  Those rows hold every column, and a centroid or an
+    area enters every entry of its panel's column, so any mismatch in them
+    shows there.  A normal enters only its own row of K, so on the rows
+    not checked the normal match bounds the error.
     """
-    c, w = mesh.centroids, mesh.areas
+    c, nu, w = mesh.centroids, mesh.normals, mesh.areas
     center = (w @ c) / w.sum()
     tol = _MATCH_TOL * np.linalg.norm(np.ptp(mesh.vertices, axis=0))
     candidates = [(k, axis) for axis in _candidate_axes(mesh, center, tol)
@@ -434,41 +483,61 @@ def _cyclic_orbits(mesh: TriMesh, S: np.ndarray, K: np.ndarray) -> np.ndarray:
     for k, axis in candidates:
         R = _rotation(axis, 2.0 * np.pi / k)
         perm = _match(c, (c - center) @ R.T + center, tol)
-        if perm is None:
+        if (perm is None
+                or np.abs(nu[perm] - nu @ R.T).max() > _MATCH_TOL
+                or np.abs(w[perm] - w).max() > _MATCH_TOL * w.min()):
             continue
         orbits = _orbits(perm, k)
-        if orbits is not None and _invariant(S, perm) and _invariant(K, perm):
+        if orbits is not None:
             return orbits
-    return np.arange(len(w))[:, None]
+    return _no_rotation(len(w))
 
 
-def _fourier_blocks(C: np.ndarray, hermitian: bool) -> list[np.ndarray]:
-    """Blocks B_q[a, i] = sum_d C[a, i, d] exp(2 pi i q d / k) of a gathered
-    block row C[a, i, d] = M[r_a, s^d r_i] (or of the rows of M, over the
-    orbit index), for q = 0 .. k // 2: the block of -q is the conjugate of
-    that of q, and those of q = 0 and q = k / 2 are real.  With
-    ``hermitian`` each block is made exactly Hermitian, as a gathered block
-    row of a symmetric matrix is so only to roundoff."""
-    k = C.shape[-1]
-    F = np.conj(np.fft.rfft(C, axis=-1))
-    blocks = []
-    for q in range(k // 2 + 1):
-        B = F[..., q].real if 2 * q % k == 0 else F[..., q]
-        blocks.append(0.5 * (B + B.conj().T) if hermitian else np.ascontiguousarray(B))
-    return blocks
+def _fourier_blocks(M: np.ndarray, orbits: np.ndarray) -> list[np.ndarray]:
+    """Blocks B_q[a, b] = sum_d M[a, s^d r_b] exp(2 pi i q d / k) of the rows
+    ``M`` over the orbit table ``orbits``, for q = 0 .. k // 2.  For the
+    representative rows of a matrix invariant under s they are its Fourier
+    blocks: the block of -q is the conjugate of that of q, those of q = 0
+    and q = k / 2 are real, and the block q of M^T is B_q^H.  At k = 1 the
+    one block is M itself."""
+    k = orbits.shape[1]
+    if k == 1:
+        return [M]
+    F = np.fft.rfft(M[:, orbits], axis=-1)
+    np.conj(F, out=F)
+    return [F[..., q].real.copy() if 2 * q % k == 0 else np.ascontiguousarray(F[..., q])
+            for q in range(k // 2 + 1)]
 
 
-def _gram_rows(S: np.ndarray, w: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """Rows ``reps`` of (G + G^T) / 2 for G = -diag(w) @ S, in O(n len(reps)),
-    with no G; on every row the matrix itself, exactly symmetric."""
-    return 0.5 * (-(w[reps, None] * S[reps]) - (S[:, reps] * w[:, None]).T)
+def _block_circulant(Mq: list[np.ndarray], orbits: np.ndarray):
+    """The product X -> M X, or M^T X with ``transpose``, for X of n rows (n
+    or (n, p)) and M invariant under the rotation of ``orbits``, given by its
+    Fourier blocks ``Mq`` (``_fourier_blocks``).  With C[a, b, d] =
+    M[r_a, s^d r_b], (M X)[s^e r_a] = sum_{b, d} C[a, b, d] X[s^(e+d) r_b], a
+    correlation along the orbit axis: after an FFT along it, block q of the
+    product is B_q applied to block q of X, and B_q^H for M^T.  O(n^2 p / k);
+    at k = 1 the block is the full matrix and this the plain product."""
+    k = orbits.shape[1]
+    if k == 1:
+        M = Mq[0]
+        return lambda X, transpose=False: _gemm(X.T, M).T if transpose else _gemm(M, X)
+
+    def apply(X, transpose=False):
+        Y = np.fft.rfft(X[orbits], axis=1)   # (n / k, k // 2 + 1[, p])
+        for q, B in enumerate(Mq):
+            Y[:, q] = _gemm(B.conj().T if transpose else B, Y[:, q])
+        out = np.empty(X.shape)
+        out[orbits] = np.fft.irfft(Y, n=k, axis=1)
+        return out
+    return apply
 
 
-def _gram_product(S: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _gram_product(apply_S, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(G + G^T) / 2 applied to X (n or (n, m)), for G = -diag(w) @ S, as
-    -(w * (S X) + S^T (w * X)) / 2: two products with S, and no G."""
+    -(w * (S X) + S^T (w * X)) / 2: two products with S (``apply_S``, see
+    ``_block_circulant``), and no G."""
     wx = w if X.ndim == 1 else w[:, None]
-    return 0.5 * (-(wx * _gemm(S, X)) - _gemm(S.T, wx * X))
+    return 0.5 * (-(wx * apply_S(X)) - apply_S(wx * X, transpose=True))
 
 
 def spectral_decomposition(
@@ -476,6 +545,7 @@ def spectral_decomposition(
     K: np.ndarray,
     mesh: TriMesh,
     mode_count: int,
+    orbits: np.ndarray | None = None,
 ) -> NPSpectrum:
     """Diagonalize the NP operator in the single-layer energy metric.
 
@@ -487,49 +557,52 @@ def spectral_decomposition(
     moment magnitude (descending), then eigenvalue (descending), and the
     leading ``mode_count`` are retained.
 
-    When the panels have a free cyclic symmetry s of order k > 1 that leaves
-    S and K invariant (``_cyclic_orbits``), the pencil is solved as its
-    k // 2 + 1 distinct Fourier blocks of n / k rows: a density of block q
-    is u_i exp(2 pi i q j / k) on panel s^j r_i.  Only the block q = 0 holds
-    the mean-zero constraint, and only its modes enter ``dropped_eigenvalue``.
-    A block 0 < q < k / 2 stands for the pair +-q and gives each eigenvalue
-    twice, as the real and imaginary parts of its density (the cos and sin
-    partners).  The phase makes r . m real and positive, where m is the
-    complex moment and r the moment row of panel 0, so the sin partner's
-    moment is orthogonal to r.  Both partners rank by the pair's mean
-    moment, so where ``mode_count`` splits a pair the cos partner is kept.
-    The blocks are built from the representative rows of the symmetrized
-    G, taken from S (``_gram_rows``), so S and K are the only n x n arrays.
-    Without such a symmetry k = 1, every panel is a representative and the
-    one block is the full pencil.  Each block's inputs go once used.
+    ``orbits`` is the orbit table of a free cyclic rotation s of order k of
+    the panels that leaves S and K invariant (``_cyclic_orbits``, checked by
+    the assemblers), and S and K are then only the rows of its
+    representatives orbits[:, 0], as ``mesh_spectrum`` assembles them.
+    Without it k = 1: S and K are the full matrices, every panel is a
+    representative and the one block is the full pencil.  The pencil is
+    solved as its k // 2 + 1 distinct Fourier blocks of n / k rows: a
+    density of block q is u_i exp(2 pi i q j / k) on panel s^j r_i.  Only
+    the block q = 0 holds the mean-zero constraint, and only its modes enter
+    ``dropped_eigenvalue``.  A block 0 < q < k / 2 stands for the pair +-q
+    and gives each eigenvalue twice, as the real and imaginary parts of its
+    density (the cos and sin partners).  The phase makes r . m real and
+    positive, where m is the complex moment and r the moment row of panel 0,
+    so the sin partner's moment is orthogonal to r.  Both partners rank by
+    the pair's mean moment, so where ``mode_count`` splits a pair the cos
+    partner is kept.  The Fourier blocks S_q and K_q of S and K
+    (``_fourier_blocks``) are made once; block q of the symmetrized G is
+    -(diag(w_rep) S_q + S_q^H diag(w_rep)) / 2, formed and released with the
+    pencil of its block.
 
-    On both paths the residuals, ``gram_certificate`` and
+    The moment rows, the residuals, ``gram_certificate`` and
     ``dropped_eigenvalue`` are those of the returned n-panel densities
-    against the assembled S and K, with the symmetrized G applied as
-    products with S (``_gram_product``).
+    against S and K, applied from their rows (``_block_circulant``), with
+    the symmetrized G applied as products with S (``_gram_product``).  So
+    for k > 1 no n x n array is formed.
     """
     n = len(mesh.areas)
     if not 1 <= mode_count <= n - 1:
         raise SpectralError(f"mode_count must be in [1, {n - 1}], got {mode_count}")
     w = mesh.areas
-    # normal moments against unit-L2 eigendensities: three row vectors
-    # -(w nu)^T S applied to the densities, not S applied to all of them
-    T = -_gemm((w[:, None] * mesh.normals).T, S)
-    orbits = _cyclic_orbits(mesh, S, K)
+    orbits = _no_rotation(n) if orbits is None else orbits
     reps, k = orbits[:, 0], orbits.shape[1]
     w_rep = w[reps]
-    if k == 1:
-        Gq, Kq, Tq = [_gram_rows(S, w, reps)], [K], [T]
-    else:
-        # the Gram rows go before the K gather, so the two are never alive together
-        Gq = _fourier_blocks(_gram_rows(S, w, reps)[:, orbits], hermitian=True)
-        Kq = _fourier_blocks(K[reps][:, orbits], hermitian=False)
-        Tq = _fourier_blocks(T[:, orbits], hermitian=False)
+    Sq, Kq = _fourier_blocks(S, orbits), _fourier_blocks(K, orbits)
+    apply_S, apply_K = _block_circulant(Sq, orbits), _block_circulant(Kq, orbits)
+    # normal moments against unit-L2 eigendensities: three row vectors
+    # -(w nu)^T S applied to the densities, not S applied to all of them
+    T = -apply_S(w[:, None] * mesh.normals, transpose=True).T
 
     blocks, lams, moms, norms, source = [], [], [], [], []
-    for q, Tb in enumerate(Tq):
-        B, Kb = Gq.pop(0), Kq.pop(0)   # each block's inputs go once used
-        A = _gemm(B, Kb)
+    for q, Tb in enumerate(_fourier_blocks(T, orbits)):
+        # block q of (G + G^T) / 2, as that of G = -diag(w) S is -diag(w_rep) S_q
+        B = w_rep[:, None] * Sq[q]
+        B = B + B.conj().T
+        B *= -0.5
+        A = _gemm(B, Kq[q])
         A = 0.5 * (A + A.conj().T)   # (G K)^H = K^H G as G is Hermitian
         if q == 0:
             v = _householder_vector(w_rep)
@@ -599,9 +672,9 @@ def spectral_decomposition(
     Phi_r *= signs
     mom_r *= signs[:, None]
 
-    R = _gemm(K, Phi_r) - lam_r * Phi_r
-    resid = np.sqrt(np.maximum(np.einsum("im,im->m", R, _gram_product(S, w, R)), 0.0))
-    gram = _gemm(Phi_r.T, _gram_product(S, w, Phi_r))
+    R = apply_K(Phi_r) - lam_r * Phi_r
+    resid = np.sqrt(np.maximum(np.einsum("im,im->m", R, _gram_product(apply_S, w, R)), 0.0))
+    gram = _gemm(Phi_r.T, _gram_product(apply_S, w, Phi_r))
     cert = float(np.max(np.abs(gram - np.eye(mode_count))))
 
     # The eigenvalue near 1/2 lives outside the mean-zero subspace; report
@@ -612,10 +685,10 @@ def spectral_decomposition(
     # u_i / sqrt(k) on the orbit of r_i) contributes.
     U0 = blocks[0]
     psi = np.empty(n)
-    G1 = _gram_product(S, w, np.ones(n))
+    G1 = _gram_product(apply_S, w, np.ones(n))
     psi[orbits] = (1.0 - _gemm(U0, _gemm(U0.T, G1[orbits].sum(axis=1))) / k)[:, None]
-    Gpsi = _gram_product(S, w, psi)
-    dropped = float(_gemm(Gpsi, _gemm(K, psi)) / _gemm(Gpsi, psi))
+    Gpsi = _gram_product(apply_S, w, psi)
+    dropped = float(_gemm(Gpsi, apply_K(psi)) / _gemm(Gpsi, psi))
 
     return NPSpectrum(
         eigenvalues=lam_r,
@@ -629,8 +702,8 @@ def spectral_decomposition(
 
 # Spectra kept by mesh_spectrum, most recently used last.  An entry holds
 # only the NPSpectrum (n_panels x mode_count densities, 192 kB for a
-# 1,600-panel mesh at 15 modes); S, K and the n^2 temporaries of the
-# decomposition are freed as usual.  A command that reads one mesh needs
+# 1,600-panel mesh at 15 modes); the rows of S and K and the temporaries of
+# the decomposition are freed as usual.  A command that reads one mesh needs
 # one entry and the benchmark's particle sweep needs two; four also hold
 # two meshes at two mode counts, for well under a megabyte.
 _MEMO_ENTRIES = 4
@@ -647,18 +720,27 @@ def _memo_key(mesh: TriMesh, mode_count: int) -> str:
 
 
 def mesh_spectrum(mesh: TriMesh, mode_count: int) -> NPSpectrum:
-    """Assemble S and K for ``mesh`` and decompose them, once per process.
+    """The NP spectrum of ``mesh``, decomposed once per process.
 
-    The result is remembered for the last four distinct inputs (vertices,
-    triangles, ``mode_count``), so the commands that read the same mesh in
-    one process share one eigensolve.  A decomposition that raises is not
-    remembered.
+    The rotation symmetry is read from the geometry first
+    (``_cyclic_orbits``), and only the n / k representative rows of S and K
+    are assembled, O(n^2 / k) memory; when the rows of their images refuse
+    the rotation (an assembler returns None), S and K are assembled in full
+    and decomposed as one block.  The result is remembered for the last four
+    distinct inputs (vertices, triangles, ``mode_count``), so the commands
+    that read the same mesh in one process share one eigensolve.  A
+    decomposition that raises is not remembered.
     """
     key = _memo_key(mesh, mode_count)
     spectrum = _MEMO.get(key)
     if spectrum is None:
-        spectrum = spectral_decomposition(assemble_single_layer(mesh), assemble_np(mesh),
-                                          mesh, mode_count)
+        orbits = _cyclic_orbits(mesh)
+        S = assemble_single_layer(mesh, orbits)
+        K = None if S is None else assemble_np(mesh, orbits)
+        if K is None:
+            orbits = _no_rotation(mesh.n_panels)
+            S, K = assemble_single_layer(mesh), assemble_np(mesh)
+        spectrum = spectral_decomposition(S, K, mesh, mode_count, orbits)
         _MEMO[key] = spectrum
         if len(_MEMO) > _MEMO_ENTRIES:
             _MEMO.popitem(last=False)

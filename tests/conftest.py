@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from chiralmeta.mesh import icosphere
-from chiralmeta.np_spectral import (assemble_np, assemble_single_layer,
-                                    spectral_decomposition, unit_ball_spectrum)
+from chiralmeta.np_spectral import mesh_spectrum, unit_ball_spectrum
 
 # one (criterion, passed, detail) tuple per acceptance check, printed as a
 # summary block at the end of the run
@@ -37,9 +36,7 @@ def ico3():
 def sphere_spec3_timed(ico3):
     """Subdivision-3 sphere spectrum plus its wall-clock build time."""
     t0 = time.perf_counter()
-    S = assemble_single_layer(ico3)
-    K = assemble_np(ico3)
-    spec = spectral_decomposition(S, K, ico3, mode_count=15)
+    spec = mesh_spectrum(ico3, 15)
     return spec, time.perf_counter() - t0
 
 
@@ -51,9 +48,7 @@ def sphere_spec3(sphere_spec3_timed):
 @pytest.fixture(scope="session")
 def sphere_spec4():
     mesh = icosphere(4)
-    S = assemble_single_layer(mesh)
-    K = assemble_np(mesh)
-    return spectral_decomposition(S, K, mesh, mode_count=15), mesh
+    return mesh_spectrum(mesh, 15), mesh
 
 
 @pytest.fixture(scope="session")

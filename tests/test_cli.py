@@ -53,9 +53,9 @@ def decompositions(monkeypatch):
     calls = []
     decompose = np_spectral.spectral_decomposition
 
-    def counted(S, K, mesh, mode_count):
+    def counted(S, K, mesh, mode_count, orbits=None):
         calls.append(mode_count)
-        return decompose(S, K, mesh, mode_count)
+        return decompose(S, K, mesh, mode_count, orbits)
 
     monkeypatch.setattr(np_spectral, "spectral_decomposition", counted)
     return calls

@@ -33,6 +33,14 @@ def sk3(ico3):
     return assemble_single_layer(ico3), assemble_np(ico3)
 
 
+def decompose(mesh, mode_count):
+    """The decomposition ``mesh_spectrum`` makes, not remembered: the rows of
+    S and K for the orbit table the geometry gives."""
+    orbits = np_spectral._cyclic_orbits(mesh)
+    return spectral_decomposition(assemble_single_layer(mesh, orbits),
+                                  assemble_np(mesh, orbits), mesh, mode_count, orbits)
+
+
 def test_single_layer_constant_density(ico3, sk3):
     S, _ = sk3
     vals = S @ np.ones(ico3.n_panels)
@@ -146,9 +154,7 @@ def test_residuals_reported_small(sphere_spec3):
 def test_refinement_convergence():
     errs = {1: [], 2: [], 3: []}
     for sub in (1, 2, 3):
-        mesh = icosphere(sub)
-        spec = spectral_decomposition(assemble_single_layer(mesh), assemble_np(mesh),
-                                      mesh, mode_count=15)
+        spec = decompose(icosphere(sub), 15)
         lams = np.sort(spec.eigenvalues)[::-1]
         # clusters by multiplicity: 3 + 5 + 7 modes for degrees 1..3
         groups = (lams[:3], lams[3:8], lams[8:15])
@@ -244,10 +250,11 @@ def test_indefinite_gram_raises():
     # on icosphere(1) a Fourier block of its C5 symmetry fails, on the
     # jittered torus the one full pencil
     for mesh, order in ((icosphere(1), 5), (jittered_torus(), 1)):
-        S, K = assemble_single_layer(mesh), assemble_np(mesh)
-        assert np_spectral._cyclic_orbits(mesh, -S, K).shape[1] == order
+        orbits = np_spectral._cyclic_orbits(mesh)
+        assert orbits.shape[1] == order
+        S, K = assemble_single_layer(mesh, orbits), assemble_np(mesh, orbits)
         with pytest.raises(SpectralError, match="not positive definite"):
-            spectral_decomposition(-S, K, mesh, mode_count=8)
+            spectral_decomposition(-S, K, mesh, 8, orbits)
 
 
 def test_reflect_sym_matches_explicit_reflector(rng):
@@ -297,14 +304,16 @@ def test_gemm_copies_no_matrix(rng):
 
 
 def test_shape_stage_products_stay_in_scipy_blas():
-    """assemble_np, _reflect_sym, _gram_product and spectral_decomposition
-    make every product through ``_gemm``.  numpy's ``@``, ``np.dot`` and
-    ``np.matmul`` run in numpy's own bundled OpenBLAS, whose idle threads
-    spin against scipy's during the eigensolve; on a 2-vCPU host that made
-    the benchmark's eigensolves about four times slower."""
+    """assemble_np, _reflect_sym, _block_circulant, _gram_product and
+    spectral_decomposition make every product through ``_gemm``.  numpy's
+    ``@``, ``np.dot`` and ``np.matmul`` run in numpy's own bundled OpenBLAS,
+    whose idle threads spin against scipy's during the eigensolve; on a
+    2-vCPU host that made the benchmark's eigensolves about four times
+    slower."""
     tree = ast.parse(inspect.getsource(np_spectral))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("assemble_np", "_reflect_sym", "_gram_product", "spectral_decomposition"):
+    for name in ("assemble_np", "_reflect_sym", "_block_circulant", "_gram_product",
+                 "spectral_decomposition"):
         for node in ast.walk(functions[name]):
             assert not (isinstance(node, (ast.BinOp, ast.AugAssign))
                         and isinstance(node.op, ast.MatMult)), (name, node.lineno)
@@ -341,12 +350,13 @@ def test_spectrum_keeps_value_after_caller_write():
         assert np.array_equal(cluster.moment_tensor, tensor)
 
 
-def test_mesh_spectrum_matches_decomposition_and_keeps_four(monkeypatch, ico3, sphere_spec3):
+def test_mesh_spectrum_matches_decomposition_and_keeps_four(monkeypatch, ico3):
     monkeypatch.setattr(np_spectral, "_MEMO", OrderedDict())
     spec = mesh_spectrum(ico3, 15)
     assert mesh_spectrum(ico3, 15) is spec
+    ref = decompose(ico3, 15)
     for name in ("eigenvalues", "densities", "moments", "residuals"):
-        assert np.array_equal(getattr(spec, name), getattr(sphere_spec3, name))
+        assert np.array_equal(getattr(spec, name), getattr(ref, name))
     # least recently used first out: after mode_count 1 is read again, a
     # fifth input evicts mode_count 2
     mesh = icosphere(1)
@@ -464,21 +474,20 @@ def test_eigh_receives_exactly_symmetric_pencil(monkeypatch, make_mesh, blocks):
         return eigh(a, b, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh", checked)
-    spectral_decomposition(S, assemble_np(mesh), mesh, mode_count=8)
+    decompose(mesh, 8)
     assert seen == [True] * blocks
 
 
 @pytest.fixture(scope="module", params=["icosphere3", "torus256", "jittered"])
 def certified(request):
-    """(mesh, S, K, spectrum at 15 modes) on each decomposition path: the C5
-    Fourier blocks of icosphere(3), the C16 blocks of the small torus and
-    the one full pencil of the jittered torus."""
+    """(mesh, full S, full K, spectrum at 15 modes) on each decomposition
+    path: the C5 Fourier blocks of icosphere(3), the C16 blocks of the small
+    torus and the one full pencil of the jittered torus."""
     if request.param == "icosphere3":
         S, K = request.getfixturevalue("sk3")
         return request.getfixturevalue("ico3"), S, K, request.getfixturevalue("sphere_spec3")
     mesh = {"torus256": small_torus, "jittered": jittered_torus}[request.param]()
-    S, K = assemble_single_layer(mesh), assemble_np(mesh)
-    return mesh, S, K, spectral_decomposition(S, K, mesh, mode_count=15)
+    return mesh, assemble_single_layer(mesh), assemble_np(mesh), decompose(mesh, 15)
 
 
 def test_dropped_eigenvalue_matches_equilibrium_solve(certified):
@@ -510,20 +519,21 @@ def test_gram_certificate_matches_explicit_gram(certified):
     assert abs(spec.gram_certificate - ref) <= 1e-14
 
 
-def test_block_path_allocates_less_than_one_dense_matrix():
-    # on a mesh with a rotation symmetry S and K are the only n x n arrays:
-    # the Gram blocks come from representative rows and the certificates
-    # from products with S, so the decomposition allocates less than one
-    # more n x n matrix
+def test_block_path_allocates_less_than_one_dense_matrix(monkeypatch):
+    # a symmetric mesh assembles only the n / k representative rows of S and
+    # K (checking their images 256 rows at a time), takes the Gram blocks and
+    # the certificates from their Fourier blocks, and forms no n x n array:
+    # the whole spectrum, detection and assembly included, stays under a
+    # quarter of one n x n matrix, where full S and K alone would take two
+    monkeypatch.setattr(np_spectral, "_MEMO", OrderedDict())
     mesh = small_torus(40, 20, 1.15, 0.425)
-    S, K = assemble_single_layer(mesh), assemble_np(mesh)
     tracemalloc.start()
     try:
-        spectral_decomposition(S, K, mesh, mode_count=15)
+        mesh_spectrum(mesh, 15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < S.nbytes, peak
+    assert peak < 0.25 * mesh.n_panels ** 2 * 8, peak / (mesh.n_panels ** 2 * 8)
 
 
 def test_one_block_path_peak_memory():
@@ -646,8 +656,8 @@ def test_block_spectrum_matches_dense_pencil(name, rotate):
     make_mesh, order = SYMMETRY_MESHES[name]
     mesh = rotated(make_mesh(), 11)[0] if rotate else make_mesh()
     S, K = assemble_single_layer(mesh), assemble_np(mesh)
-    assert np_spectral._cyclic_orbits(mesh, S, K).shape[1] == order
-    spec = spectral_decomposition(S, K, mesh, mode_count=15)
+    assert np_spectral._cyclic_orbits(mesh).shape[1] == order
+    spec = decompose(mesh, 15)
     lam, mom, ranked = dense_pencil(mesh, S, K)
     keep, drop = ranked[:15], ranked[15:]
     assert np.abs(spec.eigenvalues - lam[keep]).max() <= 1e-12
@@ -673,24 +683,93 @@ def test_jittered_torus_candidate_axes_rejected():
     mesh = jittered_torus()
     assert len(np_spectral._candidate_axes(
         mesh, mesh.areas @ mesh.centroids / mesh.areas.sum(), 1e-9)) == 3
-    S, K = assemble_single_layer(mesh), assemble_np(mesh)
-    assert np_spectral._cyclic_orbits(mesh, S, K).shape == (mesh.n_panels, 1)
+    assert np_spectral._cyclic_orbits(mesh).shape == (mesh.n_panels, 1)
 
 
 def test_operators_decide_the_symmetry(monkeypatch):
-    # one vertex of icosphere(2) moved by 1e-6: with the centroid match
-    # loosened past the move, the rotation passes every geometric check and
-    # the invariance of S and K refuses it
+    # one vertex of icosphere(2) moved by 1e-6: with the geometric match
+    # loosened past the move, the rotation passes every geometric check, and
+    # the 2n/k rows of the representatives and their images refuse it, so
+    # mesh_spectrum assembles S and K in full and decomposes one block
     mesh = icosphere(2)
     verts = mesh.vertices.copy()
     verts[20, 0] += 1e-6
     moved = TriMesh(verts, mesh.triangles)
-    S, K = assemble_single_layer(moved), assemble_np(moved)
-    assert np_spectral._cyclic_orbits(moved, S, K).shape[1] == 1
+    assert np_spectral._cyclic_orbits(moved).shape[1] == 1
     monkeypatch.setattr(np_spectral, "_MATCH_TOL", 1e-5)
-    assert np_spectral._cyclic_orbits(moved, S, K).shape[1] == 1
-    monkeypatch.setattr(np_spectral, "_invariant", lambda M, perm: True)
-    assert np_spectral._cyclic_orbits(moved, S, K).shape[1] == 5
+    orbits = np_spectral._cyclic_orbits(moved)
+    assert orbits.shape[1] == 5
+    assert assemble_single_layer(moved, orbits) is None
+    assert assemble_np(moved, orbits) is None
+
+    calls = []
+
+    def record(name):
+        fn = getattr(np_spectral, name)
+
+        def recorded(*args):
+            calls.append((name, args[-1] if name == "spectral_decomposition" else args[1:]))
+            return fn(*args)
+        monkeypatch.setattr(np_spectral, name, recorded)
+
+    for name in ("assemble_single_layer", "assemble_np", "spectral_decomposition"):
+        record(name)
+    monkeypatch.setattr(np_spectral, "_MEMO", OrderedDict())
+    spec = mesh_spectrum(moved, 8)
+    # the refused rows of S, then S and K in full, then one decomposition of
+    # the one block; the spectrum is that of the full pencil
+    assert [name for name, _ in calls] == ["assemble_single_layer", "assemble_single_layer",
+                                           "assemble_np", "spectral_decomposition"]
+    assert calls[1][1] == () and calls[2][1] == ()
+    assert calls[3][1].shape == (moved.n_panels, 1)
+    S, K = np_spectral.assemble_single_layer(moved), np_spectral.assemble_np(moved)
+    assert np.array_equal(spec.eigenvalues,
+                          np_spectral.spectral_decomposition(S, K, moved, 8).eigenvalues)
+
+
+def mesh_arrays(mesh, **arrays):
+    """A stand-in for ``mesh`` with its panel arrays, some replaced."""
+    fields = {name: getattr(mesh, name) for name in
+              ("vertices", "triangles", "centroids", "normals", "areas", "n_panels")}
+    return SimpleNamespace(**{**fields, **arrays})
+
+
+@pytest.mark.parametrize("field", ["normals", "areas"])
+def test_geometry_gate_reads_normals_and_areas(field):
+    # the centroids of icosphere(2) all match under its C5 rotation; one
+    # panel's normal turned by 1e-6, or its area grown by 1e-6 relative, is
+    # no longer what the Nystrom rule would read at the rotated panel, so
+    # the rotation is refused before any assembly
+    mesh = icosphere(2)
+    assert np_spectral._cyclic_orbits(mesh_arrays(mesh)).shape[1] == 5
+    values = getattr(mesh, field).copy()
+    if field == "normals":
+        values[7] += 1e-6 * np.cross(values[7], [0.0, 0.0, 1.0])
+        values[7] /= np.linalg.norm(values[7])
+    else:
+        values[7] *= 1.0 + 1e-6
+    assert np_spectral._cyclic_orbits(mesh_arrays(mesh, **{field: values})).shape[1] == 1
+
+
+@pytest.mark.parametrize("name", list(SYMMETRY_MESHES))
+def test_block_circulant_apply_matches_dense_products(rng, name):
+    # the products of S, S^T and K from the representative rows equal the
+    # dense ones: C5 and C16 with complex blocks, the ellipsoid's C2 with
+    # the real block q = k / 2, and the plain product at k = 1
+    make_mesh, order = SYMMETRY_MESHES[name]
+    mesh = make_mesh()
+    orbits = np_spectral._cyclic_orbits(mesh)
+    assert orbits.shape[1] == order
+    S, K = assemble_single_layer(mesh), assemble_np(mesh)
+    apply_S = np_spectral._block_circulant(
+        np_spectral._fourier_blocks(assemble_single_layer(mesh, orbits), orbits), orbits)
+    apply_K = np_spectral._block_circulant(
+        np_spectral._fourier_blocks(assemble_np(mesh, orbits), orbits), orbits)
+    for X in (rng.standard_normal((mesh.n_panels, 4)), rng.standard_normal(mesh.n_panels)):
+        for got, ref in ((apply_S(X), S @ X), (apply_S(X, transpose=True), S.T @ X),
+                         (apply_K(X), K @ X)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_pair_basis_is_set_by_the_mesh():
@@ -700,9 +779,9 @@ def test_pair_basis_is_set_by_the_mesh():
     # turned torus is the turned moment (up to the density's sign), the
     # split pair included
     mesh = small_torus()
-    S, K = assemble_single_layer(mesh), assemble_np(mesh)
+    S = assemble_single_layer(mesh)
     r = -((mesh.areas[:, None] * mesh.normals).T @ S)[:, 0]
-    spec = spectral_decomposition(S, K, mesh, mode_count=16)
+    spec = decompose(mesh, 16)
     lam, mom = spec.eigenvalues, spec.moments
     pairs = [i for i in range(15) if lam[i] == lam[i + 1]]
     assert pairs == [0, 5, 8, 10, 12, 14]   # mode_count 15 cuts the last one
@@ -710,8 +789,7 @@ def test_pair_basis_is_set_by_the_mesh():
         assert abs(mom[i + 1] @ r) <= 1e-10 * np.linalg.norm(mom[i + 1]) * np.linalg.norm(r)
         assert abs(mom[i] @ r) >= 0.1 * np.linalg.norm(mom[i]) * np.linalg.norm(r)
     turned, Q = rotated(mesh, 5)
-    a, b = (spectral_decomposition(assemble_single_layer(m), assemble_np(m), m, mode_count=15)
-            for m in (mesh, turned))
+    a, b = (decompose(m, 15) for m in (mesh, turned))
     assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-12
     mom = a.moments @ Q.T
     sign = np.sign(np.sum(mom * b.moments, axis=1))

@@ -307,6 +307,24 @@ def resonance_cases(sphere_spec3):
     return cases
 
 
+def sign_change_near(g, x, a, b):
+    """The float t nearest ``x`` at which g changes sign on its way from a to
+    b: g(t) has the sign of g(a) and g(nextafter(t, b)) has not, or g(t) is
+    zero.  brentq stops within xtol + rtol |x| of the root, up to 8 ulps at
+    |x| >= 8, so its answer is walked to the sign change ulp by ulp."""
+    left = g(a) < 0
+    for _ in range(64):
+        if g(x) == 0.0:
+            return x
+        if (g(x) < 0) != left:
+            x = np.nextafter(x, a)
+        elif (g(np.nextafter(x, b)) < 0) == left:
+            x = np.nextafter(x, b)
+        else:
+            return x
+    raise AssertionError(f"no sign change within 64 ulps of {x!r}")
+
+
 def test_find_root_matches_brentq_and_brackets_sign_change(sphere_spec3):
     from scipy.optimize import brentq   # reference only; the package does not import it
     for bg, lam in resonance_cases(sphere_spec3):
@@ -314,7 +332,9 @@ def test_find_root_matches_brentq_and_brackets_sign_change(sphere_spec3):
         a, b = star - 0.4, star + 0.4   # the bracket of the resonances command
         f = polarization._mode_objective(bg, lam)
         root = find_resonance_root(bg, lam, bracket=(a, b))
-        ref = brentq(lambda x: f(x).real, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        ref = sign_change_near(lambda x: f(x).real,
+                               brentq(lambda x: f(x).real, a, b, xtol=1e-15, rtol=8.9e-16,
+                                      maxiter=200), a, b)
         assert root.imag == 0.0
         r = root.real
         assert abs(r - ref) <= 4 * np.spacing(abs(ref)), (lam, r, ref)
