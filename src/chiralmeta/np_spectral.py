@@ -199,23 +199,30 @@ class ModeCluster:
 class NPSpectrum:
     """Retained NP eigenpairs on the mean-zero subspace.
 
-    ``densities`` are orthonormal in the energy inner product
-    <phi, psi> = -integral(S[psi] * phi); ``moments`` are the normal
-    moments taken against the same eigendensities rescaled to unit
-    surface-L2 norm, which reproduces the closed-form unit-ball values.
-    The operator is self-adjoint in that inner product, so the densities,
-    the moments and the cluster tensors are real.
+    The eigendensities are orthonormal in the energy inner product
+    <phi, psi> = -integral(S[psi] * phi) and are not kept: ``moments`` are
+    their normal moments, rescaled to unit surface-L2 norm, which
+    reproduces the closed-form unit-ball values, and ``residuals`` and
+    ``gram_certificate`` certify them (see ``spectral_decomposition``).  The
+    operator is self-adjoint in that inner product, so the moments and the
+    cluster tensors are real.
 
     Inside a degenerate cluster (the sphere's l = 1 triple, the torus's
-    pairs) the per-mode ``densities`` and ``moments`` are one orthonormal
-    basis of the cluster's eigenspace.  On a mesh with a rotation axis the
-    two modes of a +-q pair are its cos and sin partners, whose basis is set
-    by the mesh (see ``spectral_decomposition``), and a ``mode_count`` cut
-    through a pair keeps the cos partner.  Every other degeneracy is
-    resolved by roundoff: a last-bit change of the operators can rotate or
-    reorder those modes.  Only the cluster quantities of ``clusters()``
-    (mean eigenvalue, moment tensor, c_n) are meaningful, and they are what
-    every program reader uses.
+    pairs) the per-mode ``moments`` are those of one orthonormal basis of
+    the cluster's eigenspace.  On a mesh with a rotation axis the two modes
+    of a +-q pair are its cos and sin partners, whose basis is set by the
+    mesh (see ``spectral_decomposition``), and a ``mode_count`` cut through a
+    pair keeps the cos partner.  Every other degeneracy is resolved by
+    roundoff: a last-bit change of the operators can rotate or reorder
+    those modes.  Only the cluster quantities of ``clusters()`` (mean
+    eigenvalue, moment tensor, c_n) are meaningful, and they are what every
+    program reader uses.
+
+    Each mode's sign makes the largest-|component| of its moment positive.
+    A mode whose moment is under the ranking floor (1 % of the largest
+    moment) has no such component above noise; its sign makes the
+    largest-|value| of its eigendensity on the representative panels of
+    the rotation (every panel when there is none) positive.
 
     The arrays are read-only copies of the ones passed in, so a spectrum
     shared between callers (see ``mesh_spectrum``) cannot be changed by
@@ -223,7 +230,6 @@ class NPSpectrum:
     """
 
     eigenvalues: np.ndarray          # (n_modes,)
-    densities: np.ndarray            # (n_panels, n_modes)
     moments: np.ndarray              # (n_modes, 3), real
     residuals: np.ndarray            # (n_modes,)
     gram_certificate: float
@@ -231,7 +237,7 @@ class NPSpectrum:
     _clusters: tuple[ModeCluster, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("eigenvalues", "densities", "moments", "residuals"):
+        for name in ("eigenvalues", "moments", "residuals"):
             arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -254,8 +260,8 @@ class NPSpectrum:
 
 
 def spectrum_from_json(path: str) -> NPSpectrum:
-    """Rebuild a spectrum (without densities) from its JSON export; a moment
-    with a non-zero imaginary part raises ``SpectralError``."""
+    """Rebuild a spectrum from its JSON export, which holds every field; a
+    moment with a non-zero imaginary part raises ``SpectralError``."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     pairs = np.array(data["moments"], dtype=float)   # (n_modes, 3, [re, im])
@@ -263,7 +269,6 @@ def spectrum_from_json(path: str) -> NPSpectrum:
         raise SpectralError(f"{path}: moments must be real, found an imaginary part")
     return NPSpectrum(
         eigenvalues=np.array(data["eigenvalues"], dtype=float),
-        densities=np.zeros((0, len(data["eigenvalues"]))),
         moments=pairs[..., 0],
         residuals=np.array(data["residuals"], dtype=float),
         gram_certificate=float(data["gram_certificate"]),
@@ -283,7 +288,6 @@ def unit_ball_spectrum() -> NPSpectrum:
     moments[:3] = np.sqrt(4.0 * np.pi / 27.0) * np.eye(3)
     return NPSpectrum(
         eigenvalues=np.repeat([1.0 / 6.0, 1.0 / 10.0], [3, 5]),
-        densities=np.zeros((0, 8)),
         moments=moments,
         residuals=np.zeros(8),
         gram_certificate=0.0,
@@ -509,35 +513,118 @@ def _fourier_blocks(M: np.ndarray, orbits: np.ndarray) -> list[np.ndarray]:
             for q in range(k // 2 + 1)]
 
 
-def _block_circulant(Mq: list[np.ndarray], orbits: np.ndarray):
-    """The product X -> M X, or M^T X with ``transpose``, for X of n rows (n
-    or (n, p)) and M invariant under the rotation of ``orbits``, given by its
-    Fourier blocks ``Mq`` (``_fourier_blocks``).  With C[a, b, d] =
-    M[r_a, s^d r_b], (M X)[s^e r_a] = sum_{b, d} C[a, b, d] X[s^(e+d) r_b], a
-    correlation along the orbit axis: after an FFT along it, block q of the
-    product is B_q applied to block q of X, and B_q^H for M^T.  O(n^2 p / k);
-    at k = 1 the block is the full matrix and this the plain product."""
-    k = orbits.shape[1]
-    if k == 1:
-        M = Mq[0]
-        return lambda X, transpose=False: _gemm(X.T, M).T if transpose else _gemm(M, X)
-
-    def apply(X, transpose=False):
-        Y = np.fft.rfft(X[orbits], axis=1)   # (n / k, k // 2 + 1[, p])
-        for q, B in enumerate(Mq):
-            Y[:, q] = _gemm(B.conj().T if transpose else B, Y[:, q])
-        out = np.empty(X.shape)
-        out[orbits] = np.fft.irfft(Y, n=k, axis=1)
-        return out
-    return apply
+def _gram_block(Sq: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Block q of the symmetrized Gram matrix (G + G^T) / 2, G = -diag(areas)
+    @ S, from block q of S (``_fourier_blocks``) and the areas ``w`` of the
+    representatives: -(diag(w) S_q + S_q^H diag(w)) / 2, exactly Hermitian."""
+    B = w[:, None] * Sq
+    B = B + B.conj().T
+    B *= -0.5
+    return B
 
 
-def _gram_product(apply_S, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(G + G^T) / 2 applied to X (n or (n, m)), for G = -diag(w) @ S, as
-    -(w * (S X) + S^T (w * X)) / 2: two products with S (``apply_S``, see
-    ``_block_circulant``), and no G."""
-    wx = w if X.ndim == 1 else w[:, None]
-    return 0.5 * (-(wx * apply_S(X)) - apply_S(wx * X, transpose=True))
+def _leading_modes(Sq: list[np.ndarray], Kq: list[np.ndarray], mesh: TriMesh,
+                   orbits: np.ndarray, mode_count: int):
+    """Solve the pencil of every Fourier block; return the eigenvalues,
+    moments (mode_count, 3), blocks q and block vectors Z (n / k,
+    mode_count) of the leading ``mode_count`` modes, ranked and signed as
+    ``spectral_decomposition`` states, and the dropped eigenvalue.  Mode j
+    has the density c_q Re(Z[i, j] exp(2 pi i q d / k)) on panel s^d r_i,
+    c_q = sqrt(2 / k) in a pair +-q and 1 / sqrt(k) in the real blocks: z is
+    the block's eigenvector u, or -i u for a sin partner."""
+    w = mesh.areas
+    k, w_rep = orbits.shape[1], w[orbits[:, 0]]
+    # normal moments against unit-L2 eigendensities: three row vectors
+    # -(w nu)^T S, whose block q is -(w nu)_q^T S_q, applied to the block
+    # vectors
+    wnu = _fourier_blocks((w[:, None] * mesh.normals).T, orbits)
+    Tq = [-_gemm(V, B) for V, B in zip(wnu, Sq)]
+    # the moment row of panel 0 = r_0, which sets the phase of every pair
+    t0 = np.fft.irfft(np.conj([T[:, 0] for T in Tq]), n=k, axis=0)[0]
+
+    blocks, lams, moms, norms, source = [], [], [], [], []
+    for q, T in enumerate(Tq):
+        B = _gram_block(Sq[q], w_rep)
+        A = _gemm(B, Kq[q])
+        A = 0.5 * (A + A.conj().T)   # (G K)^H = K^H G as G is Hermitian
+        if q == 0:
+            v = _householder_vector(w_rep)
+            B = _reflect_sym(B, v)
+            A = _reflect_sym(A, v)
+        try:
+            # The Cholesky factorization inside eigh is the positive-definiteness
+            # check.  Both matrices are exactly Hermitian, so their transposes
+            # are their conjugates in LAPACK's column order: eigh overwrites them
+            # instead of copying, and its vectors are the conjugates of ours.
+            lam, U = scipy.linalg.eigh(A.T, B.T, overwrite_a=True, overwrite_b=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise SpectralError(
+                "energy Gram matrix is not positive definite on the mean-zero "
+                "subspace; the discretization is too ill-conditioned") from exc
+        del A, B
+        np.conj(U, out=U)
+        if q == 0:
+            # Phi = P [0; Y]: G-orthonormal, exactly mean-zero
+            Y = U
+            U = np.zeros((len(w_rep), len(lam)), order="F")
+            U[1:] = Y
+            U = scipy.linalg.blas.dger(-2.0, v, _gemm(v[1:], Y), a=U, overwrite_a=True)
+            del Y
+            # The eigenvalue near 1/2 lives outside the mean-zero subspace;
+            # report the Rayleigh quotient of its (equilibrium) density.  That
+            # density solves G psi = w, so it is G-orthogonal to every
+            # mean-zero density and is proportional to 1 minus the
+            # G-projection of 1 onto them.  Both are invariant under the
+            # rotation, so only block 0 holds them: psi = 1 - U U^T G_0 1 on
+            # the representatives.
+            G = _gram_block(Sq[0], w_rep)
+            psi = 1.0 - _gemm(U, _gemm(_gemm(G, np.ones(len(w_rep))), U))
+            Gpsi = _gemm(G, psi)
+            dropped = float(_gemm(Gpsi, _gemm(Kq[0], psi)) / _gemm(Gpsi, psi))
+            del G
+        mom = _gemm(T, U)
+        l2 = np.einsum("im,i,im->m", U.conj(), w_rep, U).real
+        cols = np.arange(len(lam))
+        if 2 * q % k == 0:
+            mom = mom.T
+            mom /= np.sqrt(k * l2)[:, None]
+            mnorm = np.linalg.norm(mom, axis=1)
+            parts = np.zeros_like(cols)
+        else:
+            phase = np.exp(-1j * np.angle(_gemm(t0, mom)))
+            U *= phase
+            mom *= phase / np.sqrt(0.5 * k * l2)
+            mom = np.stack([mom.real.T, mom.imag.T], axis=1).reshape(-1, 3)
+            mnorm = np.linalg.norm(mom, axis=1) ** 2
+            mnorm = np.repeat(np.sqrt((mnorm[0::2] + mnorm[1::2]) / 2), 2)
+            lam, cols = np.repeat(lam, 2), np.repeat(cols, 2)
+            parts = np.tile([1, 2], len(U))
+        blocks.append(U)
+        lams.append(lam)
+        moms.append(mom)
+        norms.append(mnorm)
+        source.append(np.column_stack([np.full_like(cols, q), cols, parts]))
+    lam, mom, mnorm, source = (np.concatenate(a) for a in (lams, moms, norms, source))
+
+    # Sort by moment magnitude (descending), then eigenvalue (descending).
+    # Moments below 1% of the largest are discretization noise and rank as
+    # zero, so the classic zero-moment clusters keep their eigenvalue order.
+    floor = 0.01 * mnorm.max()
+    order = np.lexsort((-lam, -np.where(mnorm >= floor, mnorm, 0.0)))[:mode_count]
+    lam, mom, source = lam[order], mom[order], source[order]
+    Z = np.empty((len(w_rep), mode_count), dtype=complex)
+    for col, (q, c, part) in enumerate(source):
+        Z[:, col] = blocks[q][:, c] * (-1j if part == 2 else 1.0)
+    # sign: the largest-|component| of the moment positive, or under the
+    # floor the largest-|entry| of Re z, the density on the representatives
+    modes = np.arange(mode_count)
+    lead = np.where(np.linalg.norm(mom, axis=1) >= floor,
+                    mom[modes, np.argmax(np.abs(mom), axis=1)],
+                    Z.real[np.argmax(np.abs(Z.real), axis=0), modes])
+    signs = np.where(lead < 0, -1.0, 1.0)
+    Z *= signs
+    mom *= signs[:, None]
+    return lam, mom, source[:, 0], Z, dropped
 
 
 def spectral_decomposition(
@@ -572,128 +659,44 @@ def spectral_decomposition(
     positive, where m is the complex moment and r the moment row of panel 0,
     so the sin partner's moment is orthogonal to r.  Both partners rank by
     the pair's mean moment, so where ``mode_count`` splits a pair the cos
-    partner is kept.  The Fourier blocks S_q and K_q of S and K
-    (``_fourier_blocks``) are made once; block q of the symmetrized G is
-    -(diag(w_rep) S_q + S_q^H diag(w_rep)) / 2, formed and released with the
+    partner is kept.  The sign rule is ``NPSpectrum``'s.  The Fourier blocks
+    S_q and K_q of S and K (``_fourier_blocks``) are made once; block q of
+    the symmetrized G is G_q (``_gram_block``), formed and released with the
     pencil of its block.
 
-    The moment rows, the residuals, ``gram_certificate`` and
-    ``dropped_eigenvalue`` are those of the returned n-panel densities
-    against S and K, applied from their rows (``_block_circulant``), with
-    the symmetrized G applied as products with S (``_gram_product``).  So
-    for k > 1 no n x n array is formed.
+    No density is formed on the n panels: everything returned comes from the
+    block vectors z of the retained modes (``_leading_modes``).  The moment
+    rows of block q are -(w nu)_q^T S_q.  The residual of a mode is
+    ||K_q z - lam z|| in the G_q norm, and the n-panel Gram matrix of the
+    retained densities is block diagonal with blocks Re(Z_q^H G_q Z_q), so
+    ``residuals`` and ``gram_certificate`` are those of the n-panel
+    densities, up to the roundoff of their synthesis.  Each block's S_q and
+    K_q are released once the block is certified.
     """
     n = len(mesh.areas)
     if not 1 <= mode_count <= n - 1:
         raise SpectralError(f"mode_count must be in [1, {n - 1}], got {mode_count}")
-    w = mesh.areas
     orbits = _no_rotation(n) if orbits is None else orbits
-    reps, k = orbits[:, 0], orbits.shape[1]
-    w_rep = w[reps]
+    k, w_rep = orbits.shape[1], mesh.areas[orbits[:, 0]]
     Sq, Kq = _fourier_blocks(S, orbits), _fourier_blocks(K, orbits)
-    apply_S, apply_K = _block_circulant(Sq, orbits), _block_circulant(Kq, orbits)
-    # normal moments against unit-L2 eigendensities: three row vectors
-    # -(w nu)^T S applied to the densities, not S applied to all of them
-    T = -apply_S(w[:, None] * mesh.normals, transpose=True).T
+    lam, mom, block, Z, dropped = _leading_modes(Sq, Kq, mesh, orbits, mode_count)
 
-    blocks, lams, moms, norms, source = [], [], [], [], []
-    for q, Tb in enumerate(_fourier_blocks(T, orbits)):
-        # block q of (G + G^T) / 2, as that of G = -diag(w) S is -diag(w_rep) S_q
-        B = w_rep[:, None] * Sq[q]
-        B = B + B.conj().T
-        B *= -0.5
-        A = _gemm(B, Kq[q])
-        A = 0.5 * (A + A.conj().T)   # (G K)^H = K^H G as G is Hermitian
-        if q == 0:
-            v = _householder_vector(w_rep)
-            B = _reflect_sym(B, v)
-            A = _reflect_sym(A, v)
-        try:
-            # The Cholesky factorization inside eigh is the positive-definiteness
-            # check.  Both matrices are exactly Hermitian, so their transposes
-            # are their conjugates in LAPACK's column order: eigh overwrites them
-            # instead of copying, and its vectors are the conjugates of ours.
-            lam, U = scipy.linalg.eigh(A.T, B.T, overwrite_a=True, overwrite_b=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise SpectralError(
-                "energy Gram matrix is not positive definite on the mean-zero "
-                "subspace; the discretization is too ill-conditioned") from exc
-        del A, B
-        np.conj(U, out=U)
-        if q == 0:
-            # Phi = P [0; Y]: G-orthonormal, exactly mean-zero
-            Y = U
-            U = np.zeros((len(w_rep), len(lam)), order="F")
-            U[1:] = Y
-            U = scipy.linalg.blas.dger(-2.0, v, _gemm(v[1:], Y), a=U, overwrite_a=True)
-        mom = _gemm(Tb, U)
-        l2 = np.einsum("im,i,im->m", U.conj(), w_rep, U).real
-        cols = np.arange(len(lam))
-        if 2 * q % k == 0:
-            mom = mom.T
-            mom /= np.sqrt(k * l2)[:, None]
-            mnorm = np.linalg.norm(mom, axis=1)
-            parts = np.zeros_like(cols)
-        else:
-            phase = np.exp(-1j * np.angle(_gemm(T[:, 0], mom)))
-            U *= phase
-            mom *= phase / np.sqrt(0.5 * k * l2)
-            mom = np.stack([mom.real.T, mom.imag.T], axis=1).reshape(-1, 3)
-            mnorm = np.linalg.norm(mom, axis=1) ** 2
-            mnorm = np.repeat(np.sqrt((mnorm[0::2] + mnorm[1::2]) / 2), 2)
-            lam, cols = np.repeat(lam, 2), np.repeat(cols, 2)
-            parts = np.tile([1, 2], len(U))
-        blocks.append(U)
-        lams.append(lam)
-        moms.append(mom)
-        norms.append(mnorm)
-        source.append(np.column_stack([np.full_like(cols, q), cols, parts]))
-    lam, mom, mnorm, source = (np.concatenate(a) for a in (lams, moms, norms, source))
-
-    # Sort by moment magnitude (descending), then eigenvalue (descending).
-    # Moments below 1% of the largest are discretization noise and rank as
-    # zero, so the classic zero-moment clusters keep their eigenvalue order.
-    qnorm = np.where(mnorm >= 0.01 * mnorm.max(), mnorm, 0.0)
-    order = np.lexsort((-lam, -qnorm))[:mode_count]
-    lam_r = lam[order]
-    mom_r = mom[order]
-    # the retained densities on all panels: the real part (or for a sin
-    # partner the imaginary part) of u_i exp(2 pi i q j / k) on panel s^j r_i,
-    # G-normalized
-    Phi_r = np.empty((n, mode_count), order="F")
-    for col, (q, c, part) in enumerate(source[order]):
-        z = np.outer(blocks[q][:, c], np.exp(2j * np.pi * q * np.arange(k) / k))
-        scale = 1.0 / np.sqrt(k) if part == 0 else np.sqrt(2.0 / k)
-        Phi_r[orbits, col] = (z.imag if part == 2 else z.real) * scale
-
-    # canonical sign: largest-|entry| component of each density positive
-    signs = np.sign(Phi_r[np.argmax(np.abs(Phi_r), axis=0), np.arange(mode_count)])
-    signs[signs == 0] = 1.0
-    Phi_r *= signs
-    mom_r *= signs[:, None]
-
-    R = apply_K(Phi_r) - lam_r * Phi_r
-    resid = np.sqrt(np.maximum(np.einsum("im,im->m", R, _gram_product(apply_S, w, R)), 0.0))
-    gram = _gemm(Phi_r.T, _gram_product(apply_S, w, Phi_r))
-    cert = float(np.max(np.abs(gram - np.eye(mode_count))))
-
-    # The eigenvalue near 1/2 lives outside the mean-zero subspace; report
-    # the Rayleigh quotient of its (equilibrium) density.  That density
-    # solves G psi = w, so it is G-orthogonal to every mean-zero density and
-    # is proportional to 1 minus the G-projection of 1 onto span(Phi).  G 1
-    # is invariant under the symmetry, so only the block q = 0 (densities
-    # u_i / sqrt(k) on the orbit of r_i) contributes.
-    U0 = blocks[0]
-    psi = np.empty(n)
-    G1 = _gram_product(apply_S, w, np.ones(n))
-    psi[orbits] = (1.0 - _gemm(U0, _gemm(U0.T, G1[orbits].sum(axis=1))) / k)[:, None]
-    Gpsi = _gram_product(apply_S, w, psi)
-    dropped = float(_gemm(Gpsi, apply_K(psi)) / _gemm(Gpsi, psi))
-
+    resid, cert = np.empty(mode_count), 0.0
+    for q in range(len(Sq)):
+        cols = np.nonzero(block == q)[0]
+        if len(cols):
+            Zq = Z[:, cols] if 2 * q % k else Z[:, cols].real
+            G = _gram_block(Sq[q], w_rep)
+            R = _gemm(Kq[q], Zq)
+            R -= lam[cols] * Zq
+            resid[cols] = np.sqrt(np.maximum(
+                np.einsum("im,im->m", R.conj(), _gemm(G, R)).real, 0.0))
+            gram = _gemm(Zq.conj().T, _gemm(G, Zq)).real
+            cert = max(cert, float(np.abs(gram - np.eye(len(cols))).max()))
+        Sq[q] = Kq[q] = None
     return NPSpectrum(
-        eigenvalues=lam_r,
-        densities=Phi_r,
-        moments=mom_r,
+        eigenvalues=lam,
+        moments=mom,
         residuals=resid,
         gram_certificate=cert,
         dropped_eigenvalue=dropped,
@@ -701,11 +704,11 @@ def spectral_decomposition(
 
 
 # Spectra kept by mesh_spectrum, most recently used last.  An entry holds
-# only the NPSpectrum (n_panels x mode_count densities, 192 kB for a
-# 1,600-panel mesh at 15 modes); the rows of S and K and the temporaries of
-# the decomposition are freed as usual.  A command that reads one mesh needs
-# one entry and the benchmark's particle sweep needs two; four also hold
-# two meshes at two mode counts, for well under a megabyte.
+# only the NPSpectrum (mode_count eigenvalues, moments and residuals, under
+# a kilobyte at 15 modes, whatever the mesh); the rows of S and K and the
+# temporaries of the decomposition are freed as usual.  A command that reads
+# one mesh needs one entry and the benchmark's particle sweep needs two; four
+# also hold two meshes at two mode counts.
 _MEMO_ENTRIES = 4
 _MEMO: OrderedDict[str, NPSpectrum] = OrderedDict()
 

@@ -155,7 +155,7 @@ def test_corrected_coefficients_symmetric_by_construction():
             bg = ChiralBackground(em, mm, kb / (om * np.sqrt(em * mm)), om,
                                   allow_kbeta_ge_1=kb >= 1.0)
         # one mode with a unit moment at an eigenvalue in (-1/2, 1/2)
-        spectrum = NPSpectrum(eigenvalues=rng.uniform(-0.5, 0.5, 1), densities=np.zeros((0, 1)),
+        spectrum = NPSpectrum(eigenvalues=rng.uniform(-0.5, 0.5, 1),
                               moments=np.array([[1.0, 0.0, 0.0]]), residuals=np.zeros(1),
                               gram_certificate=0.0, dropped_eigenvalue=0.5)
         cfg = DiluteConfig(rng.uniform(0.1, 5.0), int(rng.integers(2, 200)),

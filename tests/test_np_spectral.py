@@ -41,6 +41,32 @@ def decompose(mesh, mode_count):
                                   assemble_np(mesh, orbits), mesh, mode_count, orbits)
 
 
+def decompose_with_densities(mesh, mode_count):
+    """``decompose(mesh, mode_count)`` and its retained densities on all n
+    panels, (n, mode_count), synthesized from the block vectors Z that
+    ``_leading_modes`` hands to the certificates: the density of mode j is
+    c_q Re(Z[i, j] exp(2 pi i q d / k)) on panel s^d r_i of the orbit table,
+    c_q = sqrt(2 / k) in a pair +-q and 1 / sqrt(k) in the real blocks."""
+    found = []
+    leading = np_spectral._leading_modes
+
+    def recorded(*args):
+        found.append(leading(*args))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np_spectral, "_leading_modes", recorded)
+        spec = decompose(mesh, mode_count)
+    _, _, blocks, Z, _ = found[0]
+    orbits = np_spectral._cyclic_orbits(mesh)
+    k = orbits.shape[1]
+    Phi = np.empty((mesh.n_panels, mode_count))
+    for col, q in enumerate(blocks):
+        z = np.outer(Z[:, col], np.exp(2j * np.pi * q * np.arange(k) / k))
+        Phi[orbits, col] = z.real * (np.sqrt(2.0 / k) if 2 * q % k else 1.0 / np.sqrt(k))
+    return spec, Phi
+
+
 def test_single_layer_constant_density(ico3, sk3):
     S, _ = sk3
     vals = S @ np.ones(ico3.n_panels)
@@ -235,15 +261,19 @@ def test_json_imaginary_moment_refused(tmp_path, ball_spectrum):
         spectrum_from_json(str(path))
 
 
-def test_moments_match_single_layer_reference(ico3, sk3, sphere_spec3):
-    # the moments are -sum_i w_i nu_i (S phi)_i over unit-L2 densities
-    S, _ = sk3
-    Phi = sphere_spec3.densities
-    w = ico3.areas
-    l2 = np.sqrt(np.einsum("im,i,im->m", Phi, w, Phi))
-    ref = -np.einsum("i,ic,im->mc", w, ico3.normals, S @ Phi) / l2[:, None]
-    scale = np.linalg.norm(ref, axis=1).max()
-    assert np.abs(sphere_spec3.moments - ref).max() <= 1e-13 * scale
+def test_moments_match_single_layer_reference(ico3):
+    # the moments, taken per Fourier block, are -sum_i w_i nu_i (S phi)_i
+    # over the unit-L2 n-panel densities, with full S: on the C5 blocks of
+    # icosphere(3), the C16 blocks of the small torus, the C2 blocks of the
+    # ellipsoid and the one block of the jittered torus
+    for mesh in (ico3, small_torus(), ellipsoid(), jittered_torus()):
+        spec, Phi = decompose_with_densities(mesh, 15)
+        w = mesh.areas
+        l2 = np.sqrt(np.einsum("im,i,im->m", Phi, w, Phi))
+        ref = -np.einsum("i,ic,im->mc", w, mesh.normals,
+                         assemble_single_layer(mesh) @ Phi) / l2[:, None]
+        scale = np.linalg.norm(ref, axis=1).max()
+        assert np.abs(spec.moments - ref).max() <= 1e-13 * scale
 
 
 def test_indefinite_gram_raises():
@@ -304,7 +334,7 @@ def test_gemm_copies_no_matrix(rng):
 
 
 def test_shape_stage_products_stay_in_scipy_blas():
-    """assemble_np, _reflect_sym, _block_circulant, _gram_product and
+    """assemble_np, _reflect_sym, _gram_block, _leading_modes and
     spectral_decomposition make every product through ``_gemm``.  numpy's
     ``@``, ``np.dot`` and ``np.matmul`` run in numpy's own bundled OpenBLAS,
     whose idle threads spin against scipy's during the eigensolve; on a
@@ -312,7 +342,7 @@ def test_shape_stage_products_stay_in_scipy_blas():
     slower."""
     tree = ast.parse(inspect.getsource(np_spectral))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("assemble_np", "_reflect_sym", "_block_circulant", "_gram_product",
+    for name in ("assemble_np", "_reflect_sym", "_gram_block", "_leading_modes",
                  "spectral_decomposition"):
         for node in ast.walk(functions[name]):
             assert not (isinstance(node, (ast.BinOp, ast.AugAssign))
@@ -325,7 +355,7 @@ def test_spectrum_arrays_read_only(tmp_path, sphere_spec3, ball_spectrum):
     path = tmp_path / "spec.json"
     write_json(path, sphere_spec3.to_json_dict())
     for spec in (sphere_spec3, spectrum_from_json(str(path)), ball_spectrum):
-        for name in ("eigenvalues", "densities", "moments", "residuals"):
+        for name in ("eigenvalues", "moments", "residuals"):
             arr = getattr(spec, name)
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = arr
@@ -335,14 +365,13 @@ def test_spectrum_arrays_read_only(tmp_path, sphere_spec3, ball_spectrum):
 
 
 def test_spectrum_keeps_value_after_caller_write():
-    arrays = {"eigenvalues": np.array([0.3, 0.1]), "densities": np.ones((4, 2)),
-              "moments": np.eye(2, 3), "residuals": np.full(2, 1e-9)}
+    arrays = {"eigenvalues": np.array([0.3, 0.1]), "moments": np.eye(2, 3),
+              "residuals": np.full(2, 1e-9)}
     spec = np_spectral.NPSpectrum(**arrays, gram_certificate=0.0, dropped_eigenvalue=0.5)
     tensors = [c.moment_tensor.copy() for c in spec.clusters()]
     for arr in arrays.values():
         arr[...] = 7.0  # the caller's arrays stay writable
     assert np.array_equal(spec.eigenvalues, [0.3, 0.1])
-    assert np.array_equal(spec.densities, np.ones((4, 2)))
     assert np.array_equal(spec.moments, np.eye(2, 3))
     assert np.array_equal(spec.residuals, np.full(2, 1e-9))
     assert [c.eigenvalue for c in spec.clusters()] == [0.3, 0.1]
@@ -355,7 +384,7 @@ def test_mesh_spectrum_matches_decomposition_and_keeps_four(monkeypatch, ico3):
     spec = mesh_spectrum(ico3, 15)
     assert mesh_spectrum(ico3, 15) is spec
     ref = decompose(ico3, 15)
-    for name in ("eigenvalues", "densities", "moments", "residuals"):
+    for name in ("eigenvalues", "moments", "residuals"):
         assert np.array_equal(getattr(spec, name), getattr(ref, name))
     # least recently used first out: after mode_count 1 is read again, a
     # fifth input evicts mode_count 2
@@ -478,20 +507,25 @@ def test_eigh_receives_exactly_symmetric_pencil(monkeypatch, make_mesh, blocks):
     assert seen == [True] * blocks
 
 
-@pytest.fixture(scope="module", params=["icosphere3", "torus256", "jittered"])
+@pytest.fixture(scope="module", params=["icosphere3", "torus256", "ellipsoid", "jittered"])
 def certified(request):
-    """(mesh, full S, full K, spectrum at 15 modes) on each decomposition
-    path: the C5 Fourier blocks of icosphere(3), the C16 blocks of the small
-    torus and the one full pencil of the jittered torus."""
+    """(mesh, full S, full K, spectrum at 15 modes, its n-panel densities) on
+    each decomposition path: the C5 Fourier blocks of icosphere(3), the C16
+    blocks of the small torus, the C2 blocks of the ellipsoid (q = 0 and the
+    real q = k / 2) and the one full pencil of the jittered torus.  The
+    densities are the reference of ``decompose_with_densities``."""
     if request.param == "icosphere3":
+        mesh = request.getfixturevalue("ico3")
         S, K = request.getfixturevalue("sk3")
-        return request.getfixturevalue("ico3"), S, K, request.getfixturevalue("sphere_spec3")
-    mesh = {"torus256": small_torus, "jittered": jittered_torus}[request.param]()
-    return mesh, assemble_single_layer(mesh), assemble_np(mesh), decompose(mesh, 15)
+    else:
+        mesh = {"torus256": small_torus, "ellipsoid": ellipsoid,
+                "jittered": jittered_torus}[request.param]()
+        S, K = assemble_single_layer(mesh), assemble_np(mesh)
+    return (mesh, S, K) + decompose_with_densities(mesh, 15)
 
 
 def test_dropped_eigenvalue_matches_equilibrium_solve(certified):
-    mesh, S, K, spec = certified
+    mesh, S, K, spec, _ = certified
     G = reference_gram(mesh, S)
     A = 0.5 * (G @ K + K.T @ G)
     psi = np.linalg.solve(S, -np.ones(mesh.n_panels))
@@ -500,9 +534,11 @@ def test_dropped_eigenvalue_matches_equilibrium_solve(certified):
 
 
 def test_residuals_match_per_mode_loop(certified):
-    mesh, S, K, spec = certified
+    # the residuals, taken per Fourier block, are those of the n-panel
+    # densities against full K in the symmetrized Gram norm
+    mesh, S, K, spec, Phi = certified
     G = reference_gram(mesh, S)
-    Phi, lam = spec.densities, spec.eigenvalues
+    lam = spec.eigenvalues
     ref = []
     for k in range(len(spec.eigenvalues)):
         r = K @ Phi[:, k] - lam[k] * Phi[:, k]
@@ -511,10 +547,9 @@ def test_residuals_match_per_mode_loop(certified):
 
 
 def test_gram_certificate_matches_explicit_gram(certified):
-    # the certificate is max |Phi^T G Phi - I| over the returned n-panel
-    # densities, with G symmetrized as a matrix
-    mesh, S, _, spec = certified
-    Phi = spec.densities
+    # the certificate, taken per Fourier block, is max |Phi^T G Phi - I| over
+    # the n-panel densities, with G symmetrized as a matrix
+    mesh, S, _, spec, Phi = certified
     ref = np.abs(Phi.T @ reference_gram(mesh, S) @ Phi - np.eye(Phi.shape[1])).max()
     assert abs(spec.gram_certificate - ref) <= 1e-14
 
@@ -522,18 +557,21 @@ def test_gram_certificate_matches_explicit_gram(certified):
 def test_block_path_allocates_less_than_one_dense_matrix(monkeypatch):
     # a symmetric mesh assembles only the n / k representative rows of S and
     # K (checking their images 256 rows at a time), takes the Gram blocks and
-    # the certificates from their Fourier blocks, and forms no n x n array:
-    # the whole spectrum, detection and assembly included, stays under a
-    # quarter of one n x n matrix, where full S and K alone would take two
-    monkeypatch.setattr(np_spectral, "_MEMO", OrderedDict())
-    mesh = small_torus(40, 20, 1.15, 0.425)
-    tracemalloc.start()
-    try:
-        mesh_spectrum(mesh, 15)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.25 * mesh.n_panels ** 2 * 8, peak / (mesh.n_panels ** 2 * 8)
+    # the certificates from their Fourier blocks, and forms no n x n array.
+    # The whole spectrum, detection and assembly included, stays under a
+    # quarter of one n x n matrix on the C40 torus, where full S and K alone
+    # would take two.  On icosphere(3), C5, the rows of S and K, their blocks
+    # and the block vectors are each 2/5 of a matrix or less, and the bound
+    # is 1.25 times the 1.26 matrices measured.
+    for mesh, bound in ((small_torus(40, 20, 1.15, 0.425), 0.25), (icosphere(3), 1.575)):
+        monkeypatch.setattr(np_spectral, "_MEMO", OrderedDict())
+        tracemalloc.start()
+        try:
+            mesh_spectrum(mesh, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * mesh.n_panels ** 2 * 8, peak / (mesh.n_panels ** 2 * 8)
 
 
 def test_one_block_path_peak_memory():
@@ -552,11 +590,21 @@ def test_one_block_path_peak_memory():
     assert peak < 4.5 * S.nbytes, peak / S.nbytes
 
 
-def test_density_sign_convention(sphere_spec3):
-    # the largest-|entry| component of each retained density is positive
-    Phi = sphere_spec3.densities
-    lead = Phi[np.argmax(np.abs(Phi), axis=0), np.arange(Phi.shape[1])]
-    assert np.all(lead > 0)
+def test_mode_sign_convention(certified):
+    # a mode whose moment is at least the ranking floor (1 % of the largest,
+    # a +-q pair ranking by the root mean square of its partners) has the
+    # largest-|component| of its moment positive; any other has the
+    # largest-|value| of its density on the representative panels positive
+    mesh, _, _, spec, Phi = certified
+    reps = np_spectral._cyclic_orbits(mesh)[:, 0]
+    norms = np.linalg.norm(spec.moments, axis=1)
+    ranked = norms.copy()
+    for lam in np.unique(spec.eigenvalues):
+        ranked[spec.eigenvalues == lam] = np.sqrt(np.mean(norms[spec.eigenvalues == lam] ** 2))
+    above = norms >= 0.01 * ranked.max()
+    for m, phi, big in zip(spec.moments, Phi[reps].T, above):
+        ref = m if big else phi
+        assert ref[np.argmax(np.abs(ref))] > 0
 
 
 def dense_pencil(mesh, S, K):
@@ -583,9 +631,9 @@ def test_spectrum_matches_reference_decomposition(ico3, sk3, sphere_spec3):
     lam, mom, order = dense_pencil(ico3, S, K)
     order = order[:len(sphere_spec3.eigenvalues)]
     assert np.abs(sphere_spec3.eigenvalues - lam[order]).max() <= 1e-12
-    ref = np_spectral.NPSpectrum(eigenvalues=lam[order], densities=np.zeros((0, len(order))),
-                                 moments=mom[order], residuals=np.zeros(len(order)),
-                                 gram_certificate=0.0, dropped_eigenvalue=0.5)
+    ref = np_spectral.NPSpectrum(eigenvalues=lam[order], moments=mom[order],
+                                 residuals=np.zeros(len(order)), gram_certificate=0.0,
+                                 dropped_eigenvalue=0.5)
     got = sphere_spec3.clusters()
     assert [sorted(c.indices) for c in got] == [sorted(c.indices) for c in ref.clusters()]
     for a, b in zip(got, ref.clusters()):
@@ -597,7 +645,7 @@ def test_moment_free_clusters_in_eigenvalue_order():
     # c_n at roundoff level ranks as zero, so the order of moment-free
     # clusters does not follow their roundoff
     spec = np_spectral.NPSpectrum(
-        eigenvalues=np.array([0.3, 0.2, 0.1]), densities=np.zeros((0, 3)),
+        eigenvalues=np.array([0.3, 0.2, 0.1]),
         moments=np.array([[1.0, 0, 0], [1e-17, 0, 0], [2e-17, 0, 0]]),
         residuals=np.zeros(3), gram_certificate=0.0, dropped_eigenvalue=0.5)
     assert [c.eigenvalue for c in spec.clusters()] == [0.3, 0.2, 0.1]
@@ -662,8 +710,7 @@ def test_block_spectrum_matches_dense_pencil(name, rotate):
     keep, drop = ranked[:15], ranked[15:]
     assert np.abs(spec.eigenvalues - lam[keep]).max() <= 1e-12
     assert spec.gram_certificate < 1e-10
-    ref = np_spectral.NPSpectrum(eigenvalues=lam[keep], densities=np.zeros((0, 15)),
-                                 moments=mom[keep], residuals=np.zeros(15),
+    ref = np_spectral.NPSpectrum(eigenvalues=lam[keep], moments=mom[keep], residuals=np.zeros(15),
                                  gram_certificate=0.0, dropped_eigenvalue=0.5)
     compared = 0
     for a, b in zip(sorted(spec.clusters(), key=lambda c: c.eigenvalue),
@@ -749,27 +796,6 @@ def test_geometry_gate_reads_normals_and_areas(field):
     else:
         values[7] *= 1.0 + 1e-6
     assert np_spectral._cyclic_orbits(mesh_arrays(mesh, **{field: values})).shape[1] == 1
-
-
-@pytest.mark.parametrize("name", list(SYMMETRY_MESHES))
-def test_block_circulant_apply_matches_dense_products(rng, name):
-    # the products of S, S^T and K from the representative rows equal the
-    # dense ones: C5 and C16 with complex blocks, the ellipsoid's C2 with
-    # the real block q = k / 2, and the plain product at k = 1
-    make_mesh, order = SYMMETRY_MESHES[name]
-    mesh = make_mesh()
-    orbits = np_spectral._cyclic_orbits(mesh)
-    assert orbits.shape[1] == order
-    S, K = assemble_single_layer(mesh), assemble_np(mesh)
-    apply_S = np_spectral._block_circulant(
-        np_spectral._fourier_blocks(assemble_single_layer(mesh, orbits), orbits), orbits)
-    apply_K = np_spectral._block_circulant(
-        np_spectral._fourier_blocks(assemble_np(mesh, orbits), orbits), orbits)
-    for X in (rng.standard_normal((mesh.n_panels, 4)), rng.standard_normal(mesh.n_panels)):
-        for got, ref in ((apply_S(X), S @ X), (apply_S(X, transpose=True), S.T @ X),
-                         (apply_K(X), K @ X)):
-            assert got.shape == ref.shape
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_pair_basis_is_set_by_the_mesh():
