@@ -8,9 +8,9 @@ from .effective import (DiluteConfig, EffectiveError, EffectiveParams, Sweep, Sw
                         TildeParams, effective_closed_form, epsc_from_s, invert_effective,
                         s_limit_tilde, shifted_resonances, sweep_figure, sweep_summary,
                         tilde_from_definition, tilde_leading_order)
-from .foldy import (FoldyError, GridState, ParticleLattice, build_lattice, check_distribution,
-                    compare_homogenization, eval_foldy_field, eval_homogenized_field,
-                    probe_ring, solve_foldy, solve_homogenized_ls, uniform_invertibility_stat)
+from .foldy import (FoldyError, GridState, check_distribution, compare_homogenization,
+                    eval_foldy_field, eval_homogenized_field, probe_ring, solve_foldy,
+                    solve_homogenized_ls, uniform_invertibility_stat)
 from .mesh import MeshError, TriMesh, icosphere, mesh_from_file
 from .np_spectral import (ModeCluster, NPSpectrum, SpectralError, assemble_np,
                           assemble_single_layer, spectral_decomposition, spectrum_from_json,
@@ -30,9 +30,9 @@ __all__ = [
     "effective_closed_form", "epsc_from_s", "invert_effective", "s_limit_tilde",
     "shifted_resonances", "sweep_figure", "sweep_summary", "tilde_from_definition",
     "tilde_leading_order",
-    "FoldyError", "GridState", "ParticleLattice", "build_lattice", "check_distribution",
-    "compare_homogenization", "eval_foldy_field", "eval_homogenized_field", "probe_ring",
-    "solve_foldy", "solve_homogenized_ls", "uniform_invertibility_stat",
+    "FoldyError", "GridState", "check_distribution", "compare_homogenization", "eval_foldy_field",
+    "eval_homogenized_field", "probe_ring", "solve_foldy", "solve_homogenized_ls",
+    "uniform_invertibility_stat",
     "MeshError", "TriMesh", "icosphere", "mesh_from_file",
     "ModeCluster", "NPSpectrum", "SpectralError", "assemble_np", "assemble_single_layer",
     "spectral_decomposition", "spectrum_from_json", "unit_ball_spectrum",

@@ -9,6 +9,7 @@ deterministic given its inputs.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from collections.abc import Mapping
@@ -23,9 +24,8 @@ from .dipole import FarFieldError, ParticleInstance, scattered_field_dipole
 from .effective import (DiluteConfig, EffectiveError, effective_closed_form,
                         invert_effective, s_limit_tilde, shifted_resonances, sweep_figure,
                         sweep_summary, tilde_from_definition)
-from .foldy import (_MAX_AXIS, FoldyError, build_lattice, check_distribution,
-                    compare_homogenization, eval_foldy_field, probe_ring, solve_foldy,
-                    uniform_invertibility_stat)
+from .foldy import (_MAX_AXIS, FoldyError, check_distribution, compare_homogenization,
+                    eval_foldy_field, probe_ring, solve_foldy, uniform_invertibility_stat)
 from .mesh import MeshError, icosphere, mesh_from_file
 from .np_spectral import NPSpectrum, SpectralError, mesh_spectrum, unit_ball_spectrum
 from .polarization import (RootFindError, SingularModeError, drude_omega_for_eps,
@@ -179,6 +179,16 @@ def _lattice_sizes(key, sizes, resolved):
     return refusal
 
 
+def _eta(key, eta, resolved):
+    """eta, nonnegative, and positive where a volume grid is solved: in the
+    commands that read ``grid_m``, unless ``compare`` is off (both resolved
+    before eta).  The volume keeps its self cell, where the kernel
+    1/(4 pi r + eta) needs eta > 0."""
+    if eta == 0 and "grid_m" in resolved and resolved.get("compare", True):
+        return f"{key} must be positive to solve the volume grid, got {eta}"
+    return _NONNEGATIVE(key, eta, resolved)
+
+
 # key: (parser of its config text, which refuses with a ValueError;
 #       default as config text, None to leave it unset; check or None),
 # grouped as the key sets below read them
@@ -187,7 +197,7 @@ _KEYS = {
     "omega": (_FLOAT, "1", None), "allow_kbeta_ge_1": (_bool, "false", None),
     "mesh_source": (str, "analytic", None), "subdivisions": (_INT, "3", None),
     "mode_count": (_INT, "8", _AT_LEAST_1),
-    "mode_index": (_INT, "0", None), "volume_scale": (_FLOAT, "3", _POSITIVE),
+    "mode_index": (_INT, "0", _NONNEGATIVE), "volume_scale": (_FLOAT, "3", _POSITIVE),
     "n_per_axis": (_INT, "125", None), "dilution_exponent": (_FLOAT, "0.965", _POSITIVE),
     "moment_scale": (lambda raw: raw if raw == "auto" else _FLOAT(raw), "auto", None),
     "drude_omega_p": (_FLOAT, None, _POSITIVE), "drude_tau": (_FLOAT, "0", _NONNEGATIVE),
@@ -205,7 +215,7 @@ _KEYS = {
     "direction": (_VEC3, "0,0,1", None), "handedness": (str, "left", None),
     "amplitude": (_FLOAT, "1", None),
     "probes_file": (_probes_file, None, None), "probe_count": (_INT, "16", _AT_LEAST_1),
-    "n_list": (_numbers(int), None, _lattice_sizes), "eta": (_FLOAT, "0.1", None),
+    "n_list": (_numbers(int), None, _lattice_sizes), "eta": (_FLOAT, "0.1", _eta),
     "grid_m": (_INT, "10", _AXIS), "compare": (_bool, "true", None),
 }
 
@@ -215,7 +225,7 @@ _MODEL = _BACKGROUND + _SPECTRUM + ("mode_index", "volume_scale", "n_per_axis",
                                     "dilution_exponent", "moment_scale")
 _WAVE = ("direction", "handedness", "amplitude")
 _PROBES = ("probes_file", "probe_count")
-_LATTICE = _MODEL + ("eps_c_re", "eps_c_im") + _WAVE + _PROBES + ("n_list", "eta", "grid_m")
+_LATTICE = _MODEL + ("eps_c_re", "eps_c_im") + _WAVE + _PROBES + ("n_list", "grid_m")
 
 # the keys each command reads, in the order they are checked, and the
 # defaults it sets differently from the table
@@ -228,8 +238,8 @@ _COMMANDS = {
     "dipole-field": (_MODEL + ("eps_c_re", "eps_c_im", "delta", "center",
                                "far_field_factor") + _WAVE + _PROBES, {}),
     # an unset eta has two defaults, set in cmd_foldy
-    "foldy": (_LATTICE + ("compare",), {"n_list": "2,3,4", "eta": None}),
-    "compare-hom": (_LATTICE, {"n_list": "2,3,4,5"}),
+    "foldy": (_LATTICE + ("compare", "eta"), {"n_list": "2,3,4", "eta": None}),
+    "compare-hom": (_LATTICE + ("eta",), {"n_list": "2,3,4,5"}),
     "check-assumptions": (_MODEL + ("n_list", "eta", "probe_count"),
                           {"n_list": "3,4,5,6", "eta": "1.0", "probe_count": "8"}),
 }
@@ -397,11 +407,10 @@ def write_field_csv(path: Path, points: np.ndarray, fields: np.ndarray) -> None:
                     "re_hx,im_hx,re_hy,im_hy,re_hz,im_hz", np.hstack([points, parts]).T)
 
 
-def write_error_table(path: Path, rows) -> None:
+def write_error_table(path: Path, n_list, errors, eta: float, eps_c: complex) -> None:
     """One lattice-versus-volume probe error row per lattice size."""
-    write_csv(path, "N,rel_l2_error,eta,eps_c_re,eps_c_im",
-              zip(*[(r.n_per_axis, r.rel_l2_error, r.eta, r.eps_c.real, r.eps_c.imag)
-                    for r in rows]))
+    write_csv(path, "N,rel_l2_error,eta,eps_c_re,eps_c_im", [n_list, errors] + [
+        np.full(len(n_list), v) for v in (eta, eps_c.real, eps_c.imag)])
 
 
 # ---------------------------------------------------------------------------
@@ -548,24 +557,25 @@ def cmd_foldy(cfg, out: Path) -> int:
     probes = load_probes(cfg)
     eta = cfg["eta"]  # unset: a tenth of the spacing for the field lattice, 0.1 to compare
 
-    # probe CSV for the largest lattice
+    # probe CSV for the largest lattice, its particles sized for that lattice
     n_big = max(cfg["n_list"])
-    lattice = build_lattice(n_big, dilute)
-    tilde = tilde_from_definition(bg, eps_c, lattice.cfg, spectrum, mode_index=mode_index)
-    state = solve_foldy(bg, lattice, tilde, 0.1 / n_big if eta is None else eta, wave)
+    big = dataclasses.replace(dilute, n_per_axis=n_big)
+    tilde = tilde_from_definition(bg, eps_c, big, spectrum, mode_index=mode_index)
+    state = solve_foldy(bg, tilde, n_big, 0.1 / n_big if eta is None else eta, wave)
     fields = eval_foldy_field(bg, state, probes)
     # both results before either file, so a failed comparison writes nothing
     if cfg["compare"]:
-        rows = compare_homogenization(bg, dilute, spectrum, eps_c, cfg["n_list"],
-                                      0.1 if eta is None else eta, probes, grid_m=cfg["grid_m"],
-                                      mode_index=mode_index, incident=wave)
+        eta = 0.1 if eta is None else eta
+        errors = compare_homogenization(
+            bg, tilde_from_definition(bg, eps_c, dilute, spectrum, mode_index=mode_index),
+            cfg["n_list"], eta, probes, cfg["grid_m"], wave)
     dest_csv = out / "foldy_field.csv"
     write_field_csv(dest_csv, probes, fields)
     print(f"wrote {dest_csv} (N={n_big}, residual {fmt(state.solver_report['residual'])})")
 
     if cfg["compare"]:
         dest_tab = out / "foldy_errors.csv"
-        write_error_table(dest_tab, rows)
+        write_error_table(dest_tab, cfg["n_list"], errors, eta, eps_c)
         print(f"wrote {dest_tab}")
     return EXIT_OK
 
@@ -573,12 +583,12 @@ def cmd_foldy(cfg, out: Path) -> int:
 def cmd_compare_hom(cfg, out: Path) -> int:
     wave = build_incident(cfg)
     bg, spectrum, mode_index, dilute = load_model(cfg)
-    rows = compare_homogenization(
-        bg, dilute, spectrum, complex(cfg["eps_c_re"], cfg["eps_c_im"]), cfg["n_list"], cfg["eta"],
-        load_probes(cfg), grid_m=cfg["grid_m"], mode_index=mode_index, incident=wave)
+    eps_c = complex(cfg["eps_c_re"], cfg["eps_c_im"])
+    tilde = tilde_from_definition(bg, eps_c, dilute, spectrum, mode_index=mode_index)
+    errs = compare_homogenization(bg, tilde, cfg["n_list"], cfg["eta"], load_probes(cfg),
+                                  cfg["grid_m"], wave)
     dest = out / "compare_hom.csv"
-    write_error_table(dest, rows)
-    errs = [r.rel_l2_error for r in rows]
+    write_error_table(dest, cfg["n_list"], errs, cfg["eta"], eps_c)
     monotone = all(a > b for a, b in zip(errs, errs[1:]))
     write_json(out / "compare_hom_summary.json", {
         "n_list": list(cfg["n_list"]), "errors": errs, "monotone_decreasing": monotone,
@@ -593,11 +603,10 @@ def cmd_check_assumptions(cfg, out: Path) -> int:
 
     dist_rows, inv_rows = [], []
     for N in cfg["n_list"]:
-        lat = build_lattice(N, dilute)
         dist_rows.append({"N": N, "eta": cfg["eta"], "statistic": check_distribution(
-            lat, bg, cfg["eta"], cfg["probe_count"])})
+            bg, N, cfg["eta"], cfg["probe_count"])})
         if N >= 2:
-            stat = uniform_invertibility_stat(lat, bg)
+            stat = uniform_invertibility_stat(bg, N)
             inv_rows.append({"N": N, "statistic": stat,
                              "scaled_by_n6a": stat * N ** (6.0 * a)})
     stats = [r["statistic"] for r in dist_rows]

@@ -9,7 +9,6 @@ comparing probe fields of the two is the convergence experiment.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -18,10 +17,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .background import (ChiralBackground, PlaneWaveSpec, _contract, _radial, circular_wave,
-                         green_apply, green_dyadic, incident_six)
-from .effective import DiluteConfig, TildeParams, coupling_from_tilde, tilde_from_definition
-from .np_spectral import NPSpectrum
+from .background import (ChiralBackground, PlaneWaveSpec, _contract, _radial, green_apply,
+                         green_dyadic, incident_six)
+from .effective import TildeParams, coupling_from_tilde
 
 _I3 = np.eye(3)
 
@@ -45,27 +43,11 @@ class FoldyError(RuntimeError):
     """Lattice or volume solve failed."""
 
 
-def _check_axis(N: int) -> None:
-    """Refuse more than ``_MAX_AXIS`` particles per axis, before any N^3-sized work."""
-    if N > _MAX_AXIS:
-        raise FoldyError(f"lattice count per axis {N} exceeds {_MAX_AXIS}")
-
-
-@dataclass(frozen=True)
-class ParticleLattice:
-    """Regular N^3 lattice of point scatterers filling the unit cube, N =
-    ``cfg.n_per_axis``: one at each cell center of the N^3 grid, in
-    :func:`cell_centers` order."""
-
-    cfg: DiluteConfig
-
-    @property
-    def n_per_axis(self) -> int:
-        return self.cfg.n_per_axis
-
-    @functools.cached_property
-    def centers(self) -> np.ndarray:
-        return cell_centers(self.n_per_axis)
+def _check_axis(name: str, n: int) -> None:
+    """Refuse a grid of ``n`` cells per axis outside [1, ``_MAX_AXIS``],
+    before any n^3-sized work."""
+    if not 1 <= n <= _MAX_AXIS:
+        raise FoldyError(f"{name} must lie in [1, {_MAX_AXIS}], got {n}")
 
 
 def _grid_index(n: int) -> np.ndarray:
@@ -78,15 +60,6 @@ def cell_centers(n: int) -> np.ndarray:
     """Centers ((i+1/2)/n, (j+1/2)/n, (k+1/2)/n) of the n^3 grid cells, for
     the 0-based indices of :func:`_grid_index`, last axis fastest."""
     return (_grid_index(n) + 0.5) / n
-
-
-def build_lattice(n_per_axis: int, cfg: DiluteConfig) -> ParticleLattice:
-    """Lattice with the config rescaled to this particle count.
-
-    Re-deriving the config revalidates the dilution invariant for the
-    new count, so particle size always tracks the lattice.
-    """
-    return ParticleLattice(dataclasses.replace(cfg, n_per_axis=n_per_axis))
 
 
 @dataclass(frozen=True)
@@ -491,22 +464,22 @@ def _solve_cells(bg: ChiralBackground, tilde: TildeParams, n: int, eta: float,
                      coupling=T6, incident=incident)
 
 
-def solve_foldy(bg: ChiralBackground, lattice: ParticleLattice, tilde: TildeParams,
-                eta: float, incident: PlaneWaveSpec) -> GridState:
-    """Solve the self-consistent point-interaction system on the lattice.
+def solve_foldy(bg: ChiralBackground, tilde: TildeParams, n_per_axis: int, eta: float,
+                incident: PlaneWaveSpec) -> GridState:
+    """Solve the self-consistent point-interaction system on the lattice of
+    ``n_per_axis``^3 particles, one at each of the :func:`cell_centers`.
 
     Diagonal blocks are the identity; off-diagonal blocks couple particle
     pairs through the regularized fundamental dyadic times the coupling
     matrix of ``tilde`` (:func:`coupling_from_tilde`), weighted by one
     over the particle count.
     """
-    N = lattice.n_per_axis
-    _check_axis(N)
+    _check_axis("n_per_axis", n_per_axis)
     if not eta >= 0:
         raise FoldyError(f"eta must be nonnegative, got {eta}")
     # eta = 0 is fine here: self blocks are masked out, and distinct
     # centers keep the kernel regular
-    return _solve_cells(bg, tilde, N, eta, incident, zero_self=True)
+    return _solve_cells(bg, tilde, n_per_axis, eta, incident, zero_self=True)
 
 
 def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
@@ -518,8 +491,7 @@ def solve_homogenized_ls(bg: ChiralBackground, tilde: TildeParams, grid_m: int,
     positive).  The lattice solve shares this grid problem
     (``_solve_cells``).
     """
-    if not 1 <= grid_m <= _MAX_AXIS:
-        raise FoldyError(f"grid_m must lie in [1, {_MAX_AXIS}], got {grid_m}")
+    _check_axis("grid_m", grid_m)
     if not eta > 0:
         raise FoldyError("volume discretization needs eta > 0 (self cell)")
     return _solve_cells(bg, tilde, grid_m, eta, incident, zero_self=False)
@@ -587,10 +559,10 @@ def _table_apply(bg: ChiralBackground, table: list, D: np.ndarray, F: np.ndarray
     return _contract(bg, xh, branches, F)
 
 
-def check_distribution(lattice: ParticleLattice, bg: ChiralBackground, eta: float,
+def check_distribution(bg: ChiralBackground, N: int, eta: float,
                        probe_count: int = 8) -> float:
-    """Sup over sampled lattice sites of |lattice average - volume integral|
-    of the regularized kernel applied to a fixed test pair.
+    """Sup over sampled sites of the N^3 lattice of |lattice average - volume
+    integral| of the regularized kernel applied to a fixed test pair.
 
     The volume integral uses a four-times-finer midpoint grid whose nodes
     never coincide with lattice centers; the test pair is polynomial
@@ -608,12 +580,11 @@ def check_distribution(lattice: ParticleLattice, bg: ChiralBackground, eta: floa
     """
     if probe_count < 1:
         raise FoldyError(f"probe_count must be at least 1, got {probe_count}")
-    N = lattice.n_per_axis
-    _check_axis(N)
-    n = lattice.centers.shape[0]
+    _check_axis("n_per_axis", N)
+    n = N ** 3
     lat = 8 * _grid_index(N) + 4
     fine = 2 * _grid_index(4 * N) + 1
-    F_lat = _smooth_test_pair(lattice.centers)
+    F_lat = _smooth_test_pair(cell_centers(N))
     F_fine = _smooth_test_pair(cell_centers(4 * N))
     table = _radial(bg, np.sqrt(np.arange(1, 3 * (8 * N) ** 2 + 1)) / (8 * N), eta)
     js = np.unique(np.linspace(0, n - 1, min(probe_count, n)).round().astype(int))
@@ -627,16 +598,15 @@ def check_distribution(lattice: ParticleLattice, bg: ChiralBackground, eta: floa
     return worst
 
 
-def uniform_invertibility_stat(lattice: ParticleLattice, bg: ChiralBackground) -> float:
-    """Mean squared Frobenius norm of the unregularized pair kernel,
-    (1/N^6) sum over distinct pairs of ||G(z_i - z_j)||_F^2.
+def uniform_invertibility_stat(bg: ChiralBackground, N: int) -> float:
+    """Mean squared Frobenius norm of the unregularized pair kernel over the
+    N^3 lattice, (1/N^6) sum over distinct pairs of ||G(z_i - z_j)||_F^2.
 
     Summed over the distinct offsets d, each weighted by its number of
     center pairs prod_k (N - |d_k|)."""
-    N = lattice.n_per_axis
+    _check_axis("n_per_axis", N)
     if N < 2:
         raise FoldyError("pair statistic needs at least 2 per axis")
-    _check_axis(N)
     norms = np.sum(np.abs(_offset_kernel(bg, N, 0.0, zero_self=True)) ** 2, axis=(-2, -1))
     r = N - np.abs(np.arange(-(N - 1), N))
     pairs = r[:, None, None] * r[None, :, None] * r[None, None, :]
@@ -656,29 +626,19 @@ def probe_ring(count: int = 16) -> np.ndarray:
     return 0.5 + 3.0 * (np.cos(th)[:, None] * u + np.sin(th)[:, None] * v)
 
 
-@dataclass(frozen=True)
-class CompareRow:
-    n_per_axis: int
-    rel_l2_error: float
-    eta: float
-    eps_c: complex
+def compare_homogenization(bg: ChiralBackground, tilde: TildeParams, n_list, eta: float,
+                           probes, grid_m: int, incident: PlaneWaveSpec) -> list[float]:
+    """Probe-field error of each lattice of ``n_list`` against one volume
+    reference, in ``n_list`` order.
 
-
-def compare_homogenization(bg: ChiralBackground, cfg: DiluteConfig,
-                           spectrum: NPSpectrum, eps_c: complex, N_list, eta: float,
-                           probes, grid_m: int = 10, mode_index: int = 0,
-                           incident: PlaneWaveSpec | None = None) -> list[CompareRow]:
-    """Probe-field error of each lattice against one volume reference.
-
-    The coupling is computed once from the reference config and shared by
-    every lattice solve and the volume solve, so the error isolates the
-    lattice-average-versus-integral discrepancy at fixed material.
-    Errors are relative L2 norms over the probe set of the scattered
-    (incident-subtracted) fields.
+    Every lattice solve and the volume solve share the coupling ``tilde``,
+    so the error isolates the lattice-average-versus-integral discrepancy
+    at fixed material.  Errors are relative L2 norms over the probe set of
+    the scattered (incident-subtracted) fields.  Every lattice size is
+    checked before the volume solve, which checks its own.
     """
-    if incident is None:
-        incident = circular_wave(np.array([0.0, 0.0, 1.0]), "left")
-    tilde = tilde_from_definition(bg, eps_c, cfg, spectrum, mode_index=mode_index)
+    for N in n_list:
+        _check_axis("n_per_axis", N)
     probes = np.asarray(probes, dtype=float).reshape(-1, 3)
     hom = solve_homogenized_ls(bg, tilde, grid_m, eta, incident)
     inc_p = incident_six(bg, incident, probes)
@@ -686,13 +646,8 @@ def compare_homogenization(bg: ChiralBackground, cfg: DiluteConfig,
     ref_norm = float(np.linalg.norm(scat_h))
     if ref_norm == 0.0:
         raise FoldyError("volume reference scattered field vanished at the probes")
-    rows = []
-    for N in N_list:
-        lat = build_lattice(int(N), cfg)
-        state = solve_foldy(bg, lat, tilde, eta, incident)
-        scat_f = eval_foldy_field(bg, state, probes) - inc_p
-        rows.append(CompareRow(
-            n_per_axis=int(N),
-            rel_l2_error=float(np.linalg.norm(scat_f - scat_h)) / ref_norm,
-            eta=float(eta), eps_c=complex(eps_c)))
-    return rows
+    errors = []
+    for N in n_list:
+        scat_f = eval_foldy_field(bg, solve_foldy(bg, tilde, N, eta, incident), probes) - inc_p
+        errors.append(float(np.linalg.norm(scat_f - scat_h)) / ref_norm)
+    return errors

@@ -18,7 +18,7 @@ from chiralmeta.dipole import ParticleInstance, scattered_field_dipole
 from chiralmeta.effective import (DiluteConfig, compatibility_residual, effective_closed_form,
                                   invert_effective, roundtrip_residual, s_limit_tilde,
                                   tilde_from_definition)
-from chiralmeta.foldy import (build_lattice, check_distribution, compare_homogenization,
+from chiralmeta.foldy import (cell_centers, check_distribution, compare_homogenization,
                               eval_foldy_field, probe_ring, solve_foldy,
                               uniform_invertibility_stat)
 from chiralmeta.np_spectral import assemble_single_layer
@@ -249,21 +249,19 @@ def test_11_foldy_convergence(ball_spectrum, ball_cn):
     probes = probe_ring(8)
 
     single_cfg = DiluteConfig(0.5, 1, 0.965, ball_cn)
-    lat = build_lattice(1, single_cfg)
-    st = solve_foldy(bg, lat, tilde_from_definition(bg, -3.0, lat.cfg, ball_spectrum), 0.0,
+    st = solve_foldy(bg, tilde_from_definition(bg, -3.0, single_cfg, ball_spectrum), 1, 0.0,
                      wave)
     total = eval_foldy_field(bg, st, probes)
-    part = ParticleInstance(center=lat.centers[0], delta=lat.cfg.delta, eps_c=-3.0,
+    center = cell_centers(1)[0]
+    part = ParticleInstance(center=center, delta=single_cfg.delta, eps_c=-3.0,
                             spectrum=ball_spectrum, far_field_factor=2.0)
     expect = (incident_six(bg, wave, probes)
-              + scattered_field_dipole(bg, part, incident_six(bg, wave, lat.centers[0]),
-                                       probes))
+              + scattered_field_dipole(bg, part, incident_six(bg, wave, center), probes))
     single_dev = float(np.abs(total - expect).max() / np.abs(expect).max())
 
     cfg = DiluteConfig(3.0, 125, 0.965, ball_cn)
-    rows = compare_homogenization(bg, cfg, ball_spectrum, -3.0, [2, 3, 4, 5], 0.1,
-                                  probes, grid_m=10)
-    errs = [r.rel_l2_error for r in rows]
+    errs = compare_homogenization(bg, tilde_from_definition(bg, -3.0, cfg, ball_spectrum),
+                                  [2, 3, 4, 5], 0.1, probes, 10, wave)
     monotone = all(a > b for a, b in zip(errs, errs[1:]))
     secs = time.perf_counter() - t0
     ok = single_dev < 1e-10 and monotone and secs < 600.0
@@ -275,23 +273,21 @@ def test_11_foldy_convergence(ball_spectrum, ball_cn):
     assert secs < 600.0
 
 
-def test_12a_distribution_statistic(ball_cn):
+def test_12a_distribution_statistic():
     bg = ChiralBackground(1.0, 1.0, 0.4, 1.0)
-    cfg = DiluteConfig(0.5, 2, 0.965, ball_cn)
-    vals = [check_distribution(build_lattice(N, cfg), bg, 1.0) for N in (3, 4, 5, 6)]
+    vals = [check_distribution(bg, N, 1.0) for N in (3, 4, 5, 6)]
     monotone = all(a > b for a, b in zip(vals, vals[1:]))
     record_acceptance("12a", monotone,
                       "statistic " + " > ".join(f"{v:.4f}" for v in vals))
     assert monotone
 
 
-def test_12b_uniform_invertibility_bounded(ball_cn):
+def test_12b_uniform_invertibility_bounded():
     bg = ChiralBackground(1.0, 1.0, 0.4, 1.0)
     a = 0.965
-    cfg = DiluteConfig(0.5, 2, a, ball_cn)
     scaled = []
     for N in (2, 3, 4, 5, 6):
-        stat = uniform_invertibility_stat(build_lattice(N, cfg), bg)
+        stat = uniform_invertibility_stat(bg, N)
         scaled.append(stat * N ** (6.0 * a))
     ratio = max(scaled) / min(scaled)
     record_acceptance("12b", ratio < 10.0,

@@ -141,3 +141,15 @@ def test_artifacts_written_only_by_the_cli_writers():
     # of the CLI's two writers, so no other code writes a file
     writes = {(p.stem, where) for p in PACKAGE.glob("*.py") for where, _ in file_writes(p)}
     assert writes == {("cli", "write_csv"), ("cli", "write_json")}, sorted(writes)
+
+
+def test_readme_python_api_example_runs(capsys):
+    # the README's Python API block is run as written, so that it keeps
+    # calling the API that exists
+    lines = (TESTS.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("## Python API")
+    begin = lines.index("```python", start) + 1
+    code = "\n".join(lines[begin:lines.index("```", begin)])
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
+    out = capsys.readouterr().out
+    assert "solver:" in out and "lattice-vs-volume probe errors" in out

@@ -219,7 +219,7 @@ def test_field_csv_rows_match_fmt(tmp_path, rng):
     expect = [[fmt(v) for v in p] + [fmt(part) for c in f for part in (c.real, c.imag)]
               for p, f in zip(points, fields)]
     assert read_csv(tmp_path / "field.csv")[1] == expect
-    # SweepRow.out_of_assumption is a numpy.bool_; CompareRow.n_per_axis an int
+    # SweepRow.out_of_assumption is a numpy.bool_; an n_list entry an int
     columns = [[np.bool_(True), False, np.bool_(False)], [3, np.int64(-7), 0],
                [-0.0, 1e300, -1e-300]]
     write_csv(tmp_path / "mixed.csv", "b,i,f", columns)
@@ -476,12 +476,13 @@ def test_dipole_field_probe_in_guard_radius(tmp_path, capsys):
 
 
 def test_check_assumptions_negative_eta(tmp_path, capsys):
-    # the regularized kernel 1/(4 pi r + eta) has a pole at r = 1/(4 pi)
+    # the regularized kernel 1/(4 pi r + eta) has a pole at r = 1/(4 pi);
+    # refused with the config, no longer by the kernel after the spectrum
     cfg = write(tmp_path / "c.cfg",
                 "beta_m = 0.4\nvolume_scale = 0.5\nn_list = 2,3\neta = -1\n")
     rc = main(["check-assumptions", "--config", cfg, "--out", str(tmp_path)])
-    assert rc == 3
-    assert "eta must be nonnegative" in capsys.readouterr().err
+    assert rc == 2
+    assert "config error: eta must be nonnegative, got -1.0" in capsys.readouterr().err
     assert not (tmp_path / "check_assumptions.json").exists()
 
 
@@ -515,14 +516,43 @@ def test_empty_n_list_rejected(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("line", ["grid_m = 25", "eta = 0"])
 def test_foldy_failed_comparison_writes_nothing(tmp_path, capsys, line):
-    # the field CSV used to be written before the volume solve refused;
-    # a grid_m past the per-axis bound is now refused with the config
+    # the field CSV used to be written before the volume solve refused; a
+    # grid_m past the per-axis bound, and an eta = 0 that the volume's self
+    # cell cannot take, are now refused with the config
     cfg = write(tmp_path / "c.cfg", f"beta_m = 0.4\nvolume_scale = 0.5\nn_list = 2\n{line}\n")
     out = tmp_path / "out"
-    refused = line == "grid_m = 25"
-    assert main(["foldy", "--config", cfg, "--out", str(out)]) == (2 if refused else 3)
-    assert ("config error" if refused else "numerical failure") in capsys.readouterr().err
+    assert main(["foldy", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("compare-hom", "eta = 0", "eta must be positive to solve the volume grid, got 0.0"),
+    ("foldy", "eta = 0\ncompare = true", "eta must be positive to solve the volume grid, got 0.0"),
+    ("compare-hom", "eta = -1", "eta must be nonnegative, got -1.0"),
+    ("foldy", "eta = -1\ncompare = false", "eta must be nonnegative, got -1.0"),
+    ("check-assumptions", "eta = -1", "eta must be nonnegative, got -1.0"),
+])
+def test_bad_eta_refused_before_the_spectrum(tmp_path, capsys, monkeypatch, command, line,
+                                             message):
+    # these used to exit 3 from the solves or the kernel, after the spectrum
+    def decomposed(*args, **kwargs):
+        raise AssertionError("spectrum computed before eta was checked")
+
+    monkeypatch.setattr(cli, "build_spectrum", decomposed)
+    cfg = write(tmp_path / "c.cfg", f"volume_scale = 0.5\nn_list = 2\n{line}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_check_assumptions_zero_eta_accepted(tmp_path, capsys):
+    # no volume grid, no self cell: the lattice sums never take a zero offset
+    # (foldy with compare = false: test_dipole_field_matches_single_site_foldy)
+    cfg = write(tmp_path / "c.cfg", "beta_m = 0.4\nvolume_scale = 0.5\nn_list = 2,3\neta = 0\n")
+    assert main(["check-assumptions", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "check_assumptions.json").exists()
 
 
 def test_singular_probe_is_numerical_failure(tmp_path, capsys):
@@ -566,7 +596,8 @@ def test_n_list_below_one_rejected(tmp_path, capsys, monkeypatch, command, value
     def solved(*args, **kwargs):
         raise AssertionError("solved before the config was checked")
 
-    for name in ("build_lattice", "compare_homogenization"):
+    for name in ("solve_foldy", "compare_homogenization", "check_distribution",
+                 "uniform_invertibility_stat"):
         monkeypatch.setattr(cli, name, solved)
     cfg = write(tmp_path / "c.cfg", f"beta_m = 0.4\nvolume_scale = 0.5\nn_list = {value}\n")
     out = tmp_path / "out"
@@ -793,10 +824,10 @@ def test_icosphere_subdivisions_out_of_range_is_config_error(tmp_path, capsys):
 
 
 # a bad value for every key but mesh_source, which is read with the mesh;
-# mode_index's range needs the clusters, so its bad value does not parse
+# mode_index's upper bound needs the clusters, so its bad value is negative
 BAD_VALUES = {
     "eps_m": "abc", "mu_m": "0", "beta_m": "1.2", "omega": "inf", "allow_kbeta_ge_1": "maybe",
-    "subdivisions": "1.5", "mode_count": "0", "mode_index": "x", "volume_scale": "-1",
+    "subdivisions": "1.5", "mode_count": "0", "mode_index": "-1", "volume_scale": "-1",
     "n_per_axis": "0", "dilution_exponent": "0", "moment_scale": "-1", "drude_omega_p": "0",
     "drude_tau": "-1", "eps_c_min": "abc", "eps_c_max": "-5", "eps_c_points": "1",
     "dense_window": "-1", "dense_points": "0", "lambda_n": "0.5", "s_values": "1",

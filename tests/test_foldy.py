@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,12 @@ from chiralmeta import foldy
 from chiralmeta.background import (BackgroundError, ChiralBackground, _radial, circular_wave,
                                    green_apply, green_dyadic, incident_six)
 from chiralmeta.dipole import ParticleInstance, scattered_field_dipole
-from chiralmeta.effective import (DiluteConfig, EffectiveError, coupling_from_tilde,
-                                  coupling_matrix, s_limit_tilde, tilde_from_definition)
+from chiralmeta.effective import (DiluteConfig, coupling_from_tilde, coupling_matrix,
+                                  s_limit_tilde, tilde_from_definition)
 from chiralmeta.foldy import (FoldyError, GridState, _cube_group, _cube_orbits,
                               _fft_apply, _from_basis, _grid_index, _group_sums,
                               _irrep_blocks,
-                              _lu_solve_system, _offset_blocks, _solve_grid,
-                              build_lattice, cell_centers,
+                              _lu_solve_system, _offset_blocks, _solve_grid, cell_centers,
                               check_distribution, compare_homogenization, eval_foldy_field,
                               eval_homogenized_field, probe_ring, solve_foldy,
                               solve_homogenized_ls, uniform_invertibility_stat)
@@ -27,25 +28,21 @@ def bg():
 
 @pytest.fixture(scope="module")
 def cfg(ball_cn):
-    # volume_scale < 1 so even a single-cell lattice satisfies dilution
+    # volume_scale < 1 so even a single-cell lattice satisfies dilution;
+    # sized for the N = 2 lattice
     return DiluteConfig(0.5, 2, 0.965, ball_cn)
 
 
-@pytest.fixture(scope="module")
-def lat2(cfg):
-    return build_lattice(2, cfg)
-
-
-def _solve(bg, lat, spectrum, incident, eta):
-    """The lattice solve of ``foldy``: eps_c -3, the coupling of the
-    lattice's own config."""
-    tilde = tilde_from_definition(bg, -3.0, lat.cfg, spectrum)
-    return solve_foldy(bg, lat, tilde, eta, incident)
+def _solve(bg, cfg, N, spectrum, incident, eta):
+    """The lattice solve of ``foldy``: eps_c -3, the coupling of the config
+    rescaled to the N^3 lattice."""
+    tilde = tilde_from_definition(bg, -3.0, dataclasses.replace(cfg, n_per_axis=N), spectrum)
+    return solve_foldy(bg, tilde, N, eta, incident)
 
 
 @pytest.fixture(scope="module")
-def state2(bg, lat2, ball_spectrum):
-    return _solve(bg, lat2, ball_spectrum, WAVE, 0.1)
+def state2(bg, cfg, ball_spectrum):
+    return _solve(bg, cfg, 2, ball_spectrum, WAVE, 0.1)
 
 
 def test_cell_centers_layout():
@@ -54,54 +51,42 @@ def test_cell_centers_layout():
     assert np.allclose(c[0], [0.25, 0.25, 0.25])
     assert np.allclose(c[1], [0.25, 0.25, 0.75])  # last axis fastest
     assert np.allclose(c.mean(axis=0), [0.5, 0.5, 0.5])
-
-
-def test_build_lattice_rescales_config(cfg):
-    lat = build_lattice(3, cfg)
-    assert lat.cfg.n_per_axis == 3
-    assert lat.centers.shape == (27, 3)
-    d = np.linalg.norm(lat.centers[:, None] - lat.centers[None], axis=-1)
+    c = cell_centers(3)
+    d = np.linalg.norm(c[:, None] - c[None], axis=-1)
     np.fill_diagonal(d, np.inf)
     assert d.min() == pytest.approx(1 / 3, rel=1e-12)
 
 
-def test_build_lattice_revalidates_dilution(ball_cn):
-    big = DiluteConfig(3.0, 125, 0.965, ball_cn)
-    with pytest.raises(EffectiveError, match="dilution violated"):
-        build_lattice(1, big)
-
-
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_lattice_centers_are_cell_centers(cfg, N):
-    lat = build_lattice(N, cfg)
-    assert lat.n_per_axis == lat.cfg.n_per_axis == N
-    assert np.array_equal(lat.centers, cell_centers(N))
+def test_lattice_centers_are_cell_centers(bg, cfg, ball_spectrum, N):
+    st = _solve(bg, cfg, N, ball_spectrum, WAVE, 0.1)
+    assert st.n == N
+    assert np.array_equal(st.centers, cell_centers(N))
 
 
 def test_single_particle_state_is_incident(bg, cfg, ball_spectrum):
-    lat = build_lattice(1, cfg)
-    st = _solve(bg, lat, ball_spectrum, WAVE, 0.1)
+    st = _solve(bg, cfg, 1, ball_spectrum, WAVE, 0.1)
     # the masked self block leaves K = 0: one sweep returns b
     assert st.solver_report["method"] == "iteration"
     assert st.solver_report["iterations"] == 1
-    assert np.array_equal(st.values, incident_six(bg, WAVE, lat.centers))
+    assert np.array_equal(st.values, incident_six(bg, WAVE, cell_centers(1)))
 
 
-def test_zero_incident_gives_zero_state(bg, lat2, ball_spectrum):
+def test_zero_incident_gives_zero_state(bg, cfg, ball_spectrum):
     dark = circular_wave([0.0, 0.0, 1.0], "left", amplitude=0.0)
-    st = _solve(bg, lat2, ball_spectrum, dark, 0.1)
+    st = _solve(bg, cfg, 2, ball_spectrum, dark, 0.1)
     assert np.all(st.values == 0)
 
 
 def test_single_particle_field_matches_dipole(bg, cfg, ball_spectrum):
     # one lattice site with eta = 0 is exactly the point-dipole model
-    lat = build_lattice(1, cfg)
-    st = _solve(bg, lat, ball_spectrum, WAVE, 0.0)
+    st = _solve(bg, cfg, 1, ball_spectrum, WAVE, 0.0)
     probes = probe_ring(8)
     total = eval_foldy_field(bg, st, probes)
-    part = ParticleInstance(center=lat.centers[0], delta=lat.cfg.delta, eps_c=-3.0,
-                            spectrum=ball_spectrum, far_field_factor=2.0)
-    inc_c = incident_six(bg, WAVE, lat.centers[0])
+    center = cell_centers(1)[0]
+    part = ParticleInstance(center=center, delta=dataclasses.replace(cfg, n_per_axis=1).delta,
+                            eps_c=-3.0, spectrum=ball_spectrum, far_field_factor=2.0)
+    inc_c = incident_six(bg, WAVE, center)
     expect = incident_six(bg, WAVE, probes) + scattered_field_dipole(bg, part, inc_c, probes)
     assert np.abs(total - expect).max() < 1e-10 * np.abs(expect).max()
 
@@ -111,13 +96,12 @@ def test_mirror_symmetry(cfg, ball_spectrum):
     # cube midplane flips (E_x, H_y, H_z) and permutes the centers
     bg0 = ChiralBackground(1.0, 1.0, 0.0, 1.0)
     wave = linear_wave([0.0, 0.0, 1.0], [0.0, 1.0, 0.0])
-    lat = build_lattice(2, cfg)
-    st = _solve(bg0, lat, ball_spectrum, wave, 0.1)
-    mirrored = lat.centers.copy()
+    st = _solve(bg0, cfg, 2, ball_spectrum, wave, 0.1)
+    mirrored = st.centers.copy()
     mirrored[:, 0] = 1.0 - mirrored[:, 0]
     sgn = np.array([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
     for i, mc in enumerate(mirrored):
-        j = int(np.argmin(np.linalg.norm(lat.centers - mc, axis=1)))
+        j = int(np.argmin(np.linalg.norm(st.centers - mc, axis=1)))
         assert np.abs(st.values[j] - sgn * st.values[i]).max() < 1e-8
 
 
@@ -139,66 +123,80 @@ def test_both_solves_return_grid_state(bg, state2):
 
 
 @pytest.mark.parametrize("eta", [-0.1, float("nan")])
-def test_lattice_eta_guard(bg, lat2, ball_spectrum, eta):
+def test_lattice_eta_guard(bg, cfg, ball_spectrum, eta):
     # NaN fails every comparison, so the check is "not eta >= 0"
-    tilde = tilde_from_definition(bg, -3.0, lat2.cfg, ball_spectrum)
+    tilde = tilde_from_definition(bg, -3.0, cfg, ball_spectrum)
     with pytest.raises(FoldyError, match="eta must be nonnegative"):
-        solve_foldy(bg, lat2, tilde, eta, WAVE)
+        solve_foldy(bg, tilde, 2, eta, WAVE)
+
+
+def _no_kernel_work(monkeypatch):
+    """Make every kernel or incident-field evaluation in ``foldy`` fail."""
+    def no_kernel_work(*args, **kwargs):
+        raise AssertionError("kernel work before the size check")
+
+    for name in ("green_dyadic", "_radial", "incident_six"):
+        monkeypatch.setattr(foldy, name, no_kernel_work)
 
 
 def test_lattice_axis_bound(bg, cfg, ball_spectrum, monkeypatch):
     # refused before any kernel or incident-field evaluation
-    lat = build_lattice(25, cfg)
-    tilde = tilde_from_definition(bg, -3.0, lat.cfg, ball_spectrum)
-
-    def no_kernel_work(*args, **kwargs):
-        raise AssertionError("kernel work before the size check")
-
-    monkeypatch.setattr(foldy, "green_dyadic", no_kernel_work)
-    monkeypatch.setattr(foldy, "incident_six", no_kernel_work)
-    with pytest.raises(FoldyError, match="lattice count per axis 25 exceeds 24"):
-        solve_foldy(bg, lat, tilde, 0.1 / 25, WAVE)
+    tilde = tilde_from_definition(bg, -3.0, cfg, ball_spectrum)
+    _no_kernel_work(monkeypatch)
+    for N in (0, 25):
+        with pytest.raises(FoldyError, match=rf"n_per_axis must lie in \[1, 24\], got {N}"):
+            solve_foldy(bg, tilde, N, 0.1, WAVE)
 
 
-@pytest.mark.parametrize("check", [lambda lat, bg: check_distribution(lat, bg, 1.0),
+@pytest.mark.parametrize("check", [lambda bg, N: check_distribution(bg, N, 1.0),
                                    uniform_invertibility_stat],
                          ids=["check_distribution", "uniform_invertibility_stat"])
-def test_assumption_checks_axis_bound(bg, cfg, monkeypatch, check):
+def test_assumption_checks_axis_bound(bg, monkeypatch, check):
     # both checks grow about as N^3 in time and memory (203 MB at N = 16):
     # the lattice bound of solve_foldy holds for them too, before any table
-    def no_kernel_work(*args, **kwargs):
-        raise AssertionError("kernel work before the size check")
-
-    monkeypatch.setattr(foldy, "_MAX_AXIS", 4)
-    monkeypatch.setattr(foldy, "_radial", no_kernel_work)
-    monkeypatch.setattr(foldy, "_offset_kernel", no_kernel_work)
-    with pytest.raises(FoldyError, match="lattice count per axis 5 exceeds 4"):
-        check(build_lattice(5, cfg), bg)
+    _no_kernel_work(monkeypatch)
+    for N in (0, 25):
+        with pytest.raises(FoldyError, match=rf"n_per_axis must lie in \[1, 24\], got {N}"):
+            check(bg, N)
 
 
-def test_lattice_coupling_is_coupling_matrix(bg, lat2, state2, ball_spectrum):
+@pytest.mark.parametrize("n_list, grid_m, name", [([2, 0], 6, "n_per_axis"),
+                                                  ([2, 25], 6, "n_per_axis"),
+                                                  ([2], 0, "grid_m"), ([2], 25, "grid_m")])
+def test_compare_homogenization_axis_bound(bg, cfg, ball_spectrum, monkeypatch,
+                                           n_list, grid_m, name):
+    # every size is refused before the volume solve, and so before any kernel
+    # evaluation
+    tilde = tilde_from_definition(bg, -3.0, cfg, ball_spectrum)
+    _no_kernel_work(monkeypatch)
+    bad = grid_m if name == "grid_m" else n_list[-1]
+    with pytest.raises(FoldyError, match=rf"{name} must lie in \[1, 24\], got {bad}"):
+        compare_homogenization(bg, tilde, n_list, 0.1, probe_ring(8), grid_m, WAVE)
+
+
+def test_lattice_coupling_is_coupling_matrix(bg, cfg, state2, ball_spectrum):
     # the coupling goes T2 -> tilde -> T2; at omega = 1 the round trip is
     # exact, elsewhere it rounds: 1.9e-17 of the largest entry measured at
     # omega 1.3, eps_c -2.5+0.3i
     lam = ball_spectrum.clusters()[0].eigenvalue
-    expect = np.kron(coupling_matrix(bg, -3.0, lat2.cfg, lam), np.eye(3))
+    expect = np.kron(coupling_matrix(bg, -3.0, cfg, lam), np.eye(3))
     assert np.array_equal(state2.coupling, expect)
     bg13 = ChiralBackground(1.0, 1.0, 0.4, 1.3)
     eps_c = -2.5 + 0.3j
-    st = solve_foldy(bg13, lat2, tilde_from_definition(bg13, eps_c, lat2.cfg, ball_spectrum),
-                     0.1, WAVE)
-    expect = np.kron(coupling_matrix(bg13, eps_c, lat2.cfg, lam), np.eye(3))
+    st = solve_foldy(bg13, tilde_from_definition(bg13, eps_c, cfg, ball_spectrum), 2, 0.1,
+                     WAVE)
+    expect = np.kron(coupling_matrix(bg13, eps_c, cfg, lam), np.eye(3))
     assert np.abs(st.coupling - expect).max() <= 2.2e-16 * np.abs(expect).max()
 
 
-def test_solve_linear_in_amplitude(bg, lat2, state2, ball_spectrum):
+def test_solve_linear_in_amplitude(bg, cfg, state2, ball_spectrum):
     a = 2.0 - 0.5j
-    st = _solve(bg, lat2, ball_spectrum,
+    st = _solve(bg, cfg, 2, ball_spectrum,
                 circular_wave([0.0, 0.0, 1.0], "left", amplitude=a), 0.1)
     assert np.abs(st.values - a * state2.values).max() < 1e-12 * np.abs(st.values).max()
 
 
-def test_far_field_decay(bg, lat2, state2):
+def test_far_field_decay(bg, state2):
     center = np.array([0.5, 0.5, 0.5])
     rs = np.array([10.0, 30.0, 100.0])
     for d in ([0.3, -0.5, 0.8], [1.0, 0.2, 0.1]):
@@ -212,13 +210,13 @@ def test_far_field_decay(bg, lat2, state2):
         assert slope == pytest.approx(-1.0, abs=0.05)
 
 
-def test_eta_consistency(bg, lat2, ball_spectrum):
+def test_eta_consistency(bg, cfg, ball_spectrum):
     # halving the regularization scale changes the probe fields less and
     # less: the eta-dependence is a vanishing perturbation
     probes = probe_ring(8)
     outs = {}
     for eta in (0.2, 0.1, 0.05):
-        st = _solve(bg, lat2, ball_spectrum, WAVE, eta)
+        st = _solve(bg, cfg, 2, ball_spectrum, WAVE, eta)
         outs[eta] = eval_foldy_field(bg, st, probes)
     scale = np.linalg.norm(outs[0.05])
     d1 = np.linalg.norm(outs[0.2] - outs[0.1]) / scale
@@ -263,36 +261,37 @@ def test_homogenized_guards(bg):
         solve_homogenized_ls(bg, tl, 4, 0.0, WAVE)
 
 
-def test_distribution_refines(bg, cfg):
-    vals = [check_distribution(build_lattice(N, cfg), bg, 1.0) for N in (3, 4, 5, 6)]
+def test_distribution_refines(bg):
+    vals = [check_distribution(bg, N, 1.0) for N in (3, 4, 5, 6)]
     assert all(v > 0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_distribution_needs_a_probe(bg, cfg):
+def test_distribution_needs_a_probe(bg):
     for count in (0, -5):
         with pytest.raises(FoldyError, match="probe_count must be at least 1"):
-            check_distribution(build_lattice(3, cfg), bg, 1.0, probe_count=count)
+            check_distribution(bg, 3, 1.0, probe_count=count)
 
 
 # ---------------------------------------------------------------------------
 # lattice sums against full 6x6 blocks contracted by einsum
 
 
-def _distribution_reference(lattice, bg, eta, probe_count=8):
+def _distribution_reference(bg, N, eta, probe_count=8):
     """check_distribution with every kernel point expanded to a 6x6 block."""
-    n = lattice.centers.shape[0]
-    fine = cell_centers(4 * lattice.n_per_axis)
-    F_lat = foldy._smooth_test_pair(lattice.centers)
+    centers = cell_centers(N)
+    n = centers.shape[0]
+    fine = cell_centers(4 * N)
+    F_lat = foldy._smooth_test_pair(centers)
     F_fine = foldy._smooth_test_pair(fine)
     js = np.unique(np.linspace(0, n - 1, min(probe_count, n)).round().astype(int))
     worst = 0.0
     for j in js:
-        rel = lattice.centers - lattice.centers[j]
+        rel = centers - centers[j]
         keep = np.linalg.norm(rel, axis=-1) > 1e-14
         lat_sum = np.einsum("cij,cj->i", green_dyadic(bg, rel[keep], eta=eta),
                             F_lat[keep]) / n
-        ref = np.einsum("cij,cj->i", green_dyadic(bg, fine - lattice.centers[j], eta=eta),
+        ref = np.einsum("cij,cj->i", green_dyadic(bg, fine - centers[j], eta=eta),
                         F_fine) / fine.shape[0]
         worst = max(worst, float(np.linalg.norm(lat_sum - ref)))
     return worst
@@ -307,21 +306,19 @@ def _field_reference(bg, src, eta, T6, values, incident, x):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 @pytest.mark.parametrize("eta", [0.1, 1.0])
-def test_distribution_matches_block_reference(bg, cfg, N, eta):
-    lat = build_lattice(N, cfg)
-    got = check_distribution(lat, bg, eta)
-    assert got == pytest.approx(_distribution_reference(lat, bg, eta), rel=1e-13)
+def test_distribution_matches_block_reference(bg, N, eta):
+    got = check_distribution(bg, N, eta)
+    assert got == pytest.approx(_distribution_reference(bg, N, eta), rel=1e-13)
 
 
-def test_distribution_single_site_has_no_neighbours(bg, cfg):
+def test_distribution_single_site_has_no_neighbours(bg):
     # one center: the lattice average is empty, so the statistic is the
     # norm of the fine-grid integral alone
-    lat = build_lattice(1, cfg)
     fine = cell_centers(4)
-    ref = np.einsum("cij,cj->i", green_dyadic(bg, fine - lat.centers[0], eta=1.0),
+    ref = np.einsum("cij,cj->i", green_dyadic(bg, fine - cell_centers(1)[0], eta=1.0),
                     foldy._smooth_test_pair(fine)) / fine.shape[0]
-    assert check_distribution(lat, bg, 1.0) == pytest.approx(float(np.linalg.norm(ref)),
-                                                             rel=1e-13)
+    assert check_distribution(bg, 1, 1.0) == pytest.approx(float(np.linalg.norm(ref)),
+                                                           rel=1e-13)
 
 
 def _distribution_offsets(N, j):
@@ -346,12 +343,12 @@ def test_radial_table_matches_green_apply(bg, N, eta):
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
-def test_distribution_negative_eta_rejected(bg, cfg):
+def test_distribution_negative_eta_rejected(bg):
     with pytest.raises(BackgroundError, match="eta must be nonnegative"):
-        check_distribution(build_lattice(3, cfg), bg, -1.0)
+        check_distribution(bg, 3, -1.0)
 
 
-def test_distribution_one_radial_evaluation_per_radius(bg, cfg, monkeypatch):
+def test_distribution_one_radial_evaluation_per_radius(bg, monkeypatch):
     # the dyadic's radial scalars are evaluated once per squared integer
     # radius k = 1 ... 3(8N)^2, not once per (probe, point) pair
     radii = []
@@ -368,7 +365,7 @@ def test_distribution_one_radial_evaluation_per_radius(bg, cfg, monkeypatch):
     monkeypatch.setattr(foldy, "green_dyadic", per_point)
     for N in (1, 3, 6):
         radii.clear()
-        check_distribution(build_lattice(N, cfg), bg, 1.0)
+        check_distribution(bg, N, 1.0)
         assert 0 < sum(radii) <= 3 * (8 * N) ** 2 + 1
 
 
@@ -379,10 +376,10 @@ def test_field_at_one_point_is_row_zero(bg, state2):
     assert np.array_equal(one, eval_foldy_field(bg, state2, x[None, :])[0])
 
 
-def test_lattice_and_volume_fields_match_block_reference(bg, lat2, state2):
+def test_lattice_and_volume_fields_match_block_reference(bg, state2):
     pts = np.vstack([probe_ring(8), [[0.5, 0.5, 0.5], [0.1, 0.9, 0.4]]])
     got = eval_foldy_field(bg, state2, pts)
-    ref = _field_reference(bg, lat2.centers, state2.eta, state2.coupling, state2.values,
+    ref = _field_reference(bg, cell_centers(2), state2.eta, state2.coupling, state2.values,
                            WAVE, pts)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     hom = solve_homogenized_ls(bg, s_limit_tilde(bg, 1 / 6, 0.3), 4, 0.5, WAVE)
@@ -391,21 +388,22 @@ def test_lattice_and_volume_fields_match_block_reference(bg, lat2, state2):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_invertibility_stat_bruteforce(bg, lat2):
-    got = uniform_invertibility_stat(lat2, bg)
+def test_invertibility_stat_bruteforce(bg):
+    got = uniform_invertibility_stat(bg, 2)
+    centers = cell_centers(2)
     total = 0.0
-    for i, zi in enumerate(lat2.centers):
-        for j, zj in enumerate(lat2.centers):
+    for i, zi in enumerate(centers):
+        for j, zj in enumerate(centers):
             if i == j:
                 continue
             total += float(np.sum(np.abs(green_dyadic(bg, zi - zj)) ** 2))
-    expect = total / lat2.centers.shape[0] ** 2
+    expect = total / centers.shape[0] ** 2
     assert got == pytest.approx(expect, rel=1e-13)
 
 
-def test_invertibility_stat_needs_pairs(bg, cfg):
+def test_invertibility_stat_needs_pairs(bg):
     with pytest.raises(FoldyError, match="pair"):
-        uniform_invertibility_stat(build_lattice(1, cfg), bg)
+        uniform_invertibility_stat(bg, 1)
 
 
 def test_probe_ring_geometry():
@@ -417,25 +415,28 @@ def test_probe_ring_geometry():
     assert np.allclose(r, 3.0)
 
 
-def test_compare_homogenization_small(bg, cfg, ball_spectrum):
-    rows = compare_homogenization(bg, cfg, ball_spectrum, -3.0, [2, 3], 0.1,
-                                  probe_ring(8), grid_m=6)
-    assert [r.n_per_axis for r in rows] == [2, 3]
-    assert rows[1].rel_l2_error < rows[0].rel_l2_error
+@pytest.fixture(scope="module")
+def cfg_tilde(bg, cfg, ball_spectrum):
+    # the coupling compare-hom derives from the reference config
+    return tilde_from_definition(bg, -3.0, cfg, ball_spectrum)
 
 
-def test_compare_homogenization_probe_independent(bg, cfg, ball_spectrum):
-    a = compare_homogenization(bg, cfg, ball_spectrum, -3.0, [2], 0.1,
-                               probe_ring(8), grid_m=6)[0].rel_l2_error
-    b = compare_homogenization(bg, cfg, ball_spectrum, -3.0, [2], 0.1,
-                               probe_ring(16), grid_m=6)[0].rel_l2_error
+def test_compare_homogenization_small(bg, cfg_tilde):
+    errs = compare_homogenization(bg, cfg_tilde, [3, 2], 0.1, probe_ring(8), 6, WAVE)
+    # in n_list order
+    assert len(errs) == 2
+    assert errs[0] < errs[1]
+
+
+def test_compare_homogenization_probe_independent(bg, cfg_tilde):
+    a, = compare_homogenization(bg, cfg_tilde, [2], 0.1, probe_ring(8), 6, WAVE)
+    b, = compare_homogenization(bg, cfg_tilde, [2], 0.1, probe_ring(16), 6, WAVE)
     assert abs(a - b) < 0.2 * max(a, b)
 
 
-def test_compare_homogenization_single_site_baseline(bg, cfg, ball_spectrum):
-    row = compare_homogenization(bg, cfg, ball_spectrum, -3.0, [1], 0.1,
-                                 probe_ring(8), grid_m=6)[0]
-    assert 0.0 < row.rel_l2_error < 1.0
+def test_compare_homogenization_single_site_baseline(bg, cfg_tilde):
+    err, = compare_homogenization(bg, cfg_tilde, [1], 0.1, probe_ring(8), 6, WAVE)
+    assert 0.0 < err < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -611,15 +612,15 @@ def test_fft_apply_matches_gathered_matvec(bg, T6_dilute, rng, m):
 
 
 @pytest.mark.parametrize("N", [3, 4])
-def test_invertibility_stat_pairwise(bg, cfg, N):
-    lat = build_lattice(N, cfg)
-    rel = lat.centers[:, None, :] - lat.centers[None, :, :]
+def test_invertibility_stat_pairwise(bg, N):
+    centers = cell_centers(N)
+    rel = centers[:, None, :] - centers[None, :, :]
     diag = np.arange(N ** 3)
     rel[diag, diag] = 1.0
     G = green_dyadic(bg, rel)
     G[diag, diag] = 0.0
     expect = float(np.sum(np.abs(G) ** 2)) / N ** 6
-    assert uniform_invertibility_stat(lat, bg) == pytest.approx(expect, rel=1e-13)
+    assert uniform_invertibility_stat(bg, N) == pytest.approx(expect, rel=1e-13)
 
 
 def test_volume_picard_matches_dense_solve(bg, T6_dilute):
@@ -773,29 +774,28 @@ def dilute_tilde(bg, ball_spectrum, ball_cn):
 @pytest.mark.parametrize("material, method", [("dilute_tilde", "iteration"),
                                               ("coupled_tilde", "lu")])
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
-def test_lattice_matches_dense_solve(bg, cfg, request, material, method, N):
-    lat = build_lattice(N, cfg)
-    st = solve_foldy(bg, lat, request.getfixturevalue(material), 0.1, WAVE)
+def test_lattice_matches_dense_solve(bg, request, material, method, N):
+    st = solve_foldy(bg, request.getfixturevalue(material), N, 0.1, WAVE)
     rep = st.solver_report
     assert rep["method"] == method
     assert rep["residual"] < 1e-10
     if method == "lu":
         assert np.isfinite(rep["condition_estimate"])
-    A = np.eye(6 * N ** 3) - _pairwise_interaction(bg, lat.centers, 0.1, st.coupling, True)
-    expect = np.linalg.solve(A, incident_six(bg, WAVE, lat.centers).reshape(-1))
+    A = np.eye(6 * N ** 3) - _pairwise_interaction(bg, st.centers, 0.1, st.coupling, True)
+    expect = np.linalg.solve(A, incident_six(bg, WAVE, st.centers).reshape(-1))
     dev = np.linalg.norm(st.values.reshape(-1) - expect) / np.linalg.norm(expect)
     assert dev <= 1e-10
 
 
-def test_large_dilute_lattice_iterates(bg, cfg, dilute_tilde):
-    st = solve_foldy(bg, build_lattice(12, cfg), dilute_tilde, 0.1, WAVE)
+def test_large_dilute_lattice_iterates(bg, dilute_tilde):
+    st = solve_foldy(bg, dilute_tilde, 12, 0.1, WAVE)
     rep = st.solver_report
     assert rep["method"] == "iteration"
     assert rep["size"] == 6 * 12 ** 3
     assert rep["residual"] < 1e-10
 
 
-def test_coupled_lattice_beyond_dense_cap(bg, cfg, coupled_tilde):
+def test_coupled_lattice_beyond_dense_cap(bg, coupled_tilde):
     # 6,000 unknowns: the sweeps stall and the LU fallback is past its cap
     with pytest.raises(FoldyError, match="dense fallback cap"):
-        solve_foldy(bg, build_lattice(10, cfg), coupled_tilde, 0.1, WAVE)
+        solve_foldy(bg, coupled_tilde, 10, 0.1, WAVE)
