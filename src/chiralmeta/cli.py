@@ -391,12 +391,23 @@ def write_json(path: Path, obj) -> None:
     path.write_bytes((_json_render(obj) + "\n").encode("utf-8"))
 
 
+_CSV_ROWS = 4096   # rows rendered and written at a time by write_csv
+
+
 def write_csv(path: Path, header: str, columns) -> None:
-    """A CSV file from its columns, each cell rendered as ``fmt`` renders it."""
-    cells = zip(*map(_column_text, columns))
+    """A CSV file from its columns, each cell rendered as ``fmt`` renders it.
+
+    Each column's element type is decided once, over the whole column; the
+    rows are rendered and written _CSV_ROWS at a time, so the text in memory
+    is one block's whatever the length of the columns."""
+    columns = [np.asarray(col) for col in columns]
+    rows = min((len(col) for col in columns), default=0)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [header] + [",".join(r) for r in cells]
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    with path.open("wb") as fh:
+        fh.write(f"{header}\n".encode("utf-8"))
+        for lo in range(0, rows, _CSV_ROWS):
+            cells = zip(*(_column_text(col[lo:lo + _CSV_ROWS]) for col in columns))
+            fh.write("".join(",".join(r) + "\n" for r in cells).encode("utf-8"))
 
 
 def write_field_csv(path: Path, points: np.ndarray, fields: np.ndarray) -> None:

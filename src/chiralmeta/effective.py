@@ -372,24 +372,43 @@ def _sweep_pass(bg, cfg, spectrum, mode_index,
     return np.array([eff.eps_eff, eff.mu_eff, eff.beta_eff]), failed
 
 
+_SWEEP_BLOCK = 4096   # grid points per _sweep_pass in sweep_figure
+
+
+def _blocked_pass(bg, cfg, spectrum, mode_index,
+                  eps_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_sweep_pass`` over ``eps_c`` in blocks of _SWEEP_BLOCK points, into
+    preallocated columns.  Every point's chain is independent of the others,
+    so the columns are those of one pass over all of ``eps_c``, while the
+    intermediates of the chain span one block."""
+    values = np.empty((3,) + eps_c.shape, dtype=complex)
+    failed = np.empty(eps_c.shape, dtype=bool)
+    for lo in range(0, len(eps_c), _SWEEP_BLOCK):
+        block = slice(lo, lo + _SWEEP_BLOCK)
+        values[:, block], failed[block] = _sweep_pass(bg, cfg, spectrum, mode_index,
+                                                      eps_c[block])
+    return values, failed
+
+
 def sweep_figure(bg: ChiralBackground, cfg: DiluteConfig, spectrum: NPSpectrum,
                  eps_c_grid, mode_index: int = 0) -> Sweep:
     """Effective parameters over a permittivity grid, with per-point flags.
 
-    The chain runs elementwise over the whole grid.  Points that hit a
-    singularity are nudged once by 1e-12 and rerun; persistent failures
-    are flagged with NaN values, never fatal.  The columns follow the
-    grid's order.
+    The chain runs elementwise over blocks of _SWEEP_BLOCK grid points
+    (``_blocked_pass``), so its temporaries stay the size of one block
+    whatever the grid.  Points that hit a singularity are nudged once by
+    1e-12 and rerun; persistent failures are flagged with NaN values, never
+    fatal.  The columns follow the grid's order.
     """
     eps_c = np.array(eps_c_grid, dtype=complex)
     if eps_c.ndim != 1:
         raise EffectiveError(f"eps_c_grid must be one-dimensional, got shape {eps_c.shape}")
-    values, failed = _sweep_pass(bg, cfg, spectrum, mode_index, eps_c)
+    values, failed = _blocked_pass(bg, cfg, spectrum, mode_index, eps_c)
     nudged = failed.copy()
     if nudged.any():
         eps_c[nudged] += 1e-12
-        values[:, nudged], failed[nudged] = _sweep_pass(bg, cfg, spectrum, mode_index,
-                                                        eps_c[nudged])
+        values[:, nudged], failed[nudged] = _blocked_pass(bg, cfg, spectrum, mode_index,
+                                                          eps_c[nudged])
     values[:, failed] = complex(np.nan, np.nan)
     eps_eff, mu_eff, beta_eff = values
     double_negative = (eps_eff.real < 0) & (mu_eff.real < 0)

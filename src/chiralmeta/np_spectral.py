@@ -118,21 +118,24 @@ def _np_rows(mesh: TriMesh, rows: np.ndarray) -> np.ndarray:
     return K
 
 
+_IMAGE_ROWS = 64   # image rows assembled and checked at a time by _images_match
+
+
 def _images_match(M: np.ndarray, orbits: np.ndarray, assemble) -> bool:
     """Whether the rows ``M`` of the representatives orbits[:, 0] are those of
     a matrix invariant under the generator s of ``orbits``: the rows of the
-    images orbits[:, 1], made by ``assemble`` 256 at a time and dropped, must
-    satisfy M[s r_a, s j] = M[r_a, j] to _INVARIANCE_TOL times max |M|, each
-    max |.| taken as max(max, -min), so no |M| array is formed.  True when
-    k = 1, where there are no images."""
+    images orbits[:, 1], made by ``assemble`` _IMAGE_ROWS at a time and
+    dropped, must satisfy M[s r_a, s j] = M[r_a, j] to _INVARIANCE_TOL times
+    max |M|, each max |.| taken as max(max, -min), so no |M| array is
+    formed.  True when k = 1, where there are no images."""
     if orbits.shape[1] == 1:
         return True
     perm = np.empty(orbits.size, dtype=int)
     perm[orbits] = np.roll(orbits, -1, axis=1)   # s: s^d r_a -> s^(d+1) r_a
     bound = _INVARIANCE_TOL * max(M.max(), -M.min())
-    for lo in range(0, len(M), 256):
-        rows = np.take(assemble(orbits[lo:lo + 256, 1]), perm, axis=1)
-        rows -= M[lo:lo + 256]
+    for lo in range(0, len(M), _IMAGE_ROWS):
+        rows = np.take(assemble(orbits[lo:lo + _IMAGE_ROWS, 1]), perm, axis=1)
+        rows -= M[lo:lo + _IMAGE_ROWS]
         if rows.max() > bound or -rows.min() > bound:
             return False
     return True
@@ -497,20 +500,34 @@ def _cyclic_orbits(mesh: TriMesh) -> np.ndarray:
     return _no_rotation(len(w))
 
 
+_FFT_ROWS = 32   # rows of M gathered and transformed at a time by _fourier_blocks
+
+
 def _fourier_blocks(M: np.ndarray, orbits: np.ndarray) -> list[np.ndarray]:
     """Blocks B_q[a, b] = sum_d M[a, s^d r_b] exp(2 pi i q d / k) of the rows
     ``M`` over the orbit table ``orbits``, for q = 0 .. k // 2.  For the
     representative rows of a matrix invariant under s they are its Fourier
     blocks: the block of -q is the conjugate of that of q, those of q = 0
     and q = k / 2 are real, and the block q of M^T is B_q^H.  At k = 1 the
-    one block is M itself."""
+    one block is M itself.
+
+    The blocks are allocated first and filled _FFT_ROWS rows of M at a time,
+    so the gathered rows and their transforms never exceed that many rows;
+    each length-k transform is independent of the others, so the blocks are
+    those of one transform of every row."""
     k = orbits.shape[1]
     if k == 1:
         return [M]
-    F = np.fft.rfft(M[:, orbits], axis=-1)
-    np.conj(F, out=F)
-    return [F[..., q].real.copy() if 2 * q % k == 0 else np.ascontiguousarray(F[..., q])
-            for q in range(k // 2 + 1)]
+    blocks = [np.empty((len(M), orbits.shape[0]), dtype=float if 2 * q % k == 0 else complex)
+              for q in range(k // 2 + 1)]
+    for lo in range(0, len(M), _FFT_ROWS):
+        F = np.fft.rfft(M[lo:lo + _FFT_ROWS][:, orbits], axis=-1)
+        for q, B in enumerate(blocks):
+            if B.dtype == float:
+                B[lo:lo + _FFT_ROWS] = F[..., q].real
+            else:
+                np.conj(F[..., q], out=B[lo:lo + _FFT_ROWS])
+    return blocks
 
 
 def _gram_block(Sq: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -523,6 +540,19 @@ def _gram_block(Sq: np.ndarray, w: np.ndarray) -> np.ndarray:
     return B
 
 
+def _kept_columns(lam: np.ndarray, mnorm: np.ndarray, mode_count: int) -> np.ndarray:
+    """The columns of one block, in increasing order, that can rank among the
+    leading ``mode_count`` modes of the pencil: the first ``mode_count`` by
+    (moment norm, eigenvalue) and the first ``mode_count`` by eigenvalue,
+    both descending and stable, as the global ranking.  Whatever the ranking
+    floor, every other column has ``mode_count`` columns of its own block
+    ahead of it, so the global ranking of the kept columns picks the same
+    modes in the same order."""
+    by_moment = np.lexsort((-lam, -mnorm))[:mode_count]
+    by_value = np.argsort(-lam, kind="stable")[:mode_count]
+    return np.union1d(by_moment, by_value)
+
+
 def _leading_modes(Sq: list[np.ndarray], Kq: list[np.ndarray], mesh: TriMesh,
                    orbits: np.ndarray, mode_count: int):
     """Solve the pencil of every Fourier block; return the eigenvalues,
@@ -531,7 +561,9 @@ def _leading_modes(Sq: list[np.ndarray], Kq: list[np.ndarray], mesh: TriMesh,
     ``spectral_decomposition`` states, and the dropped eigenvalue.  Mode j
     has the density c_q Re(Z[i, j] exp(2 pi i q d / k)) on panel s^d r_i,
     c_q = sqrt(2 / k) in a pair +-q and 1 / sqrt(k) in the real blocks: z is
-    the block's eigenvector u, or -i u for a sin partner."""
+    the block's eigenvector u, or -i u for a sin partner.  Once a block's
+    modes are ranked it keeps only the eigenvector columns of
+    ``_kept_columns``, at most 2 ``mode_count``."""
     w = mesh.areas
     k, w_rep = orbits.shape[1], w[orbits[:, 0]]
     # normal moments against unit-L2 eigendensities: three row vectors
@@ -584,21 +616,27 @@ def _leading_modes(Sq: list[np.ndarray], Kq: list[np.ndarray], mesh: TriMesh,
             del G
         mom = _gemm(T, U)
         l2 = np.einsum("im,i,im->m", U.conj(), w_rep, U).real
-        cols = np.arange(len(lam))
         if 2 * q % k == 0:
             mom = mom.T
             mom /= np.sqrt(k * l2)[:, None]
             mnorm = np.linalg.norm(mom, axis=1)
+            keep = _kept_columns(lam, mnorm, mode_count)
+            U, lam, mom, mnorm = U[:, keep], lam[keep], mom[keep], mnorm[keep]
+            cols = np.arange(len(keep))
             parts = np.zeros_like(cols)
         else:
             phase = np.exp(-1j * np.angle(_gemm(t0, mom)))
-            U *= phase
             mom *= phase / np.sqrt(0.5 * k * l2)
-            mom = np.stack([mom.real.T, mom.imag.T], axis=1).reshape(-1, 3)
-            mnorm = np.linalg.norm(mom, axis=1) ** 2
-            mnorm = np.repeat(np.sqrt((mnorm[0::2] + mnorm[1::2]) / 2), 2)
-            lam, cols = np.repeat(lam, 2), np.repeat(cols, 2)
-            parts = np.tile([1, 2], len(U))
+            mom = np.stack([mom.real.T, mom.imag.T], axis=1)   # (columns, cos/sin, 3)
+            mnorm = np.linalg.norm(mom.reshape(-1, 3), axis=1) ** 2
+            mnorm = np.sqrt((mnorm[0::2] + mnorm[1::2]) / 2)
+            keep = _kept_columns(lam, mnorm, mode_count)
+            U = U[:, keep]
+            U *= phase[keep]
+            mom = mom[keep].reshape(-1, 3)
+            lam, mnorm = np.repeat(lam[keep], 2), np.repeat(mnorm[keep], 2)
+            cols = np.repeat(np.arange(len(keep)), 2)
+            parts = np.tile([1, 2], len(keep))
         blocks.append(U)
         lams.append(lam)
         moms.append(mom)
@@ -628,8 +666,8 @@ def _leading_modes(Sq: list[np.ndarray], Kq: list[np.ndarray], mesh: TriMesh,
 
 
 def spectral_decomposition(
-    S: np.ndarray,
-    K: np.ndarray,
+    S: np.ndarray | list[np.ndarray],
+    K: np.ndarray | list[np.ndarray],
     mesh: TriMesh,
     mode_count: int,
     orbits: np.ndarray | None = None,
@@ -647,22 +685,23 @@ def spectral_decomposition(
     ``orbits`` is the orbit table of a free cyclic rotation s of order k of
     the panels that leaves S and K invariant (``_cyclic_orbits``, checked by
     the assemblers), and S and K are then only the rows of its
-    representatives orbits[:, 0], as ``mesh_spectrum`` assembles them.
-    Without it k = 1: S and K are the full matrices, every panel is a
-    representative and the one block is the full pencil.  The pencil is
-    solved as its k // 2 + 1 distinct Fourier blocks of n / k rows: a
-    density of block q is u_i exp(2 pi i q j / k) on panel s^j r_i.  Only
-    the block q = 0 holds the mean-zero constraint, and only its modes enter
-    ``dropped_eigenvalue``.  A block 0 < q < k / 2 stands for the pair +-q
-    and gives each eigenvalue twice, as the real and imaginary parts of its
-    density (the cos and sin partners).  The phase makes r . m real and
-    positive, where m is the complex moment and r the moment row of panel 0,
-    so the sin partner's moment is orthogonal to r.  Both partners rank by
-    the pair's mean moment, so where ``mode_count`` splits a pair the cos
-    partner is kept.  The sign rule is ``NPSpectrum``'s.  The Fourier blocks
-    S_q and K_q of S and K (``_fourier_blocks``) are made once; block q of
-    the symmetrized G is G_q (``_gram_block``), formed and released with the
-    pencil of its block.
+    representatives orbits[:, 0], or the lists of their Fourier blocks
+    (``_fourier_blocks``), which is how ``mesh_spectrum`` passes them.
+    Without it k = 1: S and K are the full matrices (or the one-entry lists
+    of them), every panel is a representative and the one block is the full
+    pencil.  The pencil is solved as its k // 2 + 1 distinct Fourier blocks
+    of n / k rows: a density of block q is u_i exp(2 pi i q j / k) on panel
+    s^j r_i.  Only the block q = 0 holds the mean-zero constraint, and only
+    its modes enter ``dropped_eigenvalue``.  A block 0 < q < k / 2 stands for
+    the pair +-q and gives each eigenvalue twice, as the real and imaginary
+    parts of its density (the cos and sin partners).  The phase makes r . m
+    real and positive, where m is the complex moment and r the moment row of
+    panel 0, so the sin partner's moment is orthogonal to r.  Both partners
+    rank by the pair's mean moment, so where ``mode_count`` splits a pair
+    the cos partner is kept.  The sign rule is ``NPSpectrum``'s.  The Fourier
+    blocks S_q and K_q of S and K are made once, unless they are given;
+    block q of the symmetrized G is G_q (``_gram_block``), formed and
+    released with the pencil of its block.
 
     No density is formed on the n panels: everything returned comes from the
     block vectors z of the retained modes (``_leading_modes``).  The moment
@@ -671,14 +710,15 @@ def spectral_decomposition(
     retained densities is block diagonal with blocks Re(Z_q^H G_q Z_q), so
     ``residuals`` and ``gram_certificate`` are those of the n-panel
     densities, up to the roundoff of their synthesis.  Each block's S_q and
-    K_q are released once the block is certified.
+    K_q are released once the block is certified: the entries of lists of
+    blocks passed in are set to None.
     """
     n = len(mesh.areas)
     if not 1 <= mode_count <= n - 1:
         raise SpectralError(f"mode_count must be in [1, {n - 1}], got {mode_count}")
     orbits = _no_rotation(n) if orbits is None else orbits
     k, w_rep = orbits.shape[1], mesh.areas[orbits[:, 0]]
-    Sq, Kq = _fourier_blocks(S, orbits), _fourier_blocks(K, orbits)
+    Sq, Kq = (M if isinstance(M, list) else _fourier_blocks(M, orbits) for M in (S, K))
     lam, mom, block, Z, dropped = _leading_modes(Sq, Kq, mesh, orbits, mode_count)
 
     resid, cert = np.empty(mode_count), 0.0
@@ -705,10 +745,10 @@ def spectral_decomposition(
 
 # Spectra kept by mesh_spectrum, most recently used last.  An entry holds
 # only the NPSpectrum (mode_count eigenvalues, moments and residuals, under
-# a kilobyte at 15 modes, whatever the mesh); the rows of S and K and the
-# temporaries of the decomposition are freed as usual.  A command that reads
-# one mesh needs one entry and the benchmark's particle sweep needs two; four
-# also hold two meshes at two mode counts.
+# a kilobyte at 15 modes, whatever the mesh); the rows and blocks of S and K
+# and the temporaries of the decomposition are freed as usual.  A command
+# that reads one mesh needs one entry and the benchmark's particle sweep
+# needs two; four also hold two meshes at two mode counts.
 _MEMO_ENTRIES = 4
 _MEMO: OrderedDict[str, NPSpectrum] = OrderedDict()
 
@@ -722,14 +762,25 @@ def _memo_key(mesh: TriMesh, mode_count: int) -> str:
     return h.hexdigest()
 
 
+def _blocks(assemble, mesh: TriMesh, orbits: np.ndarray) -> list[np.ndarray] | None:
+    """The Fourier blocks of the rows that ``assemble`` gives for ``orbits``,
+    or None when it refuses the rotation; the rows are released on return."""
+    M = assemble(mesh, orbits)
+    return None if M is None else _fourier_blocks(M, orbits)
+
+
 def mesh_spectrum(mesh: TriMesh, mode_count: int) -> NPSpectrum:
     """The NP spectrum of ``mesh``, decomposed once per process.
 
     The rotation symmetry is read from the geometry first
     (``_cyclic_orbits``), and only the n / k representative rows of S and K
-    are assembled, O(n^2 / k) memory; when the rows of their images refuse
-    the rotation (an assembler returns None), S and K are assembled in full
-    and decomposed as one block.  The result is remembered for the last four
+    are assembled, O(n^2 / k) memory.  The rows of S are turned into its
+    Fourier blocks and released before K is assembled, and those of K
+    likewise, so the stage holds the blocks of S, the rows of K and the
+    blocks of K at most, never both sets of rows; the decomposition then
+    starts from the blocks.  When the rows of their images refuse the
+    rotation (an assembler returns None), S and K are assembled in full and
+    decomposed as one block.  The result is remembered for the last four
     distinct inputs (vertices, triangles, ``mode_count``), so the commands
     that read the same mesh in one process share one eigensolve.  A
     decomposition that raises is not remembered.
@@ -738,12 +789,12 @@ def mesh_spectrum(mesh: TriMesh, mode_count: int) -> NPSpectrum:
     spectrum = _MEMO.get(key)
     if spectrum is None:
         orbits = _cyclic_orbits(mesh)
-        S = assemble_single_layer(mesh, orbits)
-        K = None if S is None else assemble_np(mesh, orbits)
-        if K is None:
+        Sq = _blocks(assemble_single_layer, mesh, orbits)
+        Kq = None if Sq is None else _blocks(assemble_np, mesh, orbits)
+        if Kq is None:
             orbits = _no_rotation(mesh.n_panels)
-            S, K = assemble_single_layer(mesh), assemble_np(mesh)
-        spectrum = spectral_decomposition(S, K, mesh, mode_count, orbits)
+            Sq, Kq = [assemble_single_layer(mesh)], [assemble_np(mesh)]
+        spectrum = spectral_decomposition(Sq, Kq, mesh, mode_count, orbits)
         _MEMO[key] = spectrum
         if len(_MEMO) > _MEMO_ENTRIES:
             _MEMO.popitem(last=False)

@@ -209,8 +209,8 @@ def test_readme_key_table_matches_the_cli():
 
 
 def test_field_csv_rows_match_fmt(tmp_path, rng):
-    # every CSV goes through write_csv, which renders a column at a time:
-    # each cell must read as fmt renders it
+    # every CSV goes through write_csv, which renders each column of a
+    # block of rows at once: each cell must read as fmt renders it
     points = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-20, 20, (5, 3))
     fields = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
     fields[0, 0] = complex(-0.0, 0.0)
@@ -225,6 +225,26 @@ def test_field_csv_rows_match_fmt(tmp_path, rng):
     write_csv(tmp_path / "mixed.csv", "b,i,f", columns)
     assert read_csv(tmp_path / "mixed.csv") == ("b,i,f", [[fmt(v) for v in row]
                                                           for row in zip(*columns)])
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli._CSV_ROWS - 1, cli._CSV_ROWS, cli._CSV_ROWS + 1,
+                                  2 * cli._CSV_ROWS + 3])
+def test_csv_blocks_match_one_rendering(tmp_path, rng, rows):
+    # write_csv renders and writes _CSV_ROWS rows at a time; around the
+    # block boundaries the file is byte for byte one fmt rendering of every
+    # row, for float, int and bool arrays and plain lists that mix Python
+    # and numpy scalars
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+    ints = rng.integers(-10 ** 6, 10 ** 6, rows)
+    bools = rng.random(rows) < 0.5
+    columns = [floats, ints, bools,
+               [np.bool_(b) if i % 2 else bool(b) for i, b in enumerate(bools)],
+               [np.int64(v) if i % 2 else int(v) for i, v in enumerate(ints)],
+               floats.tolist()]
+    write_csv(tmp_path / "blocks.csv", "f,i,b,lb,li,lf", columns)
+    expect = "f,i,b,lb,li,lf\n" + "".join(",".join(map(fmt, row)) + "\n"
+                                         for row in zip(*columns))
+    assert (tmp_path / "blocks.csv").read_bytes() == expect.encode("utf-8")
 
 
 def test_unknown_key_rejected(tmp_path, capsys):

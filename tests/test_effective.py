@@ -3,6 +3,7 @@ import cmath
 import dataclasses
 import inspect
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -511,6 +512,46 @@ def test_sweep_columns_are_read_only(bg, cfg, ball_spectrum, chiral_flagged_grid
     for grid in (-3.0, [[-3.0, -2.0]]):
         with pytest.raises(EffectiveError, match="one-dimensional"):
             sweep_figure(bg, cfg, ball_spectrum, grid)
+
+
+@pytest.mark.parametrize("weak", [False, True], ids=["failed", "nudged"])
+def test_sweep_blocks_match_one_pass(monkeypatch, bg, cfg, ball_cn, ball_spectrum, weak):
+    # in blocks of two points the flagged resonance points sit on both sides
+    # of the first block boundary; the columns, masks included, are those
+    # of one unblocked _sweep_pass and its nudge.  At beta 0.4 the nudged
+    # points fail again; in the weak background they recover
+    if weak:
+        bg, cfg = ChiralBackground(1.0, 1.0, 0.2, 1.0), DiluteConfig(0.05, 125, 0.965, ball_cn)
+    star = resonant_eps(bg, LAM).real
+    grid = [star - 0.1, star, star, star + 0.1, -1.5]
+    monkeypatch.setattr(effective, "_SWEEP_BLOCK", 2)
+    sweep = sweep_figure(bg, cfg, ball_spectrum, grid)
+    ref = _reference_rows(bg, cfg, ball_spectrum, grid)
+    assert [r.nudged for r in ref] == [False, True, True, False, False]
+    assert [r.failed for r in ref] == [False, not weak, not weak, False, False]
+    want = [_row_key(dataclasses.replace(r, out_of_assumption=bool(r.out_of_assumption)))
+            for r in ref]
+    assert [_row_key(r) for r in sweep] == want
+
+
+def test_eff_sweep_peak_memory(tmp_path, capsys):
+    # sweep_figure runs the chain over blocks of grid points and write_csv
+    # renders blocks of rows, so the benchmark's 21,000-point figure1 sweep
+    # holds its columns and one block's temporaries: 3.5 MB measured for
+    # the command, where one pass over every point and one rendering of
+    # every row took 11.3 MB; the bound is 1.25 times the measured peak
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # figure1-left lies outside the assumption
+        cfg = cli.resolve("eff-sweep", {**cli._PRESETS["figure1-left"],
+                                        "eps_c_points": "15000", "dense_points": "6000"})
+        tracemalloc.start()
+        try:
+            assert cli.cmd_eff_sweep(cfg, tmp_path, "figure1-left") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert "(21000 points)" in capsys.readouterr().out
+    assert peak < 4.4e6, peak
 
 
 def _tie_sweep():

@@ -1,9 +1,11 @@
 import ast
+import importlib.util
 import inspect
 import itertools
 import json
 import tracemalloc
 from collections import OrderedDict
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +14,7 @@ import scipy.linalg
 
 from chiralmeta import np_spectral
 from chiralmeta.cli import write_json
-from chiralmeta.mesh import TriMesh, icosphere
+from chiralmeta.mesh import TriMesh, icosphere, mesh_from_file
 from chiralmeta.np_spectral import (SpectralError, _householder_vector, _reflect_sym,
                                     assemble_np, assemble_single_layer, mesh_spectrum,
                                     spectral_decomposition, spectrum_from_json,
@@ -20,6 +22,7 @@ from chiralmeta.np_spectral import (SpectralError, _householder_vector, _reflect
 from _meshes import jittered_torus, small_torus
 
 C1 = 4 * np.pi / 27  # isotropic moment constant of the dipole cluster
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def weighted_ratio(mesh, M, y):
@@ -41,12 +44,9 @@ def decompose(mesh, mode_count):
                                   assemble_np(mesh, orbits), mesh, mode_count, orbits)
 
 
-def decompose_with_densities(mesh, mode_count):
-    """``decompose(mesh, mode_count)`` and its retained densities on all n
-    panels, (n, mode_count), synthesized from the block vectors Z that
-    ``_leading_modes`` hands to the certificates: the density of mode j is
-    c_q Re(Z[i, j] exp(2 pi i q d / k)) on panel s^d r_i of the orbit table,
-    c_q = sqrt(2 / k) in a pair +-q and 1 / sqrt(k) in the real blocks."""
+def leading_modes_of(mesh, mode_count):
+    """What ``_leading_modes`` returns inside ``decompose(mesh, mode_count)``,
+    and the spectrum."""
     found = []
     leading = np_spectral._leading_modes
 
@@ -57,7 +57,16 @@ def decompose_with_densities(mesh, mode_count):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np_spectral, "_leading_modes", recorded)
         spec = decompose(mesh, mode_count)
-    _, _, blocks, Z, _ = found[0]
+    return found[0], spec
+
+
+def decompose_with_densities(mesh, mode_count):
+    """``decompose(mesh, mode_count)`` and its retained densities on all n
+    panels, (n, mode_count), synthesized from the block vectors Z that
+    ``_leading_modes`` hands to the certificates: the density of mode j is
+    c_q Re(Z[i, j] exp(2 pi i q d / k)) on panel s^d r_i of the orbit table,
+    c_q = sqrt(2 / k) in a pair +-q and 1 / sqrt(k) in the real blocks."""
+    (_, _, blocks, Z, _), spec = leading_modes_of(mesh, mode_count)
     orbits = np_spectral._cyclic_orbits(mesh)
     k = orbits.shape[1]
     Phi = np.empty((mesh.n_panels, mode_count))
@@ -556,14 +565,17 @@ def test_gram_certificate_matches_explicit_gram(certified):
 
 def test_block_path_allocates_less_than_one_dense_matrix(monkeypatch):
     # a symmetric mesh assembles only the n / k representative rows of S and
-    # K (checking their images 256 rows at a time), takes the Gram blocks and
+    # K (checking their images 64 rows at a time), takes the Gram blocks and
     # the certificates from their Fourier blocks, and forms no n x n array.
     # The whole spectrum, detection and assembly included, stays under a
     # quarter of one n x n matrix on the C40 torus, where full S and K alone
-    # would take two.  On icosphere(3), C5, the rows of S and K, their blocks
-    # and the block vectors are each 2/5 of a matrix or less, and the bound
-    # is 1.25 times the 1.26 matrices measured.
-    for mesh, bound in ((small_torus(40, 20, 1.15, 0.425), 0.25), (icosphere(3), 1.575)):
+    # would take two.  On icosphere(3), C5, the rows of S and those of K are
+    # each turned into their blocks (1/5 of a matrix per operator) and
+    # released before the next assembly, and each block keeps at most 30
+    # eigenvector columns, so the stage holds the blocks of S and K and one
+    # block's pencil at its peak; the bound is 1.25 times the 0.75 matrices
+    # measured.
+    for mesh, bound in ((small_torus(40, 20, 1.15, 0.425), 0.25), (icosphere(3), 0.94)):
         monkeypatch.setattr(np_spectral, "_MEMO", OrderedDict())
         tracemalloc.start()
         try:
@@ -572,6 +584,60 @@ def test_block_path_allocates_less_than_one_dense_matrix(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < bound * mesh.n_panels ** 2 * 8, peak / (mesh.n_panels ** 2 * 8)
+
+
+@pytest.fixture(scope="module")
+def benchmark_meshes(tmp_path_factory):
+    """The particle_sweep workload's sphere (1,280 panels, C5) and torus
+    (1,600 panels, C40) at seed 7, as the benchmark's input generator writes
+    them and the CLI reads them."""
+    spec = importlib.util.spec_from_file_location("bench_inputs",
+                                                  ROOT / "benchmark" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    d = tmp_path_factory.mktemp("bench_inputs")
+    inputs.particle(d, np.random.default_rng(7))
+    return {name: mesh_from_file(str(d / f"{name}.off")) for name in ("sphere", "torus")}
+
+
+@pytest.mark.parametrize("name, mode_count",
+                         [("torus", 1), ("torus", 15), ("torus", 1599), ("sphere", 15)])
+def test_dropped_columns_keep_the_same_modes(benchmark_meshes, monkeypatch, name, mode_count):
+    # each block keeps only the eigenvector columns that can still rank
+    # among the leading modes; the modes, blocks, block vectors and spectrum
+    # are bit for bit those of keeping every column.  Every retained torus
+    # mode has a moment above the ranking floor, and at mode_count 15 the
+    # cut splits a +-1 pair; the sphere's 12 modes after its dipole triple
+    # are under the floor and rank by eigenvalue alone
+    mesh = benchmark_meshes[name]
+    kept, keep_columns = [], np_spectral._kept_columns
+
+    def recorded(lam, mnorm, count):
+        kept.append((len(keep_columns(lam, mnorm, count)), len(lam)))
+        return keep_columns(lam, mnorm, count)
+
+    monkeypatch.setattr(np_spectral, "_kept_columns", recorded)
+    got, spec = leading_modes_of(mesh, mode_count)
+    monkeypatch.setattr(np_spectral, "_kept_columns",
+                        lambda lam, mnorm, count: np.arange(len(lam)))
+    want, ref = leading_modes_of(mesh, mode_count)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    for field in ("eigenvalues", "moments", "residuals", "gram_certificate",
+                  "dropped_eigenvalue"):
+        assert np.array_equal(getattr(spec, field), getattr(ref, field)), field
+    # each block keeps at most 2 mode_count columns, fewer than it has
+    # unless every mode is retained
+    assert len(kept) == {"sphere": 3, "torus": 21}[name]
+    assert all(n_kept <= min(2 * mode_count, n) for n_kept, n in kept)
+    assert all(n_kept < n for n_kept, n in kept) == (mode_count < mesh.n_panels - 1)
+    if name == "torus" and mode_count == 15:
+        # the +-1 block keeps an odd number of modes: its pair is split
+        # and the cos partner kept
+        assert np.count_nonzero(got[2] == 1) % 2 == 1
+    if name == "sphere":
+        norms = np.linalg.norm(spec.moments, axis=1)
+        assert np.count_nonzero(norms < 0.01 * norms.max()) == 12
 
 
 def test_one_block_path_peak_memory():
