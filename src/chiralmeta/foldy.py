@@ -273,27 +273,11 @@ def _orbit_bases(patterns: np.ndarray) -> list[list]:
                 per.append(None)
                 continue
             P = np.einsum("hjl,hab->jalb", D[fixes], grp.Q[fixes]).reshape(6 * d, 6 * d) / h
-            per.append((_range_basis(P) / np.sqrt(h)).reshape(d, 6, -1))
+            # a projector's eigenvalues are 0 and 1
+            w, V = np.linalg.eigh(P)
+            per.append((V[:, w > 0.5] / np.sqrt(h)).reshape(d, 6, -1))
         bases.append(per)
     return bases
-
-
-def _range_basis(P: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the range of the orthogonal projector P, by
-    pivoted Cholesky P = L L^T: a full-rank factor of a projector has
-    orthonormal columns.  What is left after each step is again a
-    projector, whose largest diagonal entry is at least rank / size, so a
-    fixed threshold tells the range from roundoff."""
-    P = P.copy()
-    cols = []
-    while True:
-        i = np.argmax(P.diagonal())
-        if P[i, i] < 0.01:
-            break
-        c = P[:, i] / np.sqrt(P[i, i])
-        P -= np.outer(c, c)
-        cols.append(c)
-    return np.array(cols).reshape(-1, P.shape[0]).T
 
 
 def _basis_size(W, d: int) -> int:
@@ -577,6 +561,12 @@ def check_distribution(bg: ChiralBackground, N: int, eta: float,
     a center to a fine node.  The dyadic's radial scalars are therefore
     evaluated once per squared length k = 1 ... 3(8N)^2, and every probe and
     both sums read that table.
+
+    Both sums read G(z_c - z_j), a source point minus the sampled site z_j:
+    the mirror of G(target - source), which ``_eval_field`` and the grid
+    operator read.  Of the kernel's terms in I, x^x^T and [x^]x only the
+    cross term is odd in x^, so the statistic is that of the mirrored
+    kernel, the one with the sign of its [x^]x term flipped.
     """
     if probe_count < 1:
         raise FoldyError(f"probe_count must be at least 1, got {probe_count}")

@@ -602,6 +602,32 @@ def test_gathered_matrix_matches_pairwise(bg, T6_dilute, n, eta, zero_self):
             assert np.abs(block - expect).max() <= 1e-14 * np.abs(A).max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_orbit_bases_span_the_stabilizer_projectors(n):
+    # per irrep and stabilizer pattern H, sqrt|H| W is an orthonormal basis
+    # of the range of P = (1/|H|) sum_h D(h) (x) Q_h; a free orbit is None
+    grp = _cube_group()
+    at, _, counts, bases = _cube_orbits(n)
+    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    fixes = (at[:, first] == at[0, first]).T            # (patterns, 24)
+    assert len(np.unique(fixes, axis=0)) == len(counts)
+    for c, lo, H in zip(counts, first, fixes):
+        assert np.array_equal(at[:, lo:lo + c] == at[0, lo:lo + c], np.repeat(H[:, None], c, 1))
+    for D, per in zip(grp.irreps, bases):
+        d = D.shape[1]
+        assert len(per) == len(counts)
+        for H, W in zip(fixes, per):
+            h = int(H.sum())
+            if h == 1:
+                assert W is None
+                continue
+            P = sum(np.kron(D[g], grp.Q[g]) for g in np.flatnonzero(H)) / h
+            U = np.sqrt(h) * W.reshape(6 * d, -1)
+            assert U.shape[1] == round(np.trace(P))
+            assert np.abs(U.T @ U - np.eye(U.shape[1])).max(initial=0.0) <= 1e-14
+            assert np.abs(P @ U - U).max(initial=0.0) <= 1e-14
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_fft_apply_matches_gathered_matvec(bg, T6_dilute, rng, m):
     blocks = _offset_blocks(bg, m, 0.5, T6_dilute, 1.0 / m ** 3, zero_self=False)

@@ -4,13 +4,16 @@ import inspect
 import itertools
 import json
 import tracemalloc
+import warnings
 from collections import OrderedDict
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
+import scipy.special
 
 from chiralmeta import np_spectral
 from chiralmeta.cli import write_json
@@ -753,10 +756,11 @@ def rotated(mesh, seed):
     return TriMesh(mesh.vertices @ q.T, mesh.triangles), q
 
 
-def ellipsoid():
-    """icosphere(2) scaled 1 : 1.3 : 0.8; its axes are C2 axes."""
-    mesh = icosphere(2)
-    return TriMesh(mesh.vertices * [1.0, 1.3, 0.8], mesh.triangles)
+def ellipsoid(level=2, axes=(1.0, 1.3, 0.8)):
+    """icosphere(level) with its vertices scaled onto the ellipsoid of
+    semi-axes ``axes``; its axes are C2 axes."""
+    mesh = icosphere(level)
+    return TriMesh(mesh.vertices * axes, mesh.triangles)
 
 
 # mesh and the order of its largest free cyclic panel symmetry
@@ -886,3 +890,100 @@ def test_pair_basis_is_set_by_the_mesh():
     mom = a.moments @ Q.T
     sign = np.sign(np.sum(mom * b.moments, axis=1))
     assert np.abs(sign[:, None] * mom - b.moments).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1 (J. A. Osborn,
+# Phys. Rev. 67 (1945) 351; R_D of B. C. Carlson, Numer. Algorithms 10 (1995)
+# 13): the dipole mode along axis i has eigenvalue 1/2 - L_i, with L_i the
+# depolarization factor, and density nu_i = n_i, the normal's component,
+# since -S[n_i] = L_i x_i inside; so m_i^2 = L_i^2 Vol^2 / int n_i^2 dS
+
+SEMI_AXES = np.array([1.0, 0.8, 0.6])
+
+
+def depolarization(axes):
+    """L_i = (abc/3) R_D(a_j^2, a_k^2, a_i^2); they sum to 1."""
+    sq = np.asarray(axes) ** 2
+    return np.array([np.prod(axes) / 3 * scipy.special.elliprd(*np.delete(sq, i), sq[i])
+                     for i in range(3)])
+
+
+def normal_square_integral(axes, i):
+    """int n_i^2 dS over the ellipsoid, n its unit normal.  At the point
+    (a sin t cos p, b sin t sin p, c cos t) the normal is g / |g| with
+    g = (sin t cos p / a, sin t sin p / b, cos t / c), and
+    dS = abc sin t |g| dt dp."""
+    def integrand(p, t):
+        g = np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)]) / axes
+        return np.prod(axes) * np.sin(t) * g[i] ** 2 / np.linalg.norm(g)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
+        return scipy.integrate.dblquad(integrand, 0.0, np.pi, 0.0, 2 * np.pi,
+                                       epsabs=0.0, epsrel=1e-9)[0]
+
+
+def ellipsoid_dipoles(axes):
+    """Per axis, the dipole eigenvalue 1/2 - L_i and squared moment m_i^2."""
+    L = depolarization(axes)
+    vol = 4 * np.pi / 3 * np.prod(axes)
+    m2 = np.array([L[i] ** 2 * vol ** 2 / normal_square_integral(axes, i) for i in range(3)])
+    return 0.5 - L, m2
+
+
+def dipole_clusters(spec):
+    """The three leading clusters by moment, each with the axis its moment
+    tensor lies along."""
+    lead = spec.clusters()[:3]
+    return [(int(np.argmax(np.diag(c.moment_tensor))), c) for c in lead]
+
+
+@pytest.fixture(scope="module")
+def ellipsoid_spectra():
+    """mesh_spectrum at 15 modes of the SEMI_AXES ellipsoid, levels 2 and 3."""
+    return {level: mesh_spectrum(ellipsoid(level, SEMI_AXES), 15) for level in (2, 3)}
+
+
+@pytest.fixture(scope="module")
+def ellipsoid_oracle():
+    return ellipsoid_dipoles(SEMI_AXES)
+
+
+def test_ellipsoid_closed_forms_reduce_to_the_sphere():
+    lam, m2 = ellipsoid_dipoles(np.ones(3))
+    assert np.abs(lam - 1 / 6).max() <= 1e-15
+    assert np.abs(m2 - C1).max() <= 1e-9 * C1
+    assert depolarization(SEMI_AXES).sum() == pytest.approx(1.0, rel=1e-14)
+
+
+def test_ellipsoid_dipole_clusters_match_closed_forms(ellipsoid_spectra, ellipsoid_oracle):
+    # level 3 (1,280 panels): the three split dipole clusters against
+    # 1/2 - L_i and m_i^2, each tensor diagonal in the semi-axis frame
+    assert np_spectral._cyclic_orbits(ellipsoid(3, SEMI_AXES)).shape[1] == 2
+    lam, m2 = ellipsoid_oracle
+    found = dipole_clusters(ellipsoid_spectra[3])
+    assert sorted(i for i, _ in found) == [0, 1, 2]
+    for i, c in found:
+        T = c.moment_tensor
+        assert abs(c.eigenvalue - lam[i]) <= 0.03 * lam[i]
+        assert abs(np.trace(T) - m2[i]) <= 0.04 * m2[i]
+        assert np.abs(T - np.diag(np.diag(T))).max() <= 1e-10 * np.trace(T)
+
+
+def test_ellipsoid_eigenvalues_converge_at_second_order(ellipsoid_spectra, ellipsoid_oracle):
+    # each panel edge halves from level 2 to 3, so an O(h^2) error falls 4x
+    lam, _ = ellipsoid_oracle
+    err = {level: {i: c.eigenvalue - lam[i] for i, c in dipole_clusters(spec)}
+           for level, spec in ellipsoid_spectra.items()}
+    for i in range(3):
+        assert 3.0 <= err[2][i] / err[3][i] <= 5.0
+
+
+def test_rotated_ellipsoid_rotates_the_cluster_tensors(ellipsoid_spectra):
+    turned, R = rotated(ellipsoid(3, SEMI_AXES), 11)
+    spec = mesh_spectrum(turned, 15)
+    for a, b in zip(ellipsoid_spectra[3].clusters()[:3], spec.clusters()[:3]):
+        assert abs(b.eigenvalue - a.eigenvalue) <= 1e-12
+        assert np.abs(b.moment_tensor - R @ a.moment_tensor @ R.T).max() \
+            <= 1e-10 * np.trace(a.moment_tensor)
