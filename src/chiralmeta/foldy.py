@@ -29,8 +29,8 @@ _I3 = np.eye(3)
 # it replaced peaked at 210 MB)
 _CHUNK_ELEMS = 200_000
 # largest system handed to the LU fallback: at grid_m 9 (4,374 unknowns) its
-# five irrep blocks (180 to 558 unknowns) take 0.09-0.13 s in all, 0.02 s of
-# it LU, and peak at 45 MB by tracemalloc (2 OpenBLAS threads, 2 vCPUs)
+# five irrep blocks (234 to 702 unknowns) take 0.09-0.13 s in all, 0.03 s of
+# it LU, and peak at 46 MB by tracemalloc (2 OpenBLAS threads, 2 vCPUs)
 _DIRECT_CAP = 4500
 # fixed-point sweeps before the grid solve falls back to LU or fails
 _MAX_SWEEPS = 200
@@ -148,17 +148,24 @@ def _fft_apply(blocks: np.ndarray):
 # the E/H pair only, so it commutes with Q = R+R.  The 24 rotations R_g of the
 # cube about the grid centre (the group O) map every n^3 grid onto itself, so
 # the offset table obeys B(R_g d) = Q_g B(d) Q_g^T and I - K commutes with
-# (T_g u)[g.r] = Q_g u[r].  In a symmetry-adapted basis (Faessler & Stiefel,
-# Group Theoretical Methods and Their Applications, 1992) I - K is the direct
-# sum of d copies of one block per real irrep D_rho of O (dimension d):
-#     A_rho = I + W^T M_rho W,  M_rho[(j,r,a),(l,s,b)]
-#           = -sum_g D_rho(g)_jl [B(r - g.s) Q_g]_ab
-# over orbit representatives r, s, partners j, l and components a, b.  W maps
-# an orbit's 6d raw coordinates (j, a) to an orthonormal basis: the identity
-# on a free orbit; on a cell that the rotations h in H fix, the range of the
-# stabilizer projector (1/|H|) sum_h D_rho(h) (x) Q_h, scaled by 1/sqrt|H|.
-# Blocks, right-hand sides and the solution all carry raw coordinates with
-# the axes (j, r, a); the orthonormal basis index is (r, kappa).
+# (T_g u)[g.r] = Q_g u[r].  Projected onto a real irrep D_rho of O
+# (dimension d; Faessler & Stiefel, Group Theoretical Methods and Their
+# Applications, 1992), I - K is d copies of one block on the raw coordinates
+# (j, r, a) of partner j, orbit representative r and component a:
+#     A_rho = I + w M_rho w,  M_rho[(j,r,a),(l,s,b)]
+#           = -sum_g D_rho(g)_jl [B(r - g.s) Q_g]_ab,
+# with w_r = 1/sqrt|H_r| for the rotations H_r that fix r.  For h in H_s,
+# reindexing g -> g h leaves g.s alone and gives M[., s] = M[., s] (D(h) (x)
+# Q_h); for h in H_r, g -> h g and B(R_h d) = Q_h B(d) Q_h^T give
+# M[r, .] = (D(h) (x) Q_h) M[r, .].  Averaged over the stabilizers this is
+# M = P M P, with P the orthogonal projector that is
+# P_r = (1/|H_r|) sum_{h in H_r} D(h) (x) Q_h on orbit r, and the raw
+# right-hand sides lie in range(P) the same way.  So for an orthonormal
+# basis V of range(P), A_rho = V (I + V^T w M w V) V^T + (I - V V^T): the
+# orthonormal symmetry-adapted block plus the identity on the complement,
+# which the solution does not reach.  No basis is built; the stabilized
+# orbits keep their redundant coordinates (blocks of 144 to 432 unknowns at
+# m = 8, against 128 to 384 in an orthonormal basis).
 
 
 class _CubeGroup(NamedTuple):
@@ -236,91 +243,21 @@ def _coset_sum(Dq: np.ndarray, Yh: np.ndarray) -> np.ndarray:
 
 
 def _cube_orbits(n: int):
-    """Orbits of O on the n^3 grid cells, their representatives r grouped
-    by stabilizer.  Returns the flat indices of the cells g.r, shape
-    (24, R); those cells' grid indices, shape (24, R, 3); the number of
-    orbits per stabilizer pattern, the trivial one first; and per irrep
-    the orbit bases of the patterns (:func:`_orbit_bases`)."""
+    """Orbits of O on the n^3 grid cells.  Returns the flat indices of the
+    cells g.r for the orbit representatives r, shape (24, R); those cells'
+    grid indices, shape (24, R, 3); and the weights w_r = 1/sqrt|H_r|, with
+    H_r the rotations that fix r."""
     grp = _cube_group()
     images = (np.einsum("gij,cj->gci", grp.rot.astype(int), 2 * _grid_index(n) - (n - 1))
               + (n - 1)) // 2
     flat = (images[..., 0] * n + images[..., 1]) * n + images[..., 2]
     reps = np.flatnonzero(flat[0] == flat.min(axis=0))
-    # rows: whether rotation g fixes the cell; every row has g = 0 set, so
-    # the trivial pattern sorts first
-    patterns, which = np.unique((flat[:, reps] == flat[0, reps]).T, axis=0,
-                                return_inverse=True)
-    which = which.reshape(-1)
-    reps = reps[np.argsort(which, kind="stable")]
-    return (flat[:, reps], images[:, reps], np.bincount(which),
-            _orbit_bases(patterns))
+    at = flat[:, reps]
+    return at, images[:, reps], 1.0 / np.sqrt(np.count_nonzero(at == at[0], axis=0))
 
 
-def _orbit_bases(patterns: np.ndarray) -> list[list]:
-    """Per irrep and stabilizer pattern H (whether rotation g fixes the
-    cells, shape (P, 24)), the map W/sqrt|H| of shape (d, 6, k) from an
-    orbit's raw coordinates (j, a) to its k orthonormal basis vectors: the
-    range of (1/|H|) sum_{h in H} D(h) (x) Q_h.  None stands for the
-    identity (a free orbit, k = 6d)."""
-    grp = _cube_group()
-    bases = []
-    for D in grp.irreps:
-        d = D.shape[1]
-        per = []
-        for fixes in patterns:
-            h = fixes.sum()
-            if h == 1:
-                per.append(None)
-                continue
-            P = np.einsum("hjl,hab->jalb", D[fixes], grp.Q[fixes]).reshape(6 * d, 6 * d) / h
-            # a projector's eigenvalues are 0 and 1
-            w, V = np.linalg.eigh(P)
-            per.append((V[:, w > 0.5] / np.sqrt(h)).reshape(d, 6, -1))
-        bases.append(per)
-    return bases
-
-
-def _basis_size(W, d: int) -> int:
-    return 6 * d if W is None else W.shape[2]
-
-
-def _to_basis(x: np.ndarray, counts: np.ndarray, bases: list) -> np.ndarray:
-    """Map the leading raw axes (j, r, a) of ``x`` to the orthonormal orbit
-    basis: W^T x, shape (K,) + x.shape[3:]."""
-    d, rest = x.shape[0], x.shape[3:]
-    sizes = [c * _basis_size(W, d) for c, W in zip(counts, bases)]
-    out = np.empty((sum(sizes),) + rest, dtype=x.dtype)
-    lo = f = 0
-    for c, W, size in zip(counts, bases, sizes):
-        part = x[:, lo:lo + c]
-        if W is None:
-            out[f:f + size].reshape(part.shape)[...] = part
-        else:
-            np.einsum("jra...,jak->rk...", part, W,
-                      out=out[f:f + size].reshape((c, W.shape[2]) + rest))
-        lo, f = lo + c, f + size
-    return out
-
-
-def _from_basis(x: np.ndarray, counts: np.ndarray, bases: list, d: int) -> np.ndarray:
-    """Adjoint of :func:`_to_basis`: W x, shape (d, R, 6) + x.shape[1:]."""
-    rest = x.shape[1:]
-    out = np.empty((d, counts.sum(), 6) + rest, dtype=x.dtype)
-    lo = f = 0
-    for c, W in zip(counts, bases):
-        size = c * _basis_size(W, d)
-        part = x[f:f + size]
-        if W is None:
-            out[:, lo:lo + c] = part.reshape((d, c, 6) + rest)
-        else:
-            np.einsum("rk...,jak->jra...", part.reshape((c, W.shape[2]) + rest), W,
-                      out=out[:, lo:lo + c])
-        lo, f = lo + c, f + size
-    return out
-
-
-def _orbit_gather(blocks: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Y[g, s, b, r, a] = -[B(r - g.s) Q_g]_ab from the offset table
+def _orbit_gather(blocks: np.ndarray, images: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Y[g, s, b, r, a] = -w_s w_r [B(r - g.s) Q_g]_ab from the offset table
     ``blocks`` for the orbit representatives r, s = images[0]: 1/24 of the
     entries of the full matrix."""
     grp = _cube_group()
@@ -329,22 +266,18 @@ def _orbit_gather(blocks: np.ndarray, images: np.ndarray) -> np.ndarray:
     at = (off[..., 0] * span + off[..., 1]) * span + off[..., 2]
     Y = blocks.reshape(-1, 6, 6).transpose(0, 2, 1)[at[:, :, None, :],
                                                     grp.qperm[:, None, :, None]]
-    Y *= -grp.qsign[:, None, :, None, None]
+    Y *= -grp.qsign[:, None, :, None, None] * (w[:, None, None, None] * w[:, None])
     return Y
 
 
 def _irrep_blocks(blocks: np.ndarray, orbits: tuple):
-    """Yield, per irrep of O in turn, its block A = I + W^T M W of I - K
-    (None for an empty block), Fortran-ordered so that LAPACK factors it in
+    """Yield, per irrep of O in turn, its block A = I + w M w of I - K on the
+    raw orbit coordinates, Fortran-ordered so that LAPACK factors it in
     place.  ``orbits`` is what :func:`_cube_orbits` returns."""
-    _, images, counts, bases = orbits
-    for M, W in zip(_group_sums(_orbit_gather(blocks, images)), bases):
+    _, images, w = orbits
+    for M in _group_sums(_orbit_gather(blocks, images, w)):
         # A[(j,r,a),(l,s,b)] = M[j,l,s,b,r,a]; built as the C-ordered A^T
-        At = _to_basis(_to_basis(M.transpose(0, 4, 5, 1, 2, 3), counts, W)
-                       .transpose(1, 2, 3, 0), counts, W)
-        if At.size == 0:
-            yield None
-            continue
+        At = M.transpose(1, 2, 3, 0, 4, 5).reshape(6 * M.shape[0] * w.size, -1)
         At[np.diag_indices(At.shape[0])] += 1.0
         yield At.T
 
@@ -353,30 +286,36 @@ def _lu_solve_system(blocks: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, flo
     """Solve (I - K) u = b by LU of the five irrep blocks of O, each once
     for its d right-hand sides.  Returns u; the 1-norm condition estimate
     of the block-diagonal form, max ||A_rho||_1 * max ||A_rho^-1||_1; and
-    the block sizes in irrep order (A1, A2, E, T1, T2)."""
+    the block sizes in irrep order (A1, A2, E, T1, T2).
+
+    The estimate depends on the coordinates the blocks are written in, as
+    the 1-norm is not invariant under orthogonal changes of basis: on the
+    coupled volumes and lattices of 1 to 4 cells per axis it reads 1.4 to 13
+    times the dense cond_2(I - K).  It measures these blocks; it is not the
+    condition number of I - K."""
     n = (blocks.shape[0] + 1) // 2
     grp = _cube_group()
     orbits = _cube_orbits(n)
-    at, _, counts, bases = orbits
+    at, _, w = orbits
     b6 = b.reshape(-1, 6)
-    # raw right-hand sides sum_g D(g)_ij Q_g^T b[g.r], axes (i, j, r, a)
-    rhs = _group_sums(np.einsum("gca,grc->gra", grp.Q, b6[at]))
+    # raw right-hand sides w_r sum_g D(g)_ij Q_g^T b[g.r], axes (i, j, r, a)
+    rhs = _group_sums(np.einsum("gca,grc,r->gra", grp.Q, b6[at], w))
     z = np.zeros(at.shape + (6,), dtype=complex)
     anorm, inv_norm, sizes = 0.0, 0.0, []
-    for D, r, W, A in zip(grp.irreps, rhs, bases, _irrep_blocks(blocks, orbits)):
-        sizes.append(0 if A is None else A.shape[0])
-        if A is None:
-            continue
+    for D, r, A in zip(grp.irreps, rhs, _irrep_blocks(blocks, orbits)):
         d = D.shape[1]
+        sizes.append(A.shape[0])
         norm = float(np.linalg.norm(A, 1))
         lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True)
-        x = scipy.linalg.lu_solve((lu, piv), _to_basis(r.transpose(1, 2, 3, 0), counts, W))
+        x = scipy.linalg.lu_solve((lu, piv), r.transpose(1, 2, 3, 0).reshape(-1, d))
         rcond, info = scipy.linalg.lapack.zgecon(lu, norm)
         anorm = max(anorm, norm)
         inv_norm = max(inv_norm, 1.0 / (rcond * norm) if info == 0 and rcond > 0
                        else float("inf"))
-        # u[g.r] = sum over irreps of (d/24) sum_ij D(g)_ij Q_g (W x_i)[j, r]
-        z += (d / 24) * np.einsum("gij,jrai->gra", D, _from_basis(x, counts, W, d))
+        # u[g.r] = sum over irreps of (d/24) sum_ij D(g)_ij Q_g w_r x_i[j, r]
+        z += (d / 24) * np.einsum("gij,jrai->gra", D, x.reshape(d, -1, 6, d))
+        del A, lu   # the factored block, before the next one is built
+    z *= w[:, None]
     u6 = np.zeros(b6.shape, dtype=complex)
     np.add.at(u6, at, np.einsum("gca,gra->grc", grp.Q, z))
     return u6.reshape(-1), anorm * inv_norm, sizes
@@ -389,8 +328,7 @@ def _solve_grid(blocks: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarr
     Fixed-point sweeps u <- b + K u, each one FFT product, run with a
     divergence check; if they stall, a system up to the dense cap falls
     back to the LU of its five symmetry blocks, whose sizes the report
-    lists under "blocks" in irrep order (0 for an irrep with no basis
-    vectors).  The residual is taken with the FFT product either way, so
+    lists under "blocks" in irrep order.  The residual is taken with the FFT product either way, so
     the LU may overwrite its blocks, and it certifies the blocked solve.
     Returns u and the solver report."""
     size = b.size

@@ -10,7 +10,7 @@ from chiralmeta.dipole import ParticleInstance, scattered_field_dipole
 from chiralmeta.effective import (DiluteConfig, coupling_from_tilde, coupling_matrix,
                                   s_limit_tilde, tilde_from_definition)
 from chiralmeta.foldy import (FoldyError, GridState, _cube_group, _cube_orbits,
-                              _fft_apply, _from_basis, _grid_index, _group_sums,
+                              _fft_apply, _grid_index, _group_sums,
                               _irrep_blocks,
                               _lu_solve_system, _offset_blocks, _solve_grid, cell_centers,
                               check_distribution, compare_homogenization, eval_foldy_field,
@@ -558,74 +558,66 @@ def _rotation_operators(n):
     return T
 
 
-def _symmetry_basis(n, orbits):
-    """Dense V_(rho, i) per irrep rho and partner i, from the projection
-    definition P_ij = (d/24) sum_g D(g)_ij T_g: column kappa is
-    sqrt(24/d) sum_j P_ij e_j, where e_j carries the orbit coordinates
-    (j, r, a) of basis vector kappa on the representative cells."""
+def _symmetry_maps(n, orbits):
+    """Dense E_(rho, i) per irrep rho and partner i, from the projection
+    definition P_ij = (d/24) sum_g D(g)_ij T_g: the raw coordinate (j, r, a)
+    maps to sqrt(24/d) w_r P_ij e_(r, a), with e_(r, a) the unit vector of
+    component a on representative cell r."""
     grp = _cube_group()
-    at, _, counts, bases = orbits
+    at, _, w = orbits
     T = _rotation_operators(n)
-    Vs = []
-    for D, W in zip(grp.irreps, bases):
+    rows = (6 * at[0][:, None] + np.arange(6)).reshape(-1)
+    Es = []
+    for D in grp.irreps:
         d = D.shape[1]
-        K = sum(c * (6 * d if w is None else w.shape[2]) for c, w in zip(counts, W))
-        coords = _from_basis(np.eye(K), counts, W, d)           # (j, r, a, kappa)
+        K = 6 * d * len(w)
         e = np.zeros((d, 6 * n ** 3, K))
-        e[:, (6 * at[0][:, None] + np.arange(6)).reshape(-1)] = coords.reshape(d, -1, K)
+        for j in range(d):
+            cols = slice(j * K // d, (j + 1) * K // d)
+            e[j, rows, cols] = np.diag(np.repeat(w, 6))
         P = (d / 24) * np.einsum("gij,gxy->ijxy", D, T)
-        Vs.append([np.sqrt(24 / d) * np.einsum("jxy,jyk->xk", P[i], e) for i in range(d)])
-    return Vs
+        Es.append([np.sqrt(24 / d) * np.einsum("jxy,jyk->xk", P[i], e) for i in range(d)])
+    return Es
 
 
-@pytest.mark.parametrize("n, eta, zero_self", [(2, 0.0, True), (3, 0.1, True),
-                                               (3, 0.5, False), (4, 0.0, True),
-                                               (4, 0.5, False)])
+@pytest.mark.parametrize("n, eta, zero_self", [(1, 0.3, False), (2, 0.0, True),
+                                               (3, 0.1, True), (3, 0.5, False),
+                                               (4, 0.0, True), (4, 0.5, False)])
 def test_gathered_matrix_matches_pairwise(bg, T6_dilute, n, eta, zero_self):
-    # each gathered irrep block is V^T (I - K) V for every partner's V, with
-    # V and I - K formed densely; the V of all irreps and partners together
-    # are square and orthogonal
+    # each gathered irrep block is E^T (I - K) E + I - E^T E for every
+    # partner's E, with E and I - K formed densely: E^T E is the orthogonal
+    # projector onto the stabilizer ranges, so the block is the orthonormal
+    # symmetry-adapted block plus the identity on their complement; the
+    # ranges of all irreps and partners together span the grid
     blocks = _offset_blocks(bg, n, eta, T6_dilute, 1.0 / n ** 3, zero_self)
     orbits = _cube_orbits(n)
     A = np.eye(6 * n ** 3) - _pairwise_interaction(bg, cell_centers(n), eta,
                                                    T6_dilute, zero_self)
-    Vs = _symmetry_basis(n, orbits)
-    V = np.hstack([Vi for partners in Vs for Vi in partners])
-    assert V.shape == A.shape
-    assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-14
+    Es = _symmetry_maps(n, orbits)
+    assert np.linalg.matrix_rank(np.hstack([Ei for partners in Es for Ei in partners])) \
+        == A.shape[0]
     got = list(_irrep_blocks(blocks, orbits))
     assert len(got) == 5
-    for block, partners in zip(got, Vs):
-        for Vi in partners:
-            expect = Vi.T @ A @ Vi
+    for block, partners in zip(got, Es):
+        for Ei in partners:
+            EtE = Ei.T @ Ei
+            assert np.abs(EtE @ EtE - EtE).max() <= 1e-14
+            expect = Ei.T @ A @ Ei + np.eye(EtE.shape[0]) - EtE
             assert block.shape == expect.shape
             assert np.abs(block - expect).max() <= 1e-14 * np.abs(A).max()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_orbit_bases_span_the_stabilizer_projectors(n):
-    # per irrep and stabilizer pattern H, sqrt|H| W is an orthonormal basis
-    # of the range of P = (1/|H|) sum_h D(h) (x) Q_h; a free orbit is None
+def test_orbit_weights_count_the_stabilizers(n):
+    # w_r = 1/sqrt|H_r|, with |H_r| counted from the rotations that fix the
+    # representative's centred position; the orbits cover the grid once
     grp = _cube_group()
-    at, _, counts, bases = _cube_orbits(n)
-    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    fixes = (at[:, first] == at[0, first]).T            # (patterns, 24)
-    assert len(np.unique(fixes, axis=0)) == len(counts)
-    for c, lo, H in zip(counts, first, fixes):
-        assert np.array_equal(at[:, lo:lo + c] == at[0, lo:lo + c], np.repeat(H[:, None], c, 1))
-    for D, per in zip(grp.irreps, bases):
-        d = D.shape[1]
-        assert len(per) == len(counts)
-        for H, W in zip(fixes, per):
-            h = int(H.sum())
-            if h == 1:
-                assert W is None
-                continue
-            P = sum(np.kron(D[g], grp.Q[g]) for g in np.flatnonzero(H)) / h
-            U = np.sqrt(h) * W.reshape(6 * d, -1)
-            assert U.shape[1] == round(np.trace(P))
-            assert np.abs(U.T @ U - np.eye(U.shape[1])).max(initial=0.0) <= 1e-14
-            assert np.abs(P @ U - U).max(initial=0.0) <= 1e-14
+    at, images, w = _cube_orbits(n)
+    centred = 2 * images[0] - (n - 1)
+    fixed = [sum(np.array_equal(R.astype(int) @ c, c) for R in grp.rot) for c in centred]
+    assert np.array_equal(w, 1.0 / np.sqrt(fixed))
+    assert np.array_equal(np.unique(at), np.arange(n ** 3))
+    assert sum(24 // h for h in fixed) == n ** 3
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -740,17 +732,17 @@ def test_lu_fallback_factors_each_block_once(bg, coupled_tilde, monkeypatch):
         return lu_factor(A, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
-    # one cell: every rotation fixes it, and (E, H) there carries T1 twice,
-    # so the other irreps' blocks are empty
-    for m, expect in ((1, [0, 0, 0, 2, 0]), (3, [6, 6, 12, 24, 18]),
-                      (4, [16, 16, 32, 48, 48])):
+    # raw orbit coordinates: 6 d R unknowns per irrep block for R orbits, so
+    # even the one-cell grid (R = 1, every rotation fixes it) factors 5
+    for m, orbits, expect in ((1, 1, [6, 6, 12, 18, 18]), (3, 4, [24, 24, 48, 72, 72]),
+                              (4, 4, [24, 24, 48, 72, 72])):
         sizes.clear()
         rep = solve_homogenized_ls(bg, coupled_tilde, m, 0.1, WAVE).solver_report
         assert rep["blocks"] == expect
-        assert sizes == [k for k in expect if k]
+        assert sizes == expect
         assert rep["method"] == "lu"
         assert rep["size"] == 6 * m ** 3
-        assert sum(d * k for d, k in zip((1, 1, 2, 3, 3), expect)) == rep["size"]
+        assert sum(d * k for d, k in zip((1, 1, 2, 3, 3), expect)) == 144 * orbits
         assert np.isfinite(rep["condition_estimate"]) and rep["condition_estimate"] >= 1.0
         assert rep["residual"] < 1e-10
 
@@ -758,8 +750,9 @@ def test_lu_fallback_factors_each_block_once(bg, coupled_tilde, monkeypatch):
 def test_blocked_lu_even_grid_factors_in_place(bg, coupled_tilde, rng, monkeypatch):
     # every block is factored in place, and the solve holds the gathered
     # orbit table, its D2 character sums and one irrep's block pipeline: at
-    # m = 6 (blocks 54, 54, 108, 162, 162) 3.4 times the bytes of the five
-    # blocks by tracemalloc, where the four D2 blocks it replaced peaked at 8
+    # m = 6 the raw blocks (66, 66, 132, 198, 198) peak by tracemalloc below
+    # 3.6 times the bytes of the orthonormal blocks they replaced (54, 54,
+    # 108, 162, 162), where the four D2 blocks before those peaked at 8
     import scipy.linalg
     import tracemalloc
     in_place = []
@@ -781,9 +774,9 @@ def test_blocked_lu_even_grid_factors_in_place(bg, coupled_tilde, rng, monkeypat
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sizes == [54, 54, 108, 162, 162]
+    assert sizes == [66, 66, 132, 198, 198]
     assert in_place == [True] * 5
-    assert peak < 3.6 * 16 * sum(k * k for k in sizes)
+    assert peak < 3.6 * 16 * (2 * 54 ** 2 + 108 ** 2 + 2 * 162 ** 2)
 
 
 # ---------------------------------------------------------------------------
